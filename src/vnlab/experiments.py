@@ -27,8 +27,8 @@ class Assertion:
 
     @property
     def passed(self) -> bool:
-        return self.value <= self.tolerance if self.cmp == "le" \
-            else self.value >= self.tolerance
+        return bool(self.value <= self.tolerance if self.cmp == "le"
+                    else self.value >= self.tolerance)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "value": _jsonable(self.value),
@@ -402,8 +402,8 @@ def _exp_causality_probe(p, seed, tol):
     start = p["sites"] // 2 - w - (p["gap"] + 1) // 2
     supp_in = np.arange(start, start + w)
     supp_out = np.arange(start + w + p["gap"], start + 2 * w + p["gap"])
-    a0 = abs(lattice.causality_probe(spec, supp_in, supp_out, 0.0))
-    a_t = abs(lattice.causality_probe(spec, supp_in, supp_out, p["t"]))
+    a0, a_t = np.abs(lattice.causality_probe_scan(
+        spec, supp_in, supp_out, [0.0, p["t"]])).tolist()
     grid = np.linspace(0.05, 1.0, 20)
     amps = np.abs(lattice.causality_probe_scan(spec, supp_in, supp_out, grid))
     series = [(0.0, a0)] + [(float(t), float(a)) for t, a in zip(grid, amps)]

@@ -44,12 +44,32 @@ class ChainSpec:
 
 @dataclass
 class GaussianState:
-    """Ground-state covariances; cross correlations vanish."""
+    """Ground-state covariances; cross correlations vanish.
+
+    Both covariances are circulant: <phi_i phi_j> = row_phi[(i - j) % n], and
+    the Fourier modes diagonalize them with eigenvalues weights_phi and
+    weights_pi.  Dense blocks are gathered from the rows on demand.
+    """
 
     spec: ChainSpec
-    g_phi: np.ndarray
-    g_pi: np.ndarray
+    row_phi: np.ndarray
+    row_pi: np.ndarray
+    weights_phi: np.ndarray
+    weights_pi: np.ndarray
     zero_mode_excluded: bool = False
+
+    @cached_property
+    def g_phi(self) -> np.ndarray:
+        return _circulant_block(self.row_phi, np.arange(self.spec.sites))
+
+    @cached_property
+    def g_pi(self) -> np.ndarray:
+        return _circulant_block(self.row_pi, np.arange(self.spec.sites))
+
+
+def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:
+    """Region block of the circulant matrix C[i, j] = row[(i - j) % n]."""
+    return row[(region[:, None] - region[None, :]) % row.size]
 
 
 def ground_state(spec: ChainSpec, zero_mode: str = "error") -> GaussianState:
@@ -67,14 +87,11 @@ def ground_state(spec: ChainSpec, zero_mode: str = "error") -> GaussianState:
             raise ValueError("massless chain: pass zero_mode='exclude'")
     weights_phi[nonzero] = 1.0 / (2.0 * omega[nonzero])
 
+    # row[r] = sum_k cos(k r) w_k / n: the real part of a forward FFT
     n = spec.sites
-    x = np.arange(n)
-    diff = (x[:, None] - x[None, :]) % n
-    k = spec.momenta()
-    cos_table = np.cos(np.outer(np.arange(n), k))  # cos(k * r) for r = 0..n-1
-    row_phi = cos_table @ weights_phi / n
-    row_pi = cos_table @ weights_pi / n
-    return GaussianState(spec=spec, g_phi=row_phi[diff], g_pi=row_pi[diff],
+    return GaussianState(spec=spec, row_phi=np.fft.fft(weights_phi).real / n,
+                         row_pi=np.fft.fft(weights_pi).real / n,
+                         weights_phi=weights_phi, weights_pi=weights_pi,
                          zero_mode_excluded=not nonzero.all())
 
 
@@ -82,7 +99,7 @@ def cluster_function(state: GaussianState, r: int) -> float:
     """Connected field-field correlator F(r) = <phi_0 phi_r> (one-point
     functions vanish in the vacuum)."""
     n = state.spec.sites
-    return float(state.g_phi[0, r % n])
+    return float(state.row_phi[r % n])
 
 
 def expected_decay_rate(mass: float) -> float:
@@ -133,14 +150,23 @@ def decay_rate_fit(state: GaussianState, fit_range: tuple[int, int],
 
 
 def symplectic_eigenvalues(state: GaussianState, region) -> np.ndarray:
-    """Symplectic spectrum of the region covariance (vanishing cross block)."""
+    """Symplectic spectrum of the region covariance (vanishing cross block).
+
+    The whole chain is diagonal on the Fourier modes, so its spectrum is
+    sqrt(w_phi w_pi) per mode.  A proper region uses the symmetric form:
+    with G_phi = L L^T, the eigenvalues of L^T G_pi L are those of
+    G_phi G_pi.
+    """
     region = np.asarray(region, dtype=int)
     if region.size == 0:
         raise ValueError("empty region")
-    a = state.g_phi[np.ix_(region, region)]
-    b = state.g_pi[np.ix_(region, region)]
-    ev = np.linalg.eigvals(a @ b)
-    return np.sqrt(np.clip(ev.real, 0.0, None))
+    n = state.spec.sites
+    if region.size == n and np.unique(region % n).size == n:
+        return np.sqrt(state.weights_phi * state.weights_pi)
+    chol = np.linalg.cholesky(_circulant_block(state.row_phi, region))
+    b = _circulant_block(state.row_pi, region)
+    ev = np.linalg.eigvalsh(chol.T @ b @ chol)
+    return np.sqrt(np.clip(ev, 0.0, None))
 
 
 def reduced_entropy(state: GaussianState, region) -> float:
@@ -214,25 +240,14 @@ def local_difference_bruteforce(rho1: np.ndarray, rho2: np.ndarray,
     return best
 
 
-def causality_probe(spec: ChainSpec, support_in, support_out,
-                    t: float) -> complex:
-    """Overlap <chi, e^{-iHt} psi> of packets with disjoint supports.
-
-    One-particle evolution with the lattice dispersion; the overlap vanishes
-    exactly at t = 0 and is nonzero for generic t > 0 however far the
-    supports are separated.
-    """
-    psi = _packet(spec.sites, support_in)
-    chi = _packet(spec.sites, support_out)
-    if np.any(np.abs(psi) * np.abs(chi) > 0):
-        raise ValueError("packet supports overlap")
-    omega = spec.dispersion()
-    evolved = np.fft.ifft(np.exp(-1j * omega * t) * np.fft.fft(psi))
-    return complex(np.vdot(chi, evolved))
-
-
 def causality_probe_scan(spec: ChainSpec, support_in, support_out,
                          t_grid) -> np.ndarray:
+    """Overlaps <chi, e^{-iHt} psi> of packets with disjoint supports.
+
+    One-particle evolution with the lattice dispersion, one overlap per t in
+    t_grid; the overlap vanishes exactly at t = 0 and is nonzero for generic
+    t > 0 however far the supports are separated.
+    """
     psi = _packet(spec.sites, support_in)
     chi = _packet(spec.sites, support_out)
     if np.any(np.abs(psi) * np.abs(chi) > 0):

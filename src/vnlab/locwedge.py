@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .numkit import (AntilinearMap, Tolerance, default_tolerance, embed_real,
-                     herm_fn, norm2, real_linearize, unembed_real)
+                     norm2, real_linearize, unembed_real)
 
 COND_CAP = 1e8
 
@@ -73,19 +73,18 @@ def subspace_distance(k1: RealSubspace, k2: RealSubspace) -> float:
 class WedgeModel:
     """Discretized one-particle wedge data.
 
-    k_values/modes hold the spectral decomposition of the boost generator;
-    retained_* fields live on the spectral window where cond(Delta^{1/2})
-    stays below cond_cap.
+    k_values and the Fourier modes hold the spectral decomposition of the
+    boost generator; retained_* fields live on the spectral window where
+    cond(Delta^{1/2}) stays below cond_cap.  The dense n x n operators
+    (modes, k_op, delta, j) are built only when read; delta's spectrum spans
+    e^{+-2 pi max|k|} and overflows beyond small n.
     """
 
     n: int
     theta_max: float
     grid: np.ndarray
-    k_op: np.ndarray
-    delta: np.ndarray
-    j: AntilinearMap
+    freqs: np.ndarray            # Fourier-grid frequency of each mode
     k_values: np.ndarray
-    modes: np.ndarray            # columns = eigenvectors of k_op
     cond_cap: float
     retained: np.ndarray         # boolean mask over modes
     isometry: np.ndarray = field(repr=False)  # (n, n_r)
@@ -94,6 +93,26 @@ class WedgeModel:
     @property
     def retained_dim(self) -> int:
         return int(self.retained.sum())
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """Columns = eigenvectors of k_op."""
+        return _fourier_columns(self.grid, self.freqs)
+
+    @cached_property
+    def k_op(self) -> np.ndarray:
+        k_op = (self.modes * self.k_values) @ self.modes.conj().T
+        return 0.5 * (k_op + k_op.conj().T)
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """Delta = exp(-2 pi K), from the generator's modes."""
+        return (self.modes * np.exp(-2.0 * np.pi * self.k_values)) \
+            @ self.modes.conj().T
+
+    @cached_property
+    def j(self) -> AntilinearMap:
+        return AntilinearMap.conjugation(self.n)
 
     @cached_property
     def j_compressed(self) -> AntilinearMap:
@@ -118,12 +137,18 @@ class WedgeModel:
         return AntilinearMap(self.j_compressed.mat * half[None, :])
 
 
+def _fourier_columns(grid: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Normalized plane waves exp(i f x) on the grid, one column per f."""
+    return np.exp(1j * np.outer(grid, freqs)) / np.sqrt(grid.size)
+
+
 def wedge_one_particle(n: int, theta_max: float,
                        cond_cap: float = COND_CAP) -> WedgeModel:
     """Wedge model on a uniform periodic rapidity grid of n points.
 
     The generator is the Fourier-grid derivative (Nyquist mode zeroed so the
     spectrum is symmetric about 0), Delta = exp(-2 pi K), J = conjugation.
+    Only the n x n_r isometry onto the retained modes is built here.
     """
     if n < 8 or n % 2:
         raise ValueError("need an even grid with n >= 8")
@@ -132,23 +157,17 @@ def wedge_one_particle(n: int, theta_max: float,
     h = 2.0 * theta_max / n
     grid = -theta_max + h * np.arange(n)
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    modes = np.exp(1j * np.outer(grid, freqs)) / np.sqrt(n)
     kvals = freqs.copy()
     kvals[n // 2] = 0.0  # drop the unpaired Nyquist frequency, keep its mode
-    k_op = (modes * kvals) @ modes.conj().T
-    k_op = 0.5 * (k_op + k_op.conj().T)
-    delta = herm_fn(-2.0 * np.pi * k_op, "exp")
 
     k_cut = np.log(cond_cap) / (2.0 * np.pi)
     retained = np.abs(kvals) <= k_cut + 1e-12
     order = np.argsort(kvals[retained], kind="stable")
-    isometry = modes[:, retained][:, order]
+    isometry = _fourier_columns(grid, freqs[retained][order])
     k_retained = np.sort(kvals[retained], kind="stable")
-    return WedgeModel(n=n, theta_max=theta_max, grid=grid, k_op=k_op,
-                      delta=delta, j=AntilinearMap.conjugation(n),
-                      k_values=kvals, modes=modes, cond_cap=cond_cap,
-                      retained=retained, isometry=isometry,
-                      k_retained=k_retained)
+    return WedgeModel(n=n, theta_max=theta_max, grid=grid, freqs=freqs,
+                      k_values=kvals, cond_cap=cond_cap, retained=retained,
+                      isometry=isometry, k_retained=k_retained)
 
 
 def s_operator(delta: np.ndarray, j: AntilinearMap,

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from vnlab import cli
@@ -57,6 +58,16 @@ class TestReports:
             report = run(name, params, seed=0)
             assert report.passed, f"{name} failed: " + ", ".join(
                 a.name for a in report.assertions if not a.passed)
+            assert json.loads(report.to_json())["pass"] is True
+
+    @pytest.mark.parametrize("name,params", [
+        ("wedge-localization", {"n": 4096}),
+        ("entropy-scan", {"sites": 1024, "bipartitions": 2})])
+    def test_scale_configurations_pass_finite(self, name, params):
+        with np.errstate(all="raise"):
+            report = run(name, params, seed=0)
+        assert report.passed, f"{name} failed: " + ", ".join(
+            a.name for a in report.assertions if not a.passed)
 
     def test_deterministic_reports(self):
         a = run("modular-flow", {}, seed=11).to_dict()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vnlab.lattice import (ChainSpec, causality_probe, causality_probe_scan,
+from vnlab.lattice import (ChainSpec, causality_probe_scan,
                            cluster_function, decay_rate_fit,
                            expected_decay_rate, ground_state,
                            local_difference, local_difference_bruteforce,
@@ -15,6 +15,13 @@ def rand_density(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def dense_symplectic(state, region):
+    """Reference spectrum: sorted sqrt(eigvals(G_phi G_pi)) on the region."""
+    idx = np.ix_(region, region)
+    ev = np.linalg.eigvals(state.g_phi[idx] @ state.g_pi[idx])
+    return np.sort(np.sqrt(np.clip(ev.real, 0.0, None)))
 
 
 class TestGroundState:
@@ -51,6 +58,40 @@ class TestGroundState:
             region = rng.choice(24, size=size, replace=False)
             nu = symplectic_eigenvalues(state, region)
             assert nu.min() >= 0.5 - 1e-10
+
+    @pytest.mark.parametrize("n", [2, 12, 64])
+    @pytest.mark.parametrize("mass", [0.0, 0.9])
+    def test_fft_rows_match_cosine_table(self, n, mass):
+        # reference: G[i, j] = sum_k w_k cos(k (i - j)) / n, mode by mode
+        spec = ChainSpec(n, mass)
+        state = ground_state(spec, zero_mode="exclude")
+        omega = spec.dispersion()
+        w_phi = np.zeros(n)
+        w_phi[omega > 0] = 0.5 / omega[omega > 0]
+        x = np.arange(n)
+        cos = np.cos(np.subtract.outer(x, x)[..., None] * spec.momenta())
+        assert np.max(np.abs(state.g_phi - cos @ w_phi / n)) < 1e-13
+        assert np.max(np.abs(state.g_pi - cos @ (omega / 2.0) / n)) < 1e-13
+        assert np.array_equal(state.row_phi, state.g_phi[:, 0])
+        assert np.array_equal(state.row_pi, state.g_pi[:, 0])
+
+    def test_proper_region_spectrum_matches_dense(self):
+        rng = np.random.default_rng(3)
+        for n, mass in ((24, 1.0), (40, 0.3)):
+            state = ground_state(ChainSpec(n, mass))
+            for _ in range(8):
+                size = int(rng.integers(1, n))
+                region = rng.choice(n, size=size, replace=False)
+                nu = np.sort(symplectic_eigenvalues(state, region))
+                assert np.max(np.abs(nu - dense_symplectic(state, region))) \
+                    < 1e-10
+
+    def test_full_chain_mode_path_matches_dense(self):
+        state = ground_state(ChainSpec(10, 0.5))
+        dense = dense_symplectic(state, np.arange(10))
+        for region in (np.arange(10), np.random.default_rng(2).permutation(10)):
+            nu = np.sort(symplectic_eigenvalues(state, region))
+            assert np.max(np.abs(nu - dense)) < 1e-10
 
     def test_massless_needs_policy(self):
         with pytest.raises(ValueError):
@@ -194,12 +235,14 @@ class TestOutsideOperations:
 class TestCausalityProbe:
     def test_amplitude_zero_at_t0(self):
         spec = ChainSpec(256, 1.0)
-        a0 = causality_probe(spec, np.arange(100, 108), np.arange(112, 120), 0.0)
+        a0 = causality_probe_scan(spec, np.arange(100, 108),
+                                  np.arange(112, 120), [0.0])[0]
         assert abs(a0) < 1e-14
 
     def test_amplitude_nonzero_at_half(self):
         spec = ChainSpec(256, 1.0)
-        a = causality_probe(spec, np.arange(100, 108), np.arange(112, 120), 0.5)
+        a = causality_probe_scan(spec, np.arange(100, 108),
+                                 np.arange(112, 120), [0.5])[0]
         assert abs(a) > 1e-8
 
     def test_grid_max_positive_for_all_gaps(self):
@@ -212,14 +255,25 @@ class TestCausalityProbe:
             assert amps.max() > 1e-13  # 10x the inner-product roundoff floor
 
     def test_scan_matches_pointwise(self):
+        # reference: site-space evolution by the dense Hamiltonian
+        # sqrt(m^2 - laplacian), one t at a time
         spec = ChainSpec(64, 1.0)
         supp_in, supp_out = np.arange(10, 14), np.arange(20, 24)
-        grid = [0.3, 0.7]
+        lap = 2.0 * np.eye(64) - np.roll(np.eye(64), 1, 0) \
+            - np.roll(np.eye(64), -1, 0)
+        w, u = np.linalg.eigh(spec.mass ** 2 * np.eye(64) + lap)
+        bump = np.sin(np.pi * np.arange(1, 5) / 5)
+        psi, chi = np.zeros(64), np.zeros(64)
+        psi[supp_in], chi[supp_out] = bump, bump
+        psi, chi = psi / np.linalg.norm(psi), chi / np.linalg.norm(chi)
+        grid = [0.0, 0.3, 0.7]
         scan = causality_probe_scan(spec, supp_in, supp_out, grid)
         for t, a in zip(grid, scan):
-            assert abs(a - causality_probe(spec, supp_in, supp_out, t)) < 1e-12
+            evolved = (u * np.exp(-1j * np.sqrt(w) * t)) @ (u.T @ psi)
+            assert abs(a - np.vdot(chi, evolved)) < 1e-12
 
     def test_overlapping_supports_rejected(self):
         spec = ChainSpec(64, 1.0)
         with pytest.raises(ValueError):
-            causality_probe(spec, np.arange(0, 8), np.arange(7, 12), 0.1)
+            causality_probe_scan(spec, np.arange(0, 8), np.arange(7, 12),
+                                 [0.1])

@@ -207,6 +207,17 @@ class TestDualityAndFlow:
         assert set(rep) >= {"n", "theta_max", "retained_dim",
                             "duality_residual", "flow_invariance_residual"}
 
+    def test_report_leaves_dense_operators_unbuilt(self):
+        model = wedge_one_particle(64, 6.0)
+        wedge_report(model)
+        assert not {"delta", "k_op", "modes", "j"} & set(model.__dict__)
+
+    def test_isometry_is_retained_modes(self):
+        model = wedge_one_particle(16, 3.0)
+        order = np.argsort(model.k_values[model.retained], kind="stable")
+        assert np.array_equal(model.isometry,
+                              model.modes[:, model.retained][:, order])
+
     def test_truncation_comparison_across_theta(self):
         # boundary artifacts remain small for each window choice
         for theta in (4.0, 6.0, 8.0):
