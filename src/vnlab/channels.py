@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modular import purify
-from .numkit import Tolerance, dagger, default_tolerance, norm2
+from .numkit import (Tolerance, dagger, default_tolerance, nonzero_mask,
+                     norm2, random_density, rank)
 
 
 @dataclass
@@ -141,8 +142,7 @@ def disentangle(split: SplitData, omega: np.ndarray) -> DisentangleResult:
     omega = np.asarray(omega, dtype=complex)
     rho_inner = split.inner_marginal(omega)
     ancilla = split.inner_split[1] if split.inner_split else 1
-    rank = int(np.sum(np.linalg.eigvalsh(rho_inner) > 1e-12))
-    if rank <= ancilla:
+    if nonzero_mask(np.linalg.eigvalsh(rho_inner)).sum() <= ancilla:
         xi = purify(rho_inner, ancilla)
         channel = local_prepare_channel(split, xi)
         return DisentangleResult(state=kraus_apply(omega, channel),
@@ -186,18 +186,12 @@ def genericity_scan(samples: int, seed: int, kind: str = "pure",
     for _ in range(samples):
         if kind == "pure":
             psi = haar_pure_state(rng, d1 * d2)
-            s = np.linalg.svd(psi.reshape(d1, d2), compute_uv=False)
-            hits += int(s.min() > 1e-10)
+            hits += int(rank(psi.reshape(d1, d2)) > 1)
         elif kind == "product":
             psi = np.kron(haar_pure_state(rng, d1), haar_pure_state(rng, d2))
-            s = np.linalg.svd(psi.reshape(d1, d2), compute_uv=False)
-            hits += int(s.min() > 1e-10)
+            hits += int(rank(psi.reshape(d1, d2)) > 1)
         elif kind == "mixed":
-            g = rng.standard_normal((d1 * d2, d1 * d2)) \
-                + 1j * rng.standard_normal((d1 * d2, d1 * d2))
-            rho = g @ dagger(g)
-            rho /= np.trace(rho).real
-            flag, _ = is_entangled(rho, dims)
+            flag, _ = is_entangled(random_density(rng, d1 * d2), dims)
             hits += int(flag)
         else:
             raise ValueError(f"unknown scan kind {kind!r}")
@@ -222,9 +216,7 @@ def isometry_impossibility_check(n: int, projector: np.ndarray,
     equal_ranks = True
     for _ in range(trials):
         w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        r1 = np.linalg.matrix_rank(dagger(w) @ w)
-        r2 = np.linalg.matrix_rank(w @ dagger(w))
-        equal_ranks &= bool(r1 == r2)
+        equal_ranks &= rank(dagger(w) @ w) == rank(w @ dagger(w))
     possible = rank_e == n
     reason = ("E = 1: any unitary solves the relation" if possible else
               "rank(W*W) = rank(WW*) for every W, but the relation would "

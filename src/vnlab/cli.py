@@ -2,9 +2,10 @@
 
     vnlab list
     vnlab <experiment> [--<param> <value> ...] [--seed S] [--out PATH]
-                       [--format {json,csv}] [--tol-abs X] [--tol-rel Y]
+                       [--format {json,csv}] [--tol-abs X]
 
-Exit status is 0 iff every assertion of the run passed.  Reports echo the full
+Exit status is 0 iff every assertion of the run passed.  --tol-abs scales the
+Tolerance.abs validity checks of this run only.  Reports echo the full
 parameter set so any table or figure can be regenerated from the JSON alone.
 """
 
@@ -14,7 +15,7 @@ import argparse
 import sys
 
 from .experiments import list_experiments, run, validate_params
-from .numkit import Tolerance, set_default_tolerance
+from .numkit import Tolerance, default_tolerance, set_default_tolerance
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol-abs", type=float, default=None)
-        p.add_argument("--tol-rel", type=float, default=None)
     return parser
 
 
@@ -48,19 +48,21 @@ def main(argv=None) -> int:
             print(f"{name:<{width}}  {exp.description}  [{schema}]")
         return 0
 
-    if args.tol_abs is not None or args.tol_rel is not None:
-        set_default_tolerance(Tolerance(abs=args.tol_abs or 1e-10,
-                                        rel=args.tol_rel or 1e-8))
     schema = list_experiments()[args.command].schema
     overrides = {k: getattr(args, k) for k in schema
                  if getattr(args, k) is not None}
+    previous = default_tolerance()
     try:
+        if args.tol_abs is not None:
+            set_default_tolerance(Tolerance(abs=args.tol_abs))
         params = validate_params(args.command, overrides)
         report = run(args.command, params, seed=args.seed, out=args.out,
                      fmt=args.format)
     except (KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        set_default_tolerance(previous)
     print(report.to_json() if args.format == "json" else report.to_csv())
     for a in report.assertions:
         status = "pass" if a.passed else "FAIL"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels, factors, fock, lattice, locwedge, modular, vnalg
-from .numkit import Tolerance, dagger, default_tolerance, norm2
+from .numkit import dagger, haar_unitary, norm2, random_density
 
 
 @dataclass
@@ -94,18 +94,6 @@ def _bool_assert(name: str, ok: bool) -> Assertion:
     return Assertion(name, 0.0 if ok else 1.0, 0.0)
 
 
-def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def _random_density(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
-
-
 def _conditioned_weights(rng: np.random.Generator, k: int,
                          floor: float = 0.3) -> np.ndarray:
     q = floor + rng.random(k)
@@ -115,8 +103,8 @@ def _conditioned_weights(rng: np.random.Generator, k: int,
 def _random_standard_pair(rng, k):
     """(algebra M_k (x) 1, faithful random vector) on C^k (x) C^k."""
     q = _conditioned_weights(rng, k)
-    u = _haar_unitary(rng, k)
-    v = _haar_unitary(rng, k)
+    u = haar_unitary(rng, k)
+    v = haar_unitary(rng, k)
     a = (u * np.sqrt(q)) @ v.T
     omega = a.flatten()
     algebra = vnalg.tensor_factor_algebra(k, k, "left")
@@ -125,33 +113,24 @@ def _random_standard_pair(rng, k):
 
 # ---------------------------------------------------------------- experiments
 
-def _exp_kms_random(p, seed, tol):
+def _exp_kms_random(p, seed):
     rng = np.random.default_rng(seed)
     sizes = list(range(2, p["max_k"] + 1)) or [2]
     ks = [sizes[i % len(sizes)] for i in range(p["instances"])]
-    worst = {"s_reconstruction": 0.0, "jdj_inverse": 0.0, "delta_omega": 0.0,
-             "kms": 0.0, "jaj_commutant": 0.0, "flow_membership": 0.0}
+    # metric name -> key in modular_defects / modular_report
+    sources = {"s_reconstruction": "s_reconstruction",
+               "jdj_inverse": "jdj_inverse", "delta_omega": "delta_omega",
+               "kms": "max_kms_defect",
+               "jaj_commutant": "commutant_map_residual",
+               "flow_membership": "flow_residual"}
+    worst = dict.fromkeys(sources, 0.0)
     for k in ks:
         alg, omega = _random_standard_pair(rng, k)
         md = modular.tomita(alg, omega)
-        defects = modular.modular_defects(md)
-        worst["s_reconstruction"] = max(worst["s_reconstruction"],
-                                        defects["s_reconstruction"])
-        worst["jdj_inverse"] = max(worst["jdj_inverse"], defects["jdj_inverse"])
-        worst["delta_omega"] = max(worst["delta_omega"], defects["delta_omega"])
-        for x in alg.basis:
-            _, resid = modular.commutant_map_check(md, x)
-            worst["jaj_commutant"] = max(worst["jaj_commutant"], resid)
-            for y in alg.basis:
-                worst["kms"] = max(worst["kms"], modular.kms_defect(md, x, y))
-        for _ in range(4):
-            t = float(rng.uniform(-2, 2))
-            x = alg.element(rng.standard_normal(alg.size)
-                            + 1j * rng.standard_normal(alg.size))
-            x /= np.linalg.norm(x)
-            y = modular.modular_flow(md, x, t)
-            worst["flow_membership"] = max(worst["flow_membership"],
-                                           alg.member_residual(y))
+        found = {**modular.modular_defects(md),
+                 **modular.modular_report(md, flow_samples=4, rng=rng)}
+        for key, src in sources.items():
+            worst[key] = max(worst[key], found[src])
     assertions = [
         Assertion("s_reconstruction", worst["s_reconstruction"], 1e-10),
         Assertion("jdj_inverse", worst["jdj_inverse"], 1e-9),
@@ -163,14 +142,14 @@ def _exp_kms_random(p, seed, tol):
     return worst, assertions, None
 
 
-def _exp_modular_spectrum(p, seed, tol):
+def _exp_modular_spectrum(p, seed):
     rng = np.random.default_rng(seed)
     sizes = list(range(2, p["max_k"] + 1)) or [2]
     worst = 0.0
     for i in range(p["instances"]):
         k = sizes[i % len(sizes)]
         weights = _conditioned_weights(rng, k, floor=0.25)
-        u = _haar_unitary(rng, k)
+        u = haar_unitary(rng, k)
         rho = (u * weights) @ dagger(u)
         omega = modular.purify(rho, k)
         alg = vnalg.tensor_factor_algebra(k, k, "left")
@@ -193,7 +172,7 @@ def _set_match_error(values: np.ndarray, targets: np.ndarray,
     return err
 
 
-def _exp_powers(p, seed, tol):
+def _exp_powers(p, seed):
     lam, n_max = p["lam"], p["n"]
     purities, spec_err, purity_err = [], 0.0, 0.0
     for n in range(1, n_max + 1):
@@ -216,7 +195,7 @@ def _exp_powers(p, seed, tol):
     return metrics, assertions, None
 
 
-def _exp_araki_woods(p, seed, tol):
+def _exp_araki_woods(p, seed):
     lam, mu, n_max, window = p["lam"], p["mu"], p["n"], p["window"]
     la, lm = np.log(lam), np.log(mu)
     targets = np.unique(np.array([0.0, la, -la, lm, -lm, la - lm, lm - la]))
@@ -242,7 +221,7 @@ def _exp_araki_woods(p, seed, tol):
                                  list(zip(range(1, n_max + 1), gaps)))
 
 
-def _exp_wedge(p, seed, tol):
+def _exp_wedge(p, seed):
     model = locwedge.wedge_one_particle(p["n"], p["theta_max"], p["cond_cap"])
     rep = locwedge.wedge_report(model)
     k = locwedge.wedge_standard_subspace(model)
@@ -256,7 +235,7 @@ def _exp_wedge(p, seed, tol):
     return rep, assertions, None
 
 
-def _exp_fock_ccr(p, seed, tol):
+def _exp_fock_ccr(p, seed):
     rng = np.random.default_rng(seed)
     d, n_max = p["d"], p["n_max"]
     f = fock.build_fock(d, n_max)
@@ -295,7 +274,7 @@ def _low_comm(f, psi, phi):
     return pr @ (a @ b - b @ a) @ pr
 
 
-def _exp_reeh_schlieder(p, seed, tol):
+def _exp_reeh_schlieder(p, seed):
     d, n_max, degree = p["d"], p["n_max"], p["degree"]
     f = fock.build_fock(d, n_max)
     k_std = locwedge.real_subspace_from_vectors(np.eye(d), d)
@@ -314,7 +293,7 @@ def _exp_reeh_schlieder(p, seed, tol):
     return metrics, assertions, (["degree", "rank"], table)
 
 
-def _exp_cluster_decay(p, seed, tol):
+def _exp_cluster_decay(p, seed):
     spec = lattice.ChainSpec(p["sites"], p["m"])
     state = lattice.ground_state(spec)
     # clip the fit window where the correlator sinks into roundoff (the
@@ -339,7 +318,7 @@ def _exp_cluster_decay(p, seed, tol):
     return metrics, assertions, (["r", "F"], series)
 
 
-def _exp_entropy_scan(p, seed, tol):
+def _exp_entropy_scan(p, seed):
     rng = np.random.default_rng(seed)
     spec = lattice.ChainSpec(p["sites"], p["m"])
     state = lattice.ground_state(spec)
@@ -349,10 +328,11 @@ def _exp_entropy_scan(p, seed, tol):
         size = int(rng.integers(1, n))
         region = rng.choice(n, size=size, replace=False)
         comp = np.setdiff1d(np.arange(n), region)
-        s1 = lattice.reduced_entropy(state, region)
+        nu = lattice.symplectic_eigenvalues(state, region)
+        s1 = lattice.gaussian_entropy(nu)
         s2 = lattice.reduced_entropy(state, comp)
         sym_max = max(sym_max, abs(s1 - s2))
-        nu_min = min(nu_min, float(lattice.symplectic_eigenvalues(state, region).min()))
+        nu_min = min(nu_min, float(nu.min()))
     single = lattice.reduced_entropy(state, [0])
     full = lattice.reduced_entropy(state, np.arange(n))
     series = [(w, lattice.reduced_entropy(state, np.arange(w)))
@@ -368,12 +348,12 @@ def _exp_entropy_scan(p, seed, tol):
     return metrics, assertions, (["block_size", "entropy"], series)
 
 
-def _exp_local_difference(p, seed, tol):
+def _exp_local_difference(p, seed):
     rng = np.random.default_rng(seed)
     rel_max = 0.0
     for i in range(p["pairs"]):
-        r1 = _random_density(rng, p["dim"])
-        r2 = _random_density(rng, p["dim"])
+        r1 = random_density(rng, p["dim"])
+        r2 = random_density(rng, p["dim"])
         tn = lattice.local_difference(r1, r2)
         bf = lattice.local_difference_bruteforce(r1, r2, budget=p["budget"],
                                                  seed=seed + 1000 + i)
@@ -396,7 +376,7 @@ def _exp_local_difference(p, seed, tol):
     return metrics, assertions, None
 
 
-def _exp_causality_probe(p, seed, tol):
+def _exp_causality_probe(p, seed):
     spec = lattice.ChainSpec(p["sites"], p["m"])
     w = p["width"]
     start = p["sites"] // 2 - w - (p["gap"] + 1) // 2
@@ -416,7 +396,7 @@ def _exp_causality_probe(p, seed, tol):
     return metrics, assertions, (["t", "abs_amplitude"], series)
 
 
-def _exp_local_prepare(p, seed, tol):
+def _exp_local_prepare(p, seed):
     rng = np.random.default_rng(seed)
     split = channels.SplitData(p["d1"], p["d2"])
     xi = channels.haar_pure_state(rng, p["d1"])
@@ -425,7 +405,7 @@ def _exp_local_prepare(p, seed, tol):
     inner_max, outer_max, prod_max = 0.0, 0.0, 0.0
     kraus_same = True
     for _ in range(p["inputs"]):
-        rho = _random_density(rng, split.dim)
+        rho = random_density(rng, split.dim)
         chan = channels.local_prepare_channel(split, xi)
         kraus_same &= bool(np.array_equal(chan.kraus, ref_kraus))
         out = channels.kraus_apply(rho, chan)
@@ -448,7 +428,7 @@ def _exp_local_prepare(p, seed, tol):
     return metrics, assertions, None
 
 
-def _exp_disentangle(p, seed, tol):
+def _exp_disentangle(p, seed):
     lam = p["lam"]
     # margin case: observed qubit entangled with the outer side, ancilla qubit idle
     a = b = d2 = 2
@@ -472,8 +452,8 @@ def _exp_disentangle(p, seed, tol):
     res_bell = channels.disentangle(split22, np.outer(bell, bell.conj()))
     _, pt_min = channels.is_entangled(res_bell.state, (2, 2))
     # product input passes through unchanged
-    sigma = np.kron(_random_density(np.random.default_rng(seed), 2),
-                    _random_density(np.random.default_rng(seed + 1), 2))
+    sigma = np.kron(random_density(np.random.default_rng(seed), 2),
+                    random_density(np.random.default_rng(seed + 1), 2))
     res_prod = channels.disentangle(split22, sigma)
     prod_change = lattice.local_difference(res_prod.state, sigma)
     metrics = {"inner_marginal_deviation": inner_dev,
@@ -493,7 +473,7 @@ def _exp_disentangle(p, seed, tol):
     return metrics, assertions, None
 
 
-def _exp_genericity(p, seed, tol):
+def _exp_genericity(p, seed):
     scan = channels.genericity_scan(p["samples"], seed, "pure")
     control = channels.genericity_scan(max(100, p["samples"] // 10),
                                        seed + 1, "product")
@@ -515,13 +495,13 @@ def _exp_genericity(p, seed, tol):
     return metrics, assertions, None
 
 
-def _exp_isometry(p, seed, tol):
+def _exp_isometry(p, seed):
     n = p["n"]
     rng = np.random.default_rng(seed)
     all_certified = True
     for i in range(p["trials"]):
         rank = int(rng.integers(1, n))
-        u = _haar_unitary(rng, n)
+        u = haar_unitary(rng, n)
         e = u[:, :rank] @ dagger(u[:, :rank])
         rep = channels.isometry_impossibility_check(n, e, seed=seed + i)
         all_certified &= (not rep["possible"]) and rep["sampled_ranks_equal"]
@@ -536,7 +516,7 @@ def _exp_isometry(p, seed, tol):
     return metrics, assertions, None
 
 
-def _exp_modular_flow(p, seed, tol):
+def _exp_modular_flow(p, seed):
     rng = np.random.default_rng(seed)
     alg, omega = _random_standard_pair(rng, p["k"])
     md = modular.tomita(alg, omega)
@@ -661,12 +641,11 @@ def validate_params(name: str, overrides: dict | None) -> dict:
 
 
 def run(name: str, params: dict | None = None, seed: int = 0,
-        tol: Tolerance | None = None, out=None, fmt: str = "json") -> Report:
+        out=None, fmt: str = "json") -> Report:
     """Run a registered experiment; deterministic given (name, params, seed)."""
-    tol = tol or default_tolerance()
     resolved = validate_params(name, params)
     start = time.perf_counter()
-    result = REGISTRY[name].fn(resolved, seed, tol)
+    result = REGISTRY[name].fn(resolved, seed)
     metrics, assertions, series = result[0], result[1], result[2]
     header, rows = (series if series else (None, None))
     report = Report(experiment=name, params=resolved, seed=seed,

@@ -16,7 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .numkit import dagger, norm2
+from .numkit import dagger, norm2, rank
 from .locwedge import RealSubspace
 
 DIMENSION_CAP = 4096
@@ -174,9 +174,7 @@ def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> int:
         vectors.extend(layer)
         if not layer:
             break
-    stack = np.stack(vectors)
-    s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(s > 1e-10 * s[0]))
+    return rank(np.stack(vectors))
 
 
 def second_quantize(f: FockSpace, u: np.ndarray) -> np.ndarray:

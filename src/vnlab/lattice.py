@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fock as fockmod
-from .numkit import dagger
+from .numkit import dagger, haar_unitary
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,12 @@ def symplectic_eigenvalues(state: GaussianState, region) -> np.ndarray:
 
 def reduced_entropy(state: GaussianState, region) -> float:
     """Entanglement entropy (nats) of the region's reduced Gaussian state."""
-    nu = np.clip(symplectic_eigenvalues(state, region), 0.5, None)
+    return gaussian_entropy(symplectic_eigenvalues(state, region))
+
+
+def gaussian_entropy(nu: np.ndarray) -> float:
+    """Entropy (nats) of a Gaussian state with symplectic spectrum nu."""
+    nu = np.clip(nu, 0.5, None)
     plus = nu + 0.5
     minus = nu - 0.5
     ent = plus * np.log(plus)
@@ -212,14 +217,9 @@ def local_difference_bruteforce(rho1: np.ndarray, rho2: np.ndarray,
         diag = np.einsum("ij,jk,ki->i", dagger(v), delta, v).real
         return float(np.sum(np.abs(diag)))
 
-    def random_unitary() -> np.ndarray:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(g)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
     n_random = budget // 4
     frames = sorted(((value(v), v) for v in
-                     (random_unitary() for _ in range(n_random))),
+                     (haar_unitary(rng, n) for _ in range(n_random))),
                     key=lambda t: -t[0])
     best = frames[0][0]
     per_restart = (budget - n_random) // restarts

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkit import (AntilinearMap, Tolerance, default_tolerance, embed_real,
-                     norm2, real_linearize, unembed_real)
+from .numkit import (AntilinearMap, embed_real, norm2, null_space, rank,
+                     real_linearize, row_space, unembed_real)
 
 COND_CAP = 1e8
 
@@ -41,24 +41,19 @@ class RealSubspace:
 
     def real_basis_matrix(self) -> np.ndarray:
         """Rows embedded in R^{2n}."""
-        return np.stack([embed_real(v) for v in self.basis]) if self.real_dim \
-            else np.zeros((0, 2 * self.ambient_dim))
+        return embed_real(self.basis)
 
     def __repr__(self):
         return f"RealSubspace(ambient={self.ambient_dim}, real_dim={self.real_dim})"
 
 
-def real_subspace_from_vectors(vecs: np.ndarray, ambient_dim: int,
-                               rank_rtol: float = 1e-10) -> RealSubspace:
+def real_subspace_from_vectors(vecs: np.ndarray,
+                               ambient_dim: int) -> RealSubspace:
     """Span over R of the given complex vectors (orthonormalized)."""
     vecs = np.atleast_2d(np.asarray(vecs, dtype=complex))
     if vecs.size == 0:
         return RealSubspace(ambient_dim, np.zeros((0, ambient_dim), complex))
-    realified = np.stack([embed_real(v) for v in vecs])
-    _, s, vh = np.linalg.svd(realified, full_matrices=False)
-    keep = s > rank_rtol * (s[0] if s.size else 1.0)
-    return RealSubspace(ambient_dim,
-                        np.stack([unembed_real(r) for r in vh[keep]]))
+    return RealSubspace(ambient_dim, unembed_real(row_space(embed_real(vecs))))
 
 
 def subspace_distance(k1: RealSubspace, k2: RealSubspace) -> float:
@@ -171,8 +166,8 @@ def wedge_one_particle(n: int, theta_max: float,
 
 
 def s_operator(delta: np.ndarray, j: AntilinearMap,
-               spectral_cut: float | None = None,
-               tol: Tolerance | None = None) -> tuple[AntilinearMap, np.ndarray]:
+               spectral_cut: float | None = None
+               ) -> tuple[AntilinearMap, np.ndarray]:
     """S = J Delta^{1/2}, with a spectral window for ill-conditioned Delta.
 
     Returns (S, V): V is the isometry onto the retained subspace and S acts in
@@ -181,7 +176,6 @@ def s_operator(delta: np.ndarray, j: AntilinearMap,
     Delta^{1/2}) is supplied; the window is centered at eigenvalue 1, matching
     spectra that are symmetric under inversion.
     """
-    tol = tol or default_tolerance()
     n = delta.shape[0]
     w, u = np.linalg.eigh(0.5 * (delta + delta.conj().T))
     if w.min() <= 0:
@@ -200,16 +194,11 @@ def s_operator(delta: np.ndarray, j: AntilinearMap,
     return s, v
 
 
-def standard_subspace(s: AntilinearMap, rank_rtol: float = 1e-10) -> RealSubspace:
+def standard_subspace(s: AntilinearMap) -> RealSubspace:
     """Fixed-point space of S, from the null space of its realification - 1."""
     m = s.dim
-    r = real_linearize(s) - np.eye(2 * m)
-    _, sing, vh = np.linalg.svd(r)
-    smax = max(sing[0], 1.0) if sing.size else 1.0
-    kernel = vh[sing <= rank_rtol * smax]
-    if kernel.shape[0] == 0:
-        return RealSubspace(m, np.zeros((0, m), complex))
-    return RealSubspace(m, np.stack([unembed_real(x) for x in kernel]))
+    kernel = null_space(real_linearize(s) - np.eye(2 * m))
+    return RealSubspace(m, unembed_real(kernel))
 
 
 def symplectic_complement(k: RealSubspace) -> RealSubspace:
@@ -220,13 +209,8 @@ def symplectic_complement(k: RealSubspace) -> RealSubspace:
             np.vstack([np.eye(m), 1j * np.eye(m)]), m)
     omega = np.block([[np.zeros((m, m)), np.eye(m)],
                       [-np.eye(m), np.zeros((m, m))]])
-    constraints = k.real_basis_matrix() @ omega.T
-    _, sing, vh = np.linalg.svd(constraints, full_matrices=True)
-    null_mask = np.zeros(2 * m, dtype=bool)
-    null_mask[: sing.size] = sing <= 1e-10 * max(sing[0], 1.0)
-    null_mask[sing.size:] = True
-    vecs = np.stack([unembed_real(x) for x in vh[null_mask]])
-    return real_subspace_from_vectors(vecs, m)
+    kernel = null_space(k.real_basis_matrix() @ omega.T)
+    return real_subspace_from_vectors(unembed_real(kernel), m)
 
 
 def apply_real(op, k: RealSubspace) -> RealSubspace:
@@ -248,9 +232,7 @@ def standardness_check(k: RealSubspace) -> tuple[int, int, bool]:
     ik = multiply_i(k).real_basis_matrix()
     if k.real_dim == 0:
         return 0, 0, False
-    stacked = np.vstack([b, ik])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    dim_sum = int(np.sum(s > 1e-10 * s[0]))
+    dim_sum = rank(np.vstack([b, ik]))
     dim_inter = 2 * k.real_dim - dim_sum
     is_standard = dim_inter == 0 and dim_sum == 2 * k.ambient_dim
     return dim_inter, dim_sum, is_standard

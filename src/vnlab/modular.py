@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import (AntilinearMap, Tolerance, antilinear_polar, dagger,
-                     default_tolerance, herm_fn, norm2)
+                     default_tolerance, herm_fn, nonzero_mask, norm2)
 from .vnalg import OperatorAlgebra, commutant, cyclic_separating
 
 
@@ -58,7 +58,7 @@ def tomita(a: OperatorAlgebra, omega: np.ndarray, *, check: bool = True,
     tol = tol or default_tolerance()
     omega = np.asarray(omega, dtype=complex)
     if check:
-        cyc, sep = cyclic_separating(a, omega, tol)
+        cyc, sep = cyclic_separating(a, omega)
         if not cyc or not sep:
             missing = []
             if not cyc:
@@ -133,9 +133,12 @@ def commutant_map_check(md: ModularData, x: np.ndarray) -> tuple[np.ndarray, flo
 
 
 def modular_report(md: ModularData, flow_samples: int = 10,
-                   seed: int = 0) -> dict:
-    """Machine-readable record for one modular instance."""
-    rng = np.random.default_rng(seed)
+                   rng: np.random.Generator | None = None) -> dict:
+    """Machine-readable record for one modular instance.
+
+    Each flow sample draws t, then x, from rng.
+    """
+    rng = rng or np.random.default_rng(0)
     alg = md.algebra
     kms_max = max(kms_defect(md, x, y) for x in alg.basis for y in alg.basis)
     jaj_max = max(commutant_map_check(md, x)[1] for x in alg.basis)
@@ -167,7 +170,7 @@ def purify(rho: np.ndarray, m: int) -> np.ndarray:
     w, u = np.linalg.eigh(0.5 * (rho + dagger(rho)))
     order = np.argsort(w)[::-1]
     w, u = w[order], u[:, order]
-    rank = int(np.sum(w > 1e-12 * max(1.0, float(w[0]))))
+    rank = int(nonzero_mask(w).sum())
     if m < rank:
         raise ValueError(f"purification needs at least {rank} ancilla dimensions")
     psi = np.zeros(k * m, dtype=complex)

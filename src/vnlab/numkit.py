@@ -1,8 +1,15 @@
 """Dense complex linear algebra kernel.
 
 Hermitian spectral calculus (``herm_fn``), antilinear-operator arithmetic and
-polar decomposition, and the real-linearization used to extract fixed-point
-subspaces of antilinear involutions.
+polar decomposition, the real-linearization used to extract fixed-point
+subspaces of antilinear involutions, the one rank rule, and the random
+samplers shared by the experiments.
+
+Every rank or null-space decision in the package is made here: a singular
+value (or eigenvalue of a positive semidefinite matrix) ``s`` counts as zero
+when ``s <= RANK_RTOL * max(1, s.max())``.  ``nonzero_mask``, ``rank``,
+``row_space`` and ``null_space`` apply that rule; ``Tolerance.abs`` only
+scales validity checks (Hermiticity, positivity, invertibility).
 
 Antilinear maps are stored by their *conjugation matrix* ``M``: the map acts as
 ``v -> M @ conj(v)``.  With this convention the adjoint (defined through
@@ -22,15 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# relative cut-off of the rank rule (module docstring)
+RANK_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute / relative numerical slack shared by all modules."""
+    """Absolute slack of the validity checks shared by all modules."""
 
     abs: float = 1e-10
-    rel: float = 1e-8
 
     def __post_init__(self):
-        if self.abs <= 0 or self.rel <= 0:
+        if self.abs <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -205,27 +215,58 @@ def real_linearize(op) -> np.ndarray:
 
 
 def embed_real(v: np.ndarray) -> np.ndarray:
-    """C^n vector -> stacked (Re, Im) in R^{2n}."""
+    """C^n vector -> stacked (Re, Im) in R^{2n}; a stack maps row by row."""
     v = np.asarray(v, dtype=complex)
-    return np.concatenate([v.real, v.imag])
+    return np.concatenate([v.real, v.imag], axis=-1)
 
 
 def unembed_real(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0] // 2
-    return x[:n] + 1j * x[n:]
+    """Inverse of embed_real, also row by row."""
+    n = x.shape[-1] // 2
+    return x[..., :n] + 1j * x[..., n:]
 
 
-def compose(f, g):
-    """Composition f o g of linear (ndarray) and/or antilinear maps."""
-    f_anti = isinstance(f, AntilinearMap)
-    g_anti = isinstance(g, AntilinearMap)
-    if f_anti and g_anti:
-        return f.mat @ np.conj(g.mat)
-    if f_anti:
-        return AntilinearMap(f.mat @ np.conj(np.asarray(g)))
-    if g_anti:
-        return AntilinearMap(np.asarray(f) @ g.mat)
-    return np.asarray(f) @ np.asarray(g)
+def nonzero_mask(s: np.ndarray) -> np.ndarray:
+    """Mask of the singular values (or PSD eigenvalues) the rank rule keeps."""
+    return s > RANK_RTOL * max(1.0, float(s.max()) if s.size else 0.0)
+
+
+def rank(a: np.ndarray) -> int:
+    """Number of singular values of a that the rank rule keeps."""
+    return int(nonzero_mask(np.linalg.svd(a, compute_uv=False)).sum())
+
+
+def row_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the row space of a."""
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return vh[nonzero_mask(s)]
+
+
+def null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal rows x spanning {x : a @ x = 0}.
+
+    The full V is computed only for wide matrices; for a tall one the economy
+    SVD already holds all of V, and a full U would be rows^2 in size.
+    """
+    rows, cols = a.shape
+    _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
+    zero = np.ones(cols, dtype=bool)
+    zero[: s.size] = ~nonzero_mask(s)
+    return vh[zero].conj()
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-random n x n unitary (QR of a Ginibre matrix, phases fixed)."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Hilbert-Schmidt random n x n density matrix."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ dagger(g)
+    return rho / np.trace(rho).real
 
 
 def save_matrix_csv(path, a: np.ndarray) -> None:

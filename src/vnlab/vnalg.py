@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .numkit import (Tolerance, dagger, default_tolerance, load_matrix_csv,
+                     nonzero_mask, null_space, rank, row_space,
                      save_matrix_csv)
 
 # an element belongs to a span when its orthogonal residual is below
@@ -29,14 +30,11 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(np.conj(a) * b))
 
 
-def orthonormalize_span(mats: np.ndarray, rank_rtol: float = 1e-11) -> np.ndarray:
-    """Orthonormal HS basis of span{mats}; rank decided by SVD threshold."""
+def orthonormalize_span(mats: np.ndarray) -> np.ndarray:
+    """Orthonormal HS basis of span{mats}."""
     mats = np.asarray(mats, dtype=complex)
     k, n, _ = mats.shape
-    flat = mats.reshape(k, n * n)
-    _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    keep = s > rank_rtol * (s[0] if s.size else 1.0)
-    return vh[keep].reshape(-1, n, n)
+    return row_space(mats.reshape(k, n * n)).reshape(-1, n, n)
 
 
 class OperatorAlgebra:
@@ -86,7 +84,7 @@ class OperatorAlgebra:
         coeff = np.asarray(coeff, dtype=complex)
         return np.tensordot(coeff, self.basis, axes=(0, 0))
 
-    def validate(self, tol: Tolerance | None = None) -> dict:
+    def validate(self) -> dict:
         """Check identity membership, *-closure and product closure; return
         the worst residual of each kind."""
         worst = {"identity": self.member_residual(np.eye(self.dim))}
@@ -184,16 +182,7 @@ def commutant(a: OperatorAlgebra, use_hint: bool = True) -> OperatorAlgebra:
     for g in gens:
         blocks.append(np.kron(g, eye) - np.kron(eye, g.T))
         blocks.append(np.kron(dagger(g), eye) - np.kron(eye, g.conj()))
-    stacked = np.concatenate(blocks, axis=0)  # >= n^2 rows, so the economy
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)  # V is complete
-    # scale floor: a commutator map that is numerically zero (e.g. scalars)
-    # must not shrink the null-space threshold to roundoff
-    scale = max(float(np.max(np.abs(g))) for g in gens)
-    smax = max(s[0] if s.size else 0.0, scale, 1e-300)
-    null_mask = np.zeros(n * n, dtype=bool)
-    null_mask[: s.size] = s <= 1e-11 * smax
-    null_mask[s.size:] = True
-    kernel = vh[null_mask].conj()
+    kernel = null_space(np.concatenate(blocks, axis=0))
     basis = orthonormalize_span(kernel.reshape(-1, n, n))
     return OperatorAlgebra(n, basis, orthonormal=True)
 
@@ -257,14 +246,13 @@ def minimal_projector(a: OperatorAlgebra, rng: np.random.Generator | None = None
     raise RuntimeError("minimal projector search did not terminate")
 
 
-def cyclic_separating(a: OperatorAlgebra, omega: np.ndarray,
-                      tol: Tolerance | None = None) -> tuple[bool, bool]:
+def cyclic_separating(a: OperatorAlgebra,
+                      omega: np.ndarray) -> tuple[bool, bool]:
     """(is_cyclic, is_separating) for a unit vector.
 
     Cyclic iff the algebra orbit spans the ambient space; separating iff the
     vector is cyclic for the commutant.
     """
-    tol = tol or default_tolerance()
     omega = np.asarray(omega, dtype=complex)
     nrm = float(np.linalg.norm(omega))
     if nrm == 0.0:
@@ -277,11 +265,7 @@ def cyclic_separating(a: OperatorAlgebra, omega: np.ndarray,
 
 
 def _orbit_rank(a: OperatorAlgebra, omega: np.ndarray) -> int:
-    orbit = np.einsum("aij,j->ai", a.basis, omega)
-    s = np.linalg.svd(orbit, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > 1e-10 * s[0]))
+    return rank(np.einsum("aij,j->ai", a.basis, omega))
 
 
 def save_algebra(alg: OperatorAlgebra, directory, name: str = "algebra") -> str:
@@ -339,7 +323,7 @@ def gns(rho: np.ndarray, tol: Tolerance | None = None) -> GnsRep:
     # Gram of the matrix-unit basis: <E_ij, E_kl> = delta_ik rho[l, j]
     gram = np.einsum("ik,lj->ijkl", np.eye(d), rho).reshape(d * d, d * d)
     gw, gv = np.linalg.eigh(0.5 * (gram + dagger(gram)))
-    keep = gw > 1e-12 * max(1.0, gw.max())
+    keep = nonzero_mask(gw)
     sq = np.sqrt(gw[keep])
     v = gv[:, keep]
 

@@ -8,6 +8,7 @@ import pytest
 from vnlab import cli
 from vnlab.experiments import (REGISTRY, list_experiments, run,
                                validate_params)
+from vnlab.numkit import default_tolerance
 
 REQUIRED = [
     "kms-random", "modular-flow", "powers", "araki-woods",
@@ -126,6 +127,14 @@ class TestCli:
     def test_unknown_parameter_exit_two(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["powers", "--frobnicate", "3"])
+        with pytest.raises(SystemExit):
+            cli.main(["powers", "--tol-rel", "1e-6"])
+
+    def test_tol_abs_scoped_to_its_run(self, capsys):
+        assert cli.main(["powers", "--n", "2", "--tol-abs", "1e-6"]) == 0
+        assert default_tolerance().abs == 1e-10
+        assert cli.main(["powers", "--n", "2", "--tol-abs", "0"]) == 2
+        assert default_tolerance().abs == 1e-10
 
     def test_seed_flag_threads_through(self, capsys, tmp_path):
         out = tmp_path / "e.json"

@@ -179,6 +179,14 @@ class TestSymplecticComplement:
         kp = symplectic_complement(k)
         assert kp.real_dim == 4
 
+    def test_whole_space_complement_is_zero(self):
+        whole = np.vstack([np.eye(3), 1j * np.eye(3)])
+        k = real_subspace_from_vectors(whole, 3)
+        assert k.real_dim == 6
+        kp = symplectic_complement(k)
+        assert kp.real_dim == 0 and kp.basis.shape == (0, 3)
+        assert real_subspace_from_vectors(np.zeros((2, 3)), 3).real_dim == 0
+
     def test_multiply_i_dimension(self):
         k = real_subspace_from_vectors(np.eye(2), 2)
         assert multiply_i(k).real_dim == 2

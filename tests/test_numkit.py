@@ -1,11 +1,17 @@
-"""Spectral calculus, antilinear polar decomposition, realification."""
+"""Spectral calculus, antilinear polar decomposition, realification, the
+rank rule."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 
-from vnlab.numkit import (AntilinearMap, Tolerance, antilinear_polar, compose,
-                          dagger, embed_real, herm_fn, load_matrix_csv,
-                          norm2, real_linearize, save_matrix_csv,
+import vnlab
+from vnlab.numkit import (RANK_RTOL, AntilinearMap, Tolerance,
+                          antilinear_polar, dagger, embed_real, herm_fn,
+                          load_matrix_csv, nonzero_mask, norm2, null_space,
+                          rank, real_linearize, row_space, save_matrix_csv,
                           unembed_real)
 
 
@@ -157,7 +163,7 @@ class TestRealLinearize:
                 m = random_invertible(rng, 3)
                 ops.append(AntilinearMap(m) if rng.random() < 0.5 else m)
             a, b = ops
-            lhs = real_linearize(compose(a, b))
+            lhs = real_linearize(a @ b)
             rhs = real_linearize(a) @ real_linearize(b)
             assert norm2(lhs - rhs) <= 1e-12
 
@@ -166,12 +172,98 @@ class TestRealLinearize:
         assert np.allclose(unembed_real(embed_real(v)), v)
 
 
+def with_singular_values(rng, s, rows, cols):
+    """rows x cols matrix with the given singular values (len(s) <= both)."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rows))
+                        + 1j * rng.standard_normal((rows, rows)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, cols))
+                        + 1j * rng.standard_normal((cols, cols)))
+    k = len(s)
+    return (u[:, :k] * np.asarray(s)) @ dagger(v[:, :k])
+
+
+class TestRankRule:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_values_straddling_the_cut(self, scale):
+        # the cut is RANK_RTOL * max(1, s.max()): absolute below scale 1
+        cut = RANK_RTOL * max(1.0, scale)
+        s = [scale, 0.5 * scale, 2.0 * cut, 0.5 * cut]
+        assert nonzero_mask(np.array(s)).tolist() == [True, True, True, False]
+        a = with_singular_values(np.random.default_rng(1), s, 6, 5)
+        assert rank(a) == 3
+        ns = null_space(a)
+        assert ns.shape == (2, 5)
+        assert np.allclose(ns @ dagger(ns), np.eye(2))
+        assert norm2(a @ ns.T) <= cut
+        rs = row_space(a)
+        assert rs.shape == (3, 5)
+        assert norm2(rs @ ns.T) <= 1e-12
+
+    def test_zero_matrix(self):
+        z = np.zeros((3, 4))
+        assert rank(z) == 0
+        assert row_space(z).shape == (0, 4)
+        ns = null_space(z)
+        assert ns.shape == (4, 4)
+        assert np.allclose(ns @ dagger(ns), np.eye(4))
+
+    def test_wide_matrix_needs_full_v(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        assert rank(a) == 2
+        ns = null_space(a)
+        assert ns.shape == (3, 5)
+        assert norm2(a @ ns.T) <= 1e-12
+        assert np.allclose(ns @ dagger(ns), np.eye(3))
+
+    def test_tall_matrix_uses_economy_svd(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a = with_singular_values(rng, [2.0, 1.0], 40, 3)
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(m, *args, **kwargs):
+            calls.append(kwargs.get("full_matrices", True))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        ns = null_space(a)
+        assert calls == [False]
+        assert ns.shape == (1, 3)
+        assert norm2(a @ ns.T) <= 1e-12
+
+    def test_psd_spectrum(self):
+        # eigenvalues of a PSD matrix, with roundoff below zero; the cut is
+        # absolute below a largest eigenvalue of 1 and relative above it
+        w = np.array([-1e-15, 3e-11, 2e-10, 0.4])
+        assert nonzero_mask(w).tolist() == [False, False, True, True]
+        w = np.array([-1e-12, 3e-9, 2e-8, 400.0])
+        assert nonzero_mask(w).tolist() == [False, False, False, True]
+
+
+def test_rank_decisions_live_in_numkit():
+    """Outside numkit, the only SVD is span_intersection's angle test."""
+    found = set()
+    for path in pathlib.Path(vnlab.__file__).parent.glob("*.py"):
+        if path.name == "numkit.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("svd", "matrix_rank")):
+                    found.add((path.stem, fn.name, node.func.attr))
+    assert found == {("vnalg", "span_intersection", "svd")}
+
+
 class TestPlumbing:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             Tolerance(abs=-1.0)
         t = Tolerance()
-        assert t.abs == 1e-10 and t.rel == 1e-8
+        assert t.abs == 1e-10
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
