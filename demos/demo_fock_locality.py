@@ -9,8 +9,8 @@ the finite-rank analog of vacuum cyclicity for local algebras.
 
 import numpy as np
 
-from vnlab.fock import (build_fock, ccr_defect, cyclicity_rank, field_operator,
-                        locality_check, weyl_relation_defect)
+from vnlab.fock import (build_fock, ccr_defect, cyclicity_rank, locality_check,
+                        safe_commutator, weyl_relation_defect)
 from vnlab.locwedge import real_subspace_from_vectors, symplectic_complement
 from vnlab.numkit import norm2
 
@@ -23,13 +23,10 @@ phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
 print(f"CCR defect on safe sectors: {ccr_defect(f, psi, phi):.2e}")
 
 print("\ncommutator norm equals |Im<psi, phi>| (locality <-> symplectic form):")
-p = f.sector_projector(f.n_max - 2)
 for label, pair in [("orthogonal real pair", (np.eye(2)[0], np.eye(2)[1])),
                     ("canonical pair", (np.eye(2)[0], 1j * np.eye(2)[0])),
                     ("random pair", (psi, phi))]:
-    a = field_operator(f, pair[0]).mat
-    b = field_operator(f, pair[1]).mat
-    got = norm2(p @ (a @ b - b @ a) @ p)
+    got = norm2(safe_commutator(f, *pair))
     expect = abs(np.vdot(pair[0], pair[1]).imag)
     print(f"   {label:<22} |[Phi,Phi]| = {got:.6f}, |Im| = {expect:.6f}")
 

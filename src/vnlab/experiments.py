@@ -243,17 +243,15 @@ def _exp_fock_ccr(p, seed):
     for _ in range(p["pairs"]):
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        defect = fock.ccr_defect(f, psi, phi)
-        ccr_max = max(ccr_max, defect)
-        a = fock.field_operator(f, psi).mat
-        b = fock.field_operator(f, phi).mat
-        pr = f.sector_projector(n_max - 2)
-        norm = norm2(pr @ (a @ b - b @ a) @ pr)
+        a, b = fock.field_operator(f, psi), fock.field_operator(f, phi)
+        ccr_max = max(ccr_max, fock.ccr_defect(f, a, b))
+        norm = norm2(fock.safe_commutator(f, a, b))
         eq_max = max(eq_max, abs(norm - abs(np.vdot(psi, phi).imag)))
     # controls: orthogonal real pair, canonical pair, wedge-type subspaces
     e = np.eye(d)
-    eq_max = max(eq_max, norm2(_low_comm(f, e[0], e[1])))
-    eq_max = max(eq_max, abs(norm2(_low_comm(f, e[0], 1j * e[0])) - 1.0))
+    eq_max = max(eq_max, norm2(fock.safe_commutator(f, e[0], e[1])))
+    eq_max = max(eq_max,
+                 abs(norm2(fock.safe_commutator(f, e[0], 1j * e[0])) - 1.0))
     k = locwedge.real_subspace_from_vectors(np.eye(d), d)
     kp = locwedge.symplectic_complement(k)
     loc = fock.locality_check(f, k, kp)
@@ -265,13 +263,6 @@ def _exp_fock_ccr(p, seed):
         Assertion("locality_zero", loc, 1e-10),
     ]
     return metrics, assertions, None
-
-
-def _low_comm(f, psi, phi):
-    a = fock.field_operator(f, psi).mat
-    b = fock.field_operator(f, phi).mat
-    pr = f.sector_projector(f.n_max - 2)
-    return pr @ (a @ b - b @ a) @ pr
 
 
 def _exp_reeh_schlieder(p, seed):

@@ -1,22 +1,28 @@
 """Truncated symmetric Fock space and Weyl quantization.
 
 Occupation-number basis over d modes with total particle number capped at
-n_max.  Ladder matrices use the symmetric-tensor normalization, so the field
-operator Phi(psi) = (a(psi) + a*(psi))/sqrt(2) (with a conjugate-linear in
-psi) reproduces the commutator i Im<psi, phi> exactly away from the cutoff;
-all canonical-commutation and covariance statements are made on sectors
-<= n_max - 2 where truncation cannot reach.
+n_max, ordered by total particle number, so the sectors <= k are the leading
+`sector_dim(k)` basis states.  Ladders are stored as index maps: for each
+mode, the basis index that a creator sends each of the first
+`sector_dim(n_max - 1)` states to, and the symmetric-tensor weight
+sqrt(occ + 1).  The dense ladder matrices are built from the maps only when
+read.  The field operator Phi(psi) = (a(psi) + a*(psi))/sqrt(2) (with a
+conjugate-linear in psi) reproduces the commutator i Im<psi, phi> exactly
+away from the cutoff; all canonical-commutation and covariance statements are
+made on sectors <= n_max - 2 where truncation cannot reach, by slicing the
+leading `sector_dim(n_max - 2)` block.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial
 
 import numpy as np
 
-from .numkit import dagger, norm2, rank
+from .numkit import dagger, norm2, rank, row_space
 from .locwedge import RealSubspace
 
 DIMENSION_CAP = 4096
@@ -27,13 +33,27 @@ class FockSpace:
     one_particle_dim: int
     n_max: int
     occupations: np.ndarray      # (total_dim, d)
-    creators: np.ndarray         # (d, total_dim, total_dim)
+    raise_index: np.ndarray      # (d, sector_dim(n_max - 1)): a*_m target
+    raise_value: np.ndarray      # (d, sector_dim(n_max - 1)): sqrt(occ_m + 1)
 
     @property
     def total_dim(self) -> int:
         return self.occupations.shape[0]
 
-    @property
+    def sector_dim(self, max_total: int) -> int:
+        """Number of basis states with total <= max_total (a leading block)."""
+        k = min(max_total, self.n_max)
+        return comb(k + self.one_particle_dim, k) if k >= 0 else 0
+
+    @cached_property
+    def creators(self) -> np.ndarray:
+        """Dense (d, total_dim, total_dim) stack of a*_m."""
+        d, s1 = self.raise_index.shape
+        out = np.zeros((d, self.total_dim, self.total_dim), dtype=complex)
+        out[np.arange(d)[:, None], self.raise_index, np.arange(s1)] = self.raise_value
+        return out
+
+    @cached_property
     def annihilators(self) -> np.ndarray:
         return np.conj(np.transpose(self.creators, (0, 2, 1)))
 
@@ -64,7 +84,7 @@ def build_fock(d: int, n_max: int, cap: int = DIMENSION_CAP) -> FockSpace:
     """Occupation basis (ordered by total, then lexicographically) and ladders."""
     if d < 1 or n_max < 1:
         raise ValueError("need d >= 1 and n_max >= 1")
-    total_dim = sum(comb(k + d - 1, k) for k in range(n_max + 1))
+    total_dim = comb(n_max + d, d)
     if total_dim > cap:
         raise ValueError(f"Fock dimension {total_dim} exceeds cap {cap}")
 
@@ -80,24 +100,51 @@ def build_fock(d: int, n_max: int, cap: int = DIMENSION_CAP) -> FockSpace:
     occupations = np.array(occs, dtype=int)
     assert occupations.shape[0] == total_dim
 
-    index = {tuple(o): i for i, o in enumerate(occupations)}
-    creators = np.zeros((d, total_dim, total_dim), dtype=complex)
-    for i, occ in enumerate(occupations):
-        total = occ.sum()
-        if total >= n_max:
-            continue
+    # a creator acts on the states below the top sector: the first s1
+    s1 = comb(n_max - 1 + d, d)
+    index = {tuple(o): i for i, o in enumerate(occs)}
+    raise_index = np.empty((d, s1), dtype=np.intp)
+    for i, occ in enumerate(occs[:s1]):
         for m in range(d):
-            target = occ.copy()
-            target[m] += 1
-            creators[m, index[tuple(target)], i] = np.sqrt(occ[m] + 1.0)
-    return FockSpace(one_particle_dim=d, n_max=n_max,
-                     occupations=occupations, creators=creators)
+            occ[m] += 1
+            raise_index[m, i] = index[tuple(occ)]
+            occ[m] -= 1
+    raise_value = np.sqrt(occupations[:s1].T + 1.0)
+    return FockSpace(one_particle_dim=d, n_max=n_max, occupations=occupations,
+                     raise_index=raise_index, raise_value=raise_value)
 
 
-@dataclass
+def _field_block(f: FockSpace, psi: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Phi(psi)[:rows, :cols], scattered from the index maps."""
+    src = np.broadcast_to(np.arange(f.raise_index.shape[1]), f.raise_index.shape)
+    amp = psi[:, None] * f.raise_value / np.sqrt(2.0)
+    out = np.zeros((rows, cols), dtype=complex)
+    up = (f.raise_index < rows) & (src < cols)       # a*(psi): src -> target
+    out[f.raise_index[up], src[up]] = amp[up]
+    down = (src < rows) & (f.raise_index < cols)     # a(psi): target -> src
+    out[src[down], f.raise_index[down]] = amp[down].conj()
+    return out
+
+
+@dataclass(eq=False)
 class FieldOperator:
+    """Phi(psi) on a Fock space; its matrices are built on first access."""
+    space: FockSpace
     psi: np.ndarray
-    mat: np.ndarray
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """The full total_dim x total_dim matrix."""
+        d = self.space.total_dim
+        return _field_block(self.space, self.psi, d, d)
+
+    @cached_property
+    def safe_block(self) -> np.ndarray:
+        """mat[:s2, :s1], s_k = sector_dim(n_max - k): the sectors <= n_max - 1
+        into the safe sectors <= n_max - 2.  mat[:s1, :s2] is its adjoint."""
+        f = self.space
+        return _field_block(f, self.psi, f.sector_dim(f.n_max - 2),
+                            f.sector_dim(f.n_max - 1))
 
 
 def field_operator(f: FockSpace, psi: np.ndarray) -> FieldOperator:
@@ -105,35 +152,44 @@ def field_operator(f: FockSpace, psi: np.ndarray) -> FieldOperator:
     psi = np.asarray(psi, dtype=complex)
     if np.linalg.norm(psi) == 0:
         raise ValueError("field operator of the zero vector")
-    adag = np.tensordot(psi, f.creators, axes=(0, 0))
-    mat = (dagger(adag) + adag) / np.sqrt(2.0)
-    return FieldOperator(psi=psi, mat=mat)
+    return FieldOperator(space=f, psi=psi)
 
 
-def ccr_defect(f: FockSpace, psi: np.ndarray, phi: np.ndarray) -> float:
-    """Distance of [Phi(psi), Phi(phi)] from i Im<psi,phi> on safe sectors."""
+def _field(f: FockSpace, x) -> FieldOperator:
+    return x if isinstance(x, FieldOperator) else field_operator(f, x)
+
+
+def safe_commutator(f: FockSpace, psi, phi) -> np.ndarray:
+    """[Phi(psi), Phi(phi)] on the sectors <= n_max - 2, as their leading
+    block; psi and phi are one-particle vectors or fields already built.
+
+    Exact, not truncated: a field moves the particle number by one, so every
+    intermediate state of the product lies in the sectors <= n_max - 1.
+    With both fields Hermitian, Phi(phi) Phi(psi) is the adjoint of
+    Phi(psi) Phi(phi), so one block product serves both terms."""
+    prod = _field(f, psi).safe_block @ dagger(_field(f, phi).safe_block)
+    return prod - dagger(prod)
+
+
+def ccr_defect(f: FockSpace, psi, phi) -> float:
+    """Distance of [Phi(psi), Phi(phi)] from i Im<psi,phi> on safe sectors;
+    psi and phi are one-particle vectors or fields already built."""
     if f.n_max < 2:
         raise ValueError("commutator check needs n_max >= 2")
-    a = field_operator(f, psi).mat
-    b = field_operator(f, phi).mat
-    comm = a @ b - b @ a
-    expected = 1j * np.vdot(psi, phi).imag * np.eye(f.total_dim)
-    p = f.sector_projector(f.n_max - 2)
-    return norm2(p @ (comm - expected) @ p)
+    a, b = _field(f, psi), _field(f, phi)
+    comm = safe_commutator(f, a, b)
+    expected = 1j * np.vdot(a.psi, b.psi).imag * np.eye(comm.shape[0])
+    return norm2(comm - expected)
 
 
 def locality_check(f: FockSpace, k: RealSubspace, k_prime: RealSubspace) -> float:
     """Max commutator norm between fields smeared in K and in K'."""
     if k.ambient_dim != f.one_particle_dim or k_prime.ambient_dim != f.one_particle_dim:
         raise ValueError("subspace ambient dimension does not match the mode count")
-    p = f.sector_projector(f.n_max - 2)
-    worst = 0.0
-    for psi in k.basis:
-        a = field_operator(f, psi).mat
-        for phi in k_prime.basis:
-            b = field_operator(f, phi).mat
-            worst = max(worst, norm2(p @ (a @ b - b @ a) @ p))
-    return worst
+    fields = [field_operator(f, psi) for psi in k.basis]
+    fields_prime = [field_operator(f, phi) for phi in k_prime.basis]
+    return max((norm2(safe_commutator(f, a, b))
+                for a in fields for b in fields_prime), default=0.0)
 
 
 def weyl_operator(f: FockSpace, psi: np.ndarray) -> np.ndarray:
@@ -156,25 +212,27 @@ def weyl_relation_defect(f: FockSpace, psi: np.ndarray, phi: np.ndarray,
     the cutoff through every intermediate sector, so the defect decays with
     the distance n_max - low (and grows like a power of the argument norms);
     keep low well below the cutoff."""
-    lhs = weyl_operator(f, psi) @ weyl_operator(f, phi)
+    s = f.sector_dim(low)
+    lhs = weyl_operator(f, psi)[:s] @ weyl_operator(f, phi)[:, :s]
     rhs = np.exp(-0.5j * np.vdot(psi, phi).imag) * weyl_operator(f, psi + phi)
-    p = f.sector_projector(low)
-    return norm2(p @ (lhs - rhs) @ p)
+    return norm2(lhs - rhs[:s, :s])
 
 
 def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> int:
     """Rank of span{Phi(psi_1)...Phi(psi_j) vacuum : j <= degree, psi in K}."""
     if degree > f.n_max:
         raise ValueError("degree exceeds the particle cutoff")
-    vectors = [f.vacuum()]
     fields = [field_operator(f, psi).mat for psi in k.basis]
-    layer = [f.vacuum()]
+    # each layer is kept as an orthonormal basis of its span, never as the
+    # (dim K)^j products themselves; rows v map to (m v)^T = v m^T
+    layer = f.vacuum()[None, :]
+    layers = [layer]
     for _ in range(degree):
-        layer = [m @ v for m in fields for v in layer]
-        vectors.extend(layer)
-        if not layer:
+        if not fields:
             break
-    return rank(np.stack(vectors))
+        layer = row_space(np.concatenate([layer @ m.T for m in fields]))
+        layers.append(layer)
+    return rank(np.concatenate(layers))
 
 
 def second_quantize(f: FockSpace, u: np.ndarray) -> np.ndarray:

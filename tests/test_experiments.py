@@ -63,7 +63,9 @@ class TestReports:
 
     @pytest.mark.parametrize("name,params", [
         ("wedge-localization", {"n": 4096}),
-        ("entropy-scan", {"sites": 1024, "bipartitions": 2})])
+        ("entropy-scan", {"sites": 1024, "bipartitions": 2}),
+        ("fock-ccr", {"d": 6, "n_max": 6, "pairs": 5}),
+        ("reeh-schlieder-rank", {"d": 5, "n_max": 6, "degree": 6})])
     def test_scale_configurations_pass_finite(self, name, params):
         with np.errstate(all="raise"):
             report = run(name, params, seed=0)

@@ -4,11 +4,40 @@ import numpy as np
 import pytest
 
 from vnlab.fock import (build_fock, ccr_defect, cyclicity_rank, field_operator,
-                        locality_check, second_quantize, weyl_operator,
-                        weyl_relation_defect)
+                        locality_check, safe_commutator, second_quantize,
+                        weyl_operator, weyl_relation_defect)
 from vnlab.locwedge import (real_subspace_from_vectors, symplectic_complement,
                             wedge_one_particle)
-from vnlab.numkit import dagger, norm2
+from vnlab.numkit import dagger, norm2, rank
+
+
+def _loop_creators(f):
+    """Dense ladder stack by the per-state loop over the occupation basis."""
+    d, dim = f.one_particle_dim, f.total_dim
+    index = {tuple(o): i for i, o in enumerate(f.occupations)}
+    creators = np.zeros((d, dim, dim), dtype=complex)
+    for i, occ in enumerate(f.occupations):
+        if occ.sum() >= f.n_max:
+            continue
+        for m in range(d):
+            target = occ.copy()
+            target[m] += 1
+            creators[m, index[tuple(target)], i] = np.sqrt(occ[m] + 1.0)
+    return creators
+
+
+def _product_cyclicity_rank(f, k, degree):
+    """Rank of every product Phi(psi_1)...Phi(psi_j) vacuum, stacked."""
+    fields = [field_operator(f, psi).mat for psi in k.basis]
+    vectors, layer = [f.vacuum()], [f.vacuum()]
+    for _ in range(degree):
+        layer = [m @ v for m in fields for v in layer]
+        vectors.extend(layer)
+    return rank(np.stack(vectors))
+
+
+def _random_pair(rng, d):
+    return [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2)]
 
 
 class TestBuild:
@@ -25,6 +54,30 @@ class TestBuild:
     def test_ladder_adjointness(self):
         f = build_fock(3, 3)
         assert norm2(f.annihilators[1] - dagger(f.creators[1])) < 1e-14
+
+    @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4), (4, 3)])
+    def test_index_maps_match_loop_ladders(self, d, n_max):
+        f = build_fock(d, n_max)
+        reference = _loop_creators(f)
+        assert np.array_equal(f.creators, reference)
+        assert np.array_equal(f.annihilators,
+                              np.conj(np.transpose(reference, (0, 2, 1))))
+
+    def test_sector_dim_is_leading_block(self):
+        f = build_fock(3, 4)
+        totals = f.sector_totals()
+        assert np.all(np.diff(totals) >= 0)
+        for k in range(-1, f.n_max + 2):
+            assert f.sector_dim(k) == int((totals <= k).sum())
+
+    def test_checks_leave_dense_ladders_unbuilt(self):
+        f = build_fock(3, 4)
+        rng = np.random.default_rng(12)
+        ccr_defect(f, *_random_pair(rng, 3))
+        k = real_subspace_from_vectors(np.eye(3), 3)
+        locality_check(f, k, symplectic_complement(k))
+        assert "creators" not in f.__dict__
+        assert "annihilators" not in f.__dict__
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -59,6 +112,14 @@ class TestFieldOperator:
         m = field_operator(f, psi).mat
         assert norm2(m - dagger(m)) < 1e-12
 
+    def test_scatter_matches_dense_ladders(self):
+        f = build_fock(3, 4)
+        rng = np.random.default_rng(13)
+        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        adag = np.tensordot(psi, _loop_creators(f), axes=(0, 0))
+        assert np.array_equal(field_operator(f, psi).mat,
+                              (dagger(adag) + adag) / np.sqrt(2.0))
+
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             field_operator(build_fock(2, 2), np.zeros(2))
@@ -85,6 +146,19 @@ class TestCcr:
             psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             assert ccr_defect(f, psi, phi) <= 1e-10
+
+    @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4), (4, 3)])
+    def test_safe_commutator_is_projected_commutator(self, d, n_max):
+        f = build_fock(d, n_max)
+        p = f.sector_projector(n_max - 2)
+        s2 = f.sector_dim(n_max - 2)
+        rng = np.random.default_rng(14)
+        for _ in range(4):
+            psi, phi = _random_pair(rng, d)
+            a = field_operator(f, psi).mat
+            b = field_operator(f, phi).mat
+            dense = (p @ (a @ b - b @ a) @ p)[:s2, :s2]
+            assert norm2(safe_commutator(f, psi, phi) - dense) <= 1e-13
 
     def test_needs_room_for_commutator(self):
         with pytest.raises(ValueError):
@@ -159,6 +233,16 @@ class TestWeyl:
             phi *= 0.5 / np.linalg.norm(phi)
             assert weyl_relation_defect(f, psi, phi) < 1e-6
 
+    def test_weyl_relation_block_is_projected_defect(self):
+        f = build_fock(2, 5)
+        rng = np.random.default_rng(15)
+        psi, phi = (0.5 * v / np.linalg.norm(v) for v in _random_pair(rng, 2))
+        lhs = weyl_operator(f, psi) @ weyl_operator(f, phi)
+        rhs = np.exp(-0.5j * np.vdot(psi, phi).imag) * weyl_operator(f, psi + phi)
+        p = f.sector_projector(2)
+        dense = norm2(p @ (lhs - rhs) @ p)
+        assert abs(weyl_relation_defect(f, psi, phi, low=2) - dense) <= 1e-13
+
     def test_weyl_relation_error_grows_with_norm(self):
         f = build_fock(2, 6)
         psi = np.array([0.1, 0.05j])
@@ -200,6 +284,15 @@ class TestCyclicity:
         ranks = [cyclicity_rank(f, k, dd) for dd in range(5)]
         assert ranks == sorted(ranks)
         assert ranks[-1] == f.total_dim
+
+    @pytest.mark.parametrize("d,n_max", [(2, 3), (3, 4), (3, 5)])
+    def test_layer_bases_match_product_stack(self, d, n_max):
+        f = build_fock(d, n_max)
+        for k in (real_subspace_from_vectors(np.eye(d), d),
+                  real_subspace_from_vectors(np.eye(d)[:1], d)):
+            for degree in range(n_max + 1):
+                assert (cyclicity_rank(f, k, degree)
+                        == _product_cyclicity_rank(f, k, degree))
 
     def test_degree_cap(self):
         f = build_fock(2, 2)
