@@ -140,8 +140,19 @@ def modular_report(md: ModularData, flow_samples: int = 10,
     """
     rng = rng or np.random.default_rng(0)
     alg = md.algebra
-    kms_max = max(kms_defect(md, x, y) for x in alg.basis for y in alg.basis)
-    jaj_max = max(commutant_map_check(md, x)[1] for x in alg.basis)
+    basis = alg.basis
+    # kms_defect over every basis pair: lhs[i, j] = <b_i* O, b_j O> and
+    # rhs[j, i] = <b_j* O, Delta b_i O>
+    xo = basis @ md.omega
+    xso = np.conj(basis).transpose(0, 2, 1) @ md.omega
+    lhs = np.conj(xso) @ xo.T
+    rhs = np.conj(xso) @ (md.delta @ xo.T)
+    kms_max = float(np.max(np.abs(lhs - rhs.T)))
+    # commutant_map_check over the basis: J b J off the commutant's span
+    images = (md.j.mat @ basis.conj() @ md.j.mat.conj()).reshape(alg.size, -1)
+    flat = md.algebra_commutant.basis.reshape(-1, images.shape[1])
+    coeff = (flat @ images.conj().T).conj()
+    jaj_max = float(np.max(np.linalg.norm(images - coeff.T @ flat, axis=1)))
     flow_max = 0.0
     for _ in range(flow_samples):
         t = float(rng.uniform(-2, 2))

@@ -2,9 +2,10 @@
 
 Algebras are unital *-closed spans of matrices, stored with a basis that is
 orthonormal in the Hilbert-Schmidt inner product tr(A* B); membership tests
-are then projection residuals with a single threshold.  Commutants come from
-the null space of the stacked commutator map, centers from span intersection,
-and the GNS construction from the Gram matrix of the state.
+are then projection residuals with a single threshold.  Commutants are solved
+from one random element of the algebra and certified against the whole basis,
+centers come from span intersection, and the GNS construction from the Gram
+matrix of the state.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .numkit import (Tolerance, dagger, default_tolerance, load_matrix_csv,
 # an element belongs to a span when its orthogonal residual is below
 # MEMBERSHIP_RTOL times its own norm
 MEMBERSHIP_RTOL = 1e-9
+
+# random elements commutant() tries before it gives up
+COMMUTANT_DRAWS = 4
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -63,11 +67,11 @@ class OperatorAlgebra:
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of x onto the span."""
         f = self._flat()
-        coeff = f.conj() @ x.flatten()
-        return (coeff @ f).reshape(self.dim, self.dim)
+        return (self.coefficients(x) @ f).reshape(self.dim, self.dim)
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
-        return self._flat().conj() @ x.flatten()
+        """HS coefficients tr(b_i* x); conjugates x, not the whole basis."""
+        return (self._flat() @ x.flatten().conj()).conj()
 
     def member_residual(self, x: np.ndarray) -> float:
         """Norm of the component of x orthogonal to the span."""
@@ -130,11 +134,14 @@ def tensor_factor_algebra(d: int, m: int, side: str = "left") -> OperatorAlgebra
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    eye_m, eye_d = np.eye(m), np.eye(d)
-    left_b = np.stack([np.kron(u, eye_m) for u in matrix_units(d)]) / np.sqrt(m)
-    right_b = np.stack([np.kron(eye_d, u) for u in matrix_units(m)]) / np.sqrt(d)
-    left = OperatorAlgebra(d * m, left_b, orthonormal=True)
-    right = OperatorAlgebra(d * m, right_b, orthonormal=True)
+    n = d * m
+    # kron(E_ij, 1_m) and kron(1_d, E_ab), one broadcast each
+    left_b = np.einsum("aij,kl->aikjl", matrix_units(d),
+                       np.eye(m)).reshape(d * d, n, n) / np.sqrt(m)
+    right_b = np.einsum("ij,akl->aikjl", np.eye(d),
+                        matrix_units(m)).reshape(m * m, n, n) / np.sqrt(d)
+    left = OperatorAlgebra(n, left_b, orthonormal=True)
+    right = OperatorAlgebra(n, right_b, orthonormal=True)
     left.commutant_hint = right
     right.commutant_hint = left
     return left if side == "left" else right
@@ -169,22 +176,61 @@ def vn_closure(generators, dim: int) -> OperatorAlgebra:
 def commutant(a: OperatorAlgebra, use_hint: bool = True) -> OperatorAlgebra:
     """{X : [b, X] = 0 for all b in the algebra}.
 
-    Solved as the null space of the stacked commutator map over the algebra's
-    generating set (basis if no generators are recorded).  A structured
-    commutant_hint short-circuits the solve unless use_hint is False.
+    A generic element z of the algebra and its adjoint generate it, so A' is
+    the set of X commuting with h = (z + z*)/2 and k = (z - z*)/2i.  Such an
+    X is block-diagonal in the eigenbasis of h (blocks: the eigenvalue
+    clusters), and [k, X] = 0 is solved on those block entries only.  The
+    kernel always contains A'; the result is certified by commuting it with
+    every basis element of the algebra, which proves equality.  A failed
+    certification (an unlucky z) redraws, up to COMMUTANT_DRAWS times.  The
+    draws come from a fixed seed, so the result is a pure function of the
+    algebra.  A structured commutant_hint short-circuits the solve unless
+    use_hint is False.
     """
     if use_hint and a.commutant_hint is not None:
         return a.commutant_hint
-    n = a.dim
-    gens = a.generators if a.generators is not None else a.basis
-    eye = np.eye(n)
-    blocks = []
-    for g in gens:
-        blocks.append(np.kron(g, eye) - np.kron(eye, g.T))
-        blocks.append(np.kron(dagger(g), eye) - np.kron(eye, g.conj()))
-    kernel = null_space(np.concatenate(blocks, axis=0))
-    basis = orthonormalize_span(kernel.reshape(-1, n, n))
-    return OperatorAlgebra(n, basis, orthonormal=True)
+    rng = np.random.default_rng(0)
+    for _ in range(COMMUTANT_DRAWS):
+        basis = _commutant_of_element(_random_element(a, rng))
+        if _commutator_residual(a.basis, basis) <= MEMBERSHIP_RTOL:
+            return OperatorAlgebra(a.dim, basis, orthonormal=True)
+    raise RuntimeError("commutant certification failed on every draw")
+
+
+def _random_element(a: OperatorAlgebra, rng: np.random.Generator) -> np.ndarray:
+    """sum_i c_i b_i over the basis with complex Gaussian c."""
+    return a.element(rng.standard_normal(a.size)
+                     + 1j * rng.standard_normal(a.size))
+
+
+def _commutant_of_element(z: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {X : [z, X] = [z*, X] = 0}."""
+    n = z.shape[0]
+    w, v = np.linalg.eigh(0.5 * (z + dagger(z)))
+    k = dagger(v) @ (-0.5j * (z - dagger(z))) @ v
+    # unknowns: the entries (r, s) of each diagonal block of h's eigenbasis
+    blocks = _eigenvalue_clusters(w)
+    r = np.concatenate([np.repeat(c, c.size) for c in blocks])
+    s = np.concatenate([np.tile(c, c.size) for c in blocks])
+    cols = np.arange(r.size)
+    # column (r, s) of the map Y -> k Y - Y k, as an n x n matrix
+    cmap = np.zeros((n, n, r.size), dtype=complex)
+    cmap[:, s, cols] = k[:, r]
+    cmap[r, :, cols] -= k[s, :]
+    kernel = null_space(cmap.reshape(n * n, r.size))
+    y = np.zeros((kernel.shape[0], n, n), dtype=complex)
+    y[:, r, s] = kernel
+    return orthonormalize_span(v @ y @ dagger(v))
+
+
+def _commutator_residual(basis: np.ndarray, other: np.ndarray) -> float:
+    """Largest ||[b, x]||_F over b in basis, x in other.
+
+    One batched product per b: a single (basis x other) batch would hold
+    size_a * size_c * n^2 entries, about 1 GB for M_8 (x) 1 without the hint.
+    """
+    return max(float(np.linalg.norm(b @ other - other @ b, axis=(1, 2)).max())
+               for b in basis)
 
 
 def span_intersection(flat_u: np.ndarray, flat_v: np.ndarray,

@@ -140,3 +140,38 @@ def test_criterion_12_entanglement_genericity():
     assert abs(report.metrics["werner_pt_min"] + 0.125) <= 1e-10
     assert _report_line(12, "entanglement genericity (10^4 Haar states)",
                         report)
+
+
+def test_criteria_01_02_without_commutant_hints(monkeypatch):
+    """Criteria 1 and 2 with every commutant solved by the generic path: the
+    outcomes match the hinted runs and the metrics agree to roundoff."""
+    from vnlab import vnalg
+
+    configs = [("kms-random", {"max_k": 4, "instances": 50}),
+               ("modular-spectrum", {"max_k": 4, "instances": 20})]
+    hinted = [run(name, params, seed=0) for name, params in configs]
+
+    make, solve = vnalg.tensor_factor_algebra, vnalg._commutant_of_element
+    solves = []
+
+    def hint_free(*args, **kwargs):
+        alg = make(*args, **kwargs)
+        alg.commutant_hint = None
+        return alg
+
+    def counted(z):
+        solves.append(z.shape[0])
+        return solve(z)
+
+    monkeypatch.setattr(vnalg, "tensor_factor_algebra", hint_free)
+    monkeypatch.setattr(vnalg, "_commutant_of_element", counted)
+    free = [run(name, params, seed=0) for name, params in configs]
+    assert max(solves) == 16
+    for h, f in zip(hinted, free):
+        assert [(a.name, a.passed) for a in h.assertions] \
+            == [(a.name, a.passed) for a in f.assertions]
+        assert h.metrics.keys() == f.metrics.keys()
+        for key, value in h.metrics.items():
+            assert abs(f.metrics[key] - value) <= 1e-13, key
+    assert _report_line(1, "tomita engine, hint-free commutants", free[0])
+    assert _report_line(2, "modular spectrum, hint-free commutants", free[1])

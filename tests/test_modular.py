@@ -6,7 +6,7 @@ import pytest
 from vnlab.modular import (commutant_map_check, conjugate_by_j, kms_defect,
                            modular_defects, modular_flow, purify, tomita)
 from vnlab.numkit import dagger, herm_fn, norm2
-from vnlab.vnalg import (commutant, full_matrix_algebra, matrix_units,
+from vnlab.vnalg import (OperatorAlgebra, commutant, full_matrix_algebra, matrix_units,
                          tensor_factor_algebra, vn_closure, gns,
                          cyclic_separating)
 
@@ -280,6 +280,35 @@ class TestReportRecord:
         assert rec["flow_residual"] <= 1e-8
         assert rec["commutant_map_residual"] <= 1e-9
         json.dumps(rec)  # JSON-serializable
+
+    def test_batched_checks_match_per_element_loop(self):
+        # on genuine data both sides sit at roundoff, so the comparison also
+        # runs on data made wrong on purpose: Delta replaced by Delta^2 breaks
+        # KMS, and the algebra standing in for its commutant breaks JaJ.
+        # M_k (x) 1 has a real basis; rotating the pair by a unitary makes
+        # the algebra and its commutant complex, so a lost conjugation shows.
+        from dataclasses import replace
+
+        from vnlab.modular import modular_report
+        from vnlab.numkit import haar_unitary
+
+        rng = np.random.default_rng(23)
+        for k in (2, 3, 4):
+            alg, omega = random_pair(rng, k)
+            u = haar_unitary(rng, alg.dim)
+            rotated = OperatorAlgebra(alg.dim, u @ alg.basis @ dagger(u),
+                                      orthonormal=True)
+            md = tomita(rotated, u @ omega)
+            bad = replace(md, delta=md.delta @ md.delta, _commutant=rotated)
+            for data in (tomita(alg, omega), md, bad):
+                basis = data.algebra.basis
+                rec = modular_report(data, flow_samples=0)
+                kms = max(kms_defect(data, x, y) for x in basis for y in basis)
+                jaj = max(commutant_map_check(data, x)[1] for x in basis)
+                assert abs(rec["max_kms_defect"] - kms) <= 1e-13 * max(1.0, kms)
+                assert (abs(rec["commutant_map_residual"] - jaj)
+                        <= 1e-13 * max(1.0, jaj))
+            assert kms > 1e-3 and jaj > 0.1
 
 
 class TestGnsModularLink:

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from vnlab.numkit import dagger, norm2
-from vnlab.vnalg import (OperatorAlgebra, center_and_factor, commutant,
-                         cyclic_separating, full_matrix_algebra, gns,
-                         matrix_units, minimal_projector, orthonormalize_span,
-                         scalar_algebra, span_intersection,
-                         tensor_factor_algebra, vn_closure)
+from vnlab import vnalg
+from vnlab.numkit import dagger, norm2, null_space, random_density
+from vnlab.vnalg import (MEMBERSHIP_RTOL, OperatorAlgebra, center_and_factor,
+                         commutant, cyclic_separating, full_matrix_algebra,
+                         gns, matrix_units, minimal_projector,
+                         orthonormalize_span, scalar_algebra,
+                         span_intersection, tensor_factor_algebra, vn_closure)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -17,6 +18,63 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 def span_distance(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
     fa, fb = a._flat(), b._flat()
     return norm2(fa.conj().T @ fa - fb.conj().T @ fb)
+
+
+def stacked_commutant(a: OperatorAlgebra) -> OperatorAlgebra:
+    """Reference form: the null space of the commutator map stacked over the
+    recorded generators (the basis when none are recorded) and adjoints."""
+    n = a.dim
+    gens = a.generators if a.generators is not None else a.basis
+    eye = np.eye(n)
+    blocks = []
+    for g in gens:
+        blocks.append(np.kron(g, eye) - np.kron(eye, g.T))
+        blocks.append(np.kron(dagger(g), eye) - np.kron(eye, g.conj()))
+    kernel = null_space(np.concatenate(blocks, axis=0))
+    return OperatorAlgebra(n, kernel.reshape(-1, n, n))
+
+
+def ginibre(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def block_diag(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    i = 0
+    for b in blocks:
+        out[i:i + b.shape[0], i:i + b.shape[0]] = b
+        i += b.shape[0]
+    return out
+
+
+def _m3_times_1(rng):
+    eye = np.eye(2)
+    return vn_closure([np.kron(ginibre(rng, 3), eye),
+                       np.kron(ginibre(rng, 3), eye)], 6)
+
+
+def _m2_times_1_plus_c(rng):
+    # M_2 (x) 1_2 (+) C 1_3 on C^7
+    zero = np.zeros((3, 3))
+    return vn_closure([block_diag(np.kron(ginibre(rng, 2), np.eye(2)), zero)
+                       for _ in range(2)], 7)
+
+
+def _m2_plus_m2(rng):
+    return vn_closure([block_diag(ginibre(rng, 2), ginibre(rng, 2))
+                       for _ in range(2)], 4)
+
+
+REFERENCE_CASES = {
+    "m3_x_1": (_m3_times_1, 9),
+    "m2_x_1_plus_c": (_m2_times_1_plus_c, 5),
+    "m2_plus_m2": (_m2_plus_m2, 8),
+    "diagonal": (lambda rng: vn_closure([np.diag(rng.standard_normal(4))], 4), 4),
+    "scalars": (lambda rng: scalar_algebra(3), 1),
+    "full_m3": (lambda rng: full_matrix_algebra(3), 9),
+    "gns": (lambda rng: gns(random_density(rng, 2)).algebra, 4),
+}
 
 
 class TestClosure:
@@ -89,6 +147,75 @@ class TestCommutant:
             for m in range(2, 5):
                 alg = tensor_factor_algebra(k, m, "left")
                 assert commutant(alg, use_hint=False).size == m * m
+
+
+class TestCertifiedCommutant:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_stacked_reference(self, case):
+        build, size = REFERENCE_CASES[case]
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            alg = build(rng)
+            assert alg.size == size
+            comm = commutant(alg, use_hint=False)
+            ref = stacked_commutant(alg)
+            assert comm.size == ref.size
+            assert span_distance(comm, ref) < 1e-10
+            double = commutant(comm)
+            assert double.size == stacked_commutant(ref).size == alg.size
+            assert span_distance(double, alg) < 1e-10
+
+    def test_retry_after_scalar_draw(self, monkeypatch):
+        draw = vnalg._random_element
+        residual = vnalg._commutator_residual
+        draws, residuals = [], []
+
+        def scalar_first(a, rng):
+            z = draw(a, rng)
+            draws.append(z)
+            return np.eye(a.dim, dtype=complex) if len(draws) == 1 else z
+
+        def record(basis, other):
+            residuals.append(residual(basis, other))
+            return residuals[-1]
+
+        monkeypatch.setattr(vnalg, "_random_element", scalar_first)
+        monkeypatch.setattr(vnalg, "_commutator_residual", record)
+        alg = _m3_times_1(np.random.default_rng(5))
+        comm = commutant(alg)
+        assert len(draws) == 2
+        assert residuals[0] > MEMBERSHIP_RTOL >= residuals[1]
+        assert span_distance(comm, stacked_commutant(alg)) < 1e-10
+
+    def test_raises_when_every_draw_fails(self, monkeypatch):
+        monkeypatch.setattr(vnalg, "_random_element",
+                            lambda a, rng: np.zeros((a.dim, a.dim), complex))
+        with pytest.raises(RuntimeError):
+            commutant(tensor_factor_algebra(2, 2), use_hint=False)
+
+    def test_bicommutant_m5_at_scale(self):
+        rng = np.random.default_rng(3)
+        eye = np.eye(5)
+        alg = vn_closure([np.kron(ginibre(rng, 5), eye) for _ in range(2)], 25)
+        with np.errstate(all="raise"):
+            comm = commutant(alg)
+            double = commutant(comm)
+            center, is_factor = center_and_factor(double)
+        assert comm.size == 25 and double.size == alg.size == 25
+        assert span_distance(double, alg) < 1e-10
+        assert is_factor and center.size == 1
+
+    def test_tensor_factor_bases_match_kron_loop(self):
+        for d, m in [(1, 3), (2, 2), (2, 5), (4, 3)]:
+            eye_m, eye_d = np.eye(m), np.eye(d)
+            left = np.stack([np.kron(u, eye_m)
+                             for u in matrix_units(d)]) / np.sqrt(m)
+            right = np.stack([np.kron(eye_d, u)
+                              for u in matrix_units(m)]) / np.sqrt(d)
+            for side, ref in (("left", left), ("right", right)):
+                basis = tensor_factor_algebra(d, m, side).basis
+                assert basis.dtype == ref.dtype and basis.shape == ref.shape
+                assert basis.tobytes() == ref.tobytes()
 
 
 class TestCenterFactor:
