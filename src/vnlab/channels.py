@@ -182,19 +182,20 @@ def genericity_scan(samples: int, seed: int, kind: str = "pure",
         raise ValueError("use at least 100 samples")
     d1, d2 = dims
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(samples):
+    if kind == "mixed":
+        hits = sum(int(is_entangled(random_density(rng, d1 * d2), dims)[0])
+                   for _ in range(samples))
+    else:
         if kind == "pure":
-            psi = haar_pure_state(rng, d1 * d2)
-            hits += int(rank(psi.reshape(d1, d2)) > 1)
+            psi = [haar_pure_state(rng, d1 * d2) for _ in range(samples)]
         elif kind == "product":
-            psi = np.kron(haar_pure_state(rng, d1), haar_pure_state(rng, d2))
-            hits += int(rank(psi.reshape(d1, d2)) > 1)
-        elif kind == "mixed":
-            flag, _ = is_entangled(random_density(rng, d1 * d2), dims)
-            hits += int(flag)
+            psi = [np.kron(haar_pure_state(rng, d1), haar_pure_state(rng, d2))
+                   for _ in range(samples)]
         else:
             raise ValueError(f"unknown scan kind {kind!r}")
+        # Schmidt ranks of all samples from one stacked SVD
+        ranks = rank(np.reshape(psi, (samples, d1, d2)))
+        hits = int(np.count_nonzero(ranks > 1))
     return {"kind": kind, "samples": samples, "entangled": hits,
             "fraction": hits / samples}
 

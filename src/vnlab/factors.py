@@ -7,6 +7,15 @@ the global modular operator is a Kronecker product and its spectrum is the set
 of products of per-site eigenvalue ratios.  The spectral signatures (log
 spectrum, gaps in a window, reduced purity) are the desk-scale shadows of the
 type-III classification data.
+
+The approximants are spectrum-first.  Construction keeps the per-site
+``(S, Delta, J)`` and computes only the product vector and ``delta_spectrum``,
+the sorted Kronecker product of the per-site Delta diagonals; that is all the
+signatures read.  The dense global ``ModularData`` (three D x D complex
+matrices, 268 MB each at D = 4096) is multiplied out only when
+``Approximant.modular`` is read.  Two caps follow: construction accepts
+ambient dimensions up to ``SPECTRUM_CAP`` (N = 10 for Powers), while dense
+access (``modular`` and ``algebra``) stays within ``DIMENSION_CAP``.
 """
 
 from __future__ import annotations
@@ -21,7 +30,10 @@ from .modular import ModularData, purify
 from .numkit import AntilinearMap
 from .vnalg import OperatorAlgebra, matrix_units
 
+# largest ambient dimension of a dense operator (modular data, algebra basis)
 DIMENSION_CAP = 4096
+# largest ambient dimension of an approximant (its spectrum and product vector)
+SPECTRUM_CAP = 1 << 20
 
 
 def _flip(s: int) -> np.ndarray:
@@ -47,7 +59,15 @@ def _site_modular(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass
 class Approximant:
-    """A finite tensor-power model with its product vector and modular data."""
+    """A finite tensor-power model: product vector, per-site modular data and
+    the global Delta-spectrum.
+
+    ``site_modular`` is the per-site ``(S matrix, Delta, J matrix)``;
+    ``delta_spectrum`` is the sorted Kronecker product of the per-site Delta
+    diagonals, taken in the same left-to-right order as the dense operators.
+    ``modular`` and ``algebra`` are dense D x D objects, built on first access
+    and refused above ``DIMENSION_CAP``.
+    """
 
     kind: str
     lam: float
@@ -56,15 +76,33 @@ class Approximant:
     site_dim: int
     site_weights: np.ndarray
     omega: np.ndarray
-    modular: ModularData
+    site_modular: tuple[np.ndarray, np.ndarray, np.ndarray]
+    delta_spectrum: np.ndarray
 
     @property
     def ambient_dim(self) -> int:
         return (self.site_dim ** 2) ** self.n_factors
 
+    def _check_dense(self) -> None:
+        if self.ambient_dim > DIMENSION_CAP:
+            raise ValueError(f"dense operators of dimension {self.ambient_dim}"
+                             f" exceed cap {DIMENSION_CAP}")
+
+    @cached_property
+    def modular(self) -> ModularData:
+        """Global (S, Delta, J) as dense Kronecker powers of the site data."""
+        self._check_dense()
+        s_mat, delta, j_mat = (reduce(np.kron, [m] * self.n_factors)
+                               for m in self.site_modular)
+        return ModularData(s=AntilinearMap(s_mat), delta=delta,
+                           j=AntilinearMap(j_mat),
+                           delta_spectrum=self.delta_spectrum,
+                           algebra=None, omega=self.omega)
+
     @cached_property
     def algebra(self) -> OperatorAlgebra:
         """The N-fold tensor power of M_s (x) 1, materialized on demand."""
+        self._check_dense()
         s = self.site_dim
         eye = np.eye(s)
         site_left = [np.kron(u, eye) / np.sqrt(s) for u in matrix_units(s)]
@@ -101,20 +139,15 @@ def _build(kind: str, weights: np.ndarray, lam: float, mu: float | None,
     p = np.sort(weights)[::-1]          # descending, matching purify
     rho = np.diag(p).astype(complex)
     psi_site = purify(rho, s)
-    s_site, delta_site, j_site = _site_modular(p)
+    site = _site_modular(p)
     omega = reduce(np.kron, [psi_site] * n)
-    s_mat = reduce(np.kron, [s_site] * n)
-    delta = reduce(np.kron, [delta_site] * n)
-    j_mat = reduce(np.kron, [j_site] * n)
-    spectrum = np.sort(np.diag(delta).real)
-    md = ModularData(s=AntilinearMap(s_mat), delta=delta,
-                     j=AntilinearMap(j_mat), delta_spectrum=spectrum,
-                     algebra=None, omega=omega)
+    spectrum = np.sort(reduce(np.kron, [np.diag(site[1]).real] * n))
     return Approximant(kind=kind, lam=lam, mu=mu, n_factors=n, site_dim=s,
-                       site_weights=p, omega=omega, modular=md)
+                       site_weights=p, omega=omega, site_modular=site,
+                       delta_spectrum=spectrum)
 
 
-def powers_approximant(lam: float, n: int, cap: int = DIMENSION_CAP) -> Approximant:
+def powers_approximant(lam: float, n: int, cap: int = SPECTRUM_CAP) -> Approximant:
     """N-fold tensor power of M_2 in the product state with weights (1, lam).
 
     lam = 1 is the tracial edge case (modular operator = identity); the
@@ -129,7 +162,7 @@ def powers_approximant(lam: float, n: int, cap: int = DIMENSION_CAP) -> Approxim
 
 
 def araki_woods_approximant(lam: float, mu: float, n: int,
-                            cap: int = DIMENSION_CAP) -> Approximant:
+                            cap: int = SPECTRUM_CAP) -> Approximant:
     """N-fold tensor power of M_3 with weights (1, lam, mu).
 
     Per-site eigenvalue ratios are {1, lam^±1, mu^±1, (lam/mu)^±1}; the global
@@ -161,7 +194,7 @@ def max_gap_in_window(log_spectrum: np.ndarray, window: float) -> float:
 
 def signature(approx: Approximant, window: float = 1.0) -> SpectrumSignature:
     """Log-spectrum, max gap in [-window, window], and reduced purity."""
-    log_spec = np.sort(np.log(approx.modular.delta_spectrum))
+    log_spec = np.sort(np.log(approx.delta_spectrum))
     rho = approx.reduced_density()
     purity = float(np.trace(rho @ rho).real)
     return SpectrumSignature(log_spectrum=log_spec, window=window,

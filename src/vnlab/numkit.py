@@ -62,9 +62,22 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def norm2(a: np.ndarray) -> float:
-    """Spectral norm."""
-    if a.size == 0:
+    """Spectral norm.
+
+    An all-zero input (a commutator that vanishes exactly) returns 0 at
+    once.  A square matrix that is exactly Hermitian or anti-Hermitian
+    (``a == aᴴ`` or ``a == -aᴴ`` bit for bit, as commutators ``p - pᴴ`` and
+    projector checks are) takes the largest ``|eigvalsh|`` of ``a`` or
+    ``1j * a`` instead of a full SVD.
+    """
+    if not a.any():
         return 0.0
+    if a.ndim == 2 and a.shape[0] == a.shape[1]:
+        ah = dagger(a)
+        if np.array_equal(a, ah):
+            return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+        if np.array_equal(a, -ah):
+            return float(np.max(np.abs(np.linalg.eigvalsh(1j * a))))
     return float(np.linalg.norm(a, 2))
 
 
@@ -227,13 +240,22 @@ def unembed_real(x: np.ndarray) -> np.ndarray:
 
 
 def nonzero_mask(s: np.ndarray) -> np.ndarray:
-    """Mask of the singular values (or PSD eigenvalues) the rank rule keeps."""
-    return s > RANK_RTOL * max(1.0, float(s.max()) if s.size else 0.0)
+    """Mask of the singular values (or PSD eigenvalues) the rank rule keeps.
+
+    A stack of spectra is cut spectrum by spectrum along its last axis.
+    """
+    top = np.fmax(1.0, s.max(axis=-1, keepdims=True, initial=0.0))
+    return s > RANK_RTOL * top
 
 
-def rank(a: np.ndarray) -> int:
-    """Number of singular values of a that the rank rule keeps."""
-    return int(nonzero_mask(np.linalg.svd(a, compute_uv=False)).sum())
+def rank(a: np.ndarray) -> int | np.ndarray:
+    """Number of singular values of a that the rank rule keeps.
+
+    For a stack of matrices (ndim > 2) the ranks of all of them come from
+    one batched SVD, as an integer array over the leading axes.
+    """
+    kept = nonzero_mask(np.linalg.svd(a, compute_uv=False)).sum(axis=-1)
+    return int(kept) if kept.ndim == 0 else kept
 
 
 def row_space(a: np.ndarray) -> np.ndarray:

@@ -234,6 +234,10 @@ class TestGenericity:
         with pytest.raises(ValueError):
             genericity_scan(50, seed=0)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="bogus"):
+            genericity_scan(100, seed=0, kind="bogus")
+
 
 class TestIsometryObstruction:
     def test_proper_projector_certified_impossible(self):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from vnlab import cli
-from vnlab.experiments import (REGISTRY, list_experiments, run,
-                               validate_params)
+from vnlab.experiments import (REGISTRY, _set_match_error, list_experiments,
+                               run, validate_params)
 from vnlab.numkit import default_tolerance
 
 REQUIRED = [
@@ -65,7 +65,9 @@ class TestReports:
         ("wedge-localization", {"n": 4096}),
         ("entropy-scan", {"sites": 1024, "bipartitions": 2}),
         ("fock-ccr", {"d": 6, "n_max": 6, "pairs": 5}),
-        ("reeh-schlieder-rank", {"d": 5, "n_max": 6, "degree": 6})])
+        ("reeh-schlieder-rank", {"d": 5, "n_max": 6, "degree": 6}),
+        ("powers", {"n": 10}),
+        ("araki-woods", {"n": 6})])
     def test_scale_configurations_pass_finite(self, name, params):
         with np.errstate(all="raise"):
             report = run(name, params, seed=0)
@@ -106,6 +108,41 @@ class TestReports:
         out = tmp_path / "r.csv"
         run("powers", {"n": 2}, seed=0, out=out, fmt="csv")
         assert out.read_text().startswith("metric,value")
+
+
+def _set_match_error_loop(values, targets, relative):
+    """Reference form: one Python step per value and per target."""
+    scale = np.abs(targets) if relative else np.ones_like(targets)
+    err = 0.0
+    for v in values:
+        err = max(err, float(np.min(np.abs(v - targets) / scale)))
+    for t, s in zip(targets, scale):
+        err = max(err, float(np.min(np.abs(values - t)) / s))
+    return err
+
+
+class TestSetMatchError:
+    @pytest.mark.parametrize("relative", [True, False])
+    def test_matches_loop_form_with_duplicates(self, relative):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            distinct = rng.uniform(0.1, 4.0, rng.integers(1, 12))
+            values = rng.choice(distinct, size=rng.integers(1, 200))
+            targets = rng.uniform(0.1, 4.0, rng.integers(1, 9))
+            if rng.random() < 0.5:
+                targets = np.concatenate([targets, targets[:2]])
+            assert _set_match_error(values, targets, relative) \
+                == _set_match_error_loop(values, targets, relative)
+
+    def test_exact_match_is_zero(self):
+        targets = 0.5 ** np.arange(-3, 4)
+        values = np.repeat(targets, 5)
+        assert _set_match_error(values, targets, relative=True) == 0.0
+
+    def test_nan_fails(self):
+        targets = np.array([1.0, 2.0])
+        values = np.array([1.0, np.nan, 2.0])
+        assert np.isnan(_set_match_error(values, targets, relative=False))
 
 
 class TestCli:

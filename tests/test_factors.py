@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from vnlab import factors
+from vnlab.experiments import run
 from vnlab.factors import (araki_woods_approximant, log_ratio_rational_quality,
                            max_gap_in_window, powers_approximant,
                            powers_purity, signature)
@@ -44,10 +46,57 @@ class TestPowers:
                                  + np.sort(sig.log_spectrum)[::-1])) < 1e-9
 
     def test_dimension_cap(self):
+        # construction stops at the spectral cap, dense access at 4096
         with pytest.raises(ValueError):
-            powers_approximant(0.5, 7)
+            powers_approximant(0.5, 7).modular
+        with pytest.raises(ValueError):
+            powers_approximant(0.5, 11)
         with pytest.raises(ValueError):
             powers_approximant(1.5, 1)
+
+
+class TestSpectrumFirst:
+    def test_signature_leaves_dense_data_unbuilt(self):
+        approx = powers_approximant(0.5, 3)
+        signature(approx)
+        assert "modular" not in approx.__dict__
+        assert "algebra" not in approx.__dict__
+
+    def test_powers_experiment_leaves_dense_data_unbuilt(self, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(powers_approximant(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(factors, "powers_approximant", spy)
+        assert run("powers", {"n": 6}, seed=0).passed
+        assert [a.n_factors for a in built] == [1, 2, 3, 4, 5, 6]
+        assert all("modular" not in a.__dict__ for a in built)
+
+    @pytest.mark.parametrize("args", [
+        *((lam, n) for lam in (0.3, 0.5, 1.0) for n in range(1, 5)),
+        *((lam, mu, n) for lam, mu in [(0.5, 0.3), (0.4, 0.4), (0.7, 0.2)]
+          for n in range(1, 4))])
+    def test_spectrum_bit_equals_dense_diagonal(self, args):
+        # (lam, n) is a Powers model, (lam, mu, n) an Araki-Woods one
+        build = powers_approximant if len(args) == 2 else araki_woods_approximant
+        approx = build(*args)
+        dense = np.sort(np.diag(approx.modular.delta).real)
+        assert np.array_equal(approx.delta_spectrum, dense)
+        assert approx.modular.delta_spectrum is approx.delta_spectrum
+
+    def test_dense_access_is_cached(self):
+        approx = powers_approximant(0.5, 2)
+        assert approx.modular is approx.modular
+
+    def test_spectral_scale_beyond_dense_cap(self):
+        approx = araki_woods_approximant(0.5, 0.3, 4)
+        assert approx.ambient_dim == 6561
+        assert approx.delta_spectrum.size == 6561
+        with pytest.raises(ValueError):
+            approx.algebra
+        assert "modular" not in approx.__dict__
 
 
 class TestPurity:

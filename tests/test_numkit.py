@@ -240,6 +240,56 @@ class TestRankRule:
         w = np.array([-1e-12, 3e-9, 2e-8, 400.0])
         assert nonzero_mask(w).tolist() == [False, False, False, True]
 
+    def test_stacked_ranks_match_one_by_one(self):
+        rng = np.random.default_rng(4)
+        spectra = [[1.0, 0.5, 1e-3], [2.0, 1e-12, 0.0], [0.0, 0.0, 0.0],
+                   [3e3, 4e-7, 1e-7], [1e-9, 1e-11, 0.0]]
+        stack = np.stack([with_singular_values(rng, s, 4, 3) for s in spectra])
+        sv = np.linalg.svd(stack, compute_uv=False)
+        assert np.array_equal(nonzero_mask(sv),
+                              np.stack([nonzero_mask(s) for s in sv]))
+        got = rank(stack)
+        assert got.tolist() == [rank(m) for m in stack] == [3, 1, 0, 2, 1]
+        assert rank(stack.reshape(5, 1, 4, 3)).shape == (5, 1)
+
+    def test_nan_spectrum_keeps_scalar_cut(self):
+        w = np.array([np.nan, 0.5, 1e-11])
+        assert nonzero_mask(w).tolist() == [False, True, False]
+
+
+class TestNorm2:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_matches_svd_norm(self, n):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        r = rng.standard_normal((n, n))
+        cases = [g + dagger(g), g - dagger(g), r + r.T, r - r.T, g, r,
+                 g[:, : max(1, n - 1)], 1j * np.eye(n) + (g - dagger(g))]
+        for a in cases:
+            ref = np.linalg.norm(a, 2)
+            assert abs(norm2(a) - ref) <= 1e-13 * ref
+
+    def test_exact_symmetry_skips_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        herm, anti = g + dagger(g), g - dagger(g)
+        expected = [np.linalg.norm(herm, 2), np.linalg.norm(anti, 2)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD norm taken on a symmetric input")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        got = [norm2(herm), norm2(anti)]
+        assert all(abs(a - b) <= 1e-13 * b for a, b in zip(got, expected))
+        with pytest.raises(AssertionError):
+            norm2(g)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert norm2(np.zeros((9, 9), dtype=complex)) == 0.0
+
+    def test_vector_and_empty(self):
+        assert norm2(np.array([3.0, 4.0])) == 5.0
+        assert norm2(np.zeros((0, 3))) == 0.0
+
 
 def test_rank_decisions_live_in_numkit():
     """Outside numkit, the only SVD is span_intersection's angle test."""
