@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modular import purify
-from .numkit import (Tolerance, dagger, default_tolerance, nonzero_mask,
-                     norm2, random_density, rank)
+from .numkit import (VALIDITY_ATOL, dagger, nonzero_mask, norm2,
+                     random_density, rank)
 
 
 @dataclass
@@ -39,9 +39,8 @@ class Channel:
         total = np.einsum("kij,kil->jl", self.kraus.conj(), self.kraus)
         return norm2(total - np.eye(self.dim))
 
-    def is_trace_preserving(self, tol: Tolerance | None = None) -> bool:
-        tol = tol or default_tolerance()
-        return self.trace_defect() <= tol.abs * self.dim
+    def is_trace_preserving(self) -> bool:
+        return self.trace_defect() <= VALIDITY_ATOL * self.dim
 
 
 def kraus_apply(rho: np.ndarray, channel: Channel) -> np.ndarray:
@@ -152,16 +151,14 @@ def disentangle(split: SplitData, omega: np.ndarray) -> DisentangleResult:
     return DisentangleResult(state=product, target=None, channel=None)
 
 
-def is_entangled(rho: np.ndarray, dims: tuple[int, int],
-                 tol: Tolerance | None = None) -> tuple[bool, float]:
+def is_entangled(rho: np.ndarray, dims: tuple[int, int]) -> tuple[bool, float]:
     """Partial-transpose test, exact only for 2x2 and 2x3 (enforced)."""
-    tol = tol or default_tolerance()
     d1, d2 = dims
     if d1 * d2 > 6:
         raise ValueError("partial-transpose criterion is only exact up to dim 6")
     w = np.linalg.eigvalsh(partial_transpose(rho, dims))
     min_eig = float(w.min())
-    return min_eig < -tol.abs, min_eig
+    return min_eig < -VALIDITY_ATOL, min_eig
 
 
 def haar_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -2,11 +2,11 @@
 
     vnlab list
     vnlab <experiment> [--<param> <value> ...] [--seed S] [--out PATH]
-                       [--format {json,csv}] [--tol-abs X]
+                       [--format {json,csv}]
 
-Exit status is 0 iff every assertion of the run passed.  --tol-abs scales the
-Tolerance.abs validity checks of this run only.  Reports echo the full
-parameter set so any table or figure can be regenerated from the JSON alone.
+Exit status is 0 iff every assertion of the run passed, 1 if one failed and
+2 on invalid parameters.  Reports echo the full parameter set so any table
+or figure can be regenerated from the JSON alone.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import sys
 
 from .experiments import list_experiments, run, validate_params
-from .numkit import Tolerance, default_tolerance, set_default_tolerance
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol-abs", type=float, default=None)
     return parser
 
 
@@ -51,18 +49,13 @@ def main(argv=None) -> int:
     schema = list_experiments()[args.command].schema
     overrides = {k: getattr(args, k) for k in schema
                  if getattr(args, k) is not None}
-    previous = default_tolerance()
     try:
-        if args.tol_abs is not None:
-            set_default_tolerance(Tolerance(abs=args.tol_abs))
         params = validate_params(args.command, overrides)
         report = run(args.command, params, seed=args.seed, out=args.out,
                      fmt=args.format)
     except (KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    finally:
-        set_default_tolerance(previous)
     print(report.to_json() if args.format == "json" else report.to_csv())
     for a in report.assertions:
         status = "pass" if a.passed else "FAIL"

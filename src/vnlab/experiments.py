@@ -8,6 +8,8 @@ acceptance suite drive.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -66,16 +68,19 @@ class Report:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = []
+        """Header row, then one row per series point or per metric; a value
+        holding a comma (a list metric) is quoted."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         if self.series is not None:
-            lines.append(",".join(self.series_header))
-            for row in self.series:
-                lines.append(",".join(repr(_jsonable(x)) for x in row))
+            writer.writerow(self.series_header)
+            writer.writerows([repr(_jsonable(x)) for x in row]
+                             for row in self.series)
         else:
-            lines.append("metric,value")
-            for k, v in self.metrics.items():
-                lines.append(f"{k},{_jsonable(v)!r}")
-        return "\n".join(lines) + "\n"
+            writer.writerow(["metric", "value"])
+            writer.writerows([k, repr(_jsonable(v))]
+                             for k, v in self.metrics.items())
+        return buf.getvalue()
 
 
 def _jsonable(v):
@@ -519,8 +524,7 @@ def _exp_modular_flow(p, seed):
     group_max, member_max = 0.0, 0.0
     for _ in range(p["samples"]):
         t, s = rng.uniform(-2, 2, size=2)
-        x = alg.element(rng.standard_normal(alg.size)
-                        + 1j * rng.standard_normal(alg.size))
+        x = alg.random_element(rng)
         x /= np.linalg.norm(x)
         one = modular.modular_flow(md, modular.modular_flow(md, x, s), t)
         two = modular.modular_flow(md, x, t + s)

@@ -109,8 +109,7 @@ class Approximant:
         site_right = [np.kron(eye, u) / np.sqrt(s) for u in matrix_units(s)]
         left = _kron_algebra(site_left, self.n_factors, self.ambient_dim)
         right = _kron_algebra(site_right, self.n_factors, self.ambient_dim)
-        left.commutant_hint = right
-        right.commutant_hint = left
+        left.commutant_hint = right  # one way, as in tensor_factor_algebra
         return left
 
     def reduced_density(self) -> np.ndarray:

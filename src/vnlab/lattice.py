@@ -117,15 +117,15 @@ class DecayFit:
     total_decay: float    # nats of decay the window actually resolves
 
 
-def decay_rate_fit(state: GaussianState, fit_range: tuple[int, int],
-                   drift_tol: float = 0.2, min_decay: float = 2.0) -> DecayFit:
+def decay_rate_fit(state: GaussianState,
+                   fit_range: tuple[int, int]) -> DecayFit:
     """Least-squares slope of log|F(r)| over the fit window.
 
-    A window is accepted as exponential only when it resolves at least
-    min_decay nats of decay and the local slope stays put (quadratic
-    correction below drift_tol of the slope across the window); a massless
-    tail fails the first test on any window where it has not yet collapsed,
-    and fails the second where it has.
+    A window is accepted as exponential only when it resolves at least 2
+    nats of decay and the local slope stays put (quadratic correction below
+    0.2 of the slope across the window); a massless tail fails the first
+    test on any window where it has not yet collapsed, and fails the second
+    where it has.
     """
     r0, r1 = fit_range
     n = state.spec.sites
@@ -144,8 +144,8 @@ def decay_rate_fit(state: GaussianState, fit_range: tuple[int, int],
     rate = float(-slope)
     rel = abs(rate - expected) / expected if expected > 0 else np.inf
     return DecayFit(rate=rate, expected=expected, rel_deviation=float(rel),
-                    is_exponential=bool(slope < 0 and total_decay >= min_decay
-                                        and drift <= drift_tol),
+                    is_exponential=bool(slope < 0 and total_decay >= 2.0
+                                        and drift <= 0.2),
                     curvature=float(drift), total_decay=total_decay)
 
 
@@ -199,14 +199,14 @@ def local_difference(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 
 def local_difference_bruteforce(rho1: np.ndarray, rho2: np.ndarray,
-                                budget: int = 10_000, seed: int = 0,
-                                restarts: int = 3) -> float:
+                                budget: int = 10_000, seed: int = 0) -> float:
     """Sup of |tr((rho1-rho2) A)| over Hermitian contractions, by search.
 
     Candidates are the extreme points V diag(+-1) V* with signs chosen
     optimally per frame; a quarter of the budget samples random frames, the
-    rest refines the best ones by adaptive random rotations (blind sampling
-    alone stalls several percent short of the sup already in dimension 4).
+    rest refines the three best ones by adaptive random rotations (blind
+    sampling alone stalls several percent short of the sup already in
+    dimension 4).
     Knows nothing about the eigenvalue route in local_difference.
     """
     delta = np.asarray(rho1) - np.asarray(rho2)
@@ -222,8 +222,8 @@ def local_difference_bruteforce(rho1: np.ndarray, rho2: np.ndarray,
                      (haar_unitary(rng, n) for _ in range(n_random))),
                     key=lambda t: -t[0])
     best = frames[0][0]
-    per_restart = (budget - n_random) // restarts
-    for f, v in frames[:restarts]:
+    per_restart = (budget - n_random) // 3
+    for f, v in frames[:3]:
         step = 0.3
         for _ in range(per_restart):
             x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -250,12 +250,12 @@ def duality_check(model: WedgeModel) -> float:
                              apply_real(model.j_compressed, k))
 
 
-def flow_invariance_residual(model: WedgeModel,
-                             s_values=(0.35, 1.0, -0.6)) -> float:
-    """Max distance between Delta^{is} K and K over the sample boosts."""
+def flow_invariance_residual(model: WedgeModel) -> float:
+    """Max distance between Delta^{is} K and K over the sample boosts
+    s = 0.35, 1.0, -0.6."""
     k = wedge_standard_subspace(model)
     worst = 0.0
-    for s in s_values:
+    for s in (0.35, 1.0, -0.6):
         moved = apply_real(model.flow_compressed(s), k)
         worst = max(worst, subspace_distance(moved, k))
     return worst

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import (AntilinearMap, Tolerance, antilinear_polar, dagger,
-                     default_tolerance, herm_fn, nonzero_mask, norm2)
+from .numkit import (AntilinearMap, antilinear_polar, dagger, herm_fn,
+                     nonzero_mask, norm2)
 from .vnalg import OperatorAlgebra, commutant, cyclic_separating
 
 
@@ -47,32 +47,26 @@ class ModularData:
         return self._commutant
 
 
-def tomita(a: OperatorAlgebra, omega: np.ndarray, *, check: bool = True,
-           tol: Tolerance | None = None) -> ModularData:
+def tomita(a: OperatorAlgebra, omega: np.ndarray) -> ModularData:
     """Modular data of (a, omega) with omega cyclic and separating.
 
     The conjugation matrix M of S solves M conj(b_i omega) = b_i* omega over
     the whole basis; cyclicity makes this overdetermined but consistent, and
     the least-squares residual is kept as a diagnostic.
     """
-    tol = tol or default_tolerance()
     omega = np.asarray(omega, dtype=complex)
-    if check:
-        cyc, sep = cyclic_separating(a, omega)
-        if not cyc or not sep:
-            missing = []
-            if not cyc:
-                missing.append("cyclic")
-            if not sep:
-                missing.append("separating")
-            raise ValueError(f"omega is not {' or '.join(missing)} for the algebra")
+    cyc, sep = cyclic_separating(a, omega)
+    missing = [word for word, ok in (("cyclic", cyc), ("separating", sep))
+               if not ok]
+    if missing:
+        raise ValueError(f"omega is not {' or '.join(missing)} for the algebra")
     orbit = np.einsum("aij,j->ia", a.basis, omega)          # columns b_i omega
     target = np.einsum("aji,j->ia", a.basis.conj(), omega)  # columns b_i* omega
     mt, *_ = np.linalg.lstsq(orbit.conj().T, target.T, rcond=None)
     m = mt.T
     residual = float(np.linalg.norm(m @ orbit.conj() - target))
     s = AntilinearMap(m)
-    j, delta = antilinear_polar(s, tol)
+    j, delta = antilinear_polar(s)
     spectrum = np.sort(np.linalg.eigvalsh(delta))
     return ModularData(s=s, delta=delta, j=j, delta_spectrum=spectrum,
                        algebra=a, omega=omega, solve_residual=residual)
@@ -121,7 +115,7 @@ def kms_defect(md: ModularData, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def conjugate_by_j(md: ModularData, x: np.ndarray) -> np.ndarray:
-    """J x J as a linear matrix."""
+    """J x J as a linear matrix; a stack of x maps matrix by matrix."""
     n = md.j.mat
     return n @ x.conj() @ n.conj()
 
@@ -149,15 +143,14 @@ def modular_report(md: ModularData, flow_samples: int = 10,
     rhs = np.conj(xso) @ (md.delta @ xo.T)
     kms_max = float(np.max(np.abs(lhs - rhs.T)))
     # commutant_map_check over the basis: J b J off the commutant's span
-    images = (md.j.mat @ basis.conj() @ md.j.mat.conj()).reshape(alg.size, -1)
+    images = conjugate_by_j(md, basis).reshape(alg.size, -1)
     flat = md.algebra_commutant.basis.reshape(-1, images.shape[1])
     coeff = (flat @ images.conj().T).conj()
     jaj_max = float(np.max(np.linalg.norm(images - coeff.T @ flat, axis=1)))
     flow_max = 0.0
     for _ in range(flow_samples):
         t = float(rng.uniform(-2, 2))
-        x = alg.element(rng.standard_normal(alg.size)
-                        + 1j * rng.standard_normal(alg.size))
+        x = alg.random_element(rng)
         x /= np.linalg.norm(x)
         flow_max = max(flow_max, alg.member_residual(modular_flow(md, x, t)))
     return {

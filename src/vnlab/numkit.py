@@ -8,8 +8,10 @@ samplers shared by the experiments.
 Every rank or null-space decision in the package is made here: a singular
 value (or eigenvalue of a positive semidefinite matrix) ``s`` counts as zero
 when ``s <= RANK_RTOL * max(1, s.max())``.  ``nonzero_mask``, ``rank``,
-``row_space`` and ``null_space`` apply that rule; ``Tolerance.abs`` only
-scales validity checks (Hermiticity, positivity, invertibility).
+``row_space`` and ``null_space`` apply that rule.  The validity checks
+(Hermiticity, positivity, invertibility, antiunitarity, trace preservation)
+share one absolute slack, ``VALIDITY_ATOL``.  These two constants are the
+package's only global tolerances; neither can be overridden at run time.
 
 Antilinear maps are stored by their *conjugation matrix* ``M``: the map acts as
 ``v -> M @ conj(v)``.  With this convention the adjoint (defined through
@@ -24,7 +26,6 @@ are explicit:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,29 +33,8 @@ import numpy as np
 # relative cut-off of the rank rule (module docstring)
 RANK_RTOL = 1e-10
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute slack of the validity checks shared by all modules."""
-
-    abs: float = 1e-10
-
-    def __post_init__(self):
-        if self.abs <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-_default_tol = Tolerance()
-
-
-def default_tolerance() -> Tolerance:
-    return _default_tol
-
-
-def set_default_tolerance(tol: Tolerance) -> None:
-    """Override the global default tolerance (affects subsequent calls only)."""
-    global _default_tol
-    _default_tol = tol
+# absolute slack of the validity checks (module docstring)
+VALIDITY_ATOL = 1e-10
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -81,23 +61,15 @@ def norm2(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def is_hermitian(a: np.ndarray, tol: Tolerance | None = None) -> bool:
-    tol = tol or _default_tol
-    return bool(np.max(np.abs(a - dagger(a))) <= tol.abs * max(1.0, norm2(a)))
-
-
-def is_positive(a: np.ndarray, tol: Tolerance | None = None) -> bool:
-    """Positive semidefinite within tolerance (assumes Hermitian)."""
-    tol = tol or _default_tol
-    w = np.linalg.eigvalsh(0.5 * (a + dagger(a)))
-    return bool(w.min() >= -tol.abs * max(1.0, abs(w.max())))
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.max(np.abs(a - dagger(a)))
+                <= VALIDITY_ATOL * max(1.0, norm2(a)))
 
 
 _HERM_FNS = ("exp", "log", "sqrt", "power", "ipower")
 
 
-def herm_fn(h: np.ndarray, fn: str, t: float | None = None,
-            tol: Tolerance | None = None) -> np.ndarray:
+def herm_fn(h: np.ndarray, fn: str, t: float | None = None) -> np.ndarray:
     """Spectral calculus f(H) = U f(diag) U* for Hermitian H.
 
     ``fn`` is one of ``exp``, ``log``, ``sqrt``, ``power`` (H**t) or
@@ -105,10 +77,9 @@ def herm_fn(h: np.ndarray, fn: str, t: float | None = None,
     negative exponent require a strictly positive matrix; ``sqrt`` requires a
     positive semidefinite one.
     """
-    tol = tol or _default_tol
     if fn not in _HERM_FNS:
         raise ValueError(f"unknown spectral function {fn!r}")
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("herm_fn requires a Hermitian matrix")
     if fn in ("power", "ipower") and t is None:
         raise ValueError(f"{fn} needs an exponent t")
@@ -118,11 +89,11 @@ def herm_fn(h: np.ndarray, fn: str, t: float | None = None,
     if fn == "exp":
         fw = np.exp(w)
     elif fn == "sqrt":
-        if w.min() < -tol.abs * scale:
+        if w.min() < -VALIDITY_ATOL * scale:
             raise ValueError("sqrt of a non-positive matrix")
         fw = np.sqrt(np.clip(w, 0.0, None))
     elif fn == "log" or fn == "ipower" or (fn == "power" and t < 0):
-        if w.min() <= tol.abs * scale:
+        if w.min() <= VALIDITY_ATOL * scale:
             raise ValueError(f"{fn} requires a strictly positive matrix")
         if fn == "log":
             fw = np.log(w)
@@ -174,10 +145,10 @@ class AntilinearMap:
     def __rmatmul__(self, other):
         return AntilinearMap(np.asarray(other) @ self.mat)
 
-    def is_antiunitary(self, tol: Tolerance | None = None) -> bool:
-        tol = tol or _default_tol
+    def is_antiunitary(self) -> bool:
         n = self.dim
-        return norm2(dagger(self.mat) @ self.mat - np.eye(n)) <= tol.abs * n
+        return (norm2(dagger(self.mat) @ self.mat - np.eye(n))
+                <= VALIDITY_ATOL * n)
 
     def conjugate_linear_defect(self, rng: np.random.Generator,
                                 trials: int = 8) -> float:
@@ -194,21 +165,19 @@ class AntilinearMap:
         return f"AntilinearMap(dim={self.dim})"
 
 
-def antilinear_polar(s: AntilinearMap, tol: Tolerance | None = None
-                     ) -> tuple[AntilinearMap, np.ndarray]:
+def antilinear_polar(s: AntilinearMap) -> tuple[AntilinearMap, np.ndarray]:
     """Polar decomposition S = J Delta^{1/2} of an invertible antilinear map.
 
     Delta = S* S is positive and linear, J = S Delta^{-1/2} is antiunitary.
     Returns (J, Delta).
     """
-    tol = tol or _default_tol
     m = s.mat
     smin = float(np.linalg.svd(m, compute_uv=False).min())
-    if smin <= tol.abs:
+    if smin <= VALIDITY_ATOL:
         raise ValueError("antilinear_polar requires an invertible map")
     delta = m.T @ np.conj(m)
     delta = 0.5 * (delta + dagger(delta))
-    inv_sqrt = herm_fn(delta, "power", -0.5, tol)
+    inv_sqrt = herm_fn(delta, "power", -0.5)
     j = AntilinearMap(m @ np.conj(inv_sqrt))
     return j, delta
 

@@ -17,9 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numkit import (Tolerance, dagger, default_tolerance, load_matrix_csv,
-                     nonzero_mask, null_space, rank, row_space,
-                     save_matrix_csv)
+from .numkit import (VALIDITY_ATOL, dagger, load_matrix_csv, nonzero_mask,
+                     null_space, rank, row_space, save_matrix_csv)
 
 # an element belongs to a span when its orthogonal residual is below
 # MEMBERSHIP_RTOL times its own norm
@@ -77,16 +76,21 @@ class OperatorAlgebra:
         """Norm of the component of x orthogonal to the span."""
         return float(np.linalg.norm(x - self.project(x)))
 
-    def contains(self, x: np.ndarray, rtol: float = MEMBERSHIP_RTOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         nx = float(np.linalg.norm(x))
         if nx == 0.0:
             return True
-        return self.member_residual(x) <= rtol * nx
+        return self.member_residual(x) <= MEMBERSHIP_RTOL * nx
 
     def element(self, coeff: np.ndarray) -> np.ndarray:
         """Linear combination of basis matrices."""
         coeff = np.asarray(coeff, dtype=complex)
         return np.tensordot(coeff, self.basis, axes=(0, 0))
+
+    def random_element(self, rng: np.random.Generator) -> np.ndarray:
+        """sum_i c_i b_i over the basis with complex Gaussian c."""
+        return self.element(rng.standard_normal(self.size)
+                            + 1j * rng.standard_normal(self.size))
 
     def validate(self) -> dict:
         """Check identity membership, *-closure and product closure; return
@@ -128,9 +132,12 @@ def scalar_algebra(n: int) -> OperatorAlgebra:
 def tensor_factor_algebra(d: int, m: int, side: str = "left") -> OperatorAlgebra:
     """M_d (x) 1_m on C^(d m) (side='left'), or 1_d (x) M_m (side='right').
 
-    The two constructions are each other's commutant; the hint is attached so
-    structured models avoid the generic null-space solve (cross-checked against
-    it in the test suite at small dimensions).
+    The two constructions are each other's commutant; the returned one
+    carries the other as its hint so structured models avoid the generic
+    null-space solve (cross-checked against it in the test suite at small
+    dimensions).  The hint points one way only: a pair hinting at each other
+    is a reference cycle, and both bases would stay allocated until the
+    cyclic garbage collector happened to run.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -142,9 +149,9 @@ def tensor_factor_algebra(d: int, m: int, side: str = "left") -> OperatorAlgebra
                         matrix_units(m)).reshape(m * m, n, n) / np.sqrt(d)
     left = OperatorAlgebra(n, left_b, orthonormal=True)
     right = OperatorAlgebra(n, right_b, orthonormal=True)
-    left.commutant_hint = right
-    right.commutant_hint = left
-    return left if side == "left" else right
+    alg, partner = (left, right) if side == "left" else (right, left)
+    alg.commutant_hint = partner
+    return alg
 
 
 def vn_closure(generators, dim: int) -> OperatorAlgebra:
@@ -191,16 +198,10 @@ def commutant(a: OperatorAlgebra, use_hint: bool = True) -> OperatorAlgebra:
         return a.commutant_hint
     rng = np.random.default_rng(0)
     for _ in range(COMMUTANT_DRAWS):
-        basis = _commutant_of_element(_random_element(a, rng))
+        basis = _commutant_of_element(a.random_element(rng))
         if _commutator_residual(a.basis, basis) <= MEMBERSHIP_RTOL:
             return OperatorAlgebra(a.dim, basis, orthonormal=True)
     raise RuntimeError("commutant certification failed on every draw")
-
-
-def _random_element(a: OperatorAlgebra, rng: np.random.Generator) -> np.ndarray:
-    """sum_i c_i b_i over the basis with complex Gaussian c."""
-    return a.element(rng.standard_normal(a.size)
-                     + 1j * rng.standard_normal(a.size))
 
 
 def _commutant_of_element(z: np.ndarray) -> np.ndarray:
@@ -233,12 +234,14 @@ def _commutator_residual(basis: np.ndarray, other: np.ndarray) -> float:
                for b in basis)
 
 
-def span_intersection(flat_u: np.ndarray, flat_v: np.ndarray,
-                      angle_tol: float = 1e-9) -> np.ndarray:
-    """Intersection of two spans given by orthonormal row stacks (flattened)."""
+def span_intersection(flat_u: np.ndarray, flat_v: np.ndarray) -> np.ndarray:
+    """Intersection of two spans given by orthonormal row stacks (flattened).
+
+    A principal direction is shared when its cosine is within 1e-9 of one.
+    """
     m = flat_u.conj() @ flat_v.T
     p, s, _ = np.linalg.svd(m)
-    keep = s >= 1.0 - angle_tol
+    keep = s >= 1.0 - 1e-9
     return (p[:, keep].T @ flat_u)
 
 
@@ -251,30 +254,33 @@ def center_and_factor(a: OperatorAlgebra) -> tuple[OperatorAlgebra, bool]:
     return center, center.size == 1
 
 
-def _eigenvalue_clusters(w: np.ndarray, gap_rtol: float = 1e-8) -> list[np.ndarray]:
-    """Indices of eigenvalues grouped by gaps (w sorted ascending)."""
+def _eigenvalue_clusters(w: np.ndarray) -> list[np.ndarray]:
+    """Indices of eigenvalues grouped by gaps (w sorted ascending).
+
+    A gap wider than 1e-8 times max(1, |w|_max) starts a new cluster.
+    """
     scale = max(1.0, float(np.max(np.abs(w))))
     clusters = [[0]]
     for i in range(1, w.size):
-        if w[i] - w[i - 1] > gap_rtol * scale:
+        if w[i] - w[i - 1] > 1e-8 * scale:
             clusters.append([])
         clusters[-1].append(i)
     return [np.array(c) for c in clusters]
 
 
-def minimal_projector(a: OperatorAlgebra, rng: np.random.Generator | None = None,
-                      max_iter: int = 20) -> np.ndarray:
+def minimal_projector(a: OperatorAlgebra,
+                      rng: np.random.Generator | None = None) -> np.ndarray:
     """A projector E in the algebra with EAE one-dimensional.
 
     Compresses by spectral projectors of generic Hermitian elements until the
     corner EAE collapses to scalars; every finite-dimensional algebra gets
     there because the projector rank strictly drops while the corner stays
-    larger than one-dimensional.
+    larger than one-dimensional.  Gives up after 20 compressions.
     """
     rng = rng or np.random.default_rng(0)
     n = a.dim
     proj = np.eye(n, dtype=complex)
-    for _ in range(max_iter):
+    for _ in range(20):
         corner = orthonormalize_span(
             np.einsum("ij,ajk,kl->ail", proj, a.basis, proj))
         if corner.shape[0] == 1:
@@ -352,18 +358,17 @@ class GnsRep:
     algebra: OperatorAlgebra
 
 
-def gns(rho: np.ndarray, tol: Tolerance | None = None) -> GnsRep:
+def gns(rho: np.ndarray) -> GnsRep:
     """GNS representation of omega = tr(rho .) on M_d.
 
     The algebra with inner product <a, b> = omega(a* b) is quotiented by its
     null space; left multiplication descends to the quotient and the class of
     the identity is the GNS vector, so <Omega, pi(x) Omega> = omega(x).
     """
-    tol = tol or default_tolerance()
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if w.min() < -tol.abs or abs(np.trace(rho).real - 1.0) > 1e-8:
+    if w.min() < -VALIDITY_ATOL or abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValueError("gns needs a positive, unit-trace density matrix")
 
     # Gram of the matrix-unit basis: <E_ij, E_kl> = delta_ik rho[l, j]

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import vnlab
-from vnlab.numkit import (RANK_RTOL, AntilinearMap, Tolerance,
-                          antilinear_polar, dagger, embed_real, herm_fn,
-                          load_matrix_csv, nonzero_mask, norm2, null_space,
-                          rank, real_linearize, row_space, save_matrix_csv,
+from vnlab.numkit import (RANK_RTOL, AntilinearMap, antilinear_polar,
+                          dagger, embed_real, herm_fn, load_matrix_csv,
+                          nonzero_mask, norm2, null_space, rank,
+                          real_linearize, row_space, save_matrix_csv,
                           unembed_real)
 
 
@@ -308,13 +308,26 @@ def test_rank_decisions_live_in_numkit():
     assert found == {("vnalg", "span_intersection", "svd")}
 
 
-class TestPlumbing:
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs=-1.0)
-        t = Tolerance()
-        assert t.abs == 1e-10
+def test_tolerances_are_not_arguments():
+    """No function takes a tol, rtol or *_tol argument and no module
+    rebinds a global: RANK_RTOL and VALIDITY_ATOL are the only tolerances
+    shared across the package, and nothing overrides them."""
+    knobs, rebinds = set(), set()
+    for path in pathlib.Path(vnlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.arguments):
+                args = (*node.posonlyargs, *node.args, *node.kwonlyargs,
+                        node.vararg, node.kwarg)
+                knobs |= {(path.stem, a.arg) for a in args if a is not None
+                          and (a.arg in ("tol", "rtol")
+                               or a.arg.endswith("_tol"))}
+            elif isinstance(node, ast.Global):
+                rebinds.add(path.stem)
+    assert knobs == set()
+    assert rebinds == set()
 
+
+class TestPlumbing:
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))

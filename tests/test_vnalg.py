@@ -1,5 +1,8 @@
 """Algebra generation, commutants, factors, minimal projectors, GNS."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,21 @@ class TestCommutant:
             generic = commutant(alg, use_hint=False)
             assert span_distance(generic, alg.commutant_hint) < 1e-10
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_hinted_pair_freed_without_collector(self, side):
+        """Dropping a tensor factor frees it and its hint at once: the pair
+        forms no reference cycle left for the cyclic collector."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            alg = tensor_factor_algebra(3, 2, side)
+            refs = [weakref.ref(alg), weakref.ref(alg.commutant_hint)]
+            del alg
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_full_algebra_commutant_is_scalars(self):
         comm = commutant(full_matrix_algebra(3), use_hint=False)
         assert comm.size == 1
@@ -166,7 +184,7 @@ class TestCertifiedCommutant:
             assert span_distance(double, alg) < 1e-10
 
     def test_retry_after_scalar_draw(self, monkeypatch):
-        draw = vnalg._random_element
+        draw = OperatorAlgebra.random_element
         residual = vnalg._commutator_residual
         draws, residuals = [], []
 
@@ -179,7 +197,7 @@ class TestCertifiedCommutant:
             residuals.append(residual(basis, other))
             return residuals[-1]
 
-        monkeypatch.setattr(vnalg, "_random_element", scalar_first)
+        monkeypatch.setattr(OperatorAlgebra, "random_element", scalar_first)
         monkeypatch.setattr(vnalg, "_commutator_residual", record)
         alg = _m3_times_1(np.random.default_rng(5))
         comm = commutant(alg)
@@ -188,7 +206,7 @@ class TestCertifiedCommutant:
         assert span_distance(comm, stacked_commutant(alg)) < 1e-10
 
     def test_raises_when_every_draw_fails(self, monkeypatch):
-        monkeypatch.setattr(vnalg, "_random_element",
+        monkeypatch.setattr(OperatorAlgebra, "random_element",
                             lambda a, rng: np.zeros((a.dim, a.dim), complex))
         with pytest.raises(RuntimeError):
             commutant(tensor_factor_algebra(2, 2), use_hint=False)
