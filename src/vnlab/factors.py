@@ -195,7 +195,7 @@ def signature(approx: Approximant, window: float = 1.0) -> SpectrumSignature:
     """Log-spectrum, max gap in [-window, window], and reduced purity."""
     log_spec = np.sort(np.log(approx.delta_spectrum))
     rho = approx.reduced_density()
-    purity = float(np.trace(rho @ rho).real)
+    purity = float(np.vdot(rho, rho).real)  # tr(rho^2), rho Hermitian
     return SpectrumSignature(log_spectrum=log_spec, window=window,
                              max_gap=max_gap_in_window(log_spec, window),
                              reduced_purity=purity)

@@ -114,9 +114,6 @@ class WedgeModel:
         v = self.isometry
         return AntilinearMap(v.conj().T @ v.conj())
 
-    def delta_compressed(self, power: float = 1.0) -> np.ndarray:
-        return np.diag(np.exp(-2.0 * np.pi * power * self.k_retained)).astype(complex)
-
     def flow_compressed(self, t: float) -> np.ndarray:
         """Delta^{it} on the retained subspace (exactly unitary)."""
         return np.diag(np.exp(-2j * np.pi * t * self.k_retained))

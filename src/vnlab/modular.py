@@ -9,11 +9,12 @@ then direct matrix computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numkit import (AntilinearMap, antilinear_polar, dagger, herm_fn,
+from .numkit import (VALIDITY_ATOL, AntilinearMap, antilinear_polar, dagger,
                      nonzero_mask, norm2)
 from .vnalg import OperatorAlgebra, commutant, cyclic_separating
 
@@ -29,22 +30,26 @@ class ModularData:
     algebra: OperatorAlgebra | None
     omega: np.ndarray
     solve_residual: float = 0.0
-    _delta_inv: np.ndarray | None = field(default=None, repr=False)
-    _commutant: OperatorAlgebra | None = field(default=None, repr=False)
 
-    @property
-    def delta_inv(self) -> np.ndarray:
-        if self._delta_inv is None:
-            self._delta_inv = herm_fn(self.delta, "power", -1.0)
-        return self._delta_inv
+    @cached_property
+    def delta_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues w and eigenvectors u of Delta, which must be strictly
+        positive; every power of Delta is taken from this one eigensolve."""
+        w, u = np.linalg.eigh(self.delta)
+        if w.min() <= VALIDITY_ATOL * max(1.0, float(w.max())):
+            raise ValueError("Delta is not strictly positive")
+        return w, u
 
-    @property
+    def delta_power(self, z: complex) -> np.ndarray:
+        """Delta^z; unitary for imaginary z."""
+        w, u = self.delta_eigh
+        return (u * w ** z) @ dagger(u)
+
+    @cached_property
     def algebra_commutant(self) -> OperatorAlgebra:
-        if self._commutant is None:
-            if self.algebra is None:
-                raise ValueError("modular data carries no algebra")
-            self._commutant = commutant(self.algebra)
-        return self._commutant
+        if self.algebra is None:
+            raise ValueError("modular data carries no algebra")
+        return commutant(self.algebra)
 
 
 def tomita(a: OperatorAlgebra, omega: np.ndarray) -> ModularData:
@@ -77,15 +82,14 @@ def modular_defects(md: ModularData) -> dict:
     floating-point floor for genuine modular data."""
     n = md.delta.shape[0]
     eye = np.eye(n)
-    sqrt_delta = herm_fn(md.delta, "sqrt")
-    recon = md.j @ sqrt_delta  # antilinear J o Delta^{1/2}
+    recon = md.j @ md.delta_power(0.5)  # antilinear J o Delta^{1/2}
     out = {
         "s_reconstruction": norm2(md.s.mat - recon.mat),
         "s_squared": norm2(md.s.squared() - eye),
         "j_squared": norm2(md.j.squared() - eye),
         "j_antiunitary": norm2(dagger(md.j.mat) @ md.j.mat - eye),
         "jdj_inverse": norm2(md.j.mat @ md.delta.conj() @ md.j.mat.conj()
-                             - md.delta_inv),
+                             - md.delta_power(-1.0)),
         "s_omega": float(np.linalg.norm(md.s(md.omega) - md.omega)),
         "delta_omega": float(np.linalg.norm(md.delta @ md.omega - md.omega)),
     }
@@ -96,7 +100,7 @@ def modular_flow(md: ModularData, x: np.ndarray, t: float) -> np.ndarray:
     """Delta^{it} x Delta^{-it}; the algebra is invariant under the flow."""
     if md.algebra is not None and not md.algebra.contains(x):
         raise ValueError("element lies outside the source algebra")
-    u = herm_fn(md.delta, "ipower", t)
+    u = md.delta_power(1j * t)
     return u @ x @ dagger(u)
 
 

@@ -61,11 +61,6 @@ def norm2(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    return bool(np.max(np.abs(a - dagger(a)))
-                <= VALIDITY_ATOL * max(1.0, norm2(a)))
-
-
 _HERM_FNS = ("exp", "log", "sqrt", "power", "ipower")
 
 
@@ -79,13 +74,13 @@ def herm_fn(h: np.ndarray, fn: str, t: float | None = None) -> np.ndarray:
     """
     if fn not in _HERM_FNS:
         raise ValueError(f"unknown spectral function {fn!r}")
-    if not is_hermitian(h):
-        raise ValueError("herm_fn requires a Hermitian matrix")
     if fn in ("power", "ipower") and t is None:
         raise ValueError(f"{fn} needs an exponent t")
 
     w, u = np.linalg.eigh(0.5 * (h + dagger(h)))
     scale = max(1.0, float(np.max(np.abs(w))))
+    if np.max(np.abs(h - dagger(h))) > VALIDITY_ATOL * scale:
+        raise ValueError("herm_fn requires a Hermitian matrix")
     if fn == "exp":
         fw = np.exp(w)
     elif fn == "sqrt":
@@ -168,18 +163,20 @@ class AntilinearMap:
 def antilinear_polar(s: AntilinearMap) -> tuple[AntilinearMap, np.ndarray]:
     """Polar decomposition S = J Delta^{1/2} of an invertible antilinear map.
 
-    Delta = S* S is positive and linear, J = S Delta^{-1/2} is antiunitary.
+    Delta = S* S = M^T conj(M) is positive and linear.  With one SVD
+    M = U Sigma V*, Delta^{-1/2} = conj(V) Sigma^{-1} V^T, so the antiunitary
+    J = S Delta^{-1/2} has conjugation matrix U V*.  The map is rejected
+    unless Delta is strictly positive, sigma_min^2 > VALIDITY_ATOL *
+    max(1, sigma_max^2); this also rejects every sigma_min <= VALIDITY_ATOL.
     Returns (J, Delta).
     """
     m = s.mat
-    smin = float(np.linalg.svd(m, compute_uv=False).min())
-    if smin <= VALIDITY_ATOL:
+    u, sv, vh = np.linalg.svd(m)
+    if sv[-1] ** 2 <= VALIDITY_ATOL * max(1.0, sv[0] ** 2):
         raise ValueError("antilinear_polar requires an invertible map")
     delta = m.T @ np.conj(m)
     delta = 0.5 * (delta + dagger(delta))
-    inv_sqrt = herm_fn(delta, "power", -0.5)
-    j = AntilinearMap(m @ np.conj(inv_sqrt))
-    return j, delta
+    return AntilinearMap(u @ vh), delta
 
 
 def real_linearize(op) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tomita engine: S, Delta, J, modular flow, KMS, commutant map, purification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,46 @@ class TestTomita:
         full = full_matrix_algebra(2)
         with pytest.raises(ValueError, match="separating"):
             tomita(full, np.array([1, 0], dtype=complex))
+
+
+class TestDeltaPower:
+    def test_matches_spectral_calculus(self):
+        rng = np.random.default_rng(29)
+        for k in (2, 3, 4):
+            alg, omega = random_pair(rng, k)
+            md = tomita(alg, omega)
+            pairs = [(0.5, herm_fn(md.delta, "sqrt")),
+                     (-1.0, herm_fn(md.delta, "power", -1.0))]
+            for t in (-1.3, 0.4, 2.0):
+                pairs.append((1j * t, herm_fn(md.delta, "ipower", t)))
+            for z, ref in pairs:
+                assert norm2(md.delta_power(z) - ref) <= 1e-12
+
+    def test_one_eigh_per_instance(self, monkeypatch):
+        calls = {"eigh": 0}
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        from vnlab.modular import modular_report
+
+        rng = np.random.default_rng(31)
+        alg, omega = random_pair(rng, 3)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        md = tomita(alg, omega)
+        modular_defects(md)
+        modular_report(md, flow_samples=4, rng=rng)
+        for t in np.linspace(-2.0, 2.0, 10):
+            modular_flow(md, alg.basis[1], t)
+        assert calls["eigh"] == 1
+
+    def test_rejects_non_positive_delta(self):
+        alg, omega, _ = powers_pair(0.5)
+        md = replace(tomita(alg, omega), delta=np.diag([1.0, 0.5, 0.0, 2.0]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            md.delta_power(-1.0)
 
 
 class TestModularFlow:
@@ -287,8 +329,6 @@ class TestReportRecord:
         # KMS, and the algebra standing in for its commutant breaks JaJ.
         # M_k (x) 1 has a real basis; rotating the pair by a unitary makes
         # the algebra and its commutant complex, so a lost conjugation shows.
-        from dataclasses import replace
-
         from vnlab.modular import modular_report
         from vnlab.numkit import haar_unitary
 
@@ -299,7 +339,8 @@ class TestReportRecord:
             rotated = OperatorAlgebra(alg.dim, u @ alg.basis @ dagger(u),
                                       orthonormal=True)
             md = tomita(rotated, u @ omega)
-            bad = replace(md, delta=md.delta @ md.delta, _commutant=rotated)
+            bad = replace(md, delta=md.delta @ md.delta)
+            bad.algebra_commutant = rotated
             for data in (tomita(alg, omega), md, bad):
                 basis = data.algebra.basis
                 rec = modular_report(data, flow_samples=0)

@@ -66,6 +66,26 @@ class TestHermFn:
         with pytest.raises(ValueError):
             herm_fn(np.array([[0.0, 1.0], [0.0, 0.0]]), "exp")
 
+    def test_hermiticity_slack_scales_with_norm(self):
+        rng = np.random.default_rng(5)
+        h = random_hermitian(rng, 6)
+        h *= 1e6 / norm2(h)
+        g = random_hermitian(rng, 6)
+        skew = 1j * g / norm2(g)  # anti-Hermitian, norm 1
+        herm_fn(h + 1e-6 * skew, "power", 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            herm_fn(h + 1e-2 * skew, "power", 1.0)
+
+    def test_no_eigvalsh(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        rng = np.random.default_rng(6)
+        h = random_hermitian(rng, 5)
+        herm_fn(h, "exp")
+        herm_fn(h @ h + np.eye(5), "ipower", 0.7)
+
     def test_rejects_log_of_non_positive(self):
         h = np.diag([1.0, -0.5])
         for fn in ("log", "sqrt", "ipower"):
@@ -117,6 +137,27 @@ class TestAntilinearMap:
             recon = j @ sqrt_delta
             assert norm2(s.mat - recon.mat) <= 1e-10
             assert j.is_antiunitary()
+            # J = U V* from the SVD is S Delta^{-1/2} of the spectral calculus
+            ref = s.mat @ np.conj(herm_fn(delta, "power", -0.5))
+            assert norm2(j.mat - ref) <= 1e-12
+
+    def test_polar_one_svd_no_eigensolve(self, monkeypatch):
+        calls = {"svd": 0}
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolve called")
+
+        s = AntilinearMap(random_invertible(np.random.default_rng(8), 6))
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        antilinear_polar(s)
+        assert calls["svd"] == 1
 
     def test_jdj_inverse_when_involutive(self):
         # S from a standard pair squares to one; then J Delta J = Delta^{-1}
@@ -129,8 +170,15 @@ class TestAntilinearMap:
         assert norm2(jdj - np.linalg.inv(delta)) < 1e-12
 
     def test_polar_rejects_singular(self):
-        with pytest.raises(ValueError):
-            antilinear_polar(AntilinearMap(np.diag([1.0, 0.0])))
+        # sigma_min = 1e-7 passes sigma_min > VALIDITY_ATOL, but Delta's
+        # smallest eigenvalue 1e-14 is below the strict-positivity slack
+        rng = np.random.default_rng(9)
+        q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        nearly = (q1 * np.array([2.0, 1.0, 0.5, 1e-7])) @ q2
+        for m in (np.diag([1.0, 0.0]), nearly):
+            with pytest.raises(ValueError):
+                antilinear_polar(AntilinearMap(m))
 
 
 class TestRealLinearize:
