@@ -166,9 +166,8 @@ def haar_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def genericity_scan(samples: int, seed: int, kind: str = "pure",
-                    dims: tuple[int, int] = (2, 2)) -> dict:
-    """Fraction of random states that are entangled.
+def genericity_scan(samples: int, seed: int, kind: str = "pure") -> dict:
+    """Fraction of random qubit-pair states that are entangled.
 
     kind='pure': Haar vectors, Schmidt-rank test (entangled off a measure-zero
     set).  kind='product': explicit product controls.  kind='mixed':
@@ -177,10 +176,10 @@ def genericity_scan(samples: int, seed: int, kind: str = "pure",
     """
     if samples < 100:
         raise ValueError("use at least 100 samples")
-    d1, d2 = dims
+    d1 = d2 = 2
     rng = np.random.default_rng(seed)
     if kind == "mixed":
-        hits = sum(int(is_entangled(random_density(rng, d1 * d2), dims)[0])
+        hits = sum(int(is_entangled(random_density(rng, d1 * d2), (d1, d2))[0])
                    for _ in range(samples))
     else:
         if kind == "pure":
@@ -198,7 +197,7 @@ def genericity_scan(samples: int, seed: int, kind: str = "pure",
 
 
 def isometry_impossibility_check(n: int, projector: np.ndarray,
-                                 seed: int = 0, trials: int = 20) -> dict:
+                                 seed: int = 0) -> dict:
     """Certify that W*W = 1, WW* = E has no solution for a proper projector.
 
     rank(W*W) = rank(W) = rank(WW*) for every matrix W, so the two conditions
@@ -211,6 +210,7 @@ def isometry_impossibility_check(n: int, projector: np.ndarray,
         raise ValueError("E must be an orthogonal projector")
     rank_e = int(round(np.trace(projector).real))
     rng = np.random.default_rng(seed)
+    trials = 20
     equal_ranks = True
     for _ in range(trials):
         w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

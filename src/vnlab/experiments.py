@@ -120,7 +120,7 @@ def _random_standard_pair(rng, k):
 
 def _exp_kms_random(p, seed):
     rng = np.random.default_rng(seed)
-    sizes = list(range(2, p["max_k"] + 1)) or [2]
+    sizes = list(range(2, p["max_k"] + 1))
     ks = [sizes[i % len(sizes)] for i in range(p["instances"])]
     # metric name -> key in modular_defects / modular_report
     sources = {"s_reconstruction": "s_reconstruction",
@@ -149,7 +149,7 @@ def _exp_kms_random(p, seed):
 
 def _exp_modular_spectrum(p, seed):
     rng = np.random.default_rng(seed)
-    sizes = list(range(2, p["max_k"] + 1)) or [2]
+    sizes = list(range(2, p["max_k"] + 1))
     worst = 0.0
     for i in range(p["instances"]):
         k = sizes[i % len(sizes)]
@@ -234,13 +234,13 @@ def _exp_araki_woods(p, seed):
 def _exp_wedge(p, seed):
     model = locwedge.wedge_one_particle(p["n"], p["theta_max"], p["cond_cap"])
     rep = locwedge.wedge_report(model)
-    k = locwedge.wedge_standard_subspace(model)
     assertions = [
         Assertion("s_squared_defect", rep["s_squared_defect"], 1e-8),
         _bool_assert("standardness", rep["standardness"]),
         Assertion("duality_residual", rep["duality_residual"], 1e-8),
         Assertion("flow_invariance", rep["flow_invariance_residual"], 1e-8),
-        _bool_assert("k_dim_matches_retained", k.real_dim == rep["retained_dim"]),
+        _bool_assert("k_dim_matches_retained",
+                     rep["k_real_dim"] == rep["retained_dim"]),
     ]
     return rep, assertions, None
 
@@ -616,6 +616,13 @@ _register("isometry-impossibility",
           {"n": (int, 4), "trials": (int, 20)}, _exp_isometry)
 
 
+# smallest accepted value of an integer parameter, by name, in every
+# experiment that has it; a smaller one is rejected before anything runs
+PARAM_MIN = {"instances": 1, "samples": 1, "pairs": 1, "inputs": 1,
+             "trials": 1, "bipartitions": 1, "n": 1, "max_k": 2, "k": 2,
+             "degree": 0, "budget": 4, "dim": 2}
+
+
 def list_experiments() -> dict[str, ExperimentDef]:
     return dict(REGISTRY)
 
@@ -635,6 +642,8 @@ def validate_params(name: str, overrides: dict | None) -> dict:
                 params[key] = typ(overrides[key])
             except (TypeError, ValueError):
                 raise ValueError(f"parameter {key} must be {typ.__name__}")
+            if key in PARAM_MIN and params[key] < PARAM_MIN[key]:
+                raise ValueError(f"parameter {key} must be >= {PARAM_MIN[key]}")
         else:
             params[key] = default
     return params

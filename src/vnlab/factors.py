@@ -130,11 +130,11 @@ def _kron_algebra(site_basis: list[np.ndarray], n: int, dim: int) -> OperatorAlg
 
 
 def _build(kind: str, weights: np.ndarray, lam: float, mu: float | None,
-           n: int, cap: int) -> Approximant:
+           n: int) -> Approximant:
     s = weights.size
     dim = (s * s) ** n
-    if dim > cap:
-        raise ValueError(f"ambient dimension {dim} exceeds cap {cap}")
+    if dim > SPECTRUM_CAP:
+        raise ValueError(f"ambient dimension {dim} exceeds cap {SPECTRUM_CAP}")
     p = np.sort(weights)[::-1]          # descending, matching purify
     rho = np.diag(p).astype(complex)
     psi_site = purify(rho, s)
@@ -146,7 +146,7 @@ def _build(kind: str, weights: np.ndarray, lam: float, mu: float | None,
                        delta_spectrum=spectrum)
 
 
-def powers_approximant(lam: float, n: int, cap: int = SPECTRUM_CAP) -> Approximant:
+def powers_approximant(lam: float, n: int) -> Approximant:
     """N-fold tensor power of M_2 in the product state with weights (1, lam).
 
     lam = 1 is the tracial edge case (modular operator = identity); the
@@ -157,11 +157,10 @@ def powers_approximant(lam: float, n: int, cap: int = SPECTRUM_CAP) -> Approxima
     if n < 1:
         raise ValueError("need at least one tensor factor")
     weights = np.array([1.0, lam]) / (1.0 + lam)
-    return _build("powers", weights, lam, None, n, cap)
+    return _build("powers", weights, lam, None, n)
 
 
-def araki_woods_approximant(lam: float, mu: float, n: int,
-                            cap: int = SPECTRUM_CAP) -> Approximant:
+def araki_woods_approximant(lam: float, mu: float, n: int) -> Approximant:
     """N-fold tensor power of M_3 with weights (1, lam, mu).
 
     Per-site eigenvalue ratios are {1, lam^±1, mu^±1, (lam/mu)^±1}; the global
@@ -172,7 +171,7 @@ def araki_woods_approximant(lam: float, mu: float, n: int,
     if n < 1:
         raise ValueError("need at least one tensor factor")
     weights = np.array([1.0, lam, mu]) / (1.0 + lam + mu)
-    return _build("araki-woods", weights, lam, mu, n, cap)
+    return _build("araki-woods", weights, lam, mu, n)
 
 
 @dataclass
@@ -204,20 +203,6 @@ def signature(approx: Approximant, window: float = 1.0) -> SpectrumSignature:
 def powers_purity(lam: float, n: int) -> float:
     """Closed form tr(rho^2)^N for the restriction of the product vector."""
     return float(((1.0 + lam ** 2) / (1.0 + lam) ** 2) ** n)
-
-
-def approximant_report(approx: Approximant, window: float = 1.0) -> dict:
-    """Machine-readable record of one approximant's spectral signature."""
-    sig = signature(approx, window)
-    return {
-        "kind": approx.kind,
-        "lambda": approx.lam,
-        "mu": approx.mu,
-        "N": approx.n_factors,
-        "log_spectrum": [float(v) for v in sig.log_spectrum],
-        "max_gap": sig.max_gap,
-        "purity": sig.reduced_purity,
-    }
 
 
 def log_ratio_rational_quality(lam: float, mu: float,

@@ -5,9 +5,9 @@ n_max, ordered by total particle number, so the sectors <= k are the leading
 `sector_dim(k)` basis states.  Ladders are stored as index maps: for each
 mode, the basis index that a creator sends each of the first
 `sector_dim(n_max - 1)` states to, and the symmetric-tensor weight
-sqrt(occ + 1).  The dense ladder matrices are built from the maps only when
-read.  The field operator Phi(psi) = (a(psi) + a*(psi))/sqrt(2) (with a
-conjugate-linear in psi) reproduces the commutator i Im<psi, phi> exactly
+sqrt(occ + 1); `create` applies a*(v) from them, and no dense ladder matrix
+is formed.  The field operator Phi(psi) = (a(psi) + a*(psi))/sqrt(2) (with
+a conjugate-linear in psi) reproduces the commutator i Im<psi, phi> exactly
 away from the cutoff; all canonical-commutation and covariance statements are
 made on sectors <= n_max - 2 where truncation cannot reach, by slicing the
 leading `sector_dim(n_max - 2)` block.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -45,18 +45,6 @@ class FockSpace:
         k = min(max_total, self.n_max)
         return comb(k + self.one_particle_dim, k) if k >= 0 else 0
 
-    @cached_property
-    def creators(self) -> np.ndarray:
-        """Dense (d, total_dim, total_dim) stack of a*_m."""
-        d, s1 = self.raise_index.shape
-        out = np.zeros((d, self.total_dim, self.total_dim), dtype=complex)
-        out[np.arange(d)[:, None], self.raise_index, np.arange(s1)] = self.raise_value
-        return out
-
-    @cached_property
-    def annihilators(self) -> np.ndarray:
-        return np.conj(np.transpose(self.creators, (0, 2, 1)))
-
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.total_dim, dtype=complex)
         v[0] = 1.0
@@ -72,21 +60,16 @@ class FockSpace:
 
     def embed_one_particle(self, psi: np.ndarray) -> np.ndarray:
         """One-particle vector as a Fock vector in sector 1."""
-        out = np.zeros(self.total_dim, dtype=complex)
-        d = self.one_particle_dim
-        for m in range(d):
-            idx = 1 + m  # sector-1 states follow the vacuum in lex order
-            out[idx] = psi[m]
-        return out
+        return create(self, psi, self.vacuum())
 
 
-def build_fock(d: int, n_max: int, cap: int = DIMENSION_CAP) -> FockSpace:
+def build_fock(d: int, n_max: int) -> FockSpace:
     """Occupation basis (ordered by total, then lexicographically) and ladders."""
     if d < 1 or n_max < 1:
         raise ValueError("need d >= 1 and n_max >= 1")
     total_dim = comb(n_max + d, d)
-    if total_dim > cap:
-        raise ValueError(f"Fock dimension {total_dim} exceeds cap {cap}")
+    if total_dim > DIMENSION_CAP:
+        raise ValueError(f"Fock dimension {total_dim} exceeds cap {DIMENSION_CAP}")
 
     occs = []
     for total in range(n_max + 1):
@@ -112,6 +95,19 @@ def build_fock(d: int, n_max: int, cap: int = DIMENSION_CAP) -> FockSpace:
     raise_value = np.sqrt(occupations[:s1].T + 1.0)
     return FockSpace(one_particle_dim=d, n_max=n_max, occupations=occupations,
                      raise_index=raise_index, raise_value=raise_value)
+
+
+def create(f: FockSpace, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a*(v) x = sum_m v_m a*_m x along the first axis of x, scattered from
+    the index maps; the top sector has no image under the truncation."""
+    x = np.asarray(x)
+    low = x[:f.raise_index.shape[1]]
+    weights = (np.asarray(v)[:, None] * f.raise_value).reshape(
+        f.raise_value.shape + (1,) * (x.ndim - 1))
+    out = np.zeros((f.total_dim,) + x.shape[1:], dtype=complex)
+    for m in range(f.one_particle_dim):
+        out[f.raise_index[m]] += weights[m] * low
+    return out
 
 
 def _field_block(f: FockSpace, psi: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -236,24 +232,22 @@ def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> int:
 
 
 def second_quantize(f: FockSpace, u: np.ndarray) -> np.ndarray:
-    """Gamma(U): block-diagonal over sectors, built from creation strings.
+    """Gamma(U), filled sector by sector from Gamma a*_m = a*(U e_m) Gamma.
 
-    Columns are prod_m a*(U e_m)^{n_m} vacuum / sqrt(prod n_m!), which is
-    exact on every retained sector since pure creation strings never cross
-    the cutoff downward.
+    A state j of sector k + 1 is a*_m |i> / raise_value[m, i] for a state i
+    of sector k, so its column is a*(U e_m) Gamma|i> / raise_value[m, i].
+    Exact on every retained sector, since creation never crosses the cutoff
+    downward.
     """
     u = np.asarray(u, dtype=complex)
     d = f.one_particle_dim
     if u.shape != (d, d) or norm2(dagger(u) @ u - np.eye(d)) > 1e-8:
         raise ValueError("second_quantize needs a unitary on the one-particle space")
-    rotated = [np.tensordot(u[:, m], f.creators, axes=(0, 0)) for m in range(d)]
     gamma = np.zeros((f.total_dim, f.total_dim), dtype=complex)
-    for i, occ in enumerate(f.occupations):
-        col = f.vacuum()
-        norm = 1.0
+    gamma[0, 0] = 1.0
+    for k in range(f.n_max):
+        cols = np.arange(f.sector_dim(k - 1), f.sector_dim(k))
         for m in range(d):
-            for _ in range(occ[m]):
-                col = rotated[m] @ col
-            norm *= factorial(int(occ[m]))
-        gamma[:, i] = col / np.sqrt(norm)
+            gamma[:, f.raise_index[m, cols]] = (
+                create(f, u[:, m], gamma[:, cols]) / f.raise_value[m, cols])
     return gamma

@@ -288,43 +288,41 @@ class RegionFockRep:
     fock_region: fockmod.FockSpace
     fock_complement: fockmod.FockSpace
 
-    def _site_creator(self, i: int) -> np.ndarray:
-        fr, fc = self.fock_region, self.fock_complement
+    def _create(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """a*(v) on the (dr, dc) tensor x, v over region then complement."""
         nr = len(self.region)
-        if i < nr:
-            return np.kron(fr.creators[i], np.eye(fc.total_dim))
-        return np.kron(np.eye(fr.total_dim), fc.creators[i - nr])
+        return (fockmod.create(self.fock_region, v[:nr], x)
+                + fockmod.create(self.fock_complement, v[nr:], x.T).T)
 
     @cached_property
     def vacuum_vector(self) -> np.ndarray:
-        from .numkit import herm_fn
+        # M = (1 + sqrt V)^-1 (1 - sqrt V) is circulant with eigenvalues
+        # (1 - w_k) / (1 + w_k), w the dispersion: its first row is one FFT
         n = self.spec.sites
-        lap = 2.0 * np.eye(n) - np.roll(np.eye(n), 1, 0) - np.roll(np.eye(n), -1, 0)
-        v_mat = self.spec.mass ** 2 * np.eye(n) + lap
-        sqrt_v = herm_fn(v_mat.astype(complex), "sqrt").real
-        m_mat = np.linalg.solve(np.eye(n) + sqrt_v, np.eye(n) - sqrt_v)
-        order = list(self.region) + list(self.complement)
-        m_mat = m_mat[np.ix_(order, order)]
+        w = self.spec.dispersion()
+        order = np.concatenate([self.region, self.complement])
+        m_mat = _circulant_block(np.fft.fft((1 - w) / (1 + w)).real / n, order)
 
-        dim = self.fock_region.total_dim * self.fock_complement.total_dim
-        pair = np.zeros((dim, dim), dtype=complex)
-        creators = [self._site_creator(i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                pair += 0.5 * m_mat[i, j] * (creators[i] @ creators[j])
-        state = np.zeros(dim, dtype=complex)
-        state[0] = 1.0
+        def pair(x):
+            """(1/2) sum_ij M_ij a*_i a*_j x; raises occupation by 2."""
+            return 0.5 * sum(self._create(e, self._create(row, x))
+                             for e, row in zip(np.eye(n), m_mat))
+
+        state = np.zeros((self.fock_region.total_dim,
+                          self.fock_complement.total_dim), dtype=complex)
+        state[0, 0] = 1.0
         term = state.copy()
         k = 0
         while np.linalg.norm(term) > 1e-18:
             k += 1
-            term = pair @ term / k  # raises occupation by 2; nilpotent
+            term = pair(term) / k  # nilpotent
             state = state + term
-        return state / np.linalg.norm(state)
+        return state.reshape(-1) / np.linalg.norm(state)
 
     def apply_outside(self, vec: np.ndarray, u_c: np.ndarray) -> np.ndarray:
+        """(1 (x) u_c) vec, contracted on the complement axis."""
         dr, dc = self.fock_region.total_dim, self.fock_complement.total_dim
-        return (np.kron(np.eye(dr), u_c) @ vec)
+        return (vec.reshape(dr, dc) @ u_c.T).reshape(-1)
 
     def outside_weyl(self, psi_c: np.ndarray) -> np.ndarray:
         """A unitary supported strictly on the complement factor."""

@@ -28,11 +28,6 @@ MEMBERSHIP_RTOL = 1e-9
 COMMUTANT_DRAWS = 4
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A* B)."""
-    return complex(np.sum(np.conj(a) * b))
-
-
 def orthonormalize_span(mats: np.ndarray) -> np.ndarray:
     """Orthonormal HS basis of span{mats}."""
     mats = np.asarray(mats, dtype=complex)
@@ -268,8 +263,7 @@ def _eigenvalue_clusters(w: np.ndarray) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def minimal_projector(a: OperatorAlgebra,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
+def minimal_projector(a: OperatorAlgebra) -> np.ndarray:
     """A projector E in the algebra with EAE one-dimensional.
 
     Compresses by spectral projectors of generic Hermitian elements until the
@@ -277,7 +271,7 @@ def minimal_projector(a: OperatorAlgebra,
     there because the projector rank strictly drops while the corner stays
     larger than one-dimensional.  Gives up after 20 compressions.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     n = a.dim
     proj = np.eye(n, dtype=complex)
     for _ in range(20):

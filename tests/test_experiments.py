@@ -175,6 +175,26 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.main(["powers", "--tol-abs", "1e-6"])
 
+    @pytest.mark.parametrize("argv", [
+        ["entropy-scan", "--bipartitions", "0"],
+        ["kms-random", "--instances", "0"],
+        ["kms-random", "--max-k", "1"],
+        ["modular-spectrum", "--instances", "0"],
+        ["powers", "--n", "0"],
+        ["araki-woods", "--n", "0"],
+        ["modular-flow", "--k", "1"],
+        ["reeh-schlieder-rank", "--degree", "-1"],
+        ["local-prepare", "--inputs", "0"],
+        ["isometry-impossibility", "--trials", "0"],
+        ["local-difference", "--pairs", "0"],
+        ["local-difference", "--budget", "3"],
+        ["local-difference", "--dim", "1"],
+        ["fock-ccr", "--pairs", "0"],
+    ])
+    def test_out_of_range_parameter_exit_two(self, capsys, argv):
+        assert cli.main(argv) == 2
+        assert "must be >=" in capsys.readouterr().err
+
     def test_seed_flag_threads_through(self, capsys, tmp_path):
         out = tmp_path / "e.json"
         cli.main(["entropy-scan", "--bipartitions", "3", "--seed", "9",

@@ -194,20 +194,6 @@ class TestAgainstTomita:
         assert norm2(fa.conj().T @ fa - fb.conj().T @ fb) < 1e-10
 
 
-class TestReportRecord:
-    def test_approximant_report_fields(self):
-        import json
-
-        from vnlab.factors import approximant_report
-
-        rec = approximant_report(araki_woods_approximant(0.5, 0.3, 2), 1.0)
-        assert set(rec) == {"kind", "lambda", "mu", "N", "log_spectrum",
-                            "max_gap", "purity"}
-        assert rec["N"] == 2 and rec["kind"] == "araki-woods"
-        assert len(rec["log_spectrum"]) == 81
-        json.dumps(rec)
-
-
 class TestRationalQuality:
     def test_reports_best_fraction(self):
         q = log_ratio_rational_quality(0.5, 0.3, max_denominator=100)

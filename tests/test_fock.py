@@ -1,11 +1,14 @@
 """Truncated Fock space: ladders, CCR, locality, Weyl, cyclicity ranks."""
 
+import tracemalloc
+from math import factorial
+
 import numpy as np
 import pytest
 
-from vnlab.fock import (build_fock, ccr_defect, cyclicity_rank, field_operator,
-                        locality_check, safe_commutator, second_quantize,
-                        weyl_operator, weyl_relation_defect)
+from vnlab.fock import (build_fock, ccr_defect, create, cyclicity_rank,
+                        field_operator, locality_check, safe_commutator,
+                        second_quantize, weyl_operator, weyl_relation_defect)
 from vnlab.locwedge import (real_subspace_from_vectors, symplectic_complement,
                             wedge_one_particle)
 from vnlab.numkit import dagger, norm2, rank
@@ -24,6 +27,26 @@ def _loop_creators(f):
             target[m] += 1
             creators[m, index[tuple(target)], i] = np.sqrt(occ[m] + 1.0)
     return creators
+
+
+def _creation_string_gamma(f, u):
+    """Gamma(U) column by column from the loop-built ladders:
+    prod_m a*(U e_m)^{n_m} vacuum / sqrt(prod_m n_m!)."""
+    rotated = np.tensordot(u, _loop_creators(f), axes=(0, 0))
+    gamma = np.zeros((f.total_dim, f.total_dim), dtype=complex)
+    for i, occ in enumerate(f.occupations):
+        col = f.vacuum()
+        for m, count in enumerate(occ):
+            for _ in range(count):
+                col = rotated[m] @ col
+        gamma[:, i] = col / np.sqrt(np.prod([factorial(c) for c in occ]))
+    return gamma
+
+
+def _random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    return q
 
 
 def _product_cyclicity_rank(f, k, degree):
@@ -51,17 +74,21 @@ class TestBuild:
         f = build_fock(2, 2)
         assert list(f.sector_totals()) == [0, 1, 1, 2, 2, 2]
 
-    def test_ladder_adjointness(self):
-        f = build_fock(3, 3)
-        assert norm2(f.annihilators[1] - dagger(f.creators[1])) < 1e-14
-
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4), (4, 3)])
     def test_index_maps_match_loop_ladders(self, d, n_max):
         f = build_fock(d, n_max)
         reference = _loop_creators(f)
-        assert np.array_equal(f.creators, reference)
-        assert np.array_equal(f.annihilators,
-                              np.conj(np.transpose(reference, (0, 2, 1))))
+        identity = np.eye(f.total_dim)
+        for m, e in enumerate(np.eye(d)):
+            assert np.array_equal(create(f, e, identity), reference[m])
+
+    def test_create_is_linear_in_the_mode_vector(self):
+        f = build_fock(3, 4)
+        rng = np.random.default_rng(16)
+        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        x = rng.standard_normal(f.total_dim)
+        dense = np.tensordot(psi, _loop_creators(f), axes=(0, 0))
+        assert np.allclose(create(f, psi, x), dense @ x, rtol=0, atol=1e-14)
 
     def test_sector_dim_is_leading_block(self):
         f = build_fock(3, 4)
@@ -76,8 +103,8 @@ class TestBuild:
         ccr_defect(f, *_random_pair(rng, 3))
         k = real_subspace_from_vectors(np.eye(3), 3)
         locality_check(f, k, symplectic_complement(k))
-        assert "creators" not in f.__dict__
-        assert "annihilators" not in f.__dict__
+        assert not hasattr(f, "creators")
+        assert not hasattr(f, "annihilators")
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -352,6 +379,24 @@ class TestSecondQuantize:
         lhs = gamma @ field_operator(f, psi).mat @ dagger(gamma)
         rhs = field_operator(f, u @ psi).mat
         assert norm2(p @ (lhs - rhs) @ p) < 1e-9
+
+    @pytest.mark.parametrize("d,n_max", [(2, 4), (3, 3), (3, 4)])
+    def test_matches_creation_strings(self, d, n_max):
+        f = build_fock(d, n_max)
+        u = _random_unitary(np.random.default_rng(17), d)
+        gap = second_quantize(f, u) - _creation_string_gamma(f, u)
+        assert np.abs(gap).max() <= 1e-12
+
+    def test_peak_memory_at_scale(self):
+        f = build_fock(5, 6)
+        u = _random_unitary(np.random.default_rng(18), 5)
+        tracemalloc.start()
+        try:
+            second_quantize(f, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
 
     def test_rejects_non_unitary(self):
         f = build_fock(2, 2)

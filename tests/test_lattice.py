@@ -200,7 +200,62 @@ class TestLocalDifference:
             local_difference(np.eye(2) / 2, np.eye(3) / 3)
 
 
+def _dense_creators(f):
+    """Dense (d, D, D) ladder stack, looped over the occupation basis."""
+    index = {tuple(o): i for i, o in enumerate(f.occupations)}
+    out = np.zeros((f.one_particle_dim, f.total_dim, f.total_dim))
+    for i, occ in enumerate(f.occupations):
+        for m in range(f.one_particle_dim):
+            target = tuple(occ + np.eye(f.one_particle_dim, dtype=int)[m])
+            if target in index:
+                out[m, index[target], i] = np.sqrt(occ[m] + 1.0)
+    return out
+
+
+def _dense_vacuum_vector(rep):
+    """exp(a* M a* / 2)|0>, normalized, from the dense potential matrix V,
+    M = (1 + sqrt V)^-1 (1 - sqrt V), and Kronecker-product site ladders."""
+    n = rep.spec.sites
+    lap = 2.0 * np.eye(n) - np.roll(np.eye(n), 1, 0) - np.roll(np.eye(n), -1, 0)
+    w, v = np.linalg.eigh(rep.spec.mass ** 2 * np.eye(n) + lap)
+    sqrt_v = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    m_mat = np.linalg.solve(np.eye(n) + sqrt_v, np.eye(n) - sqrt_v)
+    order = np.concatenate([rep.region, rep.complement])
+    m_mat = m_mat[np.ix_(order, order)]
+    fr, fc = rep.fock_region, rep.fock_complement
+    sites = ([np.kron(c, np.eye(fc.total_dim)) for c in _dense_creators(fr)]
+             + [np.kron(np.eye(fr.total_dim), c) for c in _dense_creators(fc)])
+    pair = 0.5 * sum(m_mat[i, j] * sites[i] @ sites[j]
+                     for i in range(n) for j in range(n))
+    state = term = np.eye(pair.shape[0])[0]
+    k = 0
+    while np.linalg.norm(term) > 1e-18:
+        k += 1
+        term = pair @ term / k
+        state = state + term
+    return state / np.linalg.norm(state)
+
+
 class TestOutsideOperations:
+    @pytest.mark.parametrize("mass", [1.0, 0.0])
+    @pytest.mark.parametrize("region,n_max_region,n_max_complement",
+                             [((0, 1), 2, 2), ((1, 3, 4), 3, 2)])
+    def test_vacuum_vector_matches_dense_pair_matrix(
+            self, mass, region, n_max_region, n_max_complement):
+        rep = region_fock_rep(ChainSpec(6, mass), region, n_max_region,
+                              n_max_complement)
+        gap = rep.vacuum_vector - _dense_vacuum_vector(rep)
+        assert np.abs(gap).max() <= 1e-13
+
+    def test_apply_outside_is_kronecker_product(self):
+        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1))
+        rng = np.random.default_rng(4)
+        dr, dc = rep.fock_region.total_dim, rep.fock_complement.total_dim
+        vec = rng.standard_normal(dr * dc) + 1j * rng.standard_normal(dr * dc)
+        u_c = rng.standard_normal((dc, dc)) + 1j * rng.standard_normal((dc, dc))
+        assert np.allclose(rep.apply_outside(vec, u_c),
+                           np.kron(np.eye(dr), u_c) @ vec, rtol=0, atol=1e-12)
+
     def test_outside_unitary_invisible_in_region(self):
         rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1),
                               n_max_region=2, n_max_complement=2)
