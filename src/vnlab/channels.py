@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modular import purify
-from .numkit import (VALIDITY_ATOL, dagger, nonzero_mask, norm2,
-                     random_density, rank)
+from .numkit import (VALIDITY_ATOL, complex_normal, dagger, haar_pure_state,
+                     nonzero_mask, norm2, random_density, rank)
 
 
 @dataclass
@@ -64,11 +64,12 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
 
 def partial_transpose(rho: np.ndarray, dims: tuple[int, int],
                       which: int = 1) -> np.ndarray:
+    """Transpose one tensor factor; a stack of states maps state by state."""
     d1, d2 = dims
-    r = np.asarray(rho, dtype=complex).reshape(d1, d2, d1, d2)
-    if which == 1:
-        return r.transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
-    return r.transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2)
+    rho = np.asarray(rho, dtype=complex)
+    r = rho.reshape(rho.shape[:-2] + (d1, d2, d1, d2))
+    axes = (-3, -1) if which == 1 else (-4, -2)
+    return r.swapaxes(*axes).reshape(rho.shape)
 
 
 @dataclass
@@ -151,19 +152,20 @@ def disentangle(split: SplitData, omega: np.ndarray) -> DisentangleResult:
     return DisentangleResult(state=product, target=None, channel=None)
 
 
-def is_entangled(rho: np.ndarray, dims: tuple[int, int]) -> tuple[bool, float]:
-    """Partial-transpose test, exact only for 2x2 and 2x3 (enforced)."""
+def is_entangled(rho: np.ndarray, dims: tuple[int, int]
+                 ) -> tuple[bool | np.ndarray, float | np.ndarray]:
+    """Partial-transpose test, exact only for 2x2 and 2x3 (enforced).
+
+    Returns (verdict, minimum PT eigenvalue).  A stack of states takes one
+    batched ``eigvalsh`` and returns both as arrays over its leading axes.
+    """
     d1, d2 = dims
     if d1 * d2 > 6:
         raise ValueError("partial-transpose criterion is only exact up to dim 6")
-    w = np.linalg.eigvalsh(partial_transpose(rho, dims))
-    min_eig = float(w.min())
+    min_eig = np.linalg.eigvalsh(partial_transpose(rho, dims)).min(axis=-1)
+    if min_eig.ndim == 0:
+        min_eig = float(min_eig)
     return min_eig < -VALIDITY_ATOL, min_eig
-
-
-def haar_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def genericity_scan(samples: int, seed: int, kind: str = "pure") -> dict:
@@ -172,21 +174,23 @@ def genericity_scan(samples: int, seed: int, kind: str = "pure") -> dict:
     kind='pure': Haar vectors, Schmidt-rank test (entangled off a measure-zero
     set).  kind='product': explicit product controls.  kind='mixed':
     Hilbert-Schmidt random density matrices with the PT test (fraction lands
-    strictly between 0 and 1; reported, not asserted).
+    strictly between 0 and 1; reported, not asserted).  Every kind draws its
+    samples as one stack.
     """
     if samples < 100:
         raise ValueError("use at least 100 samples")
     d1 = d2 = 2
     rng = np.random.default_rng(seed)
     if kind == "mixed":
-        hits = sum(int(is_entangled(random_density(rng, d1 * d2), (d1, d2))[0])
-                   for _ in range(samples))
+        flags, _ = is_entangled(random_density(rng, d1 * d2, samples), (d1, d2))
+        hits = int(np.count_nonzero(flags))
     else:
         if kind == "pure":
-            psi = [haar_pure_state(rng, d1 * d2) for _ in range(samples)]
+            psi = haar_pure_state(rng, d1 * d2, samples)
         elif kind == "product":
-            psi = [np.kron(haar_pure_state(rng, d1), haar_pure_state(rng, d2))
-                   for _ in range(samples)]
+            # d1 == d2: a sample's two factors are consecutive draws
+            pair = haar_pure_state(rng, d1, 2 * samples).reshape(samples, 2, d1)
+            psi = pair[:, 0, :, None] * pair[:, 1, None, :]
         else:
             raise ValueError(f"unknown scan kind {kind!r}")
         # Schmidt ranks of all samples from one stacked SVD
@@ -209,12 +213,10 @@ def isometry_impossibility_check(n: int, projector: np.ndarray,
             or norm2(projector - dagger(projector)) > 1e-10:
         raise ValueError("E must be an orthogonal projector")
     rank_e = int(round(np.trace(projector).real))
-    rng = np.random.default_rng(seed)
     trials = 20
-    equal_ranks = True
-    for _ in range(trials):
-        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        equal_ranks &= rank(dagger(w) @ w) == rank(w @ dagger(w))
+    w = complex_normal(np.random.default_rng(seed), (n, n), trials)
+    equal_ranks = bool(np.array_equal(rank(dagger(w) @ w),
+                                      rank(w @ dagger(w))))
     possible = rank_e == n
     reason = ("E = 1: any unitary solves the relation" if possible else
               "rank(W*W) = rank(WW*) for every W, but the relation would "

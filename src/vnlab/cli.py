@@ -26,10 +26,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="show registered experiments")
     for name, exp in list_experiments().items():
         p = sub.add_parser(name, help=exp.description)
-        for key, (typ, default) in exp.schema.items():
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
-                           default=None, metavar=typ.__name__.upper(),
-                           help=f"default {default}")
+        for key, param in exp.schema.items():
+            bound = "" if param.minimum is None else f", at least {param.minimum}"
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                           type=param.type, default=None,
+                           metavar=param.type.__name__.upper(),
+                           help=f"default {param.default}{bound}")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -42,7 +44,7 @@ def main(argv=None) -> int:
     if args.command is None or args.command == "list":
         width = max(len(n) for n in list_experiments())
         for name, exp in list_experiments().items():
-            schema = ", ".join(f"{k}={d}" for k, (_, d) in exp.schema.items())
+            schema = ", ".join(f"{k}={p.default}" for k, p in exp.schema.items())
             print(f"{name:<{width}}  {exp.description}  [{schema}]")
         return 0
 

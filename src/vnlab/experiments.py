@@ -13,11 +13,13 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import channels, factors, fock, lattice, locwedge, modular, vnalg
-from .numkit import dagger, haar_unitary, norm2, random_density
+from .numkit import (dagger, haar_pure_state, haar_unitary, norm2,
+                     random_density)
 
 
 @dataclass
@@ -105,15 +107,17 @@ def _conditioned_weights(rng: np.random.Generator, k: int,
     return q / q.sum()
 
 
-def _random_standard_pair(rng, k):
-    """(algebra M_k (x) 1, faithful random vector) on C^k (x) C^k."""
+def _faithful_vector(rng, k):
+    """Random vector on C^k (x) C^k, cyclic and separating for M_k (x) 1."""
     q = _conditioned_weights(rng, k)
     u = haar_unitary(rng, k)
     v = haar_unitary(rng, k)
-    a = (u * np.sqrt(q)) @ v.T
-    omega = a.flatten()
-    algebra = vnalg.tensor_factor_algebra(k, k, "left")
-    return algebra, omega
+    return ((u * np.sqrt(q)) @ v.T).flatten()
+
+
+def _factor_algebras(ks) -> dict:
+    """M_k (x) 1 on C^k (x) C^k, built once for each distinct k."""
+    return {k: vnalg.tensor_factor_algebra(k, k, "left") for k in set(ks)}
 
 
 # ---------------------------------------------------------------- experiments
@@ -129,9 +133,9 @@ def _exp_kms_random(p, seed):
                "jaj_commutant": "commutant_map_residual",
                "flow_membership": "flow_residual"}
     worst = dict.fromkeys(sources, 0.0)
+    algebras = _factor_algebras(ks)
     for k in ks:
-        alg, omega = _random_standard_pair(rng, k)
-        md = modular.tomita(alg, omega)
+        md = modular.tomita(algebras[k], _faithful_vector(rng, k))
         found = {**modular.modular_defects(md),
                  **modular.modular_report(md, flow_samples=4, rng=rng)}
         for key, src in sources.items():
@@ -150,15 +154,14 @@ def _exp_kms_random(p, seed):
 def _exp_modular_spectrum(p, seed):
     rng = np.random.default_rng(seed)
     sizes = list(range(2, p["max_k"] + 1))
+    ks = [sizes[i % len(sizes)] for i in range(p["instances"])]
+    algebras = _factor_algebras(ks)
     worst = 0.0
-    for i in range(p["instances"]):
-        k = sizes[i % len(sizes)]
+    for k in ks:
         weights = _conditioned_weights(rng, k, floor=0.25)
         u = haar_unitary(rng, k)
         rho = (u * weights) @ dagger(u)
-        omega = modular.purify(rho, k)
-        alg = vnalg.tensor_factor_algebra(k, k, "left")
-        md = modular.tomita(alg, omega)
+        md = modular.tomita(algebras[k], modular.purify(rho, k))
         ratios = np.sort((weights[:, None] / weights[None, :]).flatten())
         err = np.max(np.abs(md.delta_spectrum - ratios) / ratios)
         worst = max(worst, float(err))
@@ -400,7 +403,7 @@ def _exp_causality_probe(p, seed):
 def _exp_local_prepare(p, seed):
     rng = np.random.default_rng(seed)
     split = channels.SplitData(p["d1"], p["d2"])
-    xi = channels.haar_pure_state(rng, p["d1"])
+    xi = haar_pure_state(rng, p["d1"])
     target = np.outer(xi, xi.conj())
     ref_kraus = channels.local_prepare_channel(split, xi).kraus
     inner_max, outer_max, prod_max = 0.0, 0.0, 0.0
@@ -519,8 +522,8 @@ def _exp_isometry(p, seed):
 
 def _exp_modular_flow(p, seed):
     rng = np.random.default_rng(seed)
-    alg, omega = _random_standard_pair(rng, p["k"])
-    md = modular.tomita(alg, omega)
+    alg = vnalg.tensor_factor_algebra(p["k"], p["k"], "left")
+    md = modular.tomita(alg, _faithful_vector(rng, p["k"]))
     group_max, member_max = 0.0, 0.0
     for _ in range(p["samples"]):
         t, s = rng.uniform(-2, 2, size=2)
@@ -541,11 +544,20 @@ def _exp_modular_flow(p, seed):
     return metrics, assertions, None
 
 
+class Param(NamedTuple):
+    """One schema entry.  A value below ``minimum`` (None: no bound) is
+    rejected before anything runs."""
+
+    type: type
+    default: object
+    minimum: float | None = None
+
+
 @dataclass
 class ExperimentDef:
     name: str
     description: str
-    schema: dict            # param -> (type, default)
+    schema: dict            # param -> Param
     fn: object = field(repr=False)
 
 
@@ -558,69 +570,73 @@ def _register(name, description, schema, fn):
 
 _register("kms-random",
           "Tomita engine on random standard pairs: polar, KMS, commutant map",
-          {"max_k": (int, 4), "instances": (int, 50)}, _exp_kms_random)
+          {"max_k": Param(int, 4, 2), "instances": Param(int, 50, 1)},
+          _exp_kms_random)
 _register("modular-flow",
           "one-parameter group law and algebra invariance of the modular flow",
-          {"k": (int, 3), "samples": (int, 20)}, _exp_modular_flow)
+          {"k": Param(int, 3, 2), "samples": Param(int, 20, 1)},
+          _exp_modular_flow)
 _register("modular-spectrum",
           "modular spectrum equals the eigenvalue-ratio multiset of the state",
-          {"max_k": (int, 4), "instances": (int, 20)}, _exp_modular_spectrum)
+          {"max_k": Param(int, 4, 2), "instances": Param(int, 20, 1)},
+          _exp_modular_spectrum)
 _register("powers",
           "tensor powers of M_2 in a product state: spectrum set and purity decay",
-          {"lam": (float, 0.5), "n": (int, 4), "window": (float, 1.0)},
-          _exp_powers)
+          {"lam": Param(float, 0.5), "n": Param(int, 4, 1),
+           "window": Param(float, 1.0)}, _exp_powers)
 _register("araki-woods",
           "tensor powers of M_3: two-ratio log-spectrum and gap densification",
-          {"lam": (float, 0.5), "mu": (float, 0.3), "n": (int, 3),
-           "window": (float, 1.0)}, _exp_araki_woods)
+          {"lam": Param(float, 0.5), "mu": Param(float, 0.3),
+           "n": Param(int, 3, 1), "window": Param(float, 1.0)},
+          _exp_araki_woods)
+# a cond_cap below 1 cuts every mode of the wedge space
 _register("wedge-localization",
           "discretized boost: S^2, standardness, duality, flow invariance",
-          {"n": (int, 64), "theta_max": (float, 6.0), "cond_cap": (float, 1e8)},
-          _exp_wedge)
+          {"n": Param(int, 64, 1), "theta_max": Param(float, 6.0),
+           "cond_cap": Param(float, 1e8, 1.0)}, _exp_wedge)
+# the orthogonal-pair control needs two modes
 _register("fock-ccr",
           "canonical commutation relations and locality from symplectic orthogonality",
-          {"d": (int, 3), "n_max": (int, 4), "pairs": (int, 20)}, _exp_fock_ccr)
+          {"d": Param(int, 3, 2), "n_max": Param(int, 4),
+           "pairs": Param(int, 20, 1)}, _exp_fock_ccr)
 _register("reeh-schlieder-rank",
           "cyclicity rank of polynomial field excitations over a real subspace",
-          {"d": (int, 2), "n_max": (int, 3), "degree": (int, 3)},
-          _exp_reeh_schlieder)
+          {"d": Param(int, 2), "n_max": Param(int, 3),
+           "degree": Param(int, 3, 0)}, _exp_reeh_schlieder)
 _register("cluster-decay",
           "exponential clustering of vacuum correlations with a mass gap",
-          {"m": (float, 1.0), "sites": (int, 400), "fit_lo": (int, 10),
-           "fit_hi": (int, 40), "far_site": (int, 40),
-           "far_bound": (float, 1e-6)}, _exp_cluster_decay)
+          {"m": Param(float, 1.0), "sites": Param(int, 400),
+           "fit_lo": Param(int, 10), "fit_hi": Param(int, 40),
+           "far_site": Param(int, 40), "far_bound": Param(float, 1e-6)},
+          _exp_cluster_decay)
 _register("entropy-scan",
           "entanglement entropy of chain regions via symplectic eigenvalues",
-          {"m": (float, 1.0), "sites": (int, 64), "bipartitions": (int, 20)},
-          _exp_entropy_scan)
+          {"m": Param(float, 1.0), "sites": Param(int, 64),
+           "bipartitions": Param(int, 20, 1)}, _exp_entropy_scan)
 _register("local-difference",
           "trace-norm local difference vs contraction sup; outside ops invisible",
-          {"dim": (int, 4), "pairs": (int, 5), "budget": (int, 10000)},
-          _exp_local_difference)
+          {"dim": Param(int, 4, 2), "pairs": Param(int, 5, 1),
+           "budget": Param(int, 10000, 4)}, _exp_local_difference)
 _register("causality-probe",
           "disjoint-packet overlap under relativistic one-particle evolution",
-          {"m": (float, 1.0), "sites": (int, 256), "gap": (int, 4),
-           "width": (int, 8), "t": (float, 0.5)}, _exp_causality_probe)
+          {"m": Param(float, 1.0), "sites": Param(int, 256),
+           "gap": Param(int, 4), "width": Param(int, 8),
+           "t": Param(float, 0.5)}, _exp_causality_probe)
 _register("local-prepare",
           "state-independent Kraus preparation of a vector state on one factor",
-          {"d1": (int, 2), "d2": (int, 2), "inputs": (int, 50)},
-          _exp_local_prepare)
+          {"d1": Param(int, 2, 1), "d2": Param(int, 2, 1),
+           "inputs": Param(int, 50, 1)}, _exp_local_prepare)
 _register("disentangle",
           "margin-assisted disentanglement preserving both marginals",
-          {"lam": (float, 0.7)}, _exp_disentangle)
+          {"lam": Param(float, 0.7)}, _exp_disentangle)
+# genericity_scan's own floor, which also covers the tenth-size controls
 _register("genericity",
           "entangled fraction of random states; reference PT eigenvalues",
-          {"samples": (int, 10000)}, _exp_genericity)
+          {"samples": Param(int, 10000, 100)}, _exp_genericity)
+# a proper projector of rank 1..n-1 needs n >= 2
 _register("isometry-impossibility",
           "rank obstruction to W*W = 1, WW* = E with E a proper projector",
-          {"n": (int, 4), "trials": (int, 20)}, _exp_isometry)
-
-
-# smallest accepted value of an integer parameter, by name, in every
-# experiment that has it; a smaller one is rejected before anything runs
-PARAM_MIN = {"instances": 1, "samples": 1, "pairs": 1, "inputs": 1,
-             "trials": 1, "bipartitions": 1, "n": 1, "max_k": 2, "k": 2,
-             "degree": 0, "budget": 4, "dim": 2}
+          {"n": Param(int, 4, 2), "trials": Param(int, 20, 1)}, _exp_isometry)
 
 
 def list_experiments() -> dict[str, ExperimentDef]:
@@ -636,16 +652,18 @@ def validate_params(name: str, overrides: dict | None) -> dict:
     if bad:
         raise ValueError(f"unknown parameter(s) for {name}: {', '.join(sorted(bad))}")
     params = {}
-    for key, (typ, default) in schema.items():
-        if key in overrides:
-            try:
-                params[key] = typ(overrides[key])
-            except (TypeError, ValueError):
-                raise ValueError(f"parameter {key} must be {typ.__name__}")
-            if key in PARAM_MIN and params[key] < PARAM_MIN[key]:
-                raise ValueError(f"parameter {key} must be >= {PARAM_MIN[key]}")
-        else:
-            params[key] = default
+    for key, param in schema.items():
+        if key not in overrides:
+            params[key] = param.default
+            continue
+        try:
+            value = param.type(overrides[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"parameter {key} must be {param.type.__name__}")
+        # written so that a NaN is rejected too
+        if param.minimum is not None and not value >= param.minimum:
+            raise ValueError(f"parameter {key} must be >= {param.minimum}")
+        params[key] = value
     return params
 
 

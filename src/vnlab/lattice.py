@@ -69,7 +69,7 @@ class GaussianState:
 
 def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:
     """Region block of the circulant matrix C[i, j] = row[(i - j) % n]."""
-    return row[(region[:, None] - region[None, :]) % row.size]
+    return row.take(np.subtract.outer(region, region), mode="wrap")
 
 
 def ground_state(spec: ChainSpec, zero_mode: str = "error") -> GaussianState:

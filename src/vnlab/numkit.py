@@ -3,7 +3,7 @@
 Hermitian spectral calculus (``herm_fn``), antilinear-operator arithmetic and
 polar decomposition, the real-linearization used to extract fixed-point
 subspaces of antilinear involutions, the one rank rule, and the random
-samplers shared by the experiments.
+samplers shared by the experiments (each draws a whole stack in one call).
 
 Every rank or null-space decision in the package is made here: a singular
 value (or eigenvalue of a positive semidefinite matrix) ``s`` counts as zero
@@ -38,7 +38,8 @@ VALIDITY_ATOL = 1e-10
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose; a stack is transposed matrix by matrix."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def norm2(a: np.ndarray) -> float:
@@ -242,18 +243,47 @@ def null_space(a: np.ndarray) -> np.ndarray:
     return vh[zero].conj()
 
 
+def complex_normal(rng: np.random.Generator, shape: tuple,
+                   count: int | None = None) -> np.ndarray:
+    """Standard complex Gaussian array of the given shape, or a stack of
+    ``count`` of them.
+
+    One ``standard_normal((count, 2, *shape))`` block whose ``[:, 0]`` and
+    ``[:, 1]`` are the real and imaginary parts consumes the generator
+    exactly as ``count`` one-sample draws ``standard_normal(shape) + 1j *
+    standard_normal(shape)`` do, so a stack equals that loop bit for bit.
+    """
+    lead = () if count is None else (count,)
+    g = rng.standard_normal(lead + (2,) + tuple(shape))
+    re, im = np.moveaxis(g, len(lead), 0)
+    return re + 1j * im
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-random n x n unitary (QR of a Ginibre matrix, phases fixed)."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(complex_normal(rng, (n, n)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Hilbert-Schmidt random n x n density matrix."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def haar_pure_state(rng: np.random.Generator, dim: int,
+                    count: int | None = None) -> np.ndarray:
+    """Haar-random unit vector in C^dim, or a (count, dim) stack of them.
+
+    The norm is sqrt(Re.Re + Im.Im), the sum ``np.linalg.norm`` forms for
+    one vector, so row i of a stack is bit for bit the i-th of ``count``
+    one-sample draws.
+    """
+    v = complex_normal(rng, (dim,), count)
+    norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return v / norm[..., None]
+
+
+def random_density(rng: np.random.Generator, n: int,
+                   count: int | None = None) -> np.ndarray:
+    """Hilbert-Schmidt random n x n density matrix, or a stack of count."""
+    g = complex_normal(rng, (n, n), count)
     rho = g @ dagger(g)
-    return rho / np.trace(rho).real
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def save_matrix_csv(path, a: np.ndarray) -> None:

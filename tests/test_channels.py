@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from vnlab.channels import (Channel, SplitData, bell_state, disentangle,
-                            genericity_scan, haar_pure_state, is_entangled,
+                            genericity_scan, is_entangled,
                             isometry_impossibility_check, kraus_apply,
                             local_prepare, local_prepare_channel,
                             partial_trace, partial_transpose, werner_state)
 from vnlab.lattice import local_difference
-from vnlab.numkit import dagger, norm2
+from vnlab.numkit import dagger, haar_pure_state, norm2, random_density, rank
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -215,6 +215,66 @@ class TestEntanglementDetection:
         w1 = np.linalg.eigvalsh(partial_transpose(rho, (2, 3), which=1))
         w2 = np.linalg.eigvalsh(partial_transpose(rho, (2, 3), which=0))
         assert np.allclose(np.sort(w1), np.sort(w2))
+
+
+class TestStackedEntanglementTest:
+    def _stack(self, rng, dims):
+        d = dims[0] * dims[1]
+        mixed = random_density(rng, d, 30)
+        products = [np.kron(rand_density(rng, dims[0]), rand_density(rng, dims[1]))
+                    for _ in range(10)]
+        return np.concatenate([mixed, products])
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_matches_per_matrix_verdicts(self, dims):
+        stack = self._stack(np.random.default_rng(21), dims)
+        flags, mins = is_entangled(stack, dims)
+        ref = [is_entangled(rho, dims) for rho in stack]
+        assert flags.shape == mins.shape == (len(stack),)
+        assert flags.tolist() == [f for f, _ in ref]
+        assert np.max(np.abs(mins - [m for _, m in ref])) <= 1e-15
+        assert flags.any() and not flags.all()
+
+    def test_single_state_keeps_scalar_result(self):
+        flag, min_eig = is_entangled(werner_state(0.5), (2, 2))
+        assert type(flag) is bool and type(min_eig) is float
+
+    def test_stack_guard(self):
+        with pytest.raises(ValueError):
+            is_entangled(np.stack([np.eye(8) / 8] * 3), (2, 4))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_partial_transpose_of_a_stack(self, which):
+        stack = random_density(np.random.default_rng(22), 6, 5)
+        pt = partial_transpose(stack, (2, 3), which)
+        assert np.array_equal(pt, [partial_transpose(r, (2, 3), which)
+                                   for r in stack])
+
+
+def _genericity_scan_loop(samples, seed, kind):
+    """Reference form: one draw and one test per sample."""
+    rng = np.random.default_rng(seed)
+
+    def haar(dim):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    if kind == "mixed":
+        return sum(int(is_entangled(rand_density(rng, 4), (2, 2))[0])
+                   for _ in range(samples))
+    if kind == "pure":
+        psi = [haar(4) for _ in range(samples)]
+    else:
+        psi = [np.kron(haar(2), haar(2)) for _ in range(samples)]
+    return int(np.count_nonzero(rank(np.reshape(psi, (samples, 2, 2))) > 1))
+
+
+class TestStackedScans:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("kind", ["pure", "product", "mixed"])
+    def test_scan_counts_match_loop(self, kind, seed):
+        scan = genericity_scan(400, seed=seed, kind=kind)
+        assert scan["entangled"] == _genericity_scan_loop(400, seed, kind)
 
 
 class TestGenericity:

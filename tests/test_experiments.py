@@ -30,8 +30,9 @@ class TestRegistry:
         for exp in exps.values():
             assert exp.description
             assert isinstance(exp.schema, dict)
-            for typ, default in exp.schema.values():
-                assert isinstance(default, typ)
+            for param in exp.schema.values():
+                assert isinstance(param.default, param.type)
+                assert param.minimum is None or param.default >= param.minimum
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
@@ -68,7 +69,9 @@ class TestReports:
         ("fock-ccr", {"d": 6, "n_max": 6, "pairs": 5}),
         ("reeh-schlieder-rank", {"d": 5, "n_max": 6, "degree": 6}),
         ("powers", {"n": 10}),
-        ("araki-woods", {"n": 6})])
+        ("araki-woods", {"n": 6}),
+        ("genericity", {"samples": 100000}),
+        ("isometry-impossibility", {"n": 8, "trials": 200})])
     def test_scale_configurations_pass_finite(self, name, params):
         with np.errstate(all="raise"):
             report = run(name, params, seed=0)
@@ -190,10 +193,29 @@ class TestCli:
         ["local-difference", "--budget", "3"],
         ["local-difference", "--dim", "1"],
         ["fock-ccr", "--pairs", "0"],
+        ["fock-ccr", "--d", "1"],
+        ["wedge-localization", "--cond-cap", "0.5"],
+        ["wedge-localization", "--cond-cap", "nan"],
+        ["local-prepare", "--d2", "0"],
     ])
     def test_out_of_range_parameter_exit_two(self, capsys, argv):
         assert cli.main(argv) == 2
         assert "must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,key", [
+        (name, key) for name, exp in REGISTRY.items()
+        for key, param in exp.schema.items() if param.minimum is not None])
+    def test_value_just_below_every_minimum_exit_two(self, capsys, name, key):
+        param = REGISTRY[name].schema[key]
+        below = (param.minimum - 1 if param.type is int
+                 else float(np.nextafter(param.minimum, -np.inf)))
+        assert cli.main([name, f"--{key.replace('_', '-')}", repr(below)]) == 2
+        assert "must be >=" in capsys.readouterr().err
+
+    def test_minimum_is_per_experiment(self, capsys):
+        # d = 1 is a valid Reeh-Schlieder run, and the fock-ccr minimum of 2
+        # does not reach it
+        assert cli.main(["reeh-schlieder-rank", "--d", "1"]) == 0
 
     def test_seed_flag_threads_through(self, capsys, tmp_path):
         out = tmp_path / "e.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vnlab.lattice import (ChainSpec, causality_probe_scan,
+from vnlab.lattice import (ChainSpec, _circulant_block, causality_probe_scan,
                            cluster_function, decay_rate_fit,
                            expected_decay_rate, ground_state,
                            local_difference, local_difference_bruteforce,
@@ -98,6 +98,19 @@ class TestGroundState:
             ground_state(ChainSpec(8, 0.0))
         state = ground_state(ChainSpec(8, 0.0), zero_mode="exclude")
         assert state.zero_mode_excluded
+
+
+class TestCirculantBlock:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gather_equals_modulo_form(self, seed):
+        """Bit for bit equal to row[(i - j) % n] on unsorted regions."""
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 7, 64, 513):
+            row = rng.standard_normal(n)
+            for size in {1, max(1, n // 3), n}:
+                region = rng.choice(n, size=size, replace=False)
+                ref = row[(region[:, None] - region[None, :]) % n]
+                assert np.array_equal(_circulant_block(row, region), ref)
 
 
 class TestCluster:

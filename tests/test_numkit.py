@@ -9,10 +9,10 @@ import pytest
 
 import vnlab
 from vnlab.numkit import (RANK_RTOL, AntilinearMap, antilinear_polar,
-                          dagger, embed_real, herm_fn, load_matrix_csv,
-                          nonzero_mask, norm2, null_space, rank,
-                          real_linearize, row_space, save_matrix_csv,
-                          unembed_real)
+                          complex_normal, dagger, embed_real, haar_pure_state,
+                          herm_fn, load_matrix_csv, nonzero_mask, norm2,
+                          null_space, random_density, rank, real_linearize,
+                          row_space, save_matrix_csv, unembed_real)
 
 
 def random_hermitian(rng, n):
@@ -373,6 +373,72 @@ def test_tolerances_are_not_arguments():
                 rebinds.add(path.stem)
     assert knobs == set()
     assert rebinds == set()
+
+
+def _haar_pure_state_loop(rng, dim, count):
+    """Reference form: one draw and one norm per sample."""
+    out = []
+    for _ in range(count):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        out.append(v / np.linalg.norm(v))
+    return np.array(out)
+
+
+def _random_density_loop(rng, n, count):
+    """Reference form: one Ginibre draw and one product per sample."""
+    out = []
+    for _ in range(count):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rho = g @ g.conj().T
+        out.append(rho / np.trace(rho).real)
+    return np.array(out)
+
+
+class TestSamplers:
+    """A stacked draw consumes the generator as the per-sample loop does."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    def test_haar_stack_matches_loop(self, seed, dim):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = haar_pure_state(rng_a, dim, 400)
+        ref = _haar_pure_state_loop(rng_b, dim, 400)
+        assert stack.shape == (400, dim)
+        assert np.max(np.abs(stack - ref)) <= 1e-15
+        assert np.allclose(np.linalg.norm(stack, axis=1), 1.0, atol=1e-15)
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    def test_haar_single_draw_is_a_stack_row(self):
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        stack = haar_pure_state(rng_a, 4, 50)
+        singles = np.array([haar_pure_state(rng_b, 4) for _ in range(50)])
+        assert singles.shape == (50, 4)
+        assert np.array_equal(stack, singles)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_density_stack_matches_loop(self, seed, n):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = random_density(rng_a, n, 200)
+        ref = _random_density_loop(rng_b, n, 200)
+        assert stack.shape == (200, n, n)
+        assert np.max(np.abs(stack - ref)) <= 1e-15
+        assert np.allclose(np.trace(stack, axis1=1, axis2=2), 1.0)
+        assert np.max(np.abs(stack - dagger(stack))) <= 1e-15
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    def test_complex_normal_stack_is_the_loop(self):
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        stack = complex_normal(rng_a, (3, 5), 20)
+        ref = [rng_b.standard_normal((3, 5)) + 1j * rng_b.standard_normal((3, 5))
+               for _ in range(20)]
+        assert np.array_equal(stack, ref)
+        assert complex_normal(rng_a, (2,)).shape == (2,)
+
+    def test_dagger_of_a_stack(self):
+        rng = np.random.default_rng(4)
+        stack = complex_normal(rng, (3, 2), 5)
+        assert np.array_equal(dagger(stack), [m.conj().T for m in stack])
 
 
 class TestPlumbing:
