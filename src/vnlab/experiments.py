@@ -122,24 +122,27 @@ def _factor_algebras(ks) -> dict:
 
 # ---------------------------------------------------------------- experiments
 
+def _unit_element(alg, rng):
+    """Random element of alg with unit Frobenius norm."""
+    x = alg.random_element(rng)
+    return x / np.linalg.norm(x)
+
+
 def _exp_kms_random(p, seed):
     rng = np.random.default_rng(seed)
     sizes = list(range(2, p["max_k"] + 1))
     ks = [sizes[i % len(sizes)] for i in range(p["instances"])]
-    # metric name -> key in modular_defects / modular_report
-    sources = {"s_reconstruction": "s_reconstruction",
-               "jdj_inverse": "jdj_inverse", "delta_omega": "delta_omega",
-               "kms": "max_kms_defect",
-               "jaj_commutant": "commutant_map_residual",
-               "flow_membership": "flow_residual"}
-    worst = dict.fromkeys(sources, 0.0)
+    worst = dict.fromkeys(("s_reconstruction", "jdj_inverse", "delta_omega",
+                           "kms", "jaj_commutant", "flow_membership"), 0.0)
     algebras = _factor_algebras(ks)
     for k in ks:
         md = modular.tomita(algebras[k], _faithful_vector(rng, k))
-        found = {**modular.modular_defects(md),
-                 **modular.modular_report(md, flow_samples=4, rng=rng)}
-        for key, src in sources.items():
-            worst[key] = max(worst[key], found[src])
+        # each flow sample draws t, then x
+        flows = [(float(rng.uniform(-2, 2)), 0.0,
+                  _unit_element(algebras[k], rng)) for _ in range(4)]
+        found = modular.check(md, flows)
+        for key in worst:
+            worst[key] = max(worst[key], found[key])
     assertions = [
         Assertion("s_reconstruction", worst["s_reconstruction"], 1e-10),
         Assertion("jdj_inverse", worst["jdj_inverse"], 1e-9),
@@ -381,6 +384,8 @@ def _exp_local_difference(p, seed):
 
 
 def _exp_causality_probe(p, seed):
+    if p["t"] == 0:  # the packets have not moved: zero overlap by design
+        raise ValueError("parameter t must be nonzero")
     spec = lattice.ChainSpec(p["sites"], p["m"])
     w = p["width"]
     start = p["sites"] // 2 - w - (p["gap"] + 1) // 2
@@ -524,15 +529,11 @@ def _exp_modular_flow(p, seed):
     rng = np.random.default_rng(seed)
     alg = vnalg.tensor_factor_algebra(p["k"], p["k"], "left")
     md = modular.tomita(alg, _faithful_vector(rng, p["k"]))
-    group_max, member_max = 0.0, 0.0
-    for _ in range(p["samples"]):
-        t, s = rng.uniform(-2, 2, size=2)
-        x = alg.random_element(rng)
-        x /= np.linalg.norm(x)
-        one = modular.modular_flow(md, modular.modular_flow(md, x, s), t)
-        two = modular.modular_flow(md, x, t + s)
-        group_max = max(group_max, float(np.linalg.norm(one - two)))
-        member_max = max(member_max, alg.member_residual(two))
+    # each flow sample draws t and s, then x
+    flows = [(*rng.uniform(-2, 2, size=2), _unit_element(alg, rng))
+             for _ in range(p["samples"])]
+    found = modular.check(md, flows)
+    group_max, member_max = found["group_law"], found["flow_membership"]
     fixed = norm2(modular.modular_flow(md, alg.basis[1], 0.0) - alg.basis[1])
     metrics = {"group_law_defect": group_max, "membership_residual": member_max,
                "t0_defect": fixed}

@@ -131,6 +131,8 @@ def decay_rate_fit(state: GaussianState,
     n = state.spec.sites
     if not 0 < r0 < r1 <= n // 2:
         raise ValueError("fit range must sit inside (0, sites/2]")
+    if r1 - r0 < 2:  # the quadratic drift test needs three points
+        raise ValueError(f"fit window ({r0}, {r1}) must be >= 2 sites wide")
     rs = np.arange(r0, r1 + 1).astype(float)
     vals = np.abs([cluster_function(state, int(r)) for r in rs])
     if np.any(vals < 1e-14):

@@ -1,10 +1,11 @@
 """Tomita-Takesaki engine on finite-dimensional standard pairs.
 
-From an algebra with a cyclic separating vector, the antilinear map defined by
-b Omega -> b* Omega on the (spanning) orbit is recovered by least squares; its
-polar decomposition yields the positive modular operator and the antiunitary
-conjugation.  The modular flow, the KMS identity and the commutant map are
-then direct matrix computations.
+From an algebra with a cyclic separating vector Omega, the antilinear map
+S: b Omega -> b* Omega is recovered by least squares over the orbit; its polar
+decomposition S = J Delta^{1/2} gives the modular operator and conjugation,
+and every power of Delta comes from one eigensolve.  `check` is the one
+checker of an instance: the polar identities, KMS and J A J = A' over the
+basis, and the group law and invariance of the flow on given samples.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ class ModularData:
             raise ValueError("Delta is not strictly positive")
         return w, u
 
-    def delta_power(self, z: complex) -> np.ndarray:
-        """Delta^z; unitary for imaginary z."""
+    def delta_power(self, z) -> np.ndarray:
+        """Delta^z, unitary for imaginary z; an array of z gives a stack."""
         w, u = self.delta_eigh
-        return (u * w ** z) @ dagger(u)
+        return (u * w ** np.asarray(z)[..., None, None]) @ dagger(u)
 
     @cached_property
     def algebra_commutant(self) -> OperatorAlgebra:
@@ -77,13 +78,40 @@ def tomita(a: OperatorAlgebra, omega: np.ndarray) -> ModularData:
                        algebra=a, omega=omega, solve_residual=residual)
 
 
-def modular_defects(md: ModularData) -> dict:
-    """Defect norms of the defining identities; all should sit at the
-    floating-point floor for genuine modular data."""
-    n = md.delta.shape[0]
-    eye = np.eye(n)
+def modular_flow(md: ModularData, x: np.ndarray, t: float) -> np.ndarray:
+    """Delta^{it} x Delta^{-it}; the algebra is invariant under the flow."""
+    if md.algebra is not None and not md.algebra.contains(x):
+        raise ValueError("element lies outside the source algebra")
+    u = md.delta_power(1j * t)
+    return u @ x @ dagger(u)
+
+
+def conjugate_by_j(md: ModularData, x: np.ndarray) -> np.ndarray:
+    """J x J as a linear matrix; a stack of x maps matrix by matrix."""
+    n = md.j.mat
+    return n @ x.conj() @ n.conj()
+
+
+def check(md: ModularData, flows=()) -> dict:
+    """Defects of every identity of one modular instance, at roundoff for
+    genuine data.  KMS and J A J = A' run over the algebra's basis.  Each
+    flow sample (t, s, x), x in the algebra, adds ||sigma_t sigma_s(x) -
+    sigma_{t+s}(x)||_F to ``group_law`` and the residual of sigma_{t+s}(x)
+    off the algebra to ``flow_membership`` (maxima; 0.0 without samples).
+    Each stage is its own helper, so its arrays are freed before the next.
+    """
+    comm = md.algebra_commutant  # raises when md carries no algebra
+    return {**_polar_defects(md), "kms": _kms(md),
+            "jaj_commutant": _off_span(comm,
+                                       conjugate_by_j(md, md.algebra.basis)),
+            **_flow_defects(md, flows)}
+
+
+def _polar_defects(md: ModularData) -> dict:
+    """S = J Delta^{1/2} and the identities of S, J, Delta and Omega."""
+    eye = np.eye(md.delta.shape[0])
     recon = md.j @ md.delta_power(0.5)  # antilinear J o Delta^{1/2}
-    out = {
+    return {
         "s_reconstruction": norm2(md.s.mat - recon.mat),
         "s_squared": norm2(md.s.squared() - eye),
         "j_squared": norm2(md.j.squared() - eye),
@@ -93,78 +121,44 @@ def modular_defects(md: ModularData) -> dict:
         "s_omega": float(np.linalg.norm(md.s(md.omega) - md.omega)),
         "delta_omega": float(np.linalg.norm(md.delta @ md.omega - md.omega)),
     }
-    return out
 
 
-def modular_flow(md: ModularData, x: np.ndarray, t: float) -> np.ndarray:
-    """Delta^{it} x Delta^{-it}; the algebra is invariant under the flow."""
-    if md.algebra is not None and not md.algebra.contains(x):
-        raise ValueError("element lies outside the source algebra")
-    u = md.delta_power(1j * t)
-    return u @ x @ dagger(u)
-
-
-def kms_defect(md: ModularData, x: np.ndarray, y: np.ndarray) -> float:
-    """|<O, x y O> - <O, y Delta x O>|, the equilibrium identity.
-
-    This is the orientation consistent with S = J Delta^{1/2} and
-    S(b O) = b* O: expectation values are invariant under moving the left
-    factor to the right after one unit of flow at imaginary time.  (Texts
-    with the opposite sign convention for the flow write Delta^{-1} here.)
-    """
-    omega = md.omega
-    lhs = np.vdot(omega, x @ (y @ omega))
-    rhs = np.vdot(omega, y @ (md.delta @ (x @ omega)))
-    return float(abs(lhs - rhs))
-
-
-def conjugate_by_j(md: ModularData, x: np.ndarray) -> np.ndarray:
-    """J x J as a linear matrix; a stack of x maps matrix by matrix."""
-    n = md.j.mat
-    return n @ x.conj() @ n.conj()
-
-
-def commutant_map_check(md: ModularData, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Image J x J and its residual off the commutant's span."""
-    image = conjugate_by_j(md, x)
-    return image, md.algebra_commutant.member_residual(image)
-
-
-def modular_report(md: ModularData, flow_samples: int = 10,
-                   rng: np.random.Generator | None = None) -> dict:
-    """Machine-readable record for one modular instance.
-
-    Each flow sample draws t, then x, from rng.
-    """
-    rng = rng or np.random.default_rng(0)
-    alg = md.algebra
-    basis = alg.basis
-    # kms_defect over every basis pair: lhs[i, j] = <b_i* O, b_j O> and
-    # rhs[j, i] = <b_j* O, Delta b_i O>
+def _kms(md: ModularData) -> float:
+    """max |<O, x y O> - <O, y Delta x O>| over basis pairs: the orientation
+    forced by S = J Delta^{1/2} and S(b O) = b* O.  (Texts with the opposite
+    sign convention for the flow write Delta^{-1} here.)"""
+    basis = md.algebra.basis
+    # lhs[i, j] = <b_i* O, b_j O> and rhs[j, i] = <b_j* O, Delta b_i O>
     xo = basis @ md.omega
     xso = np.conj(basis).transpose(0, 2, 1) @ md.omega
     lhs = np.conj(xso) @ xo.T
     rhs = np.conj(xso) @ (md.delta @ xo.T)
-    kms_max = float(np.max(np.abs(lhs - rhs.T)))
-    # commutant_map_check over the basis: J b J off the commutant's span
-    images = conjugate_by_j(md, basis).reshape(alg.size, -1)
-    flat = md.algebra_commutant.basis.reshape(-1, images.shape[1])
-    coeff = (flat @ images.conj().T).conj()
-    images -= coeff.T @ flat  # in place: the residuals are all that is read
-    jaj_max = float(np.max(np.linalg.norm(images, axis=1)))
-    flow_max = 0.0
-    for _ in range(flow_samples):
-        t = float(rng.uniform(-2, 2))
-        x = alg.random_element(rng)
-        x /= np.linalg.norm(x)
-        flow_max = max(flow_max, alg.member_residual(modular_flow(md, x, t)))
-    return {
-        "dims": {"ambient": int(md.delta.shape[0]), "algebra": int(alg.size)},
-        "delta_spectrum": [float(v) for v in md.delta_spectrum],
-        "max_kms_defect": float(kms_max),
-        "flow_residual": float(flow_max),
-        "commutant_map_residual": float(jaj_max),
-    }
+    return float(np.max(np.abs(lhs - rhs.T)))
+
+
+def _off_span(alg: OperatorAlgebra, stack: np.ndarray) -> float:
+    """Largest norm of a stack's parts off alg's span; the stack is
+    overwritten, its projections subtracted in place."""
+    rows = stack.reshape(len(stack), -1)
+    flat = alg.basis.reshape(-1, rows.shape[1])
+    coeff = (flat @ rows.conj().T).conj()
+    rows -= coeff.T @ flat
+    return float(np.max(np.linalg.norm(rows, axis=1)))
+
+
+def _flow_defects(md: ModularData, flows) -> dict:
+    """Group law and membership of the flow samples, stacked in blocks of
+    at most 2^16 matrix entries, so memory is bounded in the sample count."""
+    block = max(1, 2 ** 16 // md.delta.size)
+    group, member = 0.0, 0.0
+    for i in range(0, len(flows), block):
+        t, s, x = (np.asarray(v) for v in zip(*flows[i:i + block]))
+        u_s, u_t, u_ts = (md.delta_power(1j * z) for z in (s, t, t + s))
+        twice = u_t @ (u_s @ x @ dagger(u_s)) @ dagger(u_t)
+        direct = u_ts @ x @ dagger(u_ts)
+        group = max(group, np.linalg.norm(twice - direct, axis=(1, 2)).max())
+        member = max(member, _off_span(md.algebra, direct))
+    return {"group_law": float(group), "flow_membership": member}
 
 
 def purify(rho: np.ndarray, m: int) -> np.ndarray:

@@ -71,7 +71,9 @@ class TestReports:
         ("powers", {"n": 10}),
         ("araki-woods", {"n": 6}),
         ("genericity", {"samples": 100000}),
-        ("isometry-impossibility", {"n": 8, "trials": 200})])
+        ("isometry-impossibility", {"n": 8, "trials": 200}),
+        ("kms-random", {"max_k": 12, "instances": 10}),
+        ("modular-flow", {"k": 8, "samples": 40})])
     def test_scale_configurations_pass_finite(self, name, params):
         with np.errstate(all="raise"):
             report = run(name, params, seed=0)
@@ -197,10 +199,19 @@ class TestCli:
         ["wedge-localization", "--cond-cap", "0.5"],
         ["wedge-localization", "--cond-cap", "nan"],
         ["local-prepare", "--d2", "0"],
+        # bounds across parameters: the decay fit needs a window of three
+        # points, after clipping at the roundoff floor (m = 3 reaches it at
+        # r = 12), and the probe needs the packets to have moved
+        ["cluster-decay", "--fit-hi", "2"],
+        ["cluster-decay", "--fit-hi", "10"],
+        ["cluster-decay", "--fit-hi", "11"],
+        ["cluster-decay", "--m", "3"],
+        ["causality-probe", "--t", "0"],
     ])
     def test_out_of_range_parameter_exit_two(self, capsys, argv):
         assert cli.main(argv) == 2
-        assert "must be >=" in capsys.readouterr().err
+        expected = "must be nonzero" if argv[1] == "--t" else "must be >="
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,key", [
         (name, key) for name, exp in REGISTRY.items()

@@ -161,6 +161,10 @@ class TestDecayFit:
             decay_rate_fit(state, (0, 10))
         with pytest.raises(ValueError):
             decay_rate_fit(state, (5, 40))
+        # a quadratic through two points is underdetermined
+        with pytest.raises(ValueError, match="must be >= 2 sites wide"):
+            decay_rate_fit(state, (10, 11))
+        assert decay_rate_fit(state, (10, 12)).total_decay > 0
 
 
 class TestEntropy:

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vnlab.modular import (commutant_map_check, conjugate_by_j, kms_defect,
-                           modular_defects, modular_flow, purify, tomita)
-from vnlab.numkit import dagger, herm_fn, norm2
+from vnlab.modular import (check, conjugate_by_j, modular_flow, purify,
+                           tomita)
+from vnlab.numkit import dagger, herm_fn, haar_unitary, norm2
 from vnlab.vnalg import (OperatorAlgebra, commutant, full_matrix_algebra, matrix_units,
                          tensor_factor_algebra, vn_closure, gns,
                          cyclic_separating)
@@ -19,6 +19,50 @@ def powers_pair(lam):
     rho = np.diag([1.0, lam]) / (1.0 + lam)
     omega = purify(rho, 2)
     return tensor_factor_algebra(2, 2, "left"), omega, rho
+
+
+# ---------------------------------------------------------- reference forms
+# One identity at a time, one element at a time: the oracles that the
+# batched `check` is compared with.
+
+def kms_defect(md, x, y):
+    """|<O, x y O> - <O, y Delta x O>| for one pair."""
+    omega = md.omega
+    lhs = np.vdot(omega, x @ (y @ omega))
+    rhs = np.vdot(omega, y @ (md.delta @ (x @ omega)))
+    return float(abs(lhs - rhs))
+
+
+def commutant_map_check(md, x):
+    """Image J x J and its residual off the commutant's span."""
+    image = conjugate_by_j(md, x)
+    return image, md.algebra_commutant.member_residual(image)
+
+
+def flow_defects_loop(md, flows):
+    """Per-sample group law and membership of the flow.  The flow is applied
+    without `modular_flow`'s membership guard, so that data made wrong on
+    purpose reports its defects instead of raising."""
+    def flow(x, t):
+        u = md.delta_power(1j * t)
+        return u @ x @ dagger(u)
+
+    group_max, member_max = 0.0, 0.0
+    for t, s, x in flows:
+        one = flow(flow(x, s), t)
+        two = flow(x, t + s)
+        group_max = max(group_max, float(np.linalg.norm(one - two)))
+        member_max = max(member_max, md.algebra.member_residual(two))
+    return group_max, member_max
+
+
+def draw_flows(rng, alg, count):
+    flows = []
+    for _ in range(count):
+        t, s = rng.uniform(-2, 2, size=2)
+        x = alg.random_element(rng)
+        flows.append((t, s, x / np.linalg.norm(x)))
+    return flows
 
 
 def random_pair(rng, k):
@@ -70,7 +114,7 @@ class TestTomita:
         for k in (2, 3, 4):
             alg, omega = random_pair(rng, k)
             md = tomita(alg, omega)
-            d = modular_defects(md)
+            d = check(md)
             assert d["s_reconstruction"] <= 1e-10
             assert d["s_squared"] <= 1e-9
             assert d["j_squared"] <= 1e-9
@@ -107,6 +151,10 @@ class TestDeltaPower:
                 pairs.append((1j * t, herm_fn(md.delta, "ipower", t)))
             for z, ref in pairs:
                 assert norm2(md.delta_power(z) - ref) <= 1e-12
+            # an array of z gives the stack of the same powers
+            zs, refs = zip(*pairs)
+            for got, ref in zip(md.delta_power(np.array(zs)), refs):
+                assert norm2(got - ref) <= 1e-12
 
     def test_one_eigh_per_instance(self, monkeypatch):
         calls = {"eigh": 0}
@@ -116,14 +164,11 @@ class TestDeltaPower:
             calls["eigh"] += 1
             return eigh(*args, **kwargs)
 
-        from vnlab.modular import modular_report
-
         rng = np.random.default_rng(31)
         alg, omega = random_pair(rng, 3)
         monkeypatch.setattr(np.linalg, "eigh", counted)
         md = tomita(alg, omega)
-        modular_defects(md)
-        modular_report(md, flow_samples=4, rng=rng)
+        check(md, draw_flows(rng, alg, 4))
         for t in np.linspace(-2.0, 2.0, 10):
             modular_flow(md, alg.basis[1], t)
         assert calls["eigh"] == 1
@@ -307,31 +352,36 @@ class TestPurify:
 
 
 class TestReportRecord:
-    def test_modular_report_fields(self):
+    def test_check_keys(self):
         import json
-
-        from vnlab.modular import modular_report
 
         rng = np.random.default_rng(19)
         alg, omega = random_pair(rng, 2)
         md = tomita(alg, omega)
-        rec = modular_report(md)
-        assert set(rec) == {"dims", "delta_spectrum", "max_kms_defect",
-                            "flow_residual", "commutant_map_residual"}
-        assert rec["max_kms_defect"] <= 1e-9
-        assert rec["flow_residual"] <= 1e-8
-        assert rec["commutant_map_residual"] <= 1e-9
+        rec = check(md, draw_flows(rng, alg, 3))
+        assert set(rec) == {"s_reconstruction", "s_squared", "j_squared",
+                            "j_antiunitary", "jdj_inverse", "s_omega",
+                            "delta_omega", "kms", "jaj_commutant",
+                            "group_law", "flow_membership"}
+        assert all(isinstance(v, float) for v in rec.values())
+        assert max(rec.values()) <= 1e-8
+        assert check(md)["group_law"] == check(md)["flow_membership"] == 0.0
         json.dumps(rec)  # JSON-serializable
+
+    def test_check_needs_the_algebra(self):
+        alg, omega, _ = powers_pair(0.5)
+        md = replace(tomita(alg, omega), algebra=None)
+        with pytest.raises(ValueError, match="no algebra"):
+            check(md)
 
     def test_batched_checks_match_per_element_loop(self):
         # on genuine data both sides sit at roundoff, so the comparison also
         # runs on data made wrong on purpose: Delta replaced by Delta^2 breaks
-        # KMS, and the algebra standing in for its commutant breaks JaJ.
-        # M_k (x) 1 has a real basis; rotating the pair by a unitary makes
-        # the algebra and its commutant complex, so a lost conjugation shows.
-        from vnlab.modular import modular_report
-        from vnlab.numkit import haar_unitary
-
+        # KMS, the algebra standing in for its commutant breaks JaJ, and
+        # skewed eigenvectors make Delta^{it} neither a group nor an
+        # automorphism of the algebra.  M_k (x) 1 has a real basis; rotating
+        # the pair by a unitary makes the algebra and its commutant complex,
+        # so a lost conjugation shows.
         rng = np.random.default_rng(23)
         for k in (2, 3, 4):
             alg, omega = random_pair(rng, k)
@@ -341,15 +391,35 @@ class TestReportRecord:
             md = tomita(rotated, u @ omega)
             bad = replace(md, delta=md.delta @ md.delta)
             bad.algebra_commutant = rotated
+            w, v = md.delta_eigh
+            bad.delta_eigh = (w, v + 0.1 * haar_unitary(rng, alg.dim))
             for data in (tomita(alg, omega), md, bad):
                 basis = data.algebra.basis
-                rec = modular_report(data, flow_samples=0)
+                flows = draw_flows(rng, data.algebra, 5)
+                flows.append((0.7, 0.0, flows[0][2]))
+                rec = check(data, flows)
                 kms = max(kms_defect(data, x, y) for x in basis for y in basis)
                 jaj = max(commutant_map_check(data, x)[1] for x in basis)
-                assert abs(rec["max_kms_defect"] - kms) <= 1e-13 * max(1.0, kms)
-                assert (abs(rec["commutant_map_residual"] - jaj)
-                        <= 1e-13 * max(1.0, jaj))
+                group, member = flow_defects_loop(data, flows)
+                for got, ref in ((rec["kms"], kms), (rec["jaj_commutant"], jaj),
+                                 (rec["group_law"], group),
+                                 (rec["flow_membership"], member)):
+                    assert abs(got - ref) <= 1e-13 * max(1.0, ref)
             assert kms > 1e-3 and jaj > 0.1
+            assert group > 1e-3 and member > 1e-3
+
+    def test_flow_blocks_match_per_sample_loop(self):
+        # at k = 8 (dimension 64) a block holds 16 samples, so 40 samples
+        # take three blocks, the last one short
+        rng = np.random.default_rng(37)
+        alg, omega = random_pair(rng, 8)
+        md = tomita(alg, omega)
+        flows = draw_flows(rng, alg, 40)
+        rec = check(md, flows)
+        group, member = flow_defects_loop(md, flows)
+        assert abs(rec["group_law"] - group) <= 1e-13
+        assert abs(rec["flow_membership"] - member) <= 1e-13
+        assert max(rec["group_law"], rec["flow_membership"]) <= 1e-12
 
 
 class TestGnsModularLink:
