@@ -41,10 +41,10 @@ class ModularData:
             raise ValueError("Delta is not strictly positive")
         return w, u
 
-    def delta_power(self, z) -> np.ndarray:
-        """Delta^z, unitary for imaginary z; an array of z gives a stack."""
+    def delta_power(self, z: complex) -> np.ndarray:
+        """Delta^z; unitary for imaginary z."""
         w, u = self.delta_eigh
-        return (u * w ** np.asarray(z)[..., None, None]) @ dagger(u)
+        return (u * w ** z) @ dagger(u)
 
     @cached_property
     def algebra_commutant(self) -> OperatorAlgebra:
@@ -102,8 +102,8 @@ def check(md: ModularData, flows=()) -> dict:
     """
     comm = md.algebra_commutant  # raises when md carries no algebra
     return {**_polar_defects(md), "kms": _kms(md),
-            "jaj_commutant": _off_span(comm,
-                                       conjugate_by_j(md, md.algebra.basis)),
+            "jaj_commutant": comm.member_residual(
+                conjugate_by_j(md, md.algebra.basis)),
             **_flow_defects(md, flows)}
 
 
@@ -136,29 +136,16 @@ def _kms(md: ModularData) -> float:
     return float(np.max(np.abs(lhs - rhs.T)))
 
 
-def _off_span(alg: OperatorAlgebra, stack: np.ndarray) -> float:
-    """Largest norm of a stack's parts off alg's span; the stack is
-    overwritten, its projections subtracted in place."""
-    rows = stack.reshape(len(stack), -1)
-    flat = alg.basis.reshape(-1, rows.shape[1])
-    coeff = (flat @ rows.conj().T).conj()
-    rows -= coeff.T @ flat
-    return float(np.max(np.linalg.norm(rows, axis=1)))
-
-
 def _flow_defects(md: ModularData, flows) -> dict:
-    """Group law and membership of the flow samples, stacked in blocks of
-    at most 2^16 matrix entries, so memory is bounded in the sample count."""
-    block = max(1, 2 ** 16 // md.delta.size)
+    """Group law and membership of the flow samples, one at a time."""
     group, member = 0.0, 0.0
-    for i in range(0, len(flows), block):
-        t, s, x = (np.asarray(v) for v in zip(*flows[i:i + block]))
+    for t, s, x in flows:
         u_s, u_t, u_ts = (md.delta_power(1j * z) for z in (s, t, t + s))
         twice = u_t @ (u_s @ x @ dagger(u_s)) @ dagger(u_t)
         direct = u_ts @ x @ dagger(u_ts)
-        group = max(group, np.linalg.norm(twice - direct, axis=(1, 2)).max())
-        member = max(member, _off_span(md.algebra, direct))
-    return {"group_law": float(group), "flow_membership": member}
+        group = max(group, float(np.linalg.norm(twice - direct)))
+        member = max(member, md.algebra.member_residual(direct))
+    return {"group_law": group, "flow_membership": member}
 
 
 def purify(rho: np.ndarray, m: int) -> np.ndarray:

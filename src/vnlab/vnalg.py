@@ -58,18 +58,19 @@ class OperatorAlgebra:
     def _flat(self) -> np.ndarray:
         return self.basis.reshape(self.size, -1)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of x onto the span."""
-        f = self._flat()
-        return (self.coefficients(x) @ f).reshape(self.dim, self.dim)
-
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """HS coefficients tr(b_i* x); conjugates x, not the whole basis."""
-        return (self._flat() @ x.flatten().conj()).conj()
-
     def member_residual(self, x: np.ndarray) -> float:
-        """Norm of the component of x orthogonal to the span."""
-        return float(np.linalg.norm(x - self.project(x)))
+        """Norm of the component of x orthogonal to the span; for a stack of
+        matrices, the largest over the stack.  A complex stack is overwritten
+        by those components (the projections are subtracted in place, so a
+        large stack costs no second copy); a single matrix is left as it is.
+        """
+        rows = x.reshape(-1, self.dim ** 2).astype(complex, copy=x.ndim == 2)
+        f = self._flat()
+        # the coefficients tr(b_i* x) conjugate x, not the whole basis
+        rows -= (f @ rows.conj().T).conj().T @ f
+        # per row, the sum np.linalg.norm forms for one matrix
+        sq = np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag)
+        return float(np.sqrt(sq.max()))
 
     def contains(self, x: np.ndarray) -> bool:
         nx = float(np.linalg.norm(x))

@@ -151,10 +151,6 @@ class TestDeltaPower:
                 pairs.append((1j * t, herm_fn(md.delta, "ipower", t)))
             for z, ref in pairs:
                 assert norm2(md.delta_power(z) - ref) <= 1e-12
-            # an array of z gives the stack of the same powers
-            zs, refs = zip(*pairs)
-            for got, ref in zip(md.delta_power(np.array(zs)), refs):
-                assert norm2(got - ref) <= 1e-12
 
     def test_one_eigh_per_instance(self, monkeypatch):
         calls = {"eigh": 0}
@@ -364,6 +360,9 @@ class TestReportRecord:
                             "delta_omega", "kms", "jaj_commutant",
                             "group_law", "flow_membership"}
         assert all(isinstance(v, float) for v in rec.values())
+        assert rec["kms"] <= 1e-9
+        assert rec["jaj_commutant"] <= 1e-9
+        assert rec["flow_membership"] <= 1e-8
         assert max(rec.values()) <= 1e-8
         assert check(md)["group_law"] == check(md)["flow_membership"] == 0.0
         json.dumps(rec)  # JSON-serializable
@@ -407,19 +406,6 @@ class TestReportRecord:
                     assert abs(got - ref) <= 1e-13 * max(1.0, ref)
             assert kms > 1e-3 and jaj > 0.1
             assert group > 1e-3 and member > 1e-3
-
-    def test_flow_blocks_match_per_sample_loop(self):
-        # at k = 8 (dimension 64) a block holds 16 samples, so 40 samples
-        # take three blocks, the last one short
-        rng = np.random.default_rng(37)
-        alg, omega = random_pair(rng, 8)
-        md = tomita(alg, omega)
-        flows = draw_flows(rng, alg, 40)
-        rec = check(md, flows)
-        group, member = flow_defects_loop(md, flows)
-        assert abs(rec["group_law"] - group) <= 1e-13
-        assert abs(rec["flow_membership"] - member) <= 1e-13
-        assert max(rec["group_law"], rec["flow_membership"]) <= 1e-12
 
 
 class TestGnsModularLink:

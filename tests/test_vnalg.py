@@ -357,6 +357,27 @@ class TestSpanTools:
         assert inter.shape[0] == 1
         assert abs(abs(inter[0, 1]) - 1.0) < 1e-12
 
+    def test_member_residual_of_a_stack(self):
+        # a single matrix gives ||x - P x||_F bit for bit and is left as it
+        # is; a stack gives the largest of its matrices' residuals
+        rng = np.random.default_rng(41)
+        alg = tensor_factor_algebra(3, 3, "left")
+        f = alg.basis.reshape(alg.size, -1)
+        stack = (rng.standard_normal((5, 9, 9))
+                 + 1j * rng.standard_normal((5, 9, 9)))
+        stack[2] = alg.random_element(rng)
+        singles = []
+        for x in stack:
+            kept = x.copy()
+            proj = ((f @ x.flatten().conj()).conj() @ f).reshape(9, 9)
+            singles.append(alg.member_residual(x))
+            assert singles[-1] == np.linalg.norm(x - proj)
+            assert np.array_equal(x, kept)
+        assert singles[2] <= 1e-12 < min(singles[:2] + singles[3:])
+        assert alg.member_residual(stack) == pytest.approx(max(singles),
+                                                           rel=1e-13)
+        assert alg.member_residual(np.eye(9)) <= 1e-12  # real input
+
 
 class TestSerialization:
     def test_algebra_roundtrip(self, tmp_path):
