@@ -10,12 +10,12 @@ preparation/disentanglement channels - all as verifiable dense linear algebra.
 from . import (channels, experiments, factors, fock, lattice, locwedge,
                modular, numkit, vnalg)
 from .experiments import list_experiments, run
-from .numkit import AntilinearMap, antilinear_polar, herm_fn
+from .numkit import AntilinearMap, antilinear_polar
 from .vnalg import OperatorAlgebra, commutant, vn_closure
 
 __all__ = [
     "AntilinearMap", "OperatorAlgebra", "antilinear_polar", "channels",
-    "commutant", "experiments", "factors", "fock", "herm_fn", "lattice",
+    "commutant", "experiments", "factors", "fock", "lattice",
     "list_experiments", "locwedge", "modular", "numkit", "run", "vnalg",
     "vn_closure",
 ]

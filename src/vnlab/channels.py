@@ -118,11 +118,6 @@ def local_prepare_channel(split: SplitData, xi: np.ndarray) -> Channel:
     return Channel(np.stack(ops))
 
 
-def local_prepare(split: SplitData, xi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Prepare the vector state xi on the first factor, leave the rest alone."""
-    return kraus_apply(rho, local_prepare_channel(split, xi))
-
-
 @dataclass
 class DisentangleResult:
     state: np.ndarray

@@ -533,10 +533,12 @@ def _exp_modular_flow(p, seed):
     flows = [(*rng.uniform(-2, 2, size=2), _unit_element(alg, rng))
              for _ in range(p["samples"])]
     found = modular.check(md, flows)
-    group_max, member_max = found["group_law"], found["flow_membership"]
+    group_max = found.pop("group_law")
+    member_max = found.pop("flow_membership")
     fixed = norm2(modular.modular_flow(md, alg.basis[1], 0.0) - alg.basis[1])
+    # the other identities of the instance, under their check names
     metrics = {"group_law_defect": group_max, "membership_residual": member_max,
-               "t0_defect": fixed}
+               "t0_defect": fixed, **found}
     assertions = [
         Assertion("one_parameter_group", group_max, 1e-9),
         Assertion("flow_stays_in_algebra", member_max, 1e-8),
@@ -627,9 +629,10 @@ _register("local-prepare",
           "state-independent Kraus preparation of a vector state on one factor",
           {"d1": Param(int, 2, 1), "d2": Param(int, 2, 1),
            "inputs": Param(int, 50, 1)}, _exp_local_prepare)
+# the margin state has amplitude sqrt(lam)
 _register("disentangle",
           "margin-assisted disentanglement preserving both marginals",
-          {"lam": Param(float, 0.7)}, _exp_disentangle)
+          {"lam": Param(float, 0.7, 0.0)}, _exp_disentangle)
 # genericity_scan's own floor, which also covers the tenth-size controls
 _register("genericity",
           "entangled fraction of random states; reference PT eigenvalues",

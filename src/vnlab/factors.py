@@ -11,27 +11,21 @@ type-III classification data.
 The approximants are spectrum-first.  Construction keeps the per-site
 ``(S, Delta, J)`` and computes only the product vector and ``delta_spectrum``,
 the sorted Kronecker product of the per-site Delta diagonals; that is all the
-signatures read.  The dense global ``ModularData`` (three D x D complex
-matrices, 268 MB each at D = 4096) is multiplied out only when
-``Approximant.modular`` is read.  Two caps follow: construction accepts
-ambient dimensions up to ``SPECTRUM_CAP`` (N = 10 for Powers), while dense
-access (``modular`` and ``algebra``) stays within ``DIMENSION_CAP``.
+signatures read, and no dense global operator (268 MB per complex matrix at
+D = 4096) is formed.  Construction accepts ambient dimensions up to
+``SPECTRUM_CAP`` (N = 10 for Powers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
-from .modular import ModularData, purify
-from .numkit import AntilinearMap
-from .vnalg import OperatorAlgebra, matrix_units
+from .modular import purify
 
-# largest ambient dimension of a dense operator (modular data, algebra basis)
-DIMENSION_CAP = 4096
 # largest ambient dimension of an approximant (its spectrum and product vector)
 SPECTRUM_CAP = 1 << 20
 
@@ -64,9 +58,8 @@ class Approximant:
 
     ``site_modular`` is the per-site ``(S matrix, Delta, J matrix)``;
     ``delta_spectrum`` is the sorted Kronecker product of the per-site Delta
-    diagonals, taken in the same left-to-right order as the dense operators.
-    ``modular`` and ``algebra`` are dense D x D objects, built on first access
-    and refused above ``DIMENSION_CAP``.
+    diagonals, taken in the same left-to-right order as the Kronecker powers
+    of the site data.
     """
 
     kind: str
@@ -83,35 +76,6 @@ class Approximant:
     def ambient_dim(self) -> int:
         return (self.site_dim ** 2) ** self.n_factors
 
-    def _check_dense(self) -> None:
-        if self.ambient_dim > DIMENSION_CAP:
-            raise ValueError(f"dense operators of dimension {self.ambient_dim}"
-                             f" exceed cap {DIMENSION_CAP}")
-
-    @cached_property
-    def modular(self) -> ModularData:
-        """Global (S, Delta, J) as dense Kronecker powers of the site data."""
-        self._check_dense()
-        s_mat, delta, j_mat = (reduce(np.kron, [m] * self.n_factors)
-                               for m in self.site_modular)
-        return ModularData(s=AntilinearMap(s_mat), delta=delta,
-                           j=AntilinearMap(j_mat),
-                           delta_spectrum=self.delta_spectrum,
-                           algebra=None, omega=self.omega)
-
-    @cached_property
-    def algebra(self) -> OperatorAlgebra:
-        """The N-fold tensor power of M_s (x) 1, materialized on demand."""
-        self._check_dense()
-        s = self.site_dim
-        eye = np.eye(s)
-        site_left = [np.kron(u, eye) / np.sqrt(s) for u in matrix_units(s)]
-        site_right = [np.kron(eye, u) / np.sqrt(s) for u in matrix_units(s)]
-        left = _kron_algebra(site_left, self.n_factors, self.ambient_dim)
-        right = _kron_algebra(site_right, self.n_factors, self.ambient_dim)
-        left.commutant_hint = right  # one way, as in tensor_factor_algebra
-        return left
-
     def reduced_density(self) -> np.ndarray:
         """Partial trace of |Omega><Omega| over the commutant-side factors."""
         s, n = self.site_dim, self.n_factors
@@ -120,13 +84,6 @@ class Approximant:
         env_legs = tuple(range(1, 2 * n, 2))
         m = psi.transpose(alg_legs + env_legs).reshape(s ** n, s ** n)
         return m @ m.conj().T
-
-
-def _kron_algebra(site_basis: list[np.ndarray], n: int, dim: int) -> OperatorAlgebra:
-    basis = [np.eye(1, dtype=complex)]
-    for _ in range(n):
-        basis = [np.kron(b, u) for b in basis for u in site_basis]
-    return OperatorAlgebra(dim, np.stack(basis), orthonormal=True)
 
 
 def _build(kind: str, weights: np.ndarray, lam: float, mu: float | None,

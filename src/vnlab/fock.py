@@ -50,18 +50,6 @@ class FockSpace:
         v[0] = 1.0
         return v
 
-    def sector_totals(self) -> np.ndarray:
-        return self.occupations.sum(axis=1)
-
-    def sector_projector(self, max_total: int) -> np.ndarray:
-        """Diagonal projector onto sectors with total <= max_total."""
-        mask = self.sector_totals() <= max_total
-        return np.diag(mask.astype(float))
-
-    def embed_one_particle(self, psi: np.ndarray) -> np.ndarray:
-        """One-particle vector as a Fock vector in sector 1."""
-        return create(self, psi, self.vacuum())
-
 
 def build_fock(d: int, n_max: int) -> FockSpace:
     """Occupation basis (ordered by total, then lexicographically) and ladders."""
@@ -230,24 +218,3 @@ def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> int:
         layers.append(layer)
     return rank(np.concatenate(layers))
 
-
-def second_quantize(f: FockSpace, u: np.ndarray) -> np.ndarray:
-    """Gamma(U), filled sector by sector from Gamma a*_m = a*(U e_m) Gamma.
-
-    A state j of sector k + 1 is a*_m |i> / raise_value[m, i] for a state i
-    of sector k, so its column is a*(U e_m) Gamma|i> / raise_value[m, i].
-    Exact on every retained sector, since creation never crosses the cutoff
-    downward.
-    """
-    u = np.asarray(u, dtype=complex)
-    d = f.one_particle_dim
-    if u.shape != (d, d) or norm2(dagger(u) @ u - np.eye(d)) > 1e-8:
-        raise ValueError("second_quantize needs a unitary on the one-particle space")
-    gamma = np.zeros((f.total_dim, f.total_dim), dtype=complex)
-    gamma[0, 0] = 1.0
-    for k in range(f.n_max):
-        cols = np.arange(f.sector_dim(k - 1), f.sector_dim(k))
-        for m in range(d):
-            gamma[:, f.raise_index[m, cols]] = (
-                create(f, u[:, m], gamma[:, cols]) / f.raise_value[m, cols])
-    return gamma

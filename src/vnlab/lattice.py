@@ -48,7 +48,7 @@ class GaussianState:
 
     Both covariances are circulant: <phi_i phi_j> = row_phi[(i - j) % n], and
     the Fourier modes diagonalize them with eigenvalues weights_phi and
-    weights_pi.  Dense blocks are gathered from the rows on demand.
+    weights_pi.  Region blocks are gathered from the rows.
     """
 
     spec: ChainSpec
@@ -57,14 +57,6 @@ class GaussianState:
     weights_phi: np.ndarray
     weights_pi: np.ndarray
     zero_mode_excluded: bool = False
-
-    @cached_property
-    def g_phi(self) -> np.ndarray:
-        return _circulant_block(self.row_phi, np.arange(self.spec.sites))
-
-    @cached_property
-    def g_pi(self) -> np.ndarray:
-        return _circulant_block(self.row_pi, np.arange(self.spec.sites))
 
 
 def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ In the rapidity representation the wedge boost acts by translation, so the
 generator is the spectral derivative on a periodic rapidity grid and the
 modular operator is its exponential.  The conjugation is componentwise complex
 conjugation, which flips the generator's sign exactly, giving J Delta J =
-Delta^{-1} by construction.  Because the modular spectrum spans e^{+-2 pi k},
-a spectral window (condition cap on Delta^{1/2}) defines the retained
-subspace, and every localization statement is made there.
+Delta^{-1} by construction; on the Fourier modes it is the exact permutation
+f -> -f.  Because the modular spectrum spans e^{+-2 pi k}, a spectral window
+(condition cap on Delta^{1/2}) defines the retained subspace, and every
+localization statement is made there.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ def subspace_distance(k1: RealSubspace, k2: RealSubspace) -> float:
 class WedgeModel:
     """Discretized one-particle wedge data.
 
-    k_values and the Fourier modes hold the spectral decomposition of the
-    boost generator; retained_* fields live on the spectral window where
-    cond(Delta^{1/2}) stays below cond_cap.  The dense n x n operators
-    (modes, k_op, delta, j) are built only when read; delta's spectrum spans
-    e^{+-2 pi max|k|} and overflows beyond small n.
+    k_values and the Fourier modes of freqs on the grid hold the spectral
+    decomposition of the boost generator; retained_* fields live on the
+    spectral window where cond(Delta^{1/2}) stays below cond_cap.  No dense
+    n x n operator is formed: Delta's spectrum spans e^{+-2 pi max|k|} and
+    overflows beyond small n.
     """
 
     n: int
@@ -90,38 +91,22 @@ class WedgeModel:
         return int(self.retained.sum())
 
     @cached_property
-    def modes(self) -> np.ndarray:
-        """Columns = eigenvectors of k_op."""
-        return _fourier_columns(self.grid, self.freqs)
-
-    @cached_property
-    def k_op(self) -> np.ndarray:
-        k_op = (self.modes * self.k_values) @ self.modes.conj().T
-        return 0.5 * (k_op + k_op.conj().T)
-
-    @cached_property
-    def delta(self) -> np.ndarray:
-        """Delta = exp(-2 pi K), from the generator's modes."""
-        return (self.modes * np.exp(-2.0 * np.pi * self.k_values)) \
-            @ self.modes.conj().T
-
-    @cached_property
-    def j(self) -> AntilinearMap:
-        return AntilinearMap.conjugation(self.n)
-
-    @cached_property
     def j_compressed(self) -> AntilinearMap:
-        v = self.isometry
-        return AntilinearMap(v.conj().T @ v.conj())
+        """J on the retained modes: the frequency reflection f -> -f, with
+        the Nyquist mode sent to itself.  It is the permutation that the
+        product V* conj(V) of the isometry V gives up to rounding, and that
+        rounding would be amplified by cond(Delta^{1/2}) in S."""
+        modes = np.flatnonzero(self.retained)[
+            np.argsort(self.k_values[self.retained], kind="stable")]
+        column = np.empty(self.n, dtype=int)
+        column[modes] = np.arange(modes.size)
+        perm = np.zeros((modes.size, modes.size))
+        perm[np.arange(modes.size), column[-modes % self.n]] = 1.0
+        return AntilinearMap(perm)
 
     def flow_compressed(self, t: float) -> np.ndarray:
         """Delta^{it} on the retained subspace (exactly unitary)."""
         return np.diag(np.exp(-2j * np.pi * t * self.k_retained))
-
-    def flow_full(self, t: float) -> np.ndarray:
-        """Delta^{it} on the full space, via the generator's modes."""
-        phases = np.exp(-2j * np.pi * t * self.k_values)
-        return (self.modes * phases) @ self.modes.conj().T
 
     @cached_property
     def s_compressed(self) -> AntilinearMap:
@@ -160,35 +145,6 @@ def wedge_one_particle(n: int, theta_max: float,
     return WedgeModel(n=n, theta_max=theta_max, grid=grid, freqs=freqs,
                       k_values=kvals, cond_cap=cond_cap, retained=retained,
                       isometry=isometry, k_retained=k_retained)
-
-
-def s_operator(delta: np.ndarray, j: AntilinearMap,
-               spectral_cut: float | None = None
-               ) -> tuple[AntilinearMap, np.ndarray]:
-    """S = J Delta^{1/2}, with a spectral window for ill-conditioned Delta.
-
-    Returns (S, V): V is the isometry onto the retained subspace and S acts in
-    its coordinates (V is the full identity when no cut was needed).  Refuses
-    ill-conditioned input unless spectral_cut (a condition cap for
-    Delta^{1/2}) is supplied; the window is centered at eigenvalue 1, matching
-    spectra that are symmetric under inversion.
-    """
-    n = delta.shape[0]
-    w, u = np.linalg.eigh(0.5 * (delta + delta.conj().T))
-    if w.min() <= 0:
-        raise ValueError("delta must be positive")
-    cond_sqrt = float(np.sqrt(w.max() / w.min()))
-    if spectral_cut is None:
-        if cond_sqrt > COND_CAP:
-            raise ValueError("ill-conditioned delta: pass spectral_cut to regularize")
-        sqrt_delta = (u * np.sqrt(w)) @ u.conj().T
-        return AntilinearMap(j.mat @ np.conj(sqrt_delta)), np.eye(n)
-    keep = np.abs(np.log(w)) <= np.log(spectral_cut)
-    v = u[:, keep]
-    w = w[keep]
-    n_c = v.conj().T @ j.mat @ v.conj()
-    s = AntilinearMap(n_c * np.sqrt(w)[None, :])
-    return s, v
 
 
 def standard_subspace(s: AntilinearMap) -> RealSubspace:

@@ -1,15 +1,15 @@
 """Dense complex linear algebra kernel.
 
-Hermitian spectral calculus (``herm_fn``), antilinear-operator arithmetic and
-polar decomposition, the real-linearization used to extract fixed-point
-subspaces of antilinear involutions, the one rank rule, and the random
-samplers shared by the experiments (each draws a whole stack in one call).
+Antilinear-operator arithmetic and polar decomposition, the
+real-linearization used to extract fixed-point subspaces of antilinear
+involutions, the one rank rule, and the random samplers shared by the
+experiments (each draws a whole stack in one call).
 
 Every rank or null-space decision in the package is made here: a singular
 value (or eigenvalue of a positive semidefinite matrix) ``s`` counts as zero
 when ``s <= RANK_RTOL * max(1, s.max())``.  ``nonzero_mask``, ``rank``,
 ``row_space`` and ``null_space`` apply that rule.  The validity checks
-(Hermiticity, positivity, invertibility, antiunitarity, trace preservation)
+(positivity, invertibility, trace preservation, the partial-transpose sign)
 share one absolute slack, ``VALIDITY_ATOL``.  These two constants are the
 package's only global tolerances; neither can be overridden at run time.
 
@@ -24,8 +24,6 @@ are explicit:
 """
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
@@ -62,46 +60,6 @@ def norm2(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-_HERM_FNS = ("exp", "log", "sqrt", "power", "ipower")
-
-
-def herm_fn(h: np.ndarray, fn: str, t: float | None = None) -> np.ndarray:
-    """Spectral calculus f(H) = U f(diag) U* for Hermitian H.
-
-    ``fn`` is one of ``exp``, ``log``, ``sqrt``, ``power`` (H**t) or
-    ``ipower`` (H**(i t), unitary).  ``log``, ``ipower`` and ``power`` with a
-    negative exponent require a strictly positive matrix; ``sqrt`` requires a
-    positive semidefinite one.
-    """
-    if fn not in _HERM_FNS:
-        raise ValueError(f"unknown spectral function {fn!r}")
-    if fn in ("power", "ipower") and t is None:
-        raise ValueError(f"{fn} needs an exponent t")
-
-    w, u = np.linalg.eigh(0.5 * (h + dagger(h)))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.max(np.abs(h - dagger(h))) > VALIDITY_ATOL * scale:
-        raise ValueError("herm_fn requires a Hermitian matrix")
-    if fn == "exp":
-        fw = np.exp(w)
-    elif fn == "sqrt":
-        if w.min() < -VALIDITY_ATOL * scale:
-            raise ValueError("sqrt of a non-positive matrix")
-        fw = np.sqrt(np.clip(w, 0.0, None))
-    elif fn == "log" or fn == "ipower" or (fn == "power" and t < 0):
-        if w.min() <= VALIDITY_ATOL * scale:
-            raise ValueError(f"{fn} requires a strictly positive matrix")
-        if fn == "log":
-            fw = np.log(w)
-        elif fn == "ipower":
-            fw = np.exp(1j * t * np.log(w))
-        else:
-            fw = w ** t
-    else:  # power, t >= 0
-        fw = w ** t
-    return (u * fw) @ dagger(u)
-
-
 class AntilinearMap:
     """Antilinear operator v -> mat @ conj(v) on C^n."""
 
@@ -117,17 +75,8 @@ class AntilinearMap:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @classmethod
-    def conjugation(cls, n: int) -> "AntilinearMap":
-        """Plain componentwise conjugation."""
-        return cls(np.eye(n))
-
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.mat @ np.conj(v)
-
-    def adjoint(self) -> "AntilinearMap":
-        """The antilinear adjoint: <phi, S psi> = <psi, S* phi>."""
-        return AntilinearMap(self.mat.T)
 
     def squared(self) -> np.ndarray:
         """S o S as a (linear) matrix."""
@@ -140,21 +89,6 @@ class AntilinearMap:
 
     def __rmatmul__(self, other):
         return AntilinearMap(np.asarray(other) @ self.mat)
-
-    def is_antiunitary(self) -> bool:
-        n = self.dim
-        return (norm2(dagger(self.mat) @ self.mat - np.eye(n))
-                <= VALIDITY_ATOL * n)
-
-    def conjugate_linear_defect(self, rng: np.random.Generator) -> float:
-        """Max defect of map(c v) = conj(c) map(v) on 8 random v, c."""
-        worst = 0.0
-        for _ in range(8):
-            v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            worst = max(worst, float(np.linalg.norm(
-                self(c * v) - np.conj(c) * self(v))))
-        return worst
 
     def __repr__(self):
         return f"AntilinearMap(dim={self.dim})"
@@ -284,29 +218,3 @@ def random_density(rng: np.random.Generator, n: int,
     g = complex_normal(rng, (n, n), count)
     rho = g @ dagger(g)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def save_matrix_csv(path, a: np.ndarray) -> None:
-    """Row-major CSV dump; header row is (rows, cols), entries as re,im pairs."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([a.shape[0], a.shape[1]])
-        for row in a:
-            flat = []
-            for z in row:
-                flat.extend([repr(float(z.real)), repr(float(z.imag))])
-            writer.writerow(flat)
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows, cols = (int(x) for x in next(reader))
-        out = np.empty((rows, cols), dtype=complex)
-        for i, line in enumerate(reader):
-            vals = [float(x) for x in line]
-            out[i] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-    if out.shape != (rows, cols):
-        raise ValueError("CSV matrix block does not match its header")
-    return out

@@ -4,21 +4,14 @@ Algebras are unital *-closed spans of matrices, stored with a basis that is
 orthonormal in the Hilbert-Schmidt inner product tr(A* B); membership tests
 are then projection residuals with a single threshold.  Commutants are solved
 from one random element of the algebra and certified against the whole basis,
-centers come from span intersection, and the GNS construction from the Gram
-matrix of the state.
+and centers come from span intersection.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .numkit import (VALIDITY_ATOL, dagger, load_matrix_csv, nonzero_mask,
-                     null_space, rank, row_space, save_matrix_csv)
+from .numkit import dagger, null_space, rank, row_space
 
 # an element belongs to a span when its orthogonal residual is below
 # MEMBERSHIP_RTOL times its own norm
@@ -88,29 +81,8 @@ class OperatorAlgebra:
         return self.element(rng.standard_normal(self.size)
                             + 1j * rng.standard_normal(self.size))
 
-    def validate(self) -> dict:
-        """Check identity membership, *-closure and product closure; return
-        the worst residual of each kind."""
-        worst = {"identity": self.member_residual(np.eye(self.dim))}
-        adj = 0.0
-        prod = 0.0
-        for b in self.basis:
-            adj = max(adj, self.member_residual(dagger(b)))
-            for c in self.basis:
-                prod = max(prod, self.member_residual(b @ c))
-        worst["adjoint"] = adj
-        worst["product"] = prod
-        return worst
-
     def __repr__(self):
         return f"OperatorAlgebra(dim={self.dim}, size={self.size})"
-
-
-def full_matrix_algebra(n: int) -> OperatorAlgebra:
-    """All of B(C^n); matrix units are already HS-orthonormal."""
-    units = matrix_units(n)
-    alg = OperatorAlgebra(n, units, orthonormal=True)
-    return alg
 
 
 def matrix_units(n: int) -> np.ndarray:
@@ -119,10 +91,6 @@ def matrix_units(n: int) -> np.ndarray:
         for j in range(n):
             units[i * n + j, i, j] = 1.0
     return units
-
-
-def scalar_algebra(n: int) -> OperatorAlgebra:
-    return OperatorAlgebra(n, np.eye(n)[None, :, :] / np.sqrt(n), orthonormal=True)
 
 
 def tensor_factor_algebra(d: int, m: int, side: str = "left") -> OperatorAlgebra:
@@ -264,35 +232,6 @@ def _eigenvalue_clusters(w: np.ndarray) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def minimal_projector(a: OperatorAlgebra) -> np.ndarray:
-    """A projector E in the algebra with EAE one-dimensional.
-
-    Compresses by spectral projectors of generic Hermitian elements until the
-    corner EAE collapses to scalars; every finite-dimensional algebra gets
-    there because the projector rank strictly drops while the corner stays
-    larger than one-dimensional.  Gives up after 20 compressions.
-    """
-    rng = np.random.default_rng(0)
-    n = a.dim
-    proj = np.eye(n, dtype=complex)
-    for _ in range(20):
-        corner = orthonormalize_span(
-            np.einsum("ij,ajk,kl->ail", proj, a.basis, proj))
-        if corner.shape[0] == 1:
-            return proj
-        coeff = rng.standard_normal(corner.shape[0])
-        h = np.tensordot(coeff, corner, axes=(0, 0))
-        h = 0.5 * (h + dagger(h))
-        w, v = np.linalg.eigh(h)
-        nonzero = np.abs(w) > 1e-8 * max(1.0, float(np.max(np.abs(w))))
-        clusters = [c for c in _eigenvalue_clusters(w) if nonzero[c].all()]
-        if not clusters:
-            continue  # unlucky draw: h vanished on the corner
-        c = clusters[0]
-        proj = v[:, c] @ dagger(v[:, c])
-    raise RuntimeError("minimal projector search did not terminate")
-
-
 def cyclic_separating(a: OperatorAlgebra,
                       omega: np.ndarray) -> tuple[bool, bool]:
     """(is_cyclic, is_separating) for a unit vector.
@@ -314,71 +253,3 @@ def cyclic_separating(a: OperatorAlgebra,
 def _orbit_rank(a: OperatorAlgebra, omega: np.ndarray) -> int:
     return rank(np.einsum("aij,j->ai", a.basis, omega))
 
-
-def save_algebra(alg: OperatorAlgebra, directory, name: str = "algebra") -> str:
-    """Serialize an algebra as JSON with basis matrices in CSV blocks.
-
-    Writes `<name>.json` holding {ambient_dim, basis: [csv filenames]} next to
-    one CSV file per basis matrix; returns the JSON path.
-    """
-    os.makedirs(directory, exist_ok=True)
-    refs = []
-    for i, b in enumerate(alg.basis):
-        ref = f"{name}_basis_{i:03d}.csv"
-        save_matrix_csv(os.path.join(directory, ref), b)
-        refs.append(ref)
-    path = os.path.join(directory, f"{name}.json")
-    with open(path, "w") as fh:
-        json.dump({"ambient_dim": alg.dim, "basis": refs}, fh, indent=1)
-    return path
-
-
-def load_algebra(json_path) -> OperatorAlgebra:
-    with open(json_path) as fh:
-        spec = json.load(fh)
-    base = os.path.dirname(json_path)
-    basis = np.stack([load_matrix_csv(os.path.join(base, ref))
-                      for ref in spec["basis"]])
-    return OperatorAlgebra(spec["ambient_dim"], basis, orthonormal=True)
-
-
-@dataclass
-class GnsRep:
-    """GNS data for a state on the full matrix algebra M_d."""
-
-    source_dim: int
-    dim: int
-    vector: np.ndarray
-    represent: Callable[[np.ndarray], np.ndarray]
-    algebra: OperatorAlgebra
-
-
-def gns(rho: np.ndarray) -> GnsRep:
-    """GNS representation of omega = tr(rho .) on M_d.
-
-    The algebra with inner product <a, b> = omega(a* b) is quotiented by its
-    null space; left multiplication descends to the quotient and the class of
-    the identity is the GNS vector, so <Omega, pi(x) Omega> = omega(x).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if w.min() < -VALIDITY_ATOL or abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ValueError("gns needs a positive, unit-trace density matrix")
-
-    # Gram of the matrix-unit basis: <E_ij, E_kl> = delta_ik rho[l, j]
-    gram = np.einsum("ik,lj->ijkl", np.eye(d), rho).reshape(d * d, d * d)
-    gw, gv = np.linalg.eigh(0.5 * (gram + dagger(gram)))
-    keep = nonzero_mask(gw)
-    sq = np.sqrt(gw[keep])
-    v = gv[:, keep]
-
-    def represent(x: np.ndarray) -> np.ndarray:
-        left = np.kron(np.asarray(x, complex), np.eye(d))
-        return (sq[:, None] * (dagger(v) @ left @ v)) / sq[None, :]
-
-    vector = sq * (dagger(v) @ np.eye(d).flatten())
-    basis = np.stack([represent(u) for u in matrix_units(d)])
-    algebra = OperatorAlgebra(int(keep.sum()), basis)
-    return GnsRep(source_dim=d, dim=int(keep.sum()), vector=vector,
-                  represent=represent, algebra=algebra)

@@ -1,0 +1,138 @@
+"""Reference forms shared by several test modules.
+
+Each is an independent, dense route to something the package computes in a
+structured way: the spectral calculus behind ``ModularData.delta_power`` and
+``antilinear_polar``, the eigensolve-based S operator behind the wedge's
+Fourier-mode S, the GNS construction as a second route to modular data, and
+the full and scalar matrix algebras as test cases.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from vnlab.locwedge import COND_CAP
+from vnlab.numkit import VALIDITY_ATOL, AntilinearMap, dagger, nonzero_mask
+from vnlab.vnalg import OperatorAlgebra, matrix_units
+
+_HERM_FNS = ("exp", "log", "sqrt", "power", "ipower")
+
+
+def herm_fn(h: np.ndarray, fn: str, t: float | None = None) -> np.ndarray:
+    """Spectral calculus f(H) = U f(diag) U* for Hermitian H.
+
+    ``fn`` is one of ``exp``, ``log``, ``sqrt``, ``power`` (H**t) or
+    ``ipower`` (H**(i t), unitary).  ``log``, ``ipower`` and ``power`` with a
+    negative exponent require a strictly positive matrix; ``sqrt`` requires a
+    positive semidefinite one.
+    """
+    if fn not in _HERM_FNS:
+        raise ValueError(f"unknown spectral function {fn!r}")
+    if fn in ("power", "ipower") and t is None:
+        raise ValueError(f"{fn} needs an exponent t")
+
+    w, u = np.linalg.eigh(0.5 * (h + dagger(h)))
+    scale = max(1.0, float(np.max(np.abs(w))))
+    if np.max(np.abs(h - dagger(h))) > VALIDITY_ATOL * scale:
+        raise ValueError("herm_fn requires a Hermitian matrix")
+    if fn == "exp":
+        fw = np.exp(w)
+    elif fn == "sqrt":
+        if w.min() < -VALIDITY_ATOL * scale:
+            raise ValueError("sqrt of a non-positive matrix")
+        fw = np.sqrt(np.clip(w, 0.0, None))
+    elif fn == "log" or fn == "ipower" or (fn == "power" and t < 0):
+        if w.min() <= VALIDITY_ATOL * scale:
+            raise ValueError(f"{fn} requires a strictly positive matrix")
+        if fn == "log":
+            fw = np.log(w)
+        elif fn == "ipower":
+            fw = np.exp(1j * t * np.log(w))
+        else:
+            fw = w ** t
+    else:  # power, t >= 0
+        fw = w ** t
+    return (u * fw) @ dagger(u)
+
+
+def s_operator(delta: np.ndarray, j: AntilinearMap,
+               spectral_cut: float | None = None
+               ) -> tuple[AntilinearMap, np.ndarray]:
+    """S = J Delta^{1/2}, with a spectral window for ill-conditioned Delta.
+
+    Returns (S, V): V is the isometry onto the retained subspace and S acts in
+    its coordinates (V is the full identity when no cut was needed).  Refuses
+    ill-conditioned input unless spectral_cut (a condition cap for
+    Delta^{1/2}) is supplied; the window is centered at eigenvalue 1, matching
+    spectra that are symmetric under inversion.
+    """
+    n = delta.shape[0]
+    w, u = np.linalg.eigh(0.5 * (delta + delta.conj().T))
+    if w.min() <= 0:
+        raise ValueError("delta must be positive")
+    cond_sqrt = float(np.sqrt(w.max() / w.min()))
+    if spectral_cut is None:
+        if cond_sqrt > COND_CAP:
+            raise ValueError("ill-conditioned delta: pass spectral_cut to regularize")
+        sqrt_delta = (u * np.sqrt(w)) @ u.conj().T
+        return AntilinearMap(j.mat @ np.conj(sqrt_delta)), np.eye(n)
+    keep = np.abs(np.log(w)) <= np.log(spectral_cut)
+    v = u[:, keep]
+    w = w[keep]
+    n_c = v.conj().T @ j.mat @ v.conj()
+    s = AntilinearMap(n_c * np.sqrt(w)[None, :])
+    return s, v
+
+
+def full_matrix_algebra(n: int) -> OperatorAlgebra:
+    """All of B(C^n); matrix units are already HS-orthonormal."""
+    return OperatorAlgebra(n, matrix_units(n), orthonormal=True)
+
+
+def scalar_algebra(n: int) -> OperatorAlgebra:
+    return OperatorAlgebra(n, np.eye(n)[None, :, :] / np.sqrt(n), orthonormal=True)
+
+
+@dataclass
+class GnsRep:
+    """GNS data for a state on the full matrix algebra M_d."""
+
+    source_dim: int
+    dim: int
+    vector: np.ndarray
+    represent: Callable[[np.ndarray], np.ndarray]
+    algebra: OperatorAlgebra
+
+
+def gns(rho: np.ndarray) -> GnsRep:
+    """GNS representation of omega = tr(rho .) on M_d.
+
+    The algebra with inner product <a, b> = omega(a* b) is quotiented by its
+    null space; left multiplication descends to the quotient and the class of
+    the identity is the GNS vector, so <Omega, pi(x) Omega> = omega(x).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[0]
+    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
+    if w.min() < -VALIDITY_ATOL or abs(np.trace(rho).real - 1.0) > 1e-8:
+        raise ValueError("gns needs a positive, unit-trace density matrix")
+
+    # Gram of the matrix-unit basis: <E_ij, E_kl> = delta_ik rho[l, j]
+    gram = np.einsum("ik,lj->ijkl", np.eye(d), rho).reshape(d * d, d * d)
+    gw, gv = np.linalg.eigh(0.5 * (gram + dagger(gram)))
+    keep = nonzero_mask(gw)
+    sq = np.sqrt(gw[keep])
+    v = gv[:, keep]
+
+    def represent(x: np.ndarray) -> np.ndarray:
+        left = np.kron(np.asarray(x, complex), np.eye(d))
+        return (sq[:, None] * (dagger(v) @ left @ v)) / sq[None, :]
+
+    vector = sq * (dagger(v) @ np.eye(d).flatten())
+    basis = np.stack([represent(u) for u in matrix_units(d)])
+    algebra = OperatorAlgebra(int(keep.sum()), basis)
+    return GnsRep(source_dim=d, dim=int(keep.sum()), vector=vector,
+                  represent=represent, algebra=algebra)

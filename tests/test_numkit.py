@@ -1,5 +1,5 @@
-"""Spectral calculus, antilinear polar decomposition, realification, the
-rank rule."""
+"""Antilinear polar decomposition, realification, the rank rule, the
+samplers, and the reference spectral calculus the modular tests lean on."""
 
 import ast
 import pathlib
@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import vnlab
+from reference import herm_fn
 from vnlab.numkit import (RANK_RTOL, AntilinearMap, antilinear_polar,
                           complex_normal, dagger, embed_real, haar_pure_state,
-                          herm_fn, load_matrix_csv, nonzero_mask, norm2,
-                          null_space, random_density, rank, real_linearize,
-                          row_space, save_matrix_csv, unembed_real)
+                          nonzero_mask, norm2, null_space, random_density,
+                          rank, real_linearize, row_space, unembed_real)
 
 
 def random_hermitian(rng, n):
@@ -31,6 +31,9 @@ def random_invertible(rng, n, smin=0.3, smax=3.0):
 
 
 class TestHermFn:
+    """The reference spectral calculus behind the delta_power and
+    antilinear_polar checks."""
+
     def test_exp_of_zero_is_identity(self):
         assert np.allclose(herm_fn(np.zeros((3, 3)), "exp"), np.eye(3))
 
@@ -99,19 +102,22 @@ class TestAntilinearMap:
     def test_conjugate_linearity(self):
         rng = np.random.default_rng(1)
         m = AntilinearMap(random_invertible(rng, 4))
-        assert m.conjugate_linear_defect(rng) < 1e-12
+        for _ in range(8):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            assert np.linalg.norm(m(c * v) - np.conj(c) * m(v)) < 1e-12
 
     def test_adjoint_inner_product_identity(self):
         rng = np.random.default_rng(2)
         s = AntilinearMap(random_invertible(rng, 5))
-        sa = s.adjoint()
+        sa = AntilinearMap(s.mat.T)  # the adjoint is plain transposition
         for _ in range(6):
             phi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             psi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             assert abs(np.vdot(phi, s(psi)) - np.vdot(psi, sa(phi))) < 1e-12
 
     def test_polar_of_plain_conjugation(self):
-        s = AntilinearMap.conjugation(3)
+        s = AntilinearMap(np.eye(3))
         j, delta = antilinear_polar(s)
         assert np.allclose(j.mat, np.eye(3))
         assert np.allclose(delta, np.eye(3))
@@ -122,7 +128,7 @@ class TestAntilinearMap:
         assert np.allclose(delta, np.diag([4.0, 0.25]))
         assert np.allclose(j.mat, np.eye(2))
         # brute-force inner-product check of delta = S* S on basis vectors
-        sa = s.adjoint()
+        sa = AntilinearMap(s.mat.T)
         for i in range(2):
             e = np.eye(2)[i].astype(complex)
             assert np.allclose(sa(s(e)), delta @ e)
@@ -136,7 +142,7 @@ class TestAntilinearMap:
             sqrt_delta = herm_fn(delta, "sqrt")
             recon = j @ sqrt_delta
             assert norm2(s.mat - recon.mat) <= 1e-10
-            assert j.is_antiunitary()
+            assert norm2(dagger(j.mat) @ j.mat - np.eye(n)) <= 1e-10 * n
             # J = U V* from the SVD is S Delta^{-1/2} of the spectral calculus
             ref = s.mat @ np.conj(herm_fn(delta, "power", -0.5))
             assert norm2(j.mat - ref) <= 1e-12
@@ -189,7 +195,7 @@ class TestRealLinearize:
         assert np.allclose(r, expected)
 
     def test_conjugation_block_signs(self):
-        r = real_linearize(AntilinearMap.conjugation(3))
+        r = real_linearize(AntilinearMap(np.eye(3)))
         expected = np.diag([1.0] * 3 + [-1.0] * 3)
         assert np.allclose(r, expected)
 
@@ -440,13 +446,3 @@ class TestSamplers:
         stack = complex_normal(rng, (3, 2), 5)
         assert np.array_equal(dagger(stack), [m.conj().T for m in stack])
 
-
-class TestPlumbing:
-    def test_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        path = tmp_path / "m.csv"
-        save_matrix_csv(path, m)
-        header = path.read_text().splitlines()[0]
-        assert header == "3,5"
-        assert np.array_equal(load_matrix_csv(path), m)

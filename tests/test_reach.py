@@ -1,0 +1,123 @@
+"""Every definition in src/vnlab is entered by an entry point.
+
+An entry point is the `vnlab` CLI (its `list` command and every registered
+experiment), a `demos/*.py` script, or a call the benchmark in `perfbench/`
+makes.  The probe runs in a fresh interpreter with a profile hook set before
+vnlab is imported, so calls made at import time count.  Each experiment runs
+once through the CLI, at reduced sizes where its defaults are slow: an entry
+point may run at any parameter value.  Code that only tests use belongs in
+`tests/` (shared reference forms in `tests/reference.py`).
+
+Run as a script, this module is the probe: it prints the entered
+(file, qualified name) pairs as JSON on its last line.
+"""
+
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "vnlab"
+
+# parameters that keep a slow default run short
+SMALL = {"local-difference": {"pairs": 1, "budget": 40}}
+
+# Definitions that only the benchmark reaches.  perfbench's bicommutant op
+# closes vN({x (x) 1, y (x) 1}), solves A' and A'' by the generic commutant
+# and takes the centre of A''; its tracer reads `ambient_dim` of every
+# approximant it counts.  No experiment or demo builds an algebra without a
+# structured commutant hint.
+PERFBENCH_ONLY = {
+    ("vnalg", "vn_closure"),
+    ("vnalg", "orthonormalize_span"),
+    ("vnalg", "_commutant_of_element"),
+    ("vnalg", "_commutator_residual"),
+    ("vnalg", "_eigenvalue_clusters"),
+    ("vnalg", "center_and_factor"),
+    ("vnalg", "span_intersection"),
+    ("factors", "Approximant.ambient_dim"),
+}
+
+
+def definitions():
+    """(module path, qualified name) of every function, method and property
+    in the package, nested functions included; dunder methods are left out."""
+    found = set()
+
+    def walk(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(path, child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}"
+                if not (child.name.startswith("__")
+                        and child.name.endswith("__")):
+                    found.add((str(path), name))
+                walk(path, child, f"{name}.<locals>.")
+            else:
+                walk(path, child, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(path.resolve(), ast.parse(path.read_text()), "")
+    return found
+
+
+def probe():
+    """Run every entry point under a profile hook; return what it entered."""
+    import contextlib
+    import io
+    import runpy
+
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+    sys.setprofile(record)
+    try:
+        from vnlab import cli, experiments
+
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["list"])
+            for i, name in enumerate(experiments.REGISTRY):
+                argv = [name, "--format", ("json", "csv")[i % 2]]
+                for key, value in SMALL.get(name, {}).items():
+                    argv.append(f"--{key.replace('_', '-')}={value}")
+                cli.main(argv)
+            for demo in sorted((ROOT / "demos").glob("*.py")):
+                runpy.run_path(str(demo), run_name="__main__")
+    finally:
+        sys.setprofile(None)
+    return {(str(pathlib.Path(f).resolve()), q) for f, q in entered
+            if f.endswith(".py")}
+
+
+def test_every_definition_is_reached():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, __file__], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    entered = {tuple(pair)
+               for pair in json.loads(proc.stdout.splitlines()[-1])}
+    unreached = {(pathlib.Path(path).stem, name)
+                 for path, name in definitions() - entered}
+    assert unreached == PERFBENCH_ONLY
+
+
+def test_definitions_cover_methods_properties_and_nested_functions():
+    names = {name for path, name in definitions()
+             if pathlib.Path(path).stem in ("locwedge", "lattice")}
+    assert {"WedgeModel.j_compressed", "WedgeModel.retained_dim",
+            "RegionFockRep.vacuum_vector.<locals>.pair"} <= names
+    assert not any(name.split(".")[-1].startswith("__") for name in names)
+
+
+if __name__ == "__main__":
+    print(json.dumps(sorted(probe())))
