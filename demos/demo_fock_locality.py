@@ -12,14 +12,13 @@ import numpy as np
 from vnlab.fock import (build_fock, ccr_defect, cyclicity_rank, locality_check,
                         safe_commutator, weyl_relation_defect)
 from vnlab.locwedge import real_subspace_from_vectors, symplectic_complement
-from vnlab.numkit import norm2
+from vnlab.numkit import complex_normal, norm2
 
 f = build_fock(2, 3)
 print(f"Fock space: 2 modes, cutoff 3, dimension {f.total_dim}")
 
 rng = np.random.default_rng(0)
-psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+psi, phi = complex_normal(rng, (2,), 2)
 print(f"CCR defect on safe sectors: {ccr_defect(f, psi, phi):.2e}")
 
 print("\ncommutator norm equals |Im<psi, phi>| (locality <-> symplectic form):")

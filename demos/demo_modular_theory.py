@@ -18,7 +18,7 @@ weights = tuple(float(x) for x in np.round(np.diag(rho).real, 4))
 print(f"state on the 2x2 factor: diag{weights}")
 
 omega = purify(rho, 2)
-alg = tensor_factor_algebra(2, 2, "left")
+alg = tensor_factor_algebra(2, 2)
 md = tomita(alg, omega)
 
 print("\nmodular spectrum (eigenvalue ratios of the state):")

@@ -12,8 +12,7 @@ import numpy as np
 from vnlab.locwedge import (boost_matrix, duality_check,
                             flow_invariance_residual, standardness_check,
                             subspace_distance, symplectic_complement,
-                            wedge_one_particle, wedge_report,
-                            wedge_standard_subspace)
+                            wedge_one_particle, wedge_report)
 
 print("== boost geometry ==")
 s = 0.8
@@ -31,7 +30,7 @@ for theta_max in (4.0, 6.0, 8.0):
           f"boost invariance {rep['flow_invariance_residual']:.1e}")
 
 model = wedge_one_particle(64, 6.0)
-k = wedge_standard_subspace(model)
+k = model.standard_subspace
 dim_inter, dim_sum, std = standardness_check(k)
 print(f"\n standard subspace: real dim {k.real_dim}, K ∩ iK = {dim_inter}, "
       f"K + iK = {dim_sum} (ambient 2x{k.ambient_dim}), standard: {std}")

@@ -121,7 +121,6 @@ def local_prepare_channel(split: SplitData, xi: np.ndarray) -> Channel:
 @dataclass
 class DisentangleResult:
     state: np.ndarray
-    target: np.ndarray | None     # purifying vector inside H_1, if one fits
     channel: Channel | None       # None when the product-of-marginals fallback ran
 
 
@@ -141,10 +140,10 @@ def disentangle(split: SplitData, omega: np.ndarray) -> DisentangleResult:
         xi = purify(rho_inner, ancilla)
         channel = local_prepare_channel(split, xi)
         return DisentangleResult(state=kraus_apply(omega, channel),
-                                 target=xi, channel=channel)
+                                 channel=channel)
     product = np.kron(partial_trace(omega, (split.d1, split.d2), 0),
                       split.outer_marginal(omega))
-    return DisentangleResult(state=product, target=None, channel=None)
+    return DisentangleResult(state=product, channel=None)
 
 
 def is_entangled(rho: np.ndarray, dims: tuple[int, int]

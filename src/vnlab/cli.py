@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import list_experiments, run, validate_params
+from .experiments import list_experiments, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,9 +38,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write "--key -1e-3" as "--key=-1e-3": each option takes one value, but
+    argparse reads "-..." as an option unless it looks like -1 or -0.5."""
+    joined = []
+    for token in argv:
+        prev = joined[-1] if joined else ""
+        if (prev.startswith("--") and "=" not in prev
+                and token.startswith("-") and not token.startswith("--")):
+            joined[-1] = f"{prev}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_values(argv))
     if args.command is None or args.command == "list":
         width = max(len(n) for n in list_experiments())
         for name, exp in list_experiments().items():
@@ -52,8 +67,7 @@ def main(argv=None) -> int:
     overrides = {k: getattr(args, k) for k in schema
                  if getattr(args, k) is not None}
     try:
-        params = validate_params(args.command, overrides)
-        report = run(args.command, params, seed=args.seed, out=args.out,
+        report = run(args.command, overrides, seed=args.seed, out=args.out,
                      fmt=args.format)
     except (KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channels, factors, fock, lattice, locwedge, modular, vnalg
-from .numkit import (dagger, haar_pure_state, haar_unitary, norm2,
-                     random_density)
+from .numkit import (complex_normal, dagger, haar_pure_state, haar_unitary,
+                     norm2, random_density)
 
 
 @dataclass
@@ -117,7 +117,7 @@ def _faithful_vector(rng, k):
 
 def _factor_algebras(ks) -> dict:
     """M_k (x) 1 on C^k (x) C^k, built once for each distinct k."""
-    return {k: vnalg.tensor_factor_algebra(k, k, "left") for k in set(ks)}
+    return {k: vnalg.tensor_factor_algebra(k, k) for k in set(ks)}
 
 
 # ---------------------------------------------------------------- experiments
@@ -257,8 +257,7 @@ def _exp_fock_ccr(p, seed):
     f = fock.build_fock(d, n_max)
     ccr_max, eq_max = 0.0, 0.0
     for _ in range(p["pairs"]):
-        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi, phi = complex_normal(rng, (d,), 2)
         a, b = fock.field_operator(f, psi), fock.field_operator(f, phi)
         ccr_max = max(ccr_max, fock.ccr_defect(f, a, b))
         norm = norm2(fock.safe_commutator(f, a, b))
@@ -527,7 +526,7 @@ def _exp_isometry(p, seed):
 
 def _exp_modular_flow(p, seed):
     rng = np.random.default_rng(seed)
-    alg = vnalg.tensor_factor_algebra(p["k"], p["k"], "left")
+    alg = vnalg.tensor_factor_algebra(p["k"], p["k"])
     md = modular.tomita(alg, _faithful_vector(rng, p["k"]))
     # each flow sample draws t and s, then x
     flows = [(*rng.uniform(-2, 2, size=2), _unit_element(alg, rng))

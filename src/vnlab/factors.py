@@ -8,12 +8,12 @@ of products of per-site eigenvalue ratios.  The spectral signatures (log
 spectrum, gaps in a window, reduced purity) are the desk-scale shadows of the
 type-III classification data.
 
-The approximants are spectrum-first.  Construction keeps the per-site
-``(S, Delta, J)`` and computes only the product vector and ``delta_spectrum``,
-the sorted Kronecker product of the per-site Delta diagonals; that is all the
-signatures read, and no dense global operator (268 MB per complex matrix at
-D = 4096) is formed.  Construction accepts ambient dimensions up to
-``SPECTRUM_CAP`` (N = 10 for Powers).
+The approximants are spectrum-first.  Construction keeps the site weights
+and computes only the product vector and ``delta_spectrum``, the sorted
+Kronecker product of the per-site Delta diagonals p (x) 1/p; that is all the
+signatures read, and no modular operator, per-site or global (268 MB per
+complex matrix at D = 4096), is formed.  Construction accepts ambient
+dimensions up to ``SPECTRUM_CAP`` (N = 10 for Powers).
 """
 
 from __future__ import annotations
@@ -30,46 +30,21 @@ from .modular import purify
 SPECTRUM_CAP = 1 << 20
 
 
-def _flip(s: int) -> np.ndarray:
-    f = np.zeros((s * s, s * s))
-    for a in range(s):
-        for b in range(s):
-            f[b * s + a, a * s + b] = 1.0
-    return f
-
-
-def _site_modular(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S matrix, Delta, J matrix) for (M_s (x) 1, purify(diag(p))).
-
-    With the descending diagonal convention Delta = diag(p) (x) diag(p)^{-1}
-    and J is the tensor flip composed with conjugation.
-    """
-    s = p.size
-    delta = np.kron(np.diag(p), np.diag(1.0 / p)).astype(complex)
-    j = _flip(s).astype(complex)
-    s_mat = j @ np.sqrt(delta)
-    return s_mat, delta, j
-
-
 @dataclass
 class Approximant:
-    """A finite tensor-power model: product vector, per-site modular data and
-    the global Delta-spectrum.
+    """A finite tensor-power model: site weights, product vector and the
+    global Delta-spectrum.
 
-    ``site_modular`` is the per-site ``(S matrix, Delta, J matrix)``;
-    ``delta_spectrum`` is the sorted Kronecker product of the per-site Delta
-    diagonals, taken in the same left-to-right order as the Kronecker powers
-    of the site data.
+    ``site_weights`` p are descending, matching ``purify``; each site's Delta
+    is diag(p (x) 1/p), and ``delta_spectrum`` is the sorted Kronecker
+    product of those diagonals, taken in the same left-to-right order as the
+    Kronecker powers of the site vector.
     """
 
-    kind: str
-    lam: float
-    mu: float | None
     n_factors: int
     site_dim: int
     site_weights: np.ndarray
     omega: np.ndarray
-    site_modular: tuple[np.ndarray, np.ndarray, np.ndarray]
     delta_spectrum: np.ndarray
 
     @property
@@ -86,8 +61,7 @@ class Approximant:
         return m @ m.conj().T
 
 
-def _build(kind: str, weights: np.ndarray, lam: float, mu: float | None,
-           n: int) -> Approximant:
+def _build(weights: np.ndarray, n: int) -> Approximant:
     s = weights.size
     dim = (s * s) ** n
     if dim > SPECTRUM_CAP:
@@ -95,11 +69,9 @@ def _build(kind: str, weights: np.ndarray, lam: float, mu: float | None,
     p = np.sort(weights)[::-1]          # descending, matching purify
     rho = np.diag(p).astype(complex)
     psi_site = purify(rho, s)
-    site = _site_modular(p)
     omega = reduce(np.kron, [psi_site] * n)
-    spectrum = np.sort(reduce(np.kron, [np.diag(site[1]).real] * n))
-    return Approximant(kind=kind, lam=lam, mu=mu, n_factors=n, site_dim=s,
-                       site_weights=p, omega=omega, site_modular=site,
+    spectrum = np.sort(reduce(np.kron, [np.kron(p, 1.0 / p)] * n))
+    return Approximant(n_factors=n, site_dim=s, site_weights=p, omega=omega,
                        delta_spectrum=spectrum)
 
 
@@ -114,7 +86,7 @@ def powers_approximant(lam: float, n: int) -> Approximant:
     if n < 1:
         raise ValueError("need at least one tensor factor")
     weights = np.array([1.0, lam]) / (1.0 + lam)
-    return _build("powers", weights, lam, None, n)
+    return _build(weights, n)
 
 
 def araki_woods_approximant(lam: float, mu: float, n: int) -> Approximant:
@@ -128,13 +100,12 @@ def araki_woods_approximant(lam: float, mu: float, n: int) -> Approximant:
     if n < 1:
         raise ValueError("need at least one tensor factor")
     weights = np.array([1.0, lam, mu]) / (1.0 + lam + mu)
-    return _build("araki-woods", weights, lam, mu, n)
+    return _build(weights, n)
 
 
 @dataclass
 class SpectrumSignature:
     log_spectrum: np.ndarray
-    window: float
     max_gap: float
     reduced_purity: float
 
@@ -152,7 +123,7 @@ def signature(approx: Approximant, window: float = 1.0) -> SpectrumSignature:
     log_spec = np.sort(np.log(approx.delta_spectrum))
     rho = approx.reduced_density()
     purity = float(np.vdot(rho, rho).real)  # tr(rho^2), rho Hermitian
-    return SpectrumSignature(log_spectrum=log_spec, window=window,
+    return SpectrumSignature(log_spectrum=log_spec,
                              max_gap=max_gap_in_window(log_spec, window),
                              reduced_purity=purity)
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fock as fockmod
-from .numkit import dagger, haar_unitary
+from .numkit import complex_normal, dagger, haar_unitary
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def local_difference_bruteforce(rho1: np.ndarray, rho2: np.ndarray,
     for f, v in frames[:3]:
         step = 0.3
         for _ in range(per_restart):
-            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x = complex_normal(rng, (n, n))
             x = 0.5 * (x - dagger(x)) * step
             w, u = np.linalg.eigh(1j * x)
             cand = ((u * np.exp(-1j * w)) @ dagger(u)) @ v

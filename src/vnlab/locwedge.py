@@ -69,8 +69,8 @@ def subspace_distance(k1: RealSubspace, k2: RealSubspace) -> float:
 class WedgeModel:
     """Discretized one-particle wedge data.
 
-    k_values and the Fourier modes of freqs on the grid hold the spectral
-    decomposition of the boost generator; retained_* fields live on the
+    k_values, the Fourier frequencies of the grid, are the boost generator's
+    spectrum; retained_* fields and the cached S, J and K live on the
     spectral window where cond(Delta^{1/2}) stays below cond_cap.  No dense
     n x n operator is formed: Delta's spectrum spans e^{+-2 pi max|k|} and
     overflows beyond small n.
@@ -78,12 +78,9 @@ class WedgeModel:
 
     n: int
     theta_max: float
-    grid: np.ndarray
-    freqs: np.ndarray            # Fourier-grid frequency of each mode
     k_values: np.ndarray
     cond_cap: float
     retained: np.ndarray         # boolean mask over modes
-    isometry: np.ndarray = field(repr=False)  # (n, n_r)
     k_retained: np.ndarray = field(repr=False)
 
     @property
@@ -94,8 +91,8 @@ class WedgeModel:
     def j_compressed(self) -> AntilinearMap:
         """J on the retained modes: the frequency reflection f -> -f, with
         the Nyquist mode sent to itself.  It is the permutation that the
-        product V* conj(V) of the isometry V gives up to rounding, and that
-        rounding would be amplified by cond(Delta^{1/2}) in S."""
+        product V* conj(V) of the retained-mode isometry V gives up to
+        rounding, which cond(Delta^{1/2}) would amplify in S."""
         modes = np.flatnonzero(self.retained)[
             np.argsort(self.k_values[self.retained], kind="stable")]
         column = np.empty(self.n, dtype=int)
@@ -113,10 +110,10 @@ class WedgeModel:
         half = np.exp(-np.pi * self.k_retained)
         return AntilinearMap(self.j_compressed.mat * half[None, :])
 
-
-def _fourier_columns(grid: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Normalized plane waves exp(i f x) on the grid, one column per f."""
-    return np.exp(1j * np.outer(grid, freqs)) / np.sqrt(grid.size)
+    @cached_property
+    def standard_subspace(self) -> RealSubspace:
+        """K = fix(S) in compressed coordinates, solved once per model."""
+        return standard_subspace(self.s_compressed)
 
 
 def wedge_one_particle(n: int, theta_max: float,
@@ -125,26 +122,22 @@ def wedge_one_particle(n: int, theta_max: float,
 
     The generator is the Fourier-grid derivative (Nyquist mode zeroed so the
     spectrum is symmetric about 0), Delta = exp(-2 pi K), J = conjugation.
-    Only the n x n_r isometry onto the retained modes is built here.
+    Only the generator's spectrum and the retained window are built here.
     """
     if n < 8 or n % 2:
         raise ValueError("need an even grid with n >= 8")
     if theta_max <= 0:
         raise ValueError("theta_max must be positive")
     h = 2.0 * theta_max / n
-    grid = -theta_max + h * np.arange(n)
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    kvals = freqs.copy()
+    kvals = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
     kvals[n // 2] = 0.0  # drop the unpaired Nyquist frequency, keep its mode
 
     k_cut = np.log(cond_cap) / (2.0 * np.pi)
     retained = np.abs(kvals) <= k_cut + 1e-12
-    order = np.argsort(kvals[retained], kind="stable")
-    isometry = _fourier_columns(grid, freqs[retained][order])
     k_retained = np.sort(kvals[retained], kind="stable")
-    return WedgeModel(n=n, theta_max=theta_max, grid=grid, freqs=freqs,
-                      k_values=kvals, cond_cap=cond_cap, retained=retained,
-                      isometry=isometry, k_retained=k_retained)
+    return WedgeModel(n=n, theta_max=theta_max, k_values=kvals,
+                      cond_cap=cond_cap, retained=retained,
+                      k_retained=k_retained)
 
 
 def standard_subspace(s: AntilinearMap) -> RealSubspace:
@@ -191,14 +184,9 @@ def standardness_check(k: RealSubspace) -> tuple[int, int, bool]:
     return dim_inter, dim_sum, is_standard
 
 
-def wedge_standard_subspace(model: WedgeModel) -> RealSubspace:
-    """K = fix(S) on the retained subspace, in compressed coordinates."""
-    return standard_subspace(model.s_compressed)
-
-
 def duality_check(model: WedgeModel) -> float:
     """Distance between the symplectic complement of K and J K."""
-    k = wedge_standard_subspace(model)
+    k = model.standard_subspace
     return subspace_distance(symplectic_complement(k),
                              apply_real(model.j_compressed, k))
 
@@ -206,7 +194,7 @@ def duality_check(model: WedgeModel) -> float:
 def flow_invariance_residual(model: WedgeModel) -> float:
     """Max distance between Delta^{is} K and K over the sample boosts
     s = 0.35, 1.0, -0.6."""
-    k = wedge_standard_subspace(model)
+    k = model.standard_subspace
     worst = 0.0
     for s in (0.35, 1.0, -0.6):
         moved = apply_real(model.flow_compressed(s), k)
@@ -216,7 +204,7 @@ def flow_invariance_residual(model: WedgeModel) -> float:
 
 def wedge_report(model: WedgeModel) -> dict:
     """Summary record used by the experiment driver."""
-    k = wedge_standard_subspace(model)
+    k = model.standard_subspace
     dim_inter, dim_sum, is_standard = standardness_check(k)
     s2 = model.s_compressed.squared()
     return {

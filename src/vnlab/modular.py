@@ -22,12 +22,12 @@ from .vnalg import OperatorAlgebra, commutant, cyclic_separating
 
 @dataclass
 class ModularData:
-    """The triple (S, Delta, J) attached to (algebra, Omega)."""
+    """The triple (S, Delta, J) attached to (algebra, Omega); Delta's
+    spectrum and powers all come from its one eigensolve ``delta_eigh``."""
 
     s: AntilinearMap
     delta: np.ndarray
     j: AntilinearMap
-    delta_spectrum: np.ndarray
     algebra: OperatorAlgebra | None
     omega: np.ndarray
     solve_residual: float = 0.0
@@ -40,6 +40,11 @@ class ModularData:
         if w.min() <= VALIDITY_ATOL * max(1.0, float(w.max())):
             raise ValueError("Delta is not strictly positive")
         return w, u
+
+    @property
+    def delta_spectrum(self) -> np.ndarray:
+        """Eigenvalues of Delta in ascending order."""
+        return self.delta_eigh[0]
 
     def delta_power(self, z: complex) -> np.ndarray:
         """Delta^z; unitary for imaginary z."""
@@ -73,9 +78,8 @@ def tomita(a: OperatorAlgebra, omega: np.ndarray) -> ModularData:
     residual = float(np.linalg.norm(m @ orbit.conj() - target))
     s = AntilinearMap(m)
     j, delta = antilinear_polar(s)
-    spectrum = np.sort(np.linalg.eigvalsh(delta))
-    return ModularData(s=s, delta=delta, j=j, delta_spectrum=spectrum,
-                       algebra=a, omega=omega, solve_residual=residual)
+    return ModularData(s=s, delta=delta, j=j, algebra=a, omega=omega,
+                       solve_residual=residual)
 
 
 def modular_flow(md: ModularData, x: np.ndarray, t: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import dagger, null_space, rank, row_space
+from .numkit import complex_normal, dagger, null_space, rank, row_space
 
 # an element belongs to a span when its orthogonal residual is below
 # MEMBERSHIP_RTOL times its own norm
@@ -78,8 +78,7 @@ class OperatorAlgebra:
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         """sum_i c_i b_i over the basis with complex Gaussian c."""
-        return self.element(rng.standard_normal(self.size)
-                            + 1j * rng.standard_normal(self.size))
+        return self.element(complex_normal(rng, (self.size,)))
 
     def __repr__(self):
         return f"OperatorAlgebra(dim={self.dim}, size={self.size})"
@@ -93,28 +92,23 @@ def matrix_units(n: int) -> np.ndarray:
     return units
 
 
-def tensor_factor_algebra(d: int, m: int, side: str = "left") -> OperatorAlgebra:
-    """M_d (x) 1_m on C^(d m) (side='left'), or 1_d (x) M_m (side='right').
+def tensor_factor_algebra(d: int, m: int) -> OperatorAlgebra:
+    """M_d (x) 1_m on C^(d m), carrying its commutant 1_d (x) M_m as hint.
 
-    The two constructions are each other's commutant; the returned one
-    carries the other as its hint so structured models avoid the generic
-    null-space solve (cross-checked against it in the test suite at small
-    dimensions).  The hint points one way only: a pair hinting at each other
-    is a reference cycle, and both bases would stay allocated until the
-    cyclic garbage collector happened to run.
+    The hint lets structured models avoid the generic null-space solve
+    (cross-checked against it in the test suite at small dimensions), and it
+    is where the right factor is reached.  The hint points one way only: a
+    pair hinting at each other is a reference cycle, and both bases would
+    stay allocated until the cyclic garbage collector happened to run.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     n = d * m
     # kron(E_ij, 1_m) and kron(1_d, E_ab), one broadcast each
     left_b = np.einsum("aij,kl->aikjl", matrix_units(d),
                        np.eye(m)).reshape(d * d, n, n) / np.sqrt(m)
     right_b = np.einsum("ij,akl->aikjl", np.eye(d),
                         matrix_units(m)).reshape(m * m, n, n) / np.sqrt(d)
-    left = OperatorAlgebra(n, left_b, orthonormal=True)
-    right = OperatorAlgebra(n, right_b, orthonormal=True)
-    alg, partner = (left, right) if side == "left" else (right, left)
-    alg.commutant_hint = partner
+    alg = OperatorAlgebra(n, left_b, orthonormal=True)
+    alg.commutant_hint = OperatorAlgebra(n, right_b, orthonormal=True)
     return alg
 
 

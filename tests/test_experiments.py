@@ -250,9 +250,15 @@ class TestCli:
         param = REGISTRY[name].schema[key]
         below = (param.minimum - 1 if param.type is int
                  else float(np.nextafter(param.minimum, -np.inf)))
-        # one token: argparse reads "-5e-324" after a space as an option
-        assert cli.main([name, f"--{key.replace('_', '-')}={below!r}"]) == 2
+        assert cli.main([name, f"--{key.replace('_', '-')}", str(below)]) == 2
         assert "must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["-1e-3", "-1E-3", "-.5e-2", "-2.5e+0"])
+    def test_negative_exponent_value_after_space(self, capsys, tmp_path, token):
+        out = tmp_path / "p.json"
+        assert cli.main(["causality-probe", "--t", token,
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"]["t"] == float(token)
 
     def test_minimum_is_per_experiment(self, capsys):
         # d = 1 is a valid Reeh-Schlieder run, and the fock-ccr minimum of 2

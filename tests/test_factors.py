@@ -18,7 +18,7 @@ from vnlab.vnalg import (OperatorAlgebra, commutant, cyclic_separating,
 
 # ---------------------------------------------------------- reference forms
 # The dense D x D objects of an approximant, multiplied out from its site
-# data; the package itself works from the spectrum alone.
+# weights; the package itself works from the spectrum alone.
 
 # largest ambient dimension of a dense reference (268 MB per complex matrix)
 DIMENSION_CAP = 4096
@@ -30,15 +30,35 @@ def _check_dense(approx):
                          f" exceed cap {DIMENSION_CAP}")
 
 
+def _flip(s: int) -> np.ndarray:
+    f = np.zeros((s * s, s * s))
+    for a in range(s):
+        for b in range(s):
+            f[b * s + a, a * s + b] = 1.0
+    return f
+
+
+def site_modular(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S matrix, Delta, J matrix) for (M_s (x) 1, purify(diag(p))).
+
+    With the descending diagonal convention Delta = diag(p) (x) diag(p)^{-1}
+    and J is the tensor flip composed with conjugation.
+    """
+    s = p.size
+    delta = np.kron(np.diag(p), np.diag(1.0 / p)).astype(complex)
+    j = _flip(s).astype(complex)
+    s_mat = j @ np.sqrt(delta)
+    return s_mat, delta, j
+
+
 def dense_modular(approx) -> ModularData:
     """Global (S, Delta, J) as dense Kronecker powers of the site data."""
     _check_dense(approx)
     s_mat, delta, j_mat = (reduce(np.kron, [m] * approx.n_factors)
-                           for m in approx.site_modular)
+                           for m in site_modular(approx.site_weights))
     return ModularData(s=AntilinearMap(s_mat), delta=delta,
-                       j=AntilinearMap(j_mat),
-                       delta_spectrum=approx.delta_spectrum,
-                       algebra=None, omega=approx.omega)
+                       j=AntilinearMap(j_mat), algebra=None,
+                       omega=approx.omega)
 
 
 def _kron_algebra(site_basis, n, dim) -> OperatorAlgebra:

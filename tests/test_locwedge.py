@@ -4,22 +4,37 @@ import numpy as np
 import pytest
 
 from reference import s_operator
-from vnlab.locwedge import (AntilinearMap, RealSubspace, _fourier_columns,
-                            apply_real, boost_matrix, duality_check,
+from vnlab import locwedge
+from vnlab.locwedge import (AntilinearMap, RealSubspace, apply_real,
+                            boost_matrix, duality_check,
                             flow_invariance_residual, multiply_i,
                             real_subspace_from_vectors, standard_subspace,
                             standardness_check, subspace_distance,
                             symplectic_complement, wedge_one_particle,
-                            wedge_report, wedge_standard_subspace)
+                            wedge_report)
 from vnlab.numkit import dagger, norm2
 
 
 # ---------------------------------------------------------- reference forms
 # The dense n x n operators of a wedge model, from the generator's modes.
 
+def _fourier_columns(grid: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Normalized plane waves exp(i f x) on the grid, one column per f."""
+    return np.exp(1j * np.outer(grid, freqs)) / np.sqrt(grid.size)
+
+
 def modes(model):
-    """Columns = eigenvectors of the generator, one plane wave per freq."""
-    return _fourier_columns(model.grid, model.freqs)
+    """Columns = eigenvectors of the generator, one plane wave per Fourier
+    frequency of the periodic rapidity grid."""
+    h = 2.0 * model.theta_max / model.n
+    grid = -model.theta_max + h * np.arange(model.n)
+    return _fourier_columns(grid, 2.0 * np.pi * np.fft.fftfreq(model.n, d=h))
+
+
+def isometry(model):
+    """The n x n_r isometry onto the retained modes, ordered by k."""
+    order = np.argsort(model.k_values[model.retained], kind="stable")
+    return modes(model)[:, model.retained][:, order]
 
 
 def k_op(model):
@@ -169,7 +184,7 @@ class TestStandardSubspace:
 
     def test_wedge_k_dimension(self):
         model = wedge_one_particle(32, 4.0, cond_cap=1e8)
-        k = wedge_standard_subspace(model)
+        k = model.standard_subspace
         assert k.real_dim == model.retained_dim
         # S phi = phi on every basis vector
         s = model.s_compressed
@@ -251,14 +266,28 @@ class TestDualityAndFlow:
         model = wedge_one_particle(64, 6.0)
         fields = set(model.__dict__)
         wedge_report(model)
-        # the report caches the compressed J and S and nothing n x n
-        assert set(model.__dict__) - fields == {"j_compressed", "s_compressed"}
+        # the report caches the compressed J, S and K and nothing n x n
+        assert set(model.__dict__) - fields == {"j_compressed", "s_compressed",
+                                                "standard_subspace"}
+        assert model.standard_subspace.ambient_dim == model.retained_dim < 64
+
+    def test_report_solves_k_once(self, monkeypatch):
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return standard_subspace(s)
+
+        monkeypatch.setattr(locwedge, "standard_subspace", counted)
+        wedge_report(wedge_one_particle(64, 6.0))
+        assert len(calls) == 1
 
     def test_isometry_is_retained_modes(self):
+        # the retained modes, ordered by k, diagonalize the generator with
+        # the eigenvalues k_retained
         model = wedge_one_particle(16, 3.0)
-        order = np.argsort(model.k_values[model.retained], kind="stable")
-        assert np.array_equal(model.isometry,
-                              modes(model)[:, model.retained][:, order])
+        v = isometry(model)
+        assert norm2(k_op(model) @ v - v * model.k_retained) < 1e-12
 
     def test_truncation_comparison_across_theta(self):
         # boundary artifacts remain small for each window choice
@@ -274,9 +303,9 @@ class TestDualityAndFlow:
         s_gen, v = s_operator(dense_delta(model), conjugation(8))
         assert np.allclose(v, np.eye(8))
         k_gen = standard_subspace(s_gen)
-        k_model = wedge_standard_subspace(model)
+        k_model = model.standard_subspace
         embedded = real_subspace_from_vectors(
-            (model.isometry @ k_model.basis.T).T, 8)
+            (isometry(model) @ k_model.basis.T).T, 8)
         assert subspace_distance(k_gen, embedded) < 1e-7
 
     @pytest.mark.parametrize("n", [8, 16, 64, 256])
@@ -285,7 +314,7 @@ class TestDualityAndFlow:
     def test_j_compressed_is_the_dense_product(self, n, theta, cond_cap):
         # reference: J = conjugation compressed by the isometry V, V* conj(V)
         model = wedge_one_particle(n, theta, cond_cap)
-        v = model.isometry
+        v = isometry(model)
         dense = v.conj().T @ v.conj()
         perm = model.j_compressed.mat
         assert np.abs(perm - dense).max() <= 1e-14

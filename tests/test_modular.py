@@ -19,7 +19,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 def powers_pair(lam):
     rho = np.diag([1.0, lam]) / (1.0 + lam)
     omega = purify(rho, 2)
-    return tensor_factor_algebra(2, 2, "left"), omega, rho
+    return tensor_factor_algebra(2, 2), omega, rho
 
 
 # ---------------------------------------------------------- reference forms
@@ -72,12 +72,12 @@ def random_pair(rng, k):
     u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
     v, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
     omega = ((u * np.sqrt(q)) @ v.T).flatten()
-    return tensor_factor_algebra(k, k, "left"), omega
+    return tensor_factor_algebra(k, k), omega
 
 
 class TestTomita:
     def test_maximally_entangled_gives_tracial_data(self):
-        alg = tensor_factor_algebra(2, 2, "left")
+        alg = tensor_factor_algebra(2, 2)
         omega = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         md = tomita(alg, omega)
         assert norm2(md.delta - np.eye(4)) < 1e-12
@@ -132,7 +132,7 @@ class TestTomita:
             assert np.linalg.norm(md.s(b @ omega) - dagger(b) @ omega) < 1e-10
 
     def test_rejects_non_cyclic_or_non_separating(self):
-        alg = tensor_factor_algebra(2, 2, "left")
+        alg = tensor_factor_algebra(2, 2)
         with pytest.raises(ValueError, match="cyclic"):
             tomita(alg, np.array([1, 0, 0, 0], dtype=complex))
         full = full_matrix_algebra(2)
@@ -154,21 +154,28 @@ class TestDeltaPower:
                 assert norm2(md.delta_power(z) - ref) <= 1e-12
 
     def test_one_eigh_per_instance(self, monkeypatch):
-        calls = {"eigh": 0}
-        eigh = np.linalg.eigh
+        # the spectrum, the polar checks and every flow share one eigensolve
+        calls = {"eigh": 0, "eigvalsh": 0}
 
-        def counted(*args, **kwargs):
-            calls["eigh"] += 1
-            return eigh(*args, **kwargs)
+        def counting(name):
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return solver(*args, **kwargs)
+            return counted
 
         rng = np.random.default_rng(31)
         alg, omega = random_pair(rng, 3)
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         md = tomita(alg, omega)
+        spectrum = md.delta_spectrum
         check(md, draw_flows(rng, alg, 4))
         for t in np.linspace(-2.0, 2.0, 10):
             modular_flow(md, alg.basis[1], t)
-        assert calls["eigh"] == 1
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+        assert np.array_equal(spectrum, md.delta_eigh[0])
 
     def test_rejects_non_positive_delta(self):
         alg, omega, _ = powers_pair(0.5)
@@ -199,7 +206,7 @@ class TestModularFlow:
         assert norm2(flowed - lam ** (-1j * t) * e12) < 1e-10
 
     def test_tracial_flow_is_trivial(self):
-        alg = tensor_factor_algebra(2, 2, "left")
+        alg = tensor_factor_algebra(2, 2)
         omega = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         md = tomita(alg, omega)
         for t in (0.3, -1.7):
@@ -269,7 +276,7 @@ class TestKms:
 
 class TestCommutantMap:
     def test_flip_conjugation_action(self):
-        alg = tensor_factor_algebra(2, 2, "left")
+        alg = tensor_factor_algebra(2, 2)
         omega = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         md = tomita(alg, omega)
         sz1 = np.kron(SZ, np.eye(2))
@@ -309,7 +316,7 @@ class TestPurify:
         psi = purify(rho, 2)
         m = psi.reshape(2, 2)
         assert np.linalg.matrix_rank(m, tol=1e-10) == 1
-        alg = tensor_factor_algebra(2, 2, "left")
+        alg = tensor_factor_algebra(2, 2)
         _, sep = cyclic_separating(alg, psi)
         assert not sep
 
@@ -338,7 +345,7 @@ class TestPurify:
                                 + 1j * rng.standard_normal((k, k)))
             rho = (u * q) @ dagger(u)
             psi = purify(rho, k)
-            md = tomita(tensor_factor_algebra(k, k, "left"), psi)
+            md = tomita(tensor_factor_algebra(k, k), psi)
             qs = np.sort(q)[::-1]
             ratios = np.sort((qs[:, None] / qs[None, :]).flatten())
             assert np.max(np.abs(md.delta_spectrum - ratios) / ratios) < 1e-9
@@ -422,6 +429,6 @@ class TestGnsModularLink:
         lam = 0.5
         rho = np.diag([1.0, lam]) / (1.0 + lam)
         md_gns = tomita(gns(rho).algebra, gns(rho).vector)
-        md_pur = tomita(tensor_factor_algebra(2, 2, "left"), purify(rho, 2))
+        md_pur = tomita(tensor_factor_algebra(2, 2), purify(rho, 2))
         assert np.allclose(md_gns.delta_spectrum, md_pur.delta_spectrum,
                            atol=1e-10)

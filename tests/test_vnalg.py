@@ -119,10 +119,10 @@ class TestClosure:
 
 class TestCommutant:
     def test_tensor_factor(self):
-        alg = tensor_factor_algebra(2, 2, "left")
+        alg = tensor_factor_algebra(2, 2)
         comm = commutant(alg, use_hint=False)
         assert comm.size == 4
-        assert span_distance(comm, tensor_factor_algebra(2, 2, "right")) < 1e-10
+        assert span_distance(comm, alg.commutant_hint) < 1e-10
         # brute-force commutation scan
         for a in alg.basis:
             for b in comm.basis:
@@ -130,18 +130,17 @@ class TestCommutant:
 
     def test_hint_matches_generic(self):
         for k, m in [(2, 3), (3, 2)]:
-            alg = tensor_factor_algebra(k, m, "left")
+            alg = tensor_factor_algebra(k, m)
             generic = commutant(alg, use_hint=False)
             assert span_distance(generic, alg.commutant_hint) < 1e-10
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_hinted_pair_freed_without_collector(self, side):
+    def test_hinted_pair_freed_without_collector(self):
         """Dropping a tensor factor frees it and its hint at once: the pair
         forms no reference cycle left for the cyclic collector."""
         enabled = gc.isenabled()
         gc.disable()
         try:
-            alg = tensor_factor_algebra(3, 2, side)
+            alg = tensor_factor_algebra(3, 2)
             refs = [weakref.ref(alg), weakref.ref(alg.commutant_hint)]
             del alg
             assert [r() for r in refs] == [None, None]
@@ -163,7 +162,7 @@ class TestCommutant:
     def test_double_commutant(self):
         rng = np.random.default_rng(4)
         gens = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))]
-        for alg in (vn_closure(gens, 4), tensor_factor_algebra(2, 2, "left"),
+        for alg in (vn_closure(gens, 4), tensor_factor_algebra(2, 2),
                     vn_closure([SZ], 2), scalar_algebra(3)):
             double = commutant(commutant(alg, use_hint=False), use_hint=False)
             assert span_distance(alg, double) < 1e-9
@@ -171,7 +170,7 @@ class TestCommutant:
     def test_commutant_dimension_law(self):
         for k in range(2, 5):
             for m in range(2, 5):
-                alg = tensor_factor_algebra(k, m, "left")
+                alg = tensor_factor_algebra(k, m)
                 assert commutant(alg, use_hint=False).size == m * m
 
 
@@ -238,8 +237,9 @@ class TestCertifiedCommutant:
                              for u in matrix_units(d)]) / np.sqrt(m)
             right = np.stack([np.kron(eye_d, u)
                               for u in matrix_units(m)]) / np.sqrt(d)
-            for side, ref in (("left", left), ("right", right)):
-                basis = tensor_factor_algebra(d, m, side).basis
+            alg = tensor_factor_algebra(d, m)
+            for basis, ref in ((alg.basis, left),
+                               (alg.commutant_hint.basis, right)):
                 assert basis.dtype == ref.dtype and basis.shape == ref.shape
                 assert basis.tobytes() == ref.tobytes()
 
@@ -280,7 +280,7 @@ class TestCyclicSeparating:
 
     def test_separating_iff_cyclic_for_commutant(self):
         rng = np.random.default_rng(8)
-        alg = tensor_factor_algebra(2, 3, "left")
+        alg = tensor_factor_algebra(2, 3)
         comm = commutant(alg)
         for _ in range(5):
             v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -340,7 +340,7 @@ class TestSpanTools:
         # a single matrix gives ||x - P x||_F bit for bit and is left as it
         # is; a stack gives the largest of its matrices' residuals
         rng = np.random.default_rng(41)
-        alg = tensor_factor_algebra(3, 3, "left")
+        alg = tensor_factor_algebra(3, 3)
         f = alg.basis.reshape(alg.size, -1)
         stack = (rng.standard_normal((5, 9, 9))
                  + 1j * rng.standard_normal((5, 9, 9)))
