@@ -110,7 +110,7 @@ class SplitData:
 def local_prepare_channel(split: SplitData, xi: np.ndarray) -> Channel:
     """Kraus family {|xi><e_i| (x) 1}: depends only on the target vector."""
     xi = np.asarray(xi, dtype=complex)
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(xi) - 1.0) > VALIDITY_ATOL:
         raise ValueError("target must be a unit vector")
     eye2 = np.eye(split.d2)
     ops = [np.kron(np.outer(xi, np.eye(split.d1)[i].conj()), eye2)
@@ -203,8 +203,8 @@ def isometry_impossibility_check(n: int, projector: np.ndarray,
     certificate itself is the exact rank argument.
     """
     projector = np.asarray(projector, dtype=complex)
-    if norm2(projector @ projector - projector) > 1e-10 \
-            or norm2(projector - dagger(projector)) > 1e-10:
+    if norm2(projector @ projector - projector) > VALIDITY_ATOL \
+            or norm2(projector - dagger(projector)) > VALIDITY_ATOL:
         raise ValueError("E must be an orthogonal projector")
     rank_e = int(round(np.trace(projector).real))
     trials = 20

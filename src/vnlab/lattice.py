@@ -307,7 +307,7 @@ class RegionFockRep:
         state[0, 0] = 1.0
         term = state.copy()
         k = 0
-        while np.linalg.norm(term) > 1e-18:
+        while term.any():
             k += 1
             term = pair(term) / k  # nilpotent
             state = state + term

@@ -8,11 +8,15 @@ Delta^{-1} by construction; on the Fourier modes it is the exact permutation
 f -> -f.  Because the modular spectrum spans e^{+-2 pi k}, a spectral window
 (condition cap on Delta^{1/2}) defines the retained subspace, and every
 localization statement is made there.
+
+Each object has one stored form: a RealSubspace its orthonormal rows in R^{2n}
+under v -> (Re v, Im v), so a span, an image or a complement is one rank-rule
+call; a WedgeModel the indices of its retained modes ordered by k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,18 +35,19 @@ def boost_matrix(s: float) -> np.ndarray:
 
 @dataclass
 class RealSubspace:
-    """Real-linear subspace of C^n, basis orthonormal in Re<.,.>."""
+    """Real-linear subspace of C^n, stored as orthonormal rows of R^{2n}."""
 
     ambient_dim: int
-    basis: np.ndarray  # (real_dim, ambient_dim) complex rows
+    rows: np.ndarray  # (real_dim, 2 * ambient_dim) real, orthonormal
 
     @property
     def real_dim(self) -> int:
-        return self.basis.shape[0]
+        return self.rows.shape[0]
 
-    def real_basis_matrix(self) -> np.ndarray:
-        """Rows embedded in R^{2n}."""
-        return embed_real(self.basis)
+    @property
+    def basis(self) -> np.ndarray:
+        """The rows as complex vectors of C^n."""
+        return unembed_real(self.rows)
 
     def __repr__(self):
         return f"RealSubspace(ambient={self.ambient_dim}, real_dim={self.real_dim})"
@@ -51,18 +56,12 @@ class RealSubspace:
 def real_subspace_from_vectors(vecs: np.ndarray,
                                ambient_dim: int) -> RealSubspace:
     """Span over R of the given complex vectors (orthonormalized)."""
-    vecs = np.atleast_2d(np.asarray(vecs, dtype=complex))
-    if vecs.size == 0:
-        return RealSubspace(ambient_dim, np.zeros((0, ambient_dim), complex))
-    return RealSubspace(ambient_dim, unembed_real(row_space(embed_real(vecs))))
+    return RealSubspace(ambient_dim, row_space(embed_real(np.atleast_2d(vecs))))
 
 
 def subspace_distance(k1: RealSubspace, k2: RealSubspace) -> float:
     """Spectral-norm distance of the orthogonal projectors in R^{2n}."""
-    b1, b2 = k1.real_basis_matrix(), k2.real_basis_matrix()
-    p1 = b1.T @ b1
-    p2 = b2.T @ b2
-    return norm2(p1 - p2)
+    return norm2(k1.rows.T @ k1.rows - k2.rows.T @ k2.rows)
 
 
 @dataclass
@@ -70,22 +69,24 @@ class WedgeModel:
     """Discretized one-particle wedge data.
 
     k_values, the Fourier frequencies of the grid, are the boost generator's
-    spectrum; retained_* fields and the cached S, J and K live on the
-    spectral window where cond(Delta^{1/2}) stays below cond_cap.  No dense
-    n x n operator is formed: Delta's spectrum spans e^{+-2 pi max|k|} and
+    spectrum; the cached S, J and K live on the retained modes, the spectral
+    window where cond(Delta^{1/2}) stays below the cap.  No dense n x n
+    operator is formed: Delta's spectrum spans e^{+-2 pi max|k|} and
     overflows beyond small n.
     """
 
     n: int
     theta_max: float
     k_values: np.ndarray
-    cond_cap: float
-    retained: np.ndarray         # boolean mask over modes
-    k_retained: np.ndarray = field(repr=False)
+    retained: np.ndarray  # indices of the retained modes, ordered by k
+
+    @property
+    def k_retained(self) -> np.ndarray:
+        return self.k_values[self.retained]
 
     @property
     def retained_dim(self) -> int:
-        return int(self.retained.sum())
+        return self.retained.size
 
     @cached_property
     def j_compressed(self) -> AntilinearMap:
@@ -93,8 +94,7 @@ class WedgeModel:
         the Nyquist mode sent to itself.  It is the permutation that the
         product V* conj(V) of the retained-mode isometry V gives up to
         rounding, which cond(Delta^{1/2}) would amplify in S."""
-        modes = np.flatnonzero(self.retained)[
-            np.argsort(self.k_values[self.retained], kind="stable")]
+        modes = self.retained
         column = np.empty(self.n, dtype=int)
         column[modes] = np.arange(modes.size)
         perm = np.zeros((modes.size, modes.size))
@@ -133,52 +133,38 @@ def wedge_one_particle(n: int, theta_max: float,
     kvals[n // 2] = 0.0  # drop the unpaired Nyquist frequency, keep its mode
 
     k_cut = np.log(cond_cap) / (2.0 * np.pi)
-    retained = np.abs(kvals) <= k_cut + 1e-12
-    k_retained = np.sort(kvals[retained], kind="stable")
+    order = np.argsort(kvals, kind="stable")
+    retained = order[np.abs(kvals[order]) <= k_cut + 1e-12]
     return WedgeModel(n=n, theta_max=theta_max, k_values=kvals,
-                      cond_cap=cond_cap, retained=retained,
-                      k_retained=k_retained)
+                      retained=retained)
 
 
 def standard_subspace(s: AntilinearMap) -> RealSubspace:
     """Fixed-point space of S, from the null space of its realification - 1."""
     m = s.dim
-    kernel = null_space(real_linearize(s) - np.eye(2 * m))
-    return RealSubspace(m, unembed_real(kernel))
+    return RealSubspace(m, null_space(real_linearize(s) - np.eye(2 * m)))
 
 
 def symplectic_complement(k: RealSubspace) -> RealSubspace:
-    """{psi : Im<psi, phi> = 0 for all phi in K}."""
+    """{psi : Im<psi, phi> = Re<psi, -i phi> = 0 for all phi in K}."""
     m = k.ambient_dim
-    if k.real_dim == 0:
-        return real_subspace_from_vectors(
-            np.vstack([np.eye(m), 1j * np.eye(m)]), m)
-    omega = np.block([[np.zeros((m, m)), np.eye(m)],
-                      [-np.eye(m), np.zeros((m, m))]])
-    kernel = null_space(k.real_basis_matrix() @ omega.T)
-    return real_subspace_from_vectors(unembed_real(kernel), m)
+    minus_i = real_linearize(-1j * np.eye(m))
+    return RealSubspace(m, null_space(k.rows @ minus_i.T))
 
 
 def apply_real(op, k: RealSubspace) -> RealSubspace:
     """Image of a real subspace under a linear matrix or an AntilinearMap."""
-    if isinstance(op, AntilinearMap):
-        imgs = np.stack([op(v) for v in k.basis]) if k.real_dim else k.basis
-    else:
-        imgs = (np.asarray(op) @ k.basis.T).T if k.real_dim else k.basis
-    return real_subspace_from_vectors(imgs, k.ambient_dim)
+    return RealSubspace(k.ambient_dim,
+                        row_space(k.rows @ real_linearize(op).T))
 
 
 def multiply_i(k: RealSubspace) -> RealSubspace:
-    return real_subspace_from_vectors(1j * k.basis, k.ambient_dim)
+    return apply_real(1j * np.eye(k.ambient_dim), k)
 
 
 def standardness_check(k: RealSubspace) -> tuple[int, int, bool]:
     """(dim_R K ∩ iK, dim_R K + iK, standard?), ranks over R."""
-    b = k.real_basis_matrix()
-    ik = multiply_i(k).real_basis_matrix()
-    if k.real_dim == 0:
-        return 0, 0, False
-    dim_sum = rank(np.vstack([b, ik]))
+    dim_sum = rank(np.vstack([k.rows, multiply_i(k).rows]))
     dim_inter = 2 * k.real_dim - dim_sum
     is_standard = dim_inter == 0 and dim_sum == 2 * k.ambient_dim
     return dim_inter, dim_sum, is_standard

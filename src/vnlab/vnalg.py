@@ -230,8 +230,9 @@ def cyclic_separating(a: OperatorAlgebra,
                       omega: np.ndarray) -> tuple[bool, bool]:
     """(is_cyclic, is_separating) for a unit vector.
 
-    Cyclic iff the algebra orbit spans the ambient space; separating iff the
-    vector is cyclic for the commutant.
+    Both flags read the rank of the orbit {b_i omega} of the basis: cyclic
+    iff it spans the ambient space, separating iff a -> a omega is injective
+    on the algebra, that is iff the rank equals the algebra's dimension.
     """
     omega = np.asarray(omega, dtype=complex)
     nrm = float(np.linalg.norm(omega))
@@ -239,11 +240,6 @@ def cyclic_separating(a: OperatorAlgebra,
         raise ValueError("zero vector")
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError("omega must be normalized")
-    is_cyclic = _orbit_rank(a, omega) == a.dim
-    is_sep = _orbit_rank(commutant(a), omega) == a.dim
-    return is_cyclic, is_sep
-
-
-def _orbit_rank(a: OperatorAlgebra, omega: np.ndarray) -> int:
-    return rank(np.einsum("aij,j->ai", a.basis, omega))
+    orbit_rank = rank(np.einsum("aij,j->ai", a.basis, omega))
+    return orbit_rank == a.dim, orbit_rank == a.size
 

@@ -5,7 +5,7 @@ import pytest
 
 from reference import s_operator
 from vnlab import locwedge
-from vnlab.locwedge import (AntilinearMap, RealSubspace, apply_real,
+from vnlab.locwedge import (AntilinearMap, apply_real,
                             boost_matrix, duality_check,
                             flow_invariance_residual, multiply_i,
                             real_subspace_from_vectors, standard_subspace,
@@ -33,8 +33,7 @@ def modes(model):
 
 def isometry(model):
     """The n x n_r isometry onto the retained modes, ordered by k."""
-    order = np.argsort(model.k_values[model.retained], kind="stable")
-    return modes(model)[:, model.retained][:, order]
+    return modes(model)[:, model.retained]
 
 
 def k_op(model):
@@ -177,7 +176,7 @@ class TestStandardSubspace:
         # K = {(w, 2 conj(w))}
         for w in (1.0, 1j, 0.3 - 0.8j):
             vec = np.array([w, 2 * np.conj(w)])
-            proj = k.real_basis_matrix()
+            proj = k.rows
             from vnlab.numkit import embed_real
             x = embed_real(vec)
             assert np.linalg.norm(x - proj.T @ (proj @ x)) < 1e-10
@@ -190,6 +189,10 @@ class TestStandardSubspace:
         s = model.s_compressed
         for v in k.basis:
             assert np.linalg.norm(s(v) - v) <= 1e-9
+
+    def test_zero_space_not_standard(self):
+        zero = real_subspace_from_vectors(np.zeros((0, 3)), 3)
+        assert standardness_check(zero) == (0, 0, False)
 
     def test_full_complex_space_not_standard(self):
         n = 3
@@ -222,7 +225,8 @@ class TestSymplecticComplement:
         assert subspace_distance(k, kpp) <= 1e-9
 
     def test_zero_space_complement_is_everything(self):
-        k = RealSubspace(2, np.zeros((0, 2), dtype=complex))
+        k = real_subspace_from_vectors(np.zeros((0, 2)), 2)
+        assert k.real_dim == 0 and k.basis.shape == (0, 2)
         kp = symplectic_complement(k)
         assert kp.real_dim == 4
 
@@ -237,6 +241,15 @@ class TestSymplecticComplement:
     def test_multiply_i_dimension(self):
         k = real_subspace_from_vectors(np.eye(2), 2)
         assert multiply_i(k).real_dim == 2
+
+    @pytest.mark.parametrize("image", [
+        lambda k: apply_real(np.diag([1.0, 1j, -1.0]), k),
+        lambda k: apply_real(AntilinearMap(np.eye(3)), k),
+        multiply_i], ids=["linear", "antilinear", "multiply_i"])
+    def test_zero_space_maps_to_zero_space(self, image):
+        moved = image(real_subspace_from_vectors(np.zeros((0, 3)), 3))
+        assert moved.ambient_dim == 3
+        assert moved.real_dim == 0 and moved.basis.shape == (0, 3)
 
 
 class TestDualityAndFlow:

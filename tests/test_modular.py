@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reference import full_matrix_algebra, gns, herm_fn
+from vnlab import modular, vnalg
 from vnlab.modular import (check, conjugate_by_j, modular_flow, purify,
                            tomita)
 from vnlab.numkit import dagger, haar_unitary, norm2
@@ -130,6 +131,24 @@ class TestTomita:
         md = tomita(alg, omega)
         for b in alg.basis:
             assert np.linalg.norm(md.s(b @ omega) - dagger(b) @ omega) < 1e-10
+
+    @pytest.mark.parametrize("hinted", [True, False])
+    def test_solves_no_commutant(self, monkeypatch, hinted):
+        # both flags of cyclic_separating come from one orbit rank, so
+        # tomita needs the commutant neither as a hint nor by a generic solve
+        alg, omega = random_pair(np.random.default_rng(5), 2)
+        if not hinted:
+            alg = OperatorAlgebra(alg.dim, alg.basis, orthonormal=True)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return commutant(*args, **kwargs)
+
+        monkeypatch.setattr(vnalg, "commutant", counted)
+        monkeypatch.setattr(modular, "commutant", counted)
+        tomita(alg, omega)
+        assert calls == []
 
     def test_rejects_non_cyclic_or_non_separating(self):
         alg = tensor_factor_algebra(2, 2)

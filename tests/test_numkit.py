@@ -261,6 +261,18 @@ class TestRankRule:
         assert ns.shape == (4, 4)
         assert np.allclose(ns @ dagger(ns), np.eye(4))
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_empty_matrix(self, shape):
+        # no rows or no columns: rank 0, and the null space is the whole
+        # column space, as for a zero matrix
+        cols = shape[1]
+        z = np.zeros(shape)
+        assert rank(z) == 0
+        assert row_space(z).shape == (0, cols)
+        ns = null_space(z)
+        assert ns.shape == (cols, cols)
+        assert np.allclose(ns @ dagger(ns), np.eye(cols))
+
     def test_wide_matrix_needs_full_v(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
