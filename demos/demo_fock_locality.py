@@ -10,9 +10,9 @@ the finite-rank analog of vacuum cyclicity for local algebras.
 import numpy as np
 
 from vnlab.fock import (build_fock, ccr_defect, cyclicity_rank, locality_check,
-                        safe_commutator, weyl_relation_defect)
+                        sector_commutator, weyl_relation_defect)
 from vnlab.locwedge import real_subspace_from_vectors, symplectic_complement
-from vnlab.numkit import complex_normal, norm2
+from vnlab.numkit import complex_normal
 
 f = build_fock(2, 3)
 print(f"Fock space: 2 modes, cutoff 3, dimension {f.total_dim}")
@@ -20,12 +20,15 @@ print(f"Fock space: 2 modes, cutoff 3, dimension {f.total_dim}")
 rng = np.random.default_rng(0)
 psi, phi = complex_normal(rng, (2,), 2)
 print(f"CCR defect on safe sectors: {ccr_defect(f, psi, phi):.2e}")
+even, odd = (len(p) for p in sector_commutator(f, psi, phi).parts)
+print(f"the commutator splits by particle-number parity: parts {even} and "
+      f"{odd} wide, against {f.sector_dim(f.n_max - 2)} safe states")
 
 print("\ncommutator norm equals |Im<psi, phi>| (locality <-> symplectic form):")
 for label, pair in [("orthogonal real pair", (np.eye(2)[0], np.eye(2)[1])),
                     ("canonical pair", (np.eye(2)[0], 1j * np.eye(2)[0])),
                     ("random pair", (psi, phi))]:
-    got = norm2(safe_commutator(f, *pair))
+    got = sector_commutator(f, *pair).norm()
     expect = abs(np.vdot(pair[0], pair[1]).imag)
     print(f"   {label:<22} |[Phi,Phi]| = {got:.6f}, |Im| = {expect:.6f}")
 

@@ -48,7 +48,8 @@ def kraus_apply(rho: np.ndarray, channel: Channel) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (channel.dim, channel.dim):
         raise ValueError("state dimension does not match the channel")
-    return np.einsum("kij,jl,kml->im", channel.kraus, rho, channel.kraus.conj())
+    k = channel.kraus
+    return (k @ rho @ dagger(k)).sum(axis=0)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:

@@ -29,14 +29,20 @@ class Assertion:
     tolerance: float
     cmp: str = "le"  # value <= tolerance ("le") or value >= tolerance ("ge")
 
+    def __post_init__(self):
+        # numpy scalars become Python ones, so reports and the CLI print
+        # plain values
+        self.value = _jsonable(self.value)
+        self.tolerance = _jsonable(self.tolerance)
+
     @property
     def passed(self) -> bool:
         return bool(self.value <= self.tolerance if self.cmp == "le"
                     else self.value >= self.tolerance)
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "value": _jsonable(self.value),
-                "tolerance": _jsonable(self.tolerance), "cmp": self.cmp,
+        return {"name": self.name, "value": self.value,
+                "tolerance": self.tolerance, "cmp": self.cmp,
                 "pass": self.passed}
 
 
@@ -258,15 +264,14 @@ def _exp_fock_ccr(p, seed):
     ccr_max, eq_max = 0.0, 0.0
     for _ in range(p["pairs"]):
         psi, phi = complex_normal(rng, (d,), 2)
-        a, b = fock.field_operator(f, psi), fock.field_operator(f, phi)
-        ccr_max = max(ccr_max, fock.ccr_defect(f, a, b))
-        norm = norm2(fock.safe_commutator(f, a, b))
-        eq_max = max(eq_max, abs(norm - abs(np.vdot(psi, phi).imag)))
+        comm = fock.sector_commutator(f, psi, phi)
+        ccr_max = max(ccr_max, comm.defect())
+        eq_max = max(eq_max, abs(comm.norm() - abs(comm.im)))
     # controls: orthogonal real pair, canonical pair, wedge-type subspaces
     e = np.eye(d)
-    eq_max = max(eq_max, norm2(fock.safe_commutator(f, e[0], e[1])))
+    eq_max = max(eq_max, fock.sector_commutator(f, e[0], e[1]).norm())
     eq_max = max(eq_max,
-                 abs(norm2(fock.safe_commutator(f, e[0], 1j * e[0])) - 1.0))
+                 abs(fock.sector_commutator(f, e[0], 1j * e[0]).norm() - 1.0))
     k = locwedge.real_subspace_from_vectors(np.eye(d), d)
     kp = locwedge.symplectic_complement(k)
     loc = fock.locality_check(f, k, kp)

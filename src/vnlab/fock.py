@@ -8,9 +8,18 @@ mode, the basis index that a creator sends each of the first
 sqrt(occ + 1); `create` applies a*(v) from them, and no dense ladder matrix
 is formed.  The field operator Phi(psi) = (a(psi) + a*(psi))/sqrt(2) (with
 a conjugate-linear in psi) reproduces the commutator i Im<psi, phi> exactly
-away from the cutoff; all canonical-commutation and covariance statements are
-made on sectors <= n_max - 2 where truncation cannot reach, by slicing the
-leading `sector_dim(n_max - 2)` block.
+away from the cutoff, so the canonical-commutation and locality checks are
+made on the safe sectors <= n_max - 2, where truncation cannot reach.
+
+Those checks follow the particle-number structure.  A field moves the
+number by one, so C = [Phi(psi), Phi(phi)] couples sector k only to k and
+k +- 2: on the safe sectors it is a permuted direct sum of a part on the
+even totals and a part on the odd totals, and its spectral norm (or that of
+C - c 1) is the larger of the two parts' norms, exactly.  The product
+Phi(psi) Phi(phi) is a sum of (2d)^2 ladder pairs a#_m a#_m', each with at
+most one entry per column; the raise map and its inverse, the lowering map,
+are composed once per space into `FockSpace.parity_parts`, and every
+commutator is accumulated from those terms straight into the two parts.
 """
 
 from __future__ import annotations
@@ -49,6 +58,51 @@ class FockSpace:
         v = np.zeros(self.total_dim, dtype=complex)
         v[0] = 1.0
         return v
+
+    @cached_property
+    def ladders(self) -> tuple[np.ndarray, np.ndarray]:
+        """Target index and weight of every ladder on the states below the
+        top sector, each (2d, sector_dim(n_max - 1)): row m is a*_m, row
+        d + m is a_m.  The lowering map inverts `raise_index`; a_m of a state
+        with mode m empty has weight 0."""
+        d, s1 = self.raise_index.shape
+        lower = np.zeros((d, self.total_dim), dtype=np.intp)
+        lower[np.arange(d)[:, None], self.raise_index] = np.arange(s1)
+        return (np.concatenate([self.raise_index, lower[:, :s1]]),
+                np.concatenate([self.raise_value,
+                                np.sqrt(self.occupations[:s1].T)]))
+
+    @cached_property
+    def parity_parts(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+        """The ladder-pair terms of Phi(psi) Phi(phi) on the safe sectors
+        (total <= n_max - 2), split into the even and the odd totals.
+
+        Term (t2, t1, j) applies ladder t1 of Phi(phi), then ladder t2 of
+        Phi(psi), to safe state j; both keep its parity.  A part is (cells,
+        pairs, weights, width): each term adds its weight times coefficient
+        `pairs` (t2 * 2d + t1) of the two fields' ladder coefficients to flat
+        cell `cells` of the width x width part.  Terms that lower an empty
+        mode or leave the safe sectors are dropped."""
+        index, weight = self.ladders
+        safe = self.sector_dim(self.n_max - 2)
+        two_d = index.shape[0]
+        mid = index[:, :safe]                         # [t1, j]
+        target = index[:, mid]                        # [t2, t1, j]
+        w = weight[:, mid] * weight[:, :safe]
+        pair = np.broadcast_to(
+            np.arange(two_d * two_d).reshape(two_d, two_d, 1), target.shape)
+        source = np.broadcast_to(np.arange(safe), target.shape)
+        parity = self.occupations[:safe].sum(axis=1) % 2
+        keep = (w != 0) & (target < safe)
+        pos = np.empty(safe, dtype=np.intp)           # place within its part
+        parts = []
+        for p in (0, 1):
+            members = np.flatnonzero(parity == p)
+            pos[members] = np.arange(members.size)
+            sel = keep & (parity[source] == p)
+            parts.append((pos[target[sel]] * members.size + pos[source[sel]],
+                          pair[sel], w[sel], members.size))
+        return parts
 
 
 def build_fock(d: int, n_max: int) -> FockSpace:
@@ -98,82 +152,86 @@ def create(f: FockSpace, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _field_block(f: FockSpace, psi: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Phi(psi)[:rows, :cols], scattered from the index maps."""
-    src = np.broadcast_to(np.arange(f.raise_index.shape[1]), f.raise_index.shape)
-    amp = psi[:, None] * f.raise_value / np.sqrt(2.0)
-    out = np.zeros((rows, cols), dtype=complex)
-    up = (f.raise_index < rows) & (src < cols)       # a*(psi): src -> target
-    out[f.raise_index[up], src[up]] = amp[up]
-    down = (src < rows) & (f.raise_index < cols)     # a(psi): target -> src
-    out[src[down], f.raise_index[down]] = amp[down].conj()
-    return out
-
-
 @dataclass(eq=False)
 class FieldOperator:
-    """Phi(psi) on a Fock space; its matrices are built on first access."""
+    """Phi(psi) on a Fock space; its matrix is built on first access."""
     space: FockSpace
     psi: np.ndarray
 
     @cached_property
     def mat(self) -> np.ndarray:
-        """The full total_dim x total_dim matrix."""
-        d = self.space.total_dim
-        return _field_block(self.space, self.psi, d, d)
-
-    @cached_property
-    def safe_block(self) -> np.ndarray:
-        """mat[:s2, :s1], s_k = sector_dim(n_max - k): the sectors <= n_max - 1
-        into the safe sectors <= n_max - 2.  mat[:s1, :s2] is its adjoint."""
+        """The full total_dim x total_dim matrix, scattered from the index maps."""
         f = self.space
-        return _field_block(f, self.psi, f.sector_dim(f.n_max - 2),
-                            f.sector_dim(f.n_max - 1))
+        src = np.broadcast_to(np.arange(f.raise_index.shape[1]), f.raise_index.shape)
+        amp = self.psi[:, None] * f.raise_value / np.sqrt(2.0)
+        out = np.zeros((f.total_dim, f.total_dim), dtype=complex)
+        out[f.raise_index, src] = amp              # a*(psi): src -> target
+        out[src, f.raise_index] = amp.conj()       # a(psi): target -> src
+        return out
 
 
 def field_operator(f: FockSpace, psi: np.ndarray) -> FieldOperator:
     """Phi(psi) = (a(psi) + a*(psi)) / sqrt(2), a conjugate-linear in psi."""
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (f.one_particle_dim,):
+        raise ValueError("one-particle vector does not match the mode count")
     if np.linalg.norm(psi) == 0:
         raise ValueError("field operator of the zero vector")
     return FieldOperator(space=f, psi=psi)
 
 
-def _field(f: FockSpace, x) -> FieldOperator:
-    return x if isinstance(x, FieldOperator) else field_operator(f, x)
+@dataclass
+class SectorCommutator:
+    """[Phi(psi), Phi(phi)] on the safe sectors as its even and odd parity
+    parts; every entry between the two is an exact zero."""
+    parts: list[np.ndarray]
+    im: float                     # Im<psi, phi>: the CCR say C = i im 1
+
+    def norm(self) -> float:
+        return max(norm2(p) for p in self.parts)
+
+    def defect(self) -> float:
+        """norm2(C - i Im<psi,phi> 1), the larger of the parts' norms."""
+        return max(norm2(p - 1j * self.im * np.eye(len(p))) for p in self.parts)
 
 
-def safe_commutator(f: FockSpace, psi, phi) -> np.ndarray:
-    """[Phi(psi), Phi(phi)] on the sectors <= n_max - 2, as their leading
-    block; psi and phi are one-particle vectors or fields already built.
+def sector_commutator(f: FockSpace, psi: np.ndarray,
+                      phi: np.ndarray) -> SectorCommutator:
+    """[Phi(psi), Phi(phi)] on the sectors <= n_max - 2, from the ladder
+    pairs of `FockSpace.parity_parts`.
 
-    Exact, not truncated: a field moves the particle number by one, so every
-    intermediate state of the product lies in the sectors <= n_max - 1.
-    With both fields Hermitian, Phi(phi) Phi(psi) is the adjoint of
-    Phi(psi) Phi(phi), so one block product serves both terms."""
-    prod = _field(f, psi).safe_block @ dagger(_field(f, phi).safe_block)
-    return prod - dagger(prod)
-
-
-def ccr_defect(f: FockSpace, psi, phi) -> float:
-    """Distance of [Phi(psi), Phi(phi)] from i Im<psi,phi> on safe sectors;
-    psi and phi are one-particle vectors or fields already built."""
+    Exact, not truncated: every intermediate state of the product lies in
+    the sectors <= n_max - 1.  With both fields Hermitian, Phi(phi) Phi(psi)
+    is the adjoint of P = Phi(psi) Phi(phi), so C = P - P*."""
     if f.n_max < 2:
         raise ValueError("commutator check needs n_max >= 2")
-    a, b = _field(f, psi), _field(f, phi)
-    comm = safe_commutator(f, a, b)
-    expected = 1j * np.vdot(a.psi, b.psi).imag * np.eye(comm.shape[0])
-    return norm2(comm - expected)
+    # field_operator checks the mode count and refuses the zero vector
+    psi, phi = field_operator(f, psi).psi, field_operator(f, phi).psi
+    # a*_m carries v_m and a_m carries conj(v_m), each over sqrt(2)
+    coef = 0.5 * np.outer(np.concatenate([psi, psi.conj()]),
+                          np.concatenate([phi, phi.conj()])).ravel()
+    parts = []
+    for cells, pair, weight, width in f.parity_parts:
+        term = weight * coef[pair]
+        prod = np.empty(width * width, dtype=complex)
+        prod.real = np.bincount(cells, term.real, width * width)
+        prod.imag = np.bincount(cells, term.imag, width * width)
+        prod = prod.reshape(width, width)
+        parts.append(prod - dagger(prod))
+    return SectorCommutator(parts, float(np.vdot(psi, phi).imag))
+
+
+def ccr_defect(f: FockSpace, psi: np.ndarray, phi: np.ndarray) -> float:
+    """Distance of [Phi(psi), Phi(phi)] from i Im<psi,phi> on safe sectors."""
+    return sector_commutator(f, psi, phi).defect()
 
 
 def locality_check(f: FockSpace, k: RealSubspace, k_prime: RealSubspace) -> float:
     """Max commutator norm between fields smeared in K and in K'."""
     if k.ambient_dim != f.one_particle_dim or k_prime.ambient_dim != f.one_particle_dim:
         raise ValueError("subspace ambient dimension does not match the mode count")
-    fields = [field_operator(f, psi) for psi in k.basis]
-    fields_prime = [field_operator(f, phi) for phi in k_prime.basis]
-    return max((norm2(safe_commutator(f, a, b))
-                for a in fields for b in fields_prime), default=0.0)
+    return max((sector_commutator(f, psi, phi).norm()
+                for psi in k.basis for phi in k_prime.basis), default=0.0)
 
 
 def weyl_operator(f: FockSpace, psi: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import complex_normal, dagger, null_space, rank, row_space
+from .numkit import (VALIDITY_ATOL, complex_normal, dagger, null_space, rank,
+                     row_space)
 
 # an element belongs to a span when its orthogonal residual is below
 # MEMBERSHIP_RTOL times its own norm
@@ -238,7 +239,7 @@ def cyclic_separating(a: OperatorAlgebra,
     nrm = float(np.linalg.norm(omega))
     if nrm == 0.0:
         raise ValueError("zero vector")
-    if abs(nrm - 1.0) > 1e-8:
+    if abs(nrm - 1.0) > VALIDITY_ATOL:
         raise ValueError("omega must be normalized")
     orbit_rank = rank(np.einsum("aij,j->ai", a.basis, omega))
     return orbit_rank == a.dim, orbit_rank == a.size

@@ -22,7 +22,22 @@ def rand_density(rng, n):
     return rho / np.trace(rho).real
 
 
+def einsum_kraus_apply(rho, channel):
+    """sum_i K_i rho K_i* as one three-operand einsum: the reference form."""
+    return np.einsum("kij,jl,kml->im", channel.kraus, rho,
+                     channel.kraus.conj())
+
+
 class TestKraus:
+    @pytest.mark.parametrize("count,dim", [(1, 3), (4, 8), (8, 16)])
+    def test_matches_einsum_reference(self, count, dim):
+        rng = np.random.default_rng(dim)
+        chan = Channel(rng.standard_normal((count, dim, dim))
+                       + 1j * rng.standard_normal((count, dim, dim)))
+        rho = rand_density(rng, dim)
+        ref = einsum_kraus_apply(rho, chan)
+        assert norm2(kraus_apply(rho, chan) - ref) <= 1e-12 * norm2(ref)
+
     def test_identity_channel(self):
         rng = np.random.default_rng(0)
         rho = rand_density(rng, 3)

@@ -67,7 +67,7 @@ class TestReports:
     @pytest.mark.parametrize("name,params", [
         ("wedge-localization", {"n": 4096}),
         ("entropy-scan", {"sites": 1024, "bipartitions": 2}),
-        ("fock-ccr", {"d": 6, "n_max": 6, "pairs": 5}),
+        ("fock-ccr", {"d": 8, "n_max": 6, "pairs": 5}),
         ("reeh-schlieder-rank", {"d": 5, "n_max": 6, "degree": 6}),
         ("powers", {"n": 10}),
         ("araki-woods", {"n": 6}),
@@ -270,3 +270,11 @@ class TestCli:
         cli.main(["entropy-scan", "--bipartitions", "3", "--seed", "9",
                   "--out", str(out)])
         assert json.loads(out.read_text())["seed"] == 9
+
+    @pytest.mark.parametrize("name", list(list_experiments()))
+    def test_text_output_prints_plain_values(self, capsys, name):
+        # the CSV report and the assertion lines, at the registry defaults:
+        # a numpy scalar would print as np.float64(...) or np.True_
+        cli.main([name, "--format", "csv"])
+        captured = capsys.readouterr()
+        assert "np." not in captured.out + captured.err

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from vnlab.fock import (build_fock, ccr_defect, create, cyclicity_rank,
-                        field_operator, locality_check, safe_commutator,
+                        field_operator, locality_check, sector_commutator,
                         weyl_operator, weyl_relation_defect)
 from vnlab.locwedge import (real_subspace_from_vectors, symplectic_complement,
                             wedge_one_particle)
-from vnlab.numkit import dagger, norm2, rank
+from vnlab.numkit import complex_normal, dagger, norm2, rank
 
 
 def sector_totals(f):
@@ -60,6 +60,21 @@ def _product_cyclicity_rank(f, k, degree):
         layer = [m @ v for m in fields for v in layer]
         vectors.extend(layer)
     return rank(np.stack(vectors))
+
+
+def dense_safe_commutator(f, psi, phi):
+    """[Phi(psi), Phi(phi)] on the sectors <= n_max - 2 from the dense field
+    blocks mat[:s2, :s1]: the reference for the parity parts."""
+    s2, s1 = f.sector_dim(f.n_max - 2), f.sector_dim(f.n_max - 1)
+    prod = (field_operator(f, psi).mat[:s2, :s1]
+            @ dagger(field_operator(f, phi).mat[:s2, :s1]))
+    return prod - dagger(prod)
+
+
+def parity_members(f):
+    """Safe-sector basis indices with even and with odd total, in order."""
+    totals = sector_totals(f)[:f.sector_dim(f.n_max - 2)]
+    return [np.flatnonzero(totals % 2 == p) for p in (0, 1)]
 
 
 def _random_pair(rng, d):
@@ -179,20 +194,108 @@ class TestCcr:
 
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4), (4, 3)])
     def test_safe_commutator_is_projected_commutator(self, d, n_max):
+        # the projected dense commutator is the direct sum of the parity
+        # parts: exact zeros between even and odd totals
         f = build_fock(d, n_max)
         p = sector_projector(f, n_max - 2)
         s2 = f.sector_dim(n_max - 2)
+        even, odd = parity_members(f)
         rng = np.random.default_rng(14)
         for _ in range(4):
             psi, phi = _random_pair(rng, d)
             a = field_operator(f, psi).mat
             b = field_operator(f, phi).mat
             dense = (p @ (a @ b - b @ a) @ p)[:s2, :s2]
-            assert norm2(safe_commutator(f, psi, phi) - dense) <= 1e-13
+            assert not dense[np.ix_(even, odd)].any()
+            assert not dense[np.ix_(odd, even)].any()
+            parts = sector_commutator(f, psi, phi).parts
+            for members, part in zip((even, odd), parts):
+                assert part.shape == (members.size, members.size)
+                assert norm2(part - dense[np.ix_(members, members)]) <= 1e-13
 
     def test_needs_room_for_commutator(self):
         with pytest.raises(ValueError):
             ccr_defect(build_fock(2, 1), np.eye(2)[0], np.eye(2)[1])
+
+
+class TestSectorCommutator:
+    """The parity parts against the dense reference, edges included."""
+
+    GRID = [(1, 2), (1, 6), (2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (5, 3)]
+
+    @pytest.mark.parametrize("d,n_max", GRID)
+    def test_ccr_defect_and_norm_match_dense(self, d, n_max):
+        f = build_fock(d, n_max)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            psi, phi = _random_pair(rng, d)
+            dense = dense_safe_commutator(f, psi, phi)
+            expected = 1j * np.vdot(psi, phi).imag * np.eye(len(dense))
+            comm = sector_commutator(f, psi, phi)
+            assert abs(ccr_defect(f, psi, phi)
+                       - norm2(dense - expected)) <= 1e-13
+            assert abs(comm.norm() - norm2(dense)) <= 1e-13
+
+    @pytest.mark.parametrize("d,n_max", GRID)
+    def test_locality_matches_dense(self, d, n_max):
+        # a generic real subspace against itself and against its complement
+        f = build_fock(d, n_max)
+        rng = np.random.default_rng(18)
+        k = real_subspace_from_vectors(
+            complex_normal(rng, (d,), max(1, d - 1)), d)
+        for other in (k, symplectic_complement(k)):
+            dense = max((norm2(dense_safe_commutator(f, psi, phi))
+                         for psi in k.basis for phi in other.basis),
+                        default=0.0)
+            assert abs(locality_check(f, k, other) - dense) <= 1e-13
+
+    def test_odd_part_empty_at_n_max_two(self):
+        # the safe sectors are the vacuum alone
+        f = build_fock(3, 2)
+        rng = np.random.default_rng(19)
+        psi, phi = _random_pair(rng, 3)
+        even, odd = sector_commutator(f, psi, phi).parts
+        assert even.shape == (1, 1) and odd.shape == (0, 0)
+        assert ccr_defect(f, psi, phi) <= 1e-14
+
+    @pytest.mark.parametrize("d,n_max", [(1, 4), (3, 4), (5, 6)])
+    def test_real_pairs_commute_exactly(self, d, n_max):
+        f = build_fock(d, n_max)
+        e = np.eye(d)
+        for a in range(d):
+            for b in range(d):
+                for part in sector_commutator(f, e[a], e[b]).parts:
+                    assert not part.any()
+        k = real_subspace_from_vectors(e, d)
+        assert locality_check(f, k, symplectic_complement(k)) == 0.0
+
+    @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4)])
+    def test_lowering_rows_are_adjoint_ladders(self, d, n_max):
+        f = build_fock(d, n_max)
+        index, weight = f.ladders
+        s1 = f.sector_dim(n_max - 1)
+        creators = _loop_creators(f)
+        for row, dense in enumerate(np.concatenate(
+                [creators, creators.transpose(0, 2, 1)])):
+            got = np.zeros((f.total_dim, s1))
+            got[index[row], np.arange(s1)] = weight[row]
+            assert np.array_equal(got, dense[:, :s1].real)
+
+    def test_terms_built_once_per_space(self):
+        f = build_fock(3, 4)
+        rng = np.random.default_rng(20)
+        ccr_defect(f, *_random_pair(rng, 3))
+        parts = f.__dict__["parity_parts"]
+        k = real_subspace_from_vectors(np.eye(3), 3)
+        locality_check(f, k, symplectic_complement(k))
+        assert f.__dict__["parity_parts"] is parts
+
+    def test_rejects_wrong_mode_count_and_low_cutoff(self):
+        with pytest.raises(ValueError, match="mode count"):
+            ccr_defect(build_fock(3, 4), np.ones(2), np.ones(3))
+        k = real_subspace_from_vectors(np.eye(2), 2)
+        with pytest.raises(ValueError, match="n_max >= 2"):
+            locality_check(build_fock(2, 1), k, k)
 
 
 class TestLocality:

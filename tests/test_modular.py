@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reference import full_matrix_algebra, gns, herm_fn
-from vnlab import modular, vnalg
+from vnlab import channels, modular, vnalg
 from vnlab.modular import (check, conjugate_by_j, modular_flow, purify,
                            tomita)
 from vnlab.numkit import dagger, haar_unitary, norm2
@@ -157,6 +157,20 @@ class TestTomita:
         full = full_matrix_algebra(2)
         with pytest.raises(ValueError, match="separating"):
             tomita(full, np.array([1, 0], dtype=complex))
+
+    def test_unit_norm_checked_at_validity_atol(self):
+        # a vector 1e-9 off unit norm passed the old 1e-8 literal; the
+        # modular engine and the local preparation now refuse it alike
+        alg, omega, _ = powers_pair(0.5)
+        xi = np.array([0.6, 0.8j])
+        split = channels.SplitData(2, 2)
+        for scale in (1.0 + 1e-9, 1.0 - 1e-9):
+            with pytest.raises(ValueError, match="normalized"):
+                tomita(alg, scale * omega)
+            with pytest.raises(ValueError, match="unit vector"):
+                channels.local_prepare_channel(split, scale * xi)
+        tomita(alg, (1.0 + 1e-12) * omega)
+        channels.local_prepare_channel(split, (1.0 + 1e-12) * xi)
 
 
 class TestDeltaPower:
