@@ -1,78 +1,76 @@
-"""Command-line experiment driver.
+"""Command-line experiment driver: `vnlab --help` prints USAGE and the table
+of experiments, with each parameter's default and minimum.
 
-    vnlab list
-    vnlab <experiment> [--<param> <value> ...] [--seed S] [--out PATH]
-                       [--format {json,csv}]
-
-Exit status is 0 iff every assertion of the run passed, 1 if one failed and
-2 on invalid parameters.  Reports echo the full parameter set so any table
-or figure can be regenerated from the JSON alone.
+A flag is a schema name with dashes for underscores, written in full, and
+takes the next token as its value, so a negative value may follow it after
+a space.  The values reach `experiments.validate_params` as strings: it
+alone converts and checks them.  Exit status is 0 iff every assertion of the
+run passed, 1 if one failed and 2, after one `error:` line, on any invalid
+invocation.  Reports echo the full parameter set so any table or figure can
+be regenerated from the JSON alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .experiments import list_experiments, run
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vnlab",
-        description="numerical laboratory for modular theory, localization "
-                    "and local channels")
-    sub = parser.add_subparsers(dest="command")
-    sub.add_parser("list", help="show registered experiments")
-    for name, exp in list_experiments().items():
-        p = sub.add_parser(name, help=exp.description)
-        for key, param in exp.schema.items():
-            bound = "" if param.minimum is None else f", at least {param.minimum}"
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=param.type, default=None,
-                           metavar=param.type.__name__.upper(),
-                           help=f"default {param.default}{bound}")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="write the report here")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-    return parser
+USAGE = """usage: vnlab list
+       vnlab <experiment> [--<param> <value> | --<param>=<value> ...]
+                          [--seed S] [--out PATH] [--format {json,csv}]"""
+# each ends the reading where an experiment or a flag is expected
+HELP = ("list", "-h", "--help")
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """Write "--key -1e-3" as "--key=-1e-3": each option takes one value, but
-    argparse reads "-..." as an option unless it looks like -1 or -0.5."""
-    joined = []
-    for token in argv:
-        prev = joined[-1] if joined else ""
-        if (prev.startswith("--") and "=" not in prev
-                and token.startswith("-") and not token.startswith("--")):
-            joined[-1] = f"{prev}={token}"
-        else:
-            joined.append(token)
-    return joined
+def _read_flags(tokens: list[str]) -> dict[str, str] | None:
+    """{schema name: value} from `--flag value` and `--flag=value`; None
+    at a help token."""
+    flags = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in HELP:
+            return None
+        flag, eq, value = token.partition("=")
+        if not flag.startswith("--") or flag == "--" or "_" in flag:
+            raise ValueError(f"expected a --flag in dashes, got {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"flag {flag} needs a value")
+        flags[flag[2:].replace("-", "_")] = value
+    return flags
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_join_negative_values(argv))
-    if args.command is None or args.command == "list":
-        width = max(len(n) for n in list_experiments())
-        for name, exp in list_experiments().items():
-            schema = ", ".join(f"{k}={p.default}" for k, p in exp.schema.items())
-            print(f"{name:<{width}}  {exp.description}  [{schema}]")
-        return 0
-
-    schema = list_experiments()[args.command].schema
-    overrides = {k: getattr(args, k) for k in schema
-                 if getattr(args, k) is not None}
+    name, *tokens = (sys.argv[1:] if argv is None else argv) or ["list"]
     try:
-        report = run(args.command, overrides, seed=args.seed, out=args.out,
-                     fmt=args.format)
+        flags = None if name in HELP else _read_flags(tokens)
+        if flags is None:
+            print(USAGE)
+            experiments = list_experiments()
+            width = max(map(len, experiments))
+            for exp in experiments.values():
+                schema = ", ".join(
+                    f"{k}={p.default}"
+                    + ("" if p.minimum is None else f" (min {p.minimum})")
+                    for k, p in exp.schema.items())
+                print(f"{exp.name:<{width}}  {exp.description}  [{schema}]")
+            return 0
+        out, fmt = flags.pop("out", None), flags.pop("format", "json")
+        if fmt not in ("json", "csv"):
+            raise ValueError(f"--format must be json or csv, not {fmt!r}")
+        try:
+            seed = int(flags.pop("seed", "0"))
+        except ValueError:
+            raise ValueError("--seed must be int") from None
+        report = run(name, flags, seed=seed, out=out, fmt=fmt)
     except (KeyError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        print(f"error: {err.args[0] if isinstance(err, KeyError) else err}",
+              file=sys.stderr)
         return 2
-    print(report.to_json() if args.format == "json" else report.to_csv())
+    print(report.to_json() if fmt == "json" else report.to_csv())
     for a in report.assertions:
         status = "pass" if a.passed else "FAIL"
         print(f"  [{status}] {a.name}: value={a.value!r} "

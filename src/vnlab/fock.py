@@ -152,32 +152,27 @@ def create(f: FockSpace, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
-class FieldOperator:
-    """Phi(psi) on a Fock space; its matrix is built on first access."""
-    space: FockSpace
-    psi: np.ndarray
-
-    @cached_property
-    def mat(self) -> np.ndarray:
-        """The full total_dim x total_dim matrix, scattered from the index maps."""
-        f = self.space
-        src = np.broadcast_to(np.arange(f.raise_index.shape[1]), f.raise_index.shape)
-        amp = self.psi[:, None] * f.raise_value / np.sqrt(2.0)
-        out = np.zeros((f.total_dim, f.total_dim), dtype=complex)
-        out[f.raise_index, src] = amp              # a*(psi): src -> target
-        out[src, f.raise_index] = amp.conj()       # a(psi): target -> src
-        return out
-
-
-def field_operator(f: FockSpace, psi: np.ndarray) -> FieldOperator:
-    """Phi(psi) = (a(psi) + a*(psi)) / sqrt(2), a conjugate-linear in psi."""
+def _checked_vector(f: FockSpace, psi: np.ndarray) -> np.ndarray:
+    """psi as a complex one-particle vector; refuses a wrong mode count and
+    the zero vector."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (f.one_particle_dim,):
         raise ValueError("one-particle vector does not match the mode count")
     if np.linalg.norm(psi) == 0:
         raise ValueError("field operator of the zero vector")
-    return FieldOperator(space=f, psi=psi)
+    return psi
+
+
+def field_operator(f: FockSpace, psi: np.ndarray) -> np.ndarray:
+    """Phi(psi) = (a(psi) + a*(psi)) / sqrt(2), a conjugate-linear in psi: the
+    full total_dim x total_dim matrix, scattered from the index maps."""
+    psi = _checked_vector(f, psi)
+    src = np.broadcast_to(np.arange(f.raise_index.shape[1]), f.raise_index.shape)
+    amp = psi[:, None] * f.raise_value / np.sqrt(2.0)
+    out = np.zeros((f.total_dim, f.total_dim), dtype=complex)
+    out[f.raise_index, src] = amp              # a*(psi): src -> target
+    out[src, f.raise_index] = amp.conj()       # a(psi): target -> src
+    return out
 
 
 @dataclass
@@ -187,12 +182,19 @@ class SectorCommutator:
     parts: list[np.ndarray]
     im: float                     # Im<psi, phi>: the CCR say C = i im 1
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of the Hermitian i C, both parts together (each part
+        is exactly anti-Hermitian); an all-zero part is not solved."""
+        return np.concatenate([np.linalg.eigvalsh(1j * p) if p.any()
+                               else np.zeros(len(p)) for p in self.parts])
+
     def norm(self) -> float:
-        return max(norm2(p) for p in self.parts)
+        return float(np.max(np.abs(self.spectrum), initial=0.0))
 
     def defect(self) -> float:
-        """norm2(C - i Im<psi,phi> 1), the larger of the parts' norms."""
-        return max(norm2(p - 1j * self.im * np.eye(len(p))) for p in self.parts)
+        """norm2(C - i Im<psi,phi> 1): i (C - i im 1) = i C + im 1."""
+        return float(np.max(np.abs(self.spectrum + self.im), initial=0.0))
 
 
 def sector_commutator(f: FockSpace, psi: np.ndarray,
@@ -205,8 +207,7 @@ def sector_commutator(f: FockSpace, psi: np.ndarray,
     is the adjoint of P = Phi(psi) Phi(phi), so C = P - P*."""
     if f.n_max < 2:
         raise ValueError("commutator check needs n_max >= 2")
-    # field_operator checks the mode count and refuses the zero vector
-    psi, phi = field_operator(f, psi).psi, field_operator(f, phi).psi
+    psi, phi = _checked_vector(f, psi), _checked_vector(f, phi)
     # a*_m carries v_m and a_m carries conj(v_m), each over sqrt(2)
     coef = 0.5 * np.outer(np.concatenate([psi, psi.conj()]),
                           np.concatenate([phi, phi.conj()])).ravel()
@@ -240,7 +241,7 @@ def weyl_operator(f: FockSpace, psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if np.linalg.norm(psi) == 0:
         return np.eye(f.total_dim, dtype=complex)
-    phi = field_operator(f, psi).mat
+    phi = field_operator(f, psi)
     w, u = np.linalg.eigh(phi)
     return (u * np.exp(1j * w)) @ dagger(u)
 
@@ -264,7 +265,7 @@ def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> int:
     """Rank of span{Phi(psi_1)...Phi(psi_j) vacuum : j <= degree, psi in K}."""
     if degree > f.n_max:
         raise ValueError("degree exceeds the particle cutoff")
-    fields = [field_operator(f, psi).mat for psi in k.basis]
+    fields = [field_operator(f, psi) for psi in k.basis]
     # each layer is kept as an orthonormal basis of its span, never as the
     # (dim K)^j products themselves; rows v map to (m v)^T = v m^T
     layer = f.vacuum()[None, :]

@@ -201,12 +201,45 @@ class TestCli:
         assert code == 1
 
     def test_unknown_parameter_exit_two(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["powers", "--frobnicate", "3"])
-        with pytest.raises(SystemExit):
-            cli.main(["powers", "--tol-rel", "1e-6"])
-        with pytest.raises(SystemExit):
-            cli.main(["powers", "--tol-abs", "1e-6"])
+        for flag in ("--frobnicate", "--tol-rel", "--tol-abs"):
+            assert cli.main(["powers", flag, "3"]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        # a prefix of one name (n_max) or of two (far_site, far_bound) is
+        # not a flag
+        ["fock-ccr", "--n", "2"],
+        ["cluster-decay", "--far", "50"],
+        ["fock-ccr", "--n_max", "3"],
+        ["--n_max", "3"],
+        ["powers", "--lam"],
+        ["powers", "3"],
+        ["powers", "--"],
+        ["powers", "--format", "xml"],
+        ["powers", "--seed", "x"],
+        ["no-such-experiment"],
+    ])
+    def test_invalid_invocation_exit_two(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [[], ["list"], ["-h"], ["--help"],
+                                      ["powers", "--help"],
+                                      ["powers", "--n", "2", "-h"]])
+    def test_help_lists_names_and_minimums(self, capsys, argv):
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: vnlab")
+        for name, exp in REGISTRY.items():
+            assert name in text
+            row = next(ln for ln in text.splitlines()
+                       if ln.startswith(f"{name} "))
+            for key, param in exp.schema.items():
+                if param.minimum is not None:
+                    assert f"{key}={param.default} (min {param.minimum})" in row
 
     @pytest.mark.parametrize("argv", [
         ["entropy-scan", "--bipartitions", "0"],

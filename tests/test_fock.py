@@ -54,7 +54,7 @@ def _creation_string_gamma(f, u):
 
 def _product_cyclicity_rank(f, k, degree):
     """Rank of every product Phi(psi_1)...Phi(psi_j) vacuum, stacked."""
-    fields = [field_operator(f, psi).mat for psi in k.basis]
+    fields = [field_operator(f, psi) for psi in k.basis]
     vectors, layer = [f.vacuum()], [f.vacuum()]
     for _ in range(degree):
         layer = [m @ v for m in fields for v in layer]
@@ -66,8 +66,8 @@ def dense_safe_commutator(f, psi, phi):
     """[Phi(psi), Phi(phi)] on the sectors <= n_max - 2 from the dense field
     blocks mat[:s2, :s1]: the reference for the parity parts."""
     s2, s1 = f.sector_dim(f.n_max - 2), f.sector_dim(f.n_max - 1)
-    prod = (field_operator(f, psi).mat[:s2, :s1]
-            @ dagger(field_operator(f, phi).mat[:s2, :s1]))
+    prod = (field_operator(f, psi)[:s2, :s1]
+            @ dagger(field_operator(f, phi)[:s2, :s1]))
     return prod - dagger(prod)
 
 
@@ -135,7 +135,7 @@ class TestFieldOperator:
     def test_vacuum_one_particle_component(self):
         f = build_fock(2, 3)
         phi = field_operator(f, np.eye(2)[0])
-        v = phi.mat @ f.vacuum()
+        v = phi @ f.vacuum()
         assert abs(np.linalg.norm(v) - 1 / np.sqrt(2)) < 1e-12
         assert np.allclose(v, create(f, np.eye(2)[0], f.vacuum()) / np.sqrt(2))
 
@@ -145,8 +145,8 @@ class TestFieldOperator:
         for _ in range(5):
             psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            a = field_operator(f, psi).mat
-            b = field_operator(f, phi).mat
+            a = field_operator(f, psi)
+            b = field_operator(f, phi)
             got = np.vdot(f.vacuum(), a @ b @ f.vacuum())
             assert abs(got - np.vdot(psi, phi) / 2.0) < 1e-12
 
@@ -154,7 +154,7 @@ class TestFieldOperator:
         f = build_fock(2, 4)
         rng = np.random.default_rng(1)
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        m = field_operator(f, psi).mat
+        m = field_operator(f, psi)
         assert norm2(m - dagger(m)) < 1e-12
 
     def test_scatter_matches_dense_ladders(self):
@@ -162,7 +162,7 @@ class TestFieldOperator:
         rng = np.random.default_rng(13)
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         adag = np.tensordot(psi, _loop_creators(f), axes=(0, 0))
-        assert np.array_equal(field_operator(f, psi).mat,
+        assert np.array_equal(field_operator(f, psi),
                               (dagger(adag) + adag) / np.sqrt(2.0))
 
     def test_rejects_zero_vector(self):
@@ -178,8 +178,8 @@ class TestCcr:
     def test_canonical_pair(self):
         f = build_fock(2, 3)
         e0 = np.eye(2)[0]
-        a = field_operator(f, e0).mat
-        b = field_operator(f, 1j * e0).mat
+        a = field_operator(f, e0)
+        b = field_operator(f, 1j * e0)
         p = sector_projector(f, f.n_max - 2)
         comm = p @ (a @ b - b @ a) @ p
         assert norm2(comm - 1j * p) < 1e-12
@@ -203,8 +203,8 @@ class TestCcr:
         rng = np.random.default_rng(14)
         for _ in range(4):
             psi, phi = _random_pair(rng, d)
-            a = field_operator(f, psi).mat
-            b = field_operator(f, phi).mat
+            a = field_operator(f, psi)
+            b = field_operator(f, phi)
             dense = (p @ (a @ b - b @ a) @ p)[:s2, :s2]
             assert not dense[np.ix_(even, odd)].any()
             assert not dense[np.ix_(odd, even)].any()
@@ -320,8 +320,8 @@ class TestLocality:
     def test_negative_control_value(self):
         f = build_fock(2, 3)
         e0 = np.eye(2)[0]
-        a = field_operator(f, e0).mat
-        b = field_operator(f, 1j * e0).mat  # Im<e0, i e0> = 1
+        a = field_operator(f, e0)
+        b = field_operator(f, 1j * e0)  # Im<e0, i e0> = 1
         p = sector_projector(f, f.n_max - 2)
         assert abs(norm2(p @ (a @ b - b @ a) @ p) - 1.0) < 1e-10
 
@@ -332,8 +332,8 @@ class TestLocality:
         for _ in range(10):
             psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            a = field_operator(f, psi).mat
-            b = field_operator(f, phi).mat
+            a = field_operator(f, psi)
+            b = field_operator(f, phi)
             got = norm2(p @ (a @ b - b @ a) @ p)
             assert abs(got - abs(np.vdot(psi, phi).imag)) <= 1e-10
 
@@ -474,8 +474,8 @@ class TestSecondQuantize:
         p = sector_projector(f, f.n_max - 2)
         for _ in range(4):
             psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            lhs = gamma @ field_operator(f, psi).mat @ dagger(gamma)
-            rhs = field_operator(f, u @ psi).mat
+            lhs = gamma @ field_operator(f, psi) @ dagger(gamma)
+            rhs = field_operator(f, u @ psi)
             assert norm2(p @ (lhs - rhs) @ p) < 1e-9
 
     def test_covariance_under_wedge_flow(self):
@@ -487,6 +487,6 @@ class TestSecondQuantize:
         p = sector_projector(f, f.n_max - 2)
         rng = np.random.default_rng(10)
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        lhs = gamma @ field_operator(f, psi).mat @ dagger(gamma)
-        rhs = field_operator(f, u @ psi).mat
+        lhs = gamma @ field_operator(f, psi) @ dagger(gamma)
+        rhs = field_operator(f, u @ psi)
         assert norm2(p @ (lhs - rhs) @ p) < 1e-9
