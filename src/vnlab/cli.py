@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from .experiments import list_experiments, run
+from .experiments import list_experiments, run, validate_params
 
 USAGE = """usage: vnlab list
        vnlab <experiment> [--<param> <value> | --<param>=<value> ...]
@@ -45,7 +45,11 @@ def _read_flags(tokens: list[str]) -> dict[str, str] | None:
 def main(argv=None) -> int:
     name, *tokens = (sys.argv[1:] if argv is None else argv) or ["list"]
     try:
-        flags = None if name in HELP else _read_flags(tokens)
+        flags = None
+        if name not in HELP:
+            # the name first, so a flag typed in its place is named as such
+            validate_params(name, None)
+            flags = _read_flags(tokens)
         if flags is None:
             print(USAGE)
             experiments = list_experiments()

@@ -653,7 +653,8 @@ def list_experiments() -> dict[str, ExperimentDef]:
 
 def validate_params(name: str, overrides: dict | None) -> dict:
     if name not in REGISTRY:
-        raise KeyError(f"unknown experiment {name!r}; see list_experiments()")
+        raise KeyError(f"unknown experiment {name!r}; known: "
+                       f"{', '.join(REGISTRY)}")
     schema = REGISTRY[name].schema
     overrides = overrides or {}
     bad = [k for k in overrides if k not in schema]

@@ -2,17 +2,20 @@
 
 Algebras are unital *-closed spans of matrices, stored with a basis that is
 orthonormal in the Hilbert-Schmidt inner product tr(A* B); membership tests
-are then projection residuals with a single threshold.  Commutants are solved
-from one random element of the algebra and certified against the whole basis,
-and centers come from span intersection.
+are then projection residuals with a single threshold.  Every rank decision
+is numkit's rank rule: the closure grows a span by one letter per pass,
+commutants are solved from one random element of the algebra on the entries
+where its Hermitian part's commutator vanishes and certified against the
+whole basis, and the center is one null space over the algebra's
+coefficients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numkit import (VALIDITY_ATOL, complex_normal, dagger, null_space, rank,
-                     row_space)
+from .numkit import (VALIDITY_ATOL, complex_normal, dagger, nonzero_mask,
+                     null_space, rank, row_space)
 
 # an element belongs to a span when its orthogonal residual is below
 # MEMBERSHIP_RTOL times its own norm
@@ -30,15 +33,13 @@ def orthonormalize_span(mats: np.ndarray) -> np.ndarray:
 
 
 class OperatorAlgebra:
-    """A *-closed unital span of matrices on C^dim with orthonormal basis."""
+    """A *-closed unital span of matrices on C^dim, given by an orthonormal
+    basis (orthonormalize_span makes one from any spanning set)."""
 
-    def __init__(self, dim: int, basis: np.ndarray, *, generators=None,
-                 orthonormal: bool = False):
+    def __init__(self, dim: int, basis: np.ndarray, *, generators=None):
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim != 3 or basis.shape[1:] != (dim, dim):
             raise ValueError("basis must be a stack of dim x dim matrices")
-        if not orthonormal:
-            basis = orthonormalize_span(basis)
         self.dim = dim
         self.basis = basis
         self.generators = None if generators is None else np.asarray(generators, complex)
@@ -108,50 +109,49 @@ def tensor_factor_algebra(d: int, m: int) -> OperatorAlgebra:
                        np.eye(m)).reshape(d * d, n, n) / np.sqrt(m)
     right_b = np.einsum("ij,akl->aikjl", np.eye(d),
                         matrix_units(m)).reshape(m * m, n, n) / np.sqrt(d)
-    alg = OperatorAlgebra(n, left_b, orthonormal=True)
-    alg.commutant_hint = OperatorAlgebra(n, right_b, orthonormal=True)
+    alg = OperatorAlgebra(n, left_b)
+    alg.commutant_hint = OperatorAlgebra(n, right_b)
     return alg
 
 
 def vn_closure(generators, dim: int) -> OperatorAlgebra:
     """Smallest unital *-closed product-closed span containing the generators.
 
-    Iterates pairwise products to a fixed point; the dim^2 cap can only trip
-    on a logic error since B(C^dim) has dimension dim^2.
+    The letters are the generators and their adjoints.  Starting from the
+    span of 1 and the letters, each pass adds the letters times the span, so
+    the words it holds grow by one letter per pass; the span is the algebra
+    once a pass leaves its dimension unchanged.
     """
-    mats = [np.eye(dim, dtype=complex)]
-    for g in generators:
-        g = np.asarray(g, dtype=complex)
-        if g.shape != (dim, dim):
-            raise ValueError("generator dimension mismatch")
-        mats.append(g)
-        mats.append(dagger(g))
-    basis = orthonormalize_span(np.stack(mats))
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    if any(g.shape != (dim, dim) for g in gens):
+        raise ValueError("generator dimension mismatch")
+    letters = np.array(gens + [dagger(g) for g in gens]).reshape(-1, dim, dim)
+    basis = orthonormalize_span(np.concatenate([np.eye(dim)[None], letters]))
     while True:
-        products = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, dim, dim)
-        grown = orthonormalize_span(np.concatenate([basis, products]))
+        words = (letters[:, None] @ basis).reshape(-1, dim, dim)
+        grown = orthonormalize_span(np.concatenate([basis, words]))
         if grown.shape[0] == basis.shape[0]:
             break
-        if grown.shape[0] > dim * dim:
-            raise RuntimeError("closure exceeded dim^2 basis elements")
         basis = grown
-    gens = np.stack([np.asarray(g, complex) for g in generators]) if len(generators) else None
-    return OperatorAlgebra(dim, basis, generators=gens, orthonormal=True)
+    return OperatorAlgebra(dim, basis,
+                           generators=np.array(gens) if gens else None)
 
 
 def commutant(a: OperatorAlgebra, use_hint: bool = True) -> OperatorAlgebra:
     """{X : [b, X] = 0 for all b in the algebra}.
 
     A generic element z of the algebra and its adjoint generate it, so A' is
-    the set of X commuting with h = (z + z*)/2 and k = (z - z*)/2i.  Such an
-    X is block-diagonal in the eigenbasis of h (blocks: the eigenvalue
-    clusters), and [k, X] = 0 is solved on those block entries only.  The
-    kernel always contains A'; the result is certified by commuting it with
-    every basis element of the algebra, which proves equality.  A failed
-    certification (an unlucky z) redraws, up to COMMUTANT_DRAWS times.  The
-    draws come from a fixed seed, so the result is a pure function of the
-    algebra.  A structured commutant_hint short-circuits the solve unless
-    use_hint is False.
+    the set of X commuting with h = (z + z*)/2 and k = (z - z*)/2i.  In the
+    eigenbasis of h, [h, X] has entries (w_r - w_s) X_rs, so the unknowns
+    are the entries whose |w_r - w_s| the rank rule reads as zero, and
+    [k, X] = 0 is solved on those entries only.  The result is certified by
+    commuting it with every basis element of the algebra, which proves that
+    it lies in A'; it is all of A' when every split of a degenerate
+    eigenvalue is below the rank rule's cut.  A failed certification (an
+    unlucky z) redraws, up to COMMUTANT_DRAWS times.  The draws come from a
+    fixed seed, so the result is a pure function of the algebra.  A
+    structured commutant_hint short-circuits the solve unless use_hint is
+    False.
     """
     if use_hint and a.commutant_hint is not None:
         return a.commutant_hint
@@ -159,7 +159,7 @@ def commutant(a: OperatorAlgebra, use_hint: bool = True) -> OperatorAlgebra:
     for _ in range(COMMUTANT_DRAWS):
         basis = _commutant_of_element(a.random_element(rng))
         if _commutator_residual(a.basis, basis) <= MEMBERSHIP_RTOL:
-            return OperatorAlgebra(a.dim, basis, orthonormal=True)
+            return OperatorAlgebra(a.dim, basis)
     raise RuntimeError("commutant certification failed on every draw")
 
 
@@ -168,19 +168,19 @@ def _commutant_of_element(z: np.ndarray) -> np.ndarray:
     n = z.shape[0]
     w, v = np.linalg.eigh(0.5 * (z + dagger(z)))
     k = dagger(v) @ (-0.5j * (z - dagger(z))) @ v
-    # unknowns: the entries (r, s) of each diagonal block of h's eigenbasis
-    blocks = _eigenvalue_clusters(w)
-    r = np.concatenate([np.repeat(c, c.size) for c in blocks])
-    s = np.concatenate([np.tile(c, c.size) for c in blocks])
+    # unknowns: the entries (r, s) on which [h, .] vanishes
+    gaps = np.abs(w[:, None] - w).ravel()
+    r, s = np.nonzero(~nonzero_mask(gaps).reshape(n, n))
     cols = np.arange(r.size)
     # column (r, s) of the map Y -> k Y - Y k, as an n x n matrix
     cmap = np.zeros((n, n, r.size), dtype=complex)
     cmap[:, s, cols] = k[:, r]
     cmap[r, :, cols] -= k[s, :]
     kernel = null_space(cmap.reshape(n * n, r.size))
+    # orthonormal kernel rows, conjugated by the unitary v, stay orthonormal
     y = np.zeros((kernel.shape[0], n, n), dtype=complex)
     y[:, r, s] = kernel
-    return orthonormalize_span(v @ y @ dagger(v))
+    return v @ y @ dagger(v)
 
 
 def _commutator_residual(basis: np.ndarray, other: np.ndarray) -> float:
@@ -193,38 +193,20 @@ def _commutator_residual(basis: np.ndarray, other: np.ndarray) -> float:
                for b in basis)
 
 
-def span_intersection(flat_u: np.ndarray, flat_v: np.ndarray) -> np.ndarray:
-    """Intersection of two spans given by orthonormal row stacks (flattened).
-
-    A principal direction is shared when its cosine is within 1e-9 of one.
-    """
-    m = flat_u.conj() @ flat_v.T
-    p, s, _ = np.linalg.svd(m)
-    keep = s >= 1.0 - 1e-9
-    return (p[:, keep].T @ flat_u)
-
-
 def center_and_factor(a: OperatorAlgebra) -> tuple[OperatorAlgebra, bool]:
-    """Center A ∩ A' and the factor flag (center of linear dimension one)."""
-    comm = commutant(a)
-    inter = span_intersection(a._flat(), comm._flat())
-    basis = orthonormalize_span(inter.reshape(-1, a.dim, a.dim))
-    center = OperatorAlgebra(a.dim, basis, orthonormal=True)
-    return center, center.size == 1
+    """Center A ∩ A' and the factor flag (center of linear dimension one).
 
-
-def _eigenvalue_clusters(w: np.ndarray) -> list[np.ndarray]:
-    """Indices of eigenvalues grouped by gaps (w sorted ascending).
-
-    A gap wider than 1e-8 times max(1, |w|_max) starts a new cluster.
+    The center is the null space of c -> ([b_j, sum_i c_i b_i])_j over the
+    basis coefficients; the basis is orthonormal, so orthonormal coefficient
+    rows give an orthonormal basis of the center.
     """
-    scale = max(1.0, float(np.max(np.abs(w))))
-    clusters = [[0]]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > 1e-8 * scale:
-            clusters.append([])
-        clusters[-1].append(i)
-    return [np.array(c) for c in clusters]
+    prod = a.basis[:, None] @ a.basis
+    # row block j, column i: the entries of [b_j, b_i]
+    cmap = (prod - prod.swapaxes(0, 1)).transpose(0, 2, 3, 1)
+    coeff = null_space(cmap.reshape(-1, a.size))
+    center = OperatorAlgebra(a.dim,
+                             (coeff @ a._flat()).reshape(-1, a.dim, a.dim))
+    return center, center.size == 1
 
 
 def cyclic_separating(a: OperatorAlgebra,

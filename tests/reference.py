@@ -16,7 +16,7 @@ import numpy as np
 
 from vnlab.locwedge import COND_CAP
 from vnlab.numkit import VALIDITY_ATOL, AntilinearMap, dagger, nonzero_mask
-from vnlab.vnalg import OperatorAlgebra, matrix_units
+from vnlab.vnalg import OperatorAlgebra, matrix_units, orthonormalize_span
 
 _HERM_FNS = ("exp", "log", "sqrt", "power", "ipower")
 
@@ -89,11 +89,11 @@ def s_operator(delta: np.ndarray, j: AntilinearMap,
 
 def full_matrix_algebra(n: int) -> OperatorAlgebra:
     """All of B(C^n); matrix units are already HS-orthonormal."""
-    return OperatorAlgebra(n, matrix_units(n), orthonormal=True)
+    return OperatorAlgebra(n, matrix_units(n))
 
 
 def scalar_algebra(n: int) -> OperatorAlgebra:
-    return OperatorAlgebra(n, np.eye(n)[None, :, :] / np.sqrt(n), orthonormal=True)
+    return OperatorAlgebra(n, np.eye(n)[None, :, :] / np.sqrt(n))
 
 
 @dataclass
@@ -133,6 +133,6 @@ def gns(rho: np.ndarray) -> GnsRep:
 
     vector = sq * (dagger(v) @ np.eye(d).flatten())
     basis = np.stack([represent(u) for u in matrix_units(d)])
-    algebra = OperatorAlgebra(int(keep.sum()), basis)
+    algebra = OperatorAlgebra(int(keep.sum()), orthonormalize_span(basis))
     return GnsRep(source_dim=d, dim=int(keep.sum()), vector=vector,
                   represent=represent, algebra=algebra)

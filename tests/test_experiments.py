@@ -226,6 +226,16 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--n_max", "3"], "'--n_max'"),
+        (["nosuch", "--n", "2"], "'nosuch'")])
+    def test_unknown_experiment_named_with_known_ones(self, capsys, argv,
+                                                      named):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: unknown experiment {named}; known: "
+                       f"{', '.join(REGISTRY)}\n")
+
     @pytest.mark.parametrize("argv", [[], ["list"], ["-h"], ["--help"],
                                       ["powers", "--help"],
                                       ["powers", "--n", "2", "-h"]])

@@ -65,7 +65,7 @@ def _kron_algebra(site_basis, n, dim) -> OperatorAlgebra:
     basis = [np.eye(1, dtype=complex)]
     for _ in range(n):
         basis = [np.kron(b, u) for b in basis for u in site_basis]
-    return OperatorAlgebra(dim, np.stack(basis), orthonormal=True)
+    return OperatorAlgebra(dim, np.stack(basis))
 
 
 def dense_algebra(approx) -> OperatorAlgebra:

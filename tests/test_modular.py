@@ -138,7 +138,7 @@ class TestTomita:
         # tomita needs the commutant neither as a hint nor by a generic solve
         alg, omega = random_pair(np.random.default_rng(5), 2)
         if not hinted:
-            alg = OperatorAlgebra(alg.dim, alg.basis, orthonormal=True)
+            alg = OperatorAlgebra(alg.dim, alg.basis)
         calls = []
 
         def counted(*args, **kwargs):
@@ -426,8 +426,7 @@ class TestReportRecord:
         for k in (2, 3, 4):
             alg, omega = random_pair(rng, k)
             u = haar_unitary(rng, alg.dim)
-            rotated = OperatorAlgebra(alg.dim, u @ alg.basis @ dagger(u),
-                                      orthonormal=True)
+            rotated = OperatorAlgebra(alg.dim, u @ alg.basis @ dagger(u))
             md = tomita(rotated, u @ omega)
             bad = replace(md, delta=md.delta @ md.delta)
             bad.algebra_commutant = rotated

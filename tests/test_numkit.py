@@ -358,7 +358,7 @@ class TestNorm2:
 
 
 def test_rank_decisions_live_in_numkit():
-    """Outside numkit, the only SVD is span_intersection's angle test."""
+    """Outside numkit, no function takes an SVD or a matrix rank."""
     found = set()
     for path in pathlib.Path(vnlab.__file__).parent.glob("*.py"):
         if path.name == "numkit.py":
@@ -371,7 +371,7 @@ def test_rank_decisions_live_in_numkit():
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in ("svd", "matrix_rank")):
                     found.add((path.stem, fn.name, node.func.attr))
-    assert found == {("vnalg", "span_intersection", "svd")}
+    assert found == set()
 
 
 def test_tolerances_are_not_arguments():

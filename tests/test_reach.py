@@ -35,9 +35,7 @@ PERFBENCH_ONLY = {
     ("vnalg", "orthonormalize_span"),
     ("vnalg", "_commutant_of_element"),
     ("vnalg", "_commutator_residual"),
-    ("vnalg", "_eigenvalue_clusters"),
     ("vnalg", "center_and_factor"),
-    ("vnalg", "span_intersection"),
     ("factors", "Approximant.ambient_dim"),
 }
 

@@ -8,10 +8,12 @@ import pytest
 
 from reference import full_matrix_algebra, gns, scalar_algebra
 from vnlab import vnalg
-from vnlab.numkit import dagger, norm2, null_space, random_density
+from vnlab.numkit import (complex_normal, dagger, norm2, null_space,
+                          random_density)
 from vnlab.vnalg import (MEMBERSHIP_RTOL, OperatorAlgebra, center_and_factor,
                          commutant, cyclic_separating, matrix_units,
-                         span_intersection, tensor_factor_algebra, vn_closure)
+                         orthonormalize_span, tensor_factor_algebra,
+                         vn_closure)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -43,6 +45,34 @@ def stacked_commutant(a: OperatorAlgebra) -> OperatorAlgebra:
         blocks.append(np.kron(dagger(g), eye) - np.kron(eye, g.conj()))
     kernel = null_space(np.concatenate(blocks, axis=0))
     return OperatorAlgebra(n, kernel.reshape(-1, n, n))
+
+
+def pairwise_closure(generators, dim: int) -> OperatorAlgebra:
+    """Reference form: 1, the generators and their adjoints, closed by
+    adding every product of two basis elements until the span stops
+    growing."""
+    mats = [np.eye(dim, dtype=complex)]
+    for g in generators:
+        mats += [g, dagger(g)]
+    basis = orthonormalize_span(np.stack(mats))
+    while True:
+        products = np.einsum("aij,bjk->abik", basis, basis)
+        products = products.reshape(-1, dim, dim)
+        grown = orthonormalize_span(np.concatenate([basis, products]))
+        if grown.shape[0] == basis.shape[0]:
+            return OperatorAlgebra(dim, basis)
+        basis = grown
+
+
+def principal_intersection(a: OperatorAlgebra,
+                           b: OperatorAlgebra) -> OperatorAlgebra:
+    """Reference form: span a ∩ span b from the principal angles, keeping
+    each direction whose cosine is within 1e-9 of one."""
+    fa = a._flat()
+    p, cosines, _ = np.linalg.svd(fa.conj() @ b._flat().T,
+                                  full_matrices=False)
+    shared = p[:, cosines >= 1.0 - 1e-9].T @ fa
+    return OperatorAlgebra(a.dim, shared.reshape(-1, a.dim, a.dim))
 
 
 def ginibre(rng, n):
@@ -77,14 +107,16 @@ def _m2_plus_m2(rng):
                        for _ in range(2)], 4)
 
 
+# builder, linear dimension, dimension of the centre
 REFERENCE_CASES = {
-    "m3_x_1": (_m3_times_1, 9),
-    "m2_x_1_plus_c": (_m2_times_1_plus_c, 5),
-    "m2_plus_m2": (_m2_plus_m2, 8),
-    "diagonal": (lambda rng: vn_closure([np.diag(rng.standard_normal(4))], 4), 4),
-    "scalars": (lambda rng: scalar_algebra(3), 1),
-    "full_m3": (lambda rng: full_matrix_algebra(3), 9),
-    "gns": (lambda rng: gns(random_density(rng, 2)).algebra, 4),
+    "m3_x_1": (_m3_times_1, 9, 1),
+    "m2_x_1_plus_c": (_m2_times_1_plus_c, 5, 2),
+    "m2_plus_m2": (_m2_plus_m2, 8, 2),
+    "diagonal": (lambda rng: vn_closure([np.diag(rng.standard_normal(4))], 4),
+                 4, 4),
+    "scalars": (lambda rng: scalar_algebra(3), 1, 1),
+    "full_m3": (lambda rng: full_matrix_algebra(3), 9, 1),
+    "gns": (lambda rng: gns(random_density(rng, 2)).algebra, 4, 1),
 }
 
 
@@ -115,6 +147,30 @@ class TestClosure:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             vn_closure([SX], 3)
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_pairwise_reference(self, case):
+        build, size, _ = REFERENCE_CASES[case]
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            alg = build(rng)
+            gens = alg.generators if alg.generators is not None else alg.basis
+            closed = vn_closure(gens, alg.dim)
+            ref = pairwise_closure(gens, alg.dim)
+            assert closed.size == ref.size == size
+            assert span_distance(closed, ref) < 1e-10
+
+    def test_bicommutant_draw_matches_pairwise_reference(self):
+        # the benchmark's bicommutant op: vN({x (x) 1, y (x) 1}), x, y in M_4
+        rng = np.random.default_rng(1)
+        gens = [np.kron(complex_normal(rng, (4, 4)), np.eye(4))
+                for _ in range(2)]
+        with np.errstate(all="raise"):
+            alg = vn_closure(gens, 16)
+            ref = pairwise_closure(gens, 16)
+        assert alg.size == ref.size == 16
+        assert span_distance(alg, ref) < 1e-10
+        assert max(closure_residuals(alg).values()) < 1e-10
 
 
 class TestCommutant:
@@ -177,7 +233,7 @@ class TestCommutant:
 class TestCertifiedCommutant:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_matches_stacked_reference(self, case):
-        build, size = REFERENCE_CASES[case]
+        build, size, _ = REFERENCE_CASES[case]
         rng = np.random.default_rng(11)
         for _ in range(3):
             alg = build(rng)
@@ -259,6 +315,19 @@ class TestCenterFactor:
         _, is_factor = center_and_factor(scalar_algebra(2))
         assert is_factor
 
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_intersection_reference(self, case):
+        build, _, center_size = REFERENCE_CASES[case]
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            alg = build(rng)
+            center, is_factor = center_and_factor(alg)
+            ref = principal_intersection(alg, stacked_commutant(alg))
+            assert center.size == ref.size == center_size
+            assert is_factor == (center_size == 1)
+            assert span_distance(center, ref) < 1e-10
+            assert max(closure_residuals(center).values()) < 1e-10
+
 
 class TestCyclicSeparating:
     def test_maximally_entangled(self):
@@ -329,13 +398,6 @@ class TestGns:
 
 
 class TestSpanTools:
-    def test_intersection_of_overlapping_spans(self):
-        u = np.eye(4)[:2]
-        v = np.eye(4)[1:3]
-        inter = span_intersection(u, v)
-        assert inter.shape[0] == 1
-        assert abs(abs(inter[0, 1]) - 1.0) < 1e-12
-
     def test_member_residual_of_a_stack(self):
         # a single matrix gives ||x - P x||_F bit for bit and is left as it
         # is; a stack gives the largest of its matrices' residuals
