@@ -121,32 +121,51 @@ def _faithful_vector(rng, k):
     return ((u * np.sqrt(q)) @ v.T).flatten()
 
 
-def _factor_algebras(ks) -> dict:
-    """M_k (x) 1 on C^k (x) C^k, built once for each distinct k."""
-    return {k: vnalg.tensor_factor_algebra(k, k) for k in set(ks)}
+def _factor_instances(p, draw, instance) -> list:
+    """instance(M_k (x) 1, draw(k)) for the sizes k = 2, 3, ..., max_k, 2, ...
+    of p["instances"] random standard pairs on C^k (x) C^k.
+
+    Every instance's draws are made first, in instance order, so the random
+    stream is that of one loop over the instances.  Each M_k (x) 1 is then
+    built once, runs its instances and is released before the next one is
+    built, so a run holds one algebra at a time.  The results come back
+    grouped by k, an order the callers' maxima do not see.
+    """
+    sizes = range(2, p["max_k"] + 1)
+    ks = [sizes[i % len(sizes)] for i in range(p["instances"])]
+    drawn = [draw(k) for k in ks]
+    found = []
+    for k in sorted(set(ks)):
+        alg = vnalg.tensor_factor_algebra(k, k)
+        found += [instance(alg, d) for kd, d in zip(ks, drawn) if kd == k]
+        del alg
+    return found
 
 
 # ---------------------------------------------------------------- experiments
 
-def _unit_element(alg, rng):
-    """Random element of alg with unit Frobenius norm."""
-    x = alg.random_element(rng)
+def _unit(x):
+    """x scaled to unit Frobenius norm."""
     return x / np.linalg.norm(x)
 
 
 def _exp_kms_random(p, seed):
     rng = np.random.default_rng(seed)
-    sizes = list(range(2, p["max_k"] + 1))
-    ks = [sizes[i % len(sizes)] for i in range(p["instances"])]
+
+    def draw(k):
+        # Omega, then each flow sample's t and x's coefficients
+        return _faithful_vector(rng, k), [
+            (float(rng.uniform(-2, 2)), complex_normal(rng, (k * k,)))
+            for _ in range(4)]
+
+    def instance(alg, drawn):
+        omega, samples = drawn
+        flows = [(t, 0.0, _unit(alg.element(c))) for t, c in samples]
+        return modular.check(modular.tomita(alg, omega), flows)
+
     worst = dict.fromkeys(("s_reconstruction", "jdj_inverse", "delta_omega",
                            "kms", "jaj_commutant", "flow_membership"), 0.0)
-    algebras = _factor_algebras(ks)
-    for k in ks:
-        md = modular.tomita(algebras[k], _faithful_vector(rng, k))
-        # each flow sample draws t, then x
-        flows = [(float(rng.uniform(-2, 2)), 0.0,
-                  _unit_element(algebras[k], rng)) for _ in range(4)]
-        found = modular.check(md, flows)
+    for found in _factor_instances(p, draw, instance):
         for key in worst:
             worst[key] = max(worst[key], found[key])
     assertions = [
@@ -162,18 +181,20 @@ def _exp_kms_random(p, seed):
 
 def _exp_modular_spectrum(p, seed):
     rng = np.random.default_rng(seed)
-    sizes = list(range(2, p["max_k"] + 1))
-    ks = [sizes[i % len(sizes)] for i in range(p["instances"])]
-    algebras = _factor_algebras(ks)
-    worst = 0.0
-    for k in ks:
-        weights = _conditioned_weights(rng, k, floor=0.25)
-        u = haar_unitary(rng, k)
+
+    def draw(k):
+        return _conditioned_weights(rng, k, floor=0.25), haar_unitary(rng, k)
+
+    def instance(alg, drawn):
+        weights, u = drawn
         rho = (u * weights) @ dagger(u)
-        md = modular.tomita(algebras[k], modular.purify(rho, k))
+        md = modular.tomita(alg, modular.purify(rho, weights.size))
         ratios = np.sort((weights[:, None] / weights[None, :]).flatten())
-        err = np.max(np.abs(md.delta_spectrum - ratios) / ratios)
-        worst = max(worst, float(err))
+        return float(np.max(np.abs(md.delta_spectrum - ratios) / ratios))
+
+    worst = 0.0
+    for err in _factor_instances(p, draw, instance):
+        worst = max(worst, err)
     metrics = {"max_ratio_error": worst, "instances": p["instances"]}
     return metrics, [Assertion("spectrum_ratio_law", worst, 1e-9)], None
 
@@ -534,7 +555,7 @@ def _exp_modular_flow(p, seed):
     alg = vnalg.tensor_factor_algebra(p["k"], p["k"])
     md = modular.tomita(alg, _faithful_vector(rng, p["k"]))
     # each flow sample draws t and s, then x
-    flows = [(*rng.uniform(-2, 2, size=2), _unit_element(alg, rng))
+    flows = [(*rng.uniform(-2, 2, size=2), _unit(alg.random_element(rng)))
              for _ in range(p["samples"])]
     found = modular.check(md, flows)
     group_max = found.pop("group_law")

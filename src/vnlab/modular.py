@@ -72,7 +72,9 @@ def tomita(a: OperatorAlgebra, omega: np.ndarray) -> ModularData:
     if missing:
         raise ValueError(f"omega is not {' or '.join(missing)} for the algebra")
     orbit = np.einsum("aij,j->ia", a.basis, omega)          # columns b_i omega
-    target = np.einsum("aji,j->ia", a.basis.conj(), omega)  # columns b_i* omega
+    # columns b_i* omega; conjugating omega and the result spares a
+    # conjugate copy of the basis
+    target = np.einsum("aji,j->ia", a.basis, omega.conj()).conj()
     mt, *_ = np.linalg.lstsq(orbit.conj().T, target.T, rcond=None)
     m = mt.T
     residual = float(np.linalg.norm(m @ orbit.conj() - target))
@@ -103,6 +105,9 @@ def check(md: ModularData, flows=()) -> dict:
     sigma_{t+s}(x)||_F to ``group_law`` and the residual of sigma_{t+s}(x)
     off the algebra to ``flow_membership`` (maxima; 0.0 without samples).
     Each stage is its own helper, so its arrays are freed before the next.
+    With S the size of the basis stack, the J A J stage peaks at 2 S above
+    what the caller holds (the conjugated stack and one temporary of
+    ``member_residual``); no other stage copies the basis.
     """
     comm = md.algebra_commutant  # raises when md carries no algebra
     return {**_polar_defects(md), "kms": _kms(md),
@@ -134,7 +139,7 @@ def _kms(md: ModularData) -> float:
     basis = md.algebra.basis
     # lhs[i, j] = <b_i* O, b_j O> and rhs[j, i] = <b_j* O, Delta b_i O>
     xo = basis @ md.omega
-    xso = np.conj(basis).transpose(0, 2, 1) @ md.omega
+    xso = np.conj(basis.transpose(0, 2, 1) @ np.conj(md.omega))
     lhs = np.conj(xso) @ xo.T
     rhs = np.conj(xso) @ (md.delta @ xo.T)
     return float(np.max(np.abs(lhs - rhs.T)))

@@ -56,8 +56,9 @@ class OperatorAlgebra:
     def member_residual(self, x: np.ndarray) -> float:
         """Norm of the component of x orthogonal to the span; for a stack of
         matrices, the largest over the stack.  A complex stack is overwritten
-        by those components (the projections are subtracted in place, so a
-        large stack costs no second copy); a single matrix is left as it is.
+        by those components (the projections are subtracted in place); a
+        single matrix is left as it is.  A stack still costs one temporary of
+        its own size, first its conjugated rows, then the projection product.
         """
         rows = x.reshape(-1, self.dim ** 2).astype(complex, copy=x.ndim == 2)
         f = self._flat()
@@ -104,11 +105,12 @@ def tensor_factor_algebra(d: int, m: int) -> OperatorAlgebra:
     stay allocated until the cyclic garbage collector happened to run.
     """
     n = d * m
-    # kron(E_ij, 1_m) and kron(1_d, E_ab), one broadcast each
+    # kron(E_ij, 1_m) and kron(1_d, E_ab), one broadcast each; the small
+    # identity carries the normalization, so no stack-sized quotient is made
     left_b = np.einsum("aij,kl->aikjl", matrix_units(d),
-                       np.eye(m)).reshape(d * d, n, n) / np.sqrt(m)
-    right_b = np.einsum("ij,akl->aikjl", np.eye(d),
-                        matrix_units(m)).reshape(m * m, n, n) / np.sqrt(d)
+                       np.eye(m) / np.sqrt(m)).reshape(d * d, n, n)
+    right_b = np.einsum("ij,akl->aikjl", np.eye(d) / np.sqrt(d),
+                        matrix_units(m)).reshape(m * m, n, n)
     alg = OperatorAlgebra(n, left_b)
     alg.commutant_hint = OperatorAlgebra(n, right_b)
     return alg

@@ -1,0 +1,146 @@
+"""The modular experiments on random standard pairs hold one M_k (x) 1 at a
+time: same reports as the loop over the instances in order, and peak memory
+measured with tracemalloc, to which numpy reports its buffers.
+
+S(k) = 16 k^6 bytes is the size of one basis stack of M_k (x) 1 on
+C^k (x) C^k.  A run holds the algebra and its commutant hint (2 S); the J A J
+stage of ``modular.check`` adds 2 S on top, and no other stage copies a stack.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from vnlab import modular
+from vnlab.experiments import (REGISTRY, Assertion, _conditioned_weights,
+                               _faithful_vector, run)
+from vnlab.numkit import dagger, haar_unitary
+from vnlab.vnalg import tensor_factor_algebra
+
+
+def stack_bytes(k: int) -> int:
+    return 16 * k ** 6
+
+
+def in_order_algebras(p):
+    """The instance sizes k = 2, 3, ..., max_k, 2, ... and every distinct
+    k's M_k (x) 1, all held for the whole run."""
+    sizes = list(range(2, p["max_k"] + 1))
+    ks = [sizes[i % len(sizes)] for i in range(p["instances"])]
+    return ks, {k: tensor_factor_algebra(k, k) for k in set(ks)}
+
+
+def kms_random_in_order(p, seed):
+    """Reference form of kms-random: each instance draws and runs in turn."""
+    rng = np.random.default_rng(seed)
+    ks, algebras = in_order_algebras(p)
+    worst = dict.fromkeys(("s_reconstruction", "jdj_inverse", "delta_omega",
+                           "kms", "jaj_commutant", "flow_membership"), 0.0)
+    for k in ks:
+        md = modular.tomita(algebras[k], _faithful_vector(rng, k))
+        flows = []
+        for _ in range(4):
+            t = float(rng.uniform(-2, 2))
+            x = algebras[k].random_element(rng)
+            flows.append((t, 0.0, x / np.linalg.norm(x)))
+        found = modular.check(md, flows)
+        for key in worst:
+            worst[key] = max(worst[key], found[key])
+    assertions = [
+        Assertion("s_reconstruction", worst["s_reconstruction"], 1e-10),
+        Assertion("jdj_inverse", worst["jdj_inverse"], 1e-9),
+        Assertion("delta_omega", worst["delta_omega"], 1e-10),
+        Assertion("kms_defect_max", worst["kms"], 1e-9),
+        Assertion("jaj_commutant_residual", worst["jaj_commutant"], 1e-9),
+        Assertion("flow_membership_residual", worst["flow_membership"], 1e-8),
+    ]
+    return worst, assertions, None
+
+
+def modular_spectrum_in_order(p, seed):
+    """Reference form of modular-spectrum: each instance draws and runs in
+    turn."""
+    rng = np.random.default_rng(seed)
+    ks, algebras = in_order_algebras(p)
+    worst = 0.0
+    for k in ks:
+        weights = _conditioned_weights(rng, k, floor=0.25)
+        u = haar_unitary(rng, k)
+        rho = (u * weights) @ dagger(u)
+        md = modular.tomita(algebras[k], modular.purify(rho, k))
+        ratios = np.sort((weights[:, None] / weights[None, :]).flatten())
+        err = np.max(np.abs(md.delta_spectrum - ratios) / ratios)
+        worst = max(worst, float(err))
+    metrics = {"max_ratio_error": worst, "instances": p["instances"]}
+    return metrics, [Assertion("spectrum_ratio_law", worst, 1e-9)], None
+
+
+def peak_above_entry(fn):
+    """fn()'s result and the peak and kept traced bytes above the level at
+    entry; only what fn allocates is traced."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base, kept - base
+
+
+@pytest.mark.parametrize("name,reference,max_k", [
+    ("kms-random", kms_random_in_order, 4),
+    ("kms-random", kms_random_in_order, 8),
+    ("modular-spectrum", modular_spectrum_in_order, 4),
+    ("modular-spectrum", modular_spectrum_in_order, 12)])
+def test_same_reports_as_instance_order(monkeypatch, name, reference, max_k):
+    for seed in range(3):
+        found = run(name, {"max_k": max_k}, seed=seed).to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr(REGISTRY[name], "fn", reference)
+            expected = run(name, {"max_k": max_k}, seed=seed).to_dict()
+        found.pop("wall_time_s")
+        expected.pop("wall_time_s")
+        assert found == expected
+
+
+@pytest.mark.parametrize("name,params,bound", [
+    # the instance-order loop read 6.1 S and 5.55 S
+    ("kms-random", {"max_k": 10, "instances": 9}, 5),
+    ("modular-spectrum", {"max_k": 12, "instances": 11}, 4)])
+def test_run_peak_within_stacks(name, params, bound):
+    report, peak, _ = peak_above_entry(lambda: run(name, params, seed=0))
+    assert report.passed
+    assert peak < bound * stack_bytes(params["max_k"])
+
+
+def test_factor_algebra_peak_is_what_it_keeps():
+    # scaling the whole stack after the broadcast read 3 S
+    alg, peak, kept = peak_above_entry(lambda: tensor_factor_algebra(10, 10))
+    assert kept >= 2 * stack_bytes(10)
+    assert peak <= 1.05 * kept
+    assert alg.size == 100
+
+
+@pytest.fixture(scope="module")
+def factor_pair():
+    k = 10
+    return tensor_factor_algebra(k, k), _faithful_vector(
+        np.random.default_rng(0), k)
+
+
+# a conjugate copy of the basis is one whole stack
+def test_tomita_copies_no_stack(factor_pair):
+    alg, omega = factor_pair
+    md, peak, _ = peak_above_entry(lambda: modular.tomita(alg, omega))
+    assert peak < 0.1 * stack_bytes(10)
+    assert md.solve_residual <= 1e-9
+
+
+def test_kms_copies_no_stack(factor_pair):
+    md = modular.tomita(*factor_pair)
+    kms, peak, _ = peak_above_entry(lambda: modular._kms(md))
+    assert peak < 0.1 * stack_bytes(10)
+    assert kms <= 1e-9
