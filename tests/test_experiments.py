@@ -74,10 +74,10 @@ class TestReports:
         ("genericity", {"samples": 100000}),
         ("isometry-impossibility", {"n": 8, "trials": 200}),
         ("kms-random", {"max_k": 12, "instances": 10}),
-        ("modular-spectrum", {"max_k": 12, "instances": 11}),
         ("modular-flow", {"k": 8, "samples": 40}),
         ("wedge-localization", {"n": 1024, "theta_max": 10.0,
-                                "cond_cap": 1e14})])
+                                "cond_cap": 1e14}),
+        ("modular-spectrum", {"max_k": 12, "instances": 11})])
     def test_scale_configurations_pass_finite(self, name, params):
         with np.errstate(all="raise"):
             report = run(name, params, seed=0)
