@@ -9,7 +9,7 @@ the finite-rank analog of vacuum cyclicity for local algebras.
 
 import numpy as np
 
-from vnlab.fock import (build_fock, ccr_defect, cyclicity_rank, locality_check,
+from vnlab.fock import (build_fock, cyclicity_rank, locality_check,
                         sector_commutator, weyl_relation_defect)
 from vnlab.locwedge import real_subspace_from_vectors, symplectic_complement
 from vnlab.numkit import complex_normal
@@ -19,8 +19,9 @@ print(f"Fock space: 2 modes, cutoff 3, dimension {f.total_dim}")
 
 rng = np.random.default_rng(0)
 psi, phi = complex_normal(rng, (2,), 2)
-print(f"CCR defect on safe sectors: {ccr_defect(f, psi, phi):.2e}")
-even, odd = (len(p) for p in sector_commutator(f, psi, phi).parts)
+comm = sector_commutator(f, psi, phi)
+print(f"CCR defect on safe sectors: {comm.defect():.2e}")
+even, odd = (len(p) for p in comm.parts)
 print(f"the commutator splits by particle-number parity: parts {even} and "
       f"{odd} wide, against {f.sector_dim(f.n_max - 2)} safe states")
 

@@ -23,7 +23,7 @@ chan = local_prepare_channel(split, xi)
 print(f"preparation channel: {len(chan.kraus)} Kraus operators, "
       f"trace-preserving: {chan.is_trace_preserving()}")
 
-bell = np.outer(bell_state(0), bell_state(0).conj())
+bell = np.outer(bell_state(), bell_state().conj())
 out = kraus_apply(bell, chan)
 target = np.outer(xi, xi.conj())
 print(" on a maximally entangled input:")

@@ -63,14 +63,13 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
     raise ValueError("keep must be 0 or 1")
 
 
-def partial_transpose(rho: np.ndarray, dims: tuple[int, int],
-                      which: int = 1) -> np.ndarray:
-    """Transpose one tensor factor; a stack of states maps state by state."""
+def partial_transpose(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Transpose the second tensor factor; a stack of states maps state by
+    state."""
     d1, d2 = dims
     rho = np.asarray(rho, dtype=complex)
     r = rho.reshape(rho.shape[:-2] + (d1, d2, d1, d2))
-    axes = (-3, -1) if which == 1 else (-4, -2)
-    return r.swapaxes(*axes).reshape(rho.shape)
+    return r.swapaxes(-3, -1).reshape(rho.shape)
 
 
 @dataclass
@@ -221,15 +220,11 @@ def isometry_impossibility_check(n: int, projector: np.ndarray,
             "reason": reason}
 
 
-def bell_state(which: int = 0) -> np.ndarray:
-    """The four maximally entangled qubit-pair vectors."""
-    pairs = {0: (0, 3, 1), 1: (0, 3, -1), 2: (1, 2, 1), 3: (1, 2, -1)}
-    i, j, sign = pairs[which]
-    v = np.zeros(4, dtype=complex)
-    v[i], v[j] = 1.0, sign
-    return v / np.sqrt(2.0)
+def bell_state() -> np.ndarray:
+    """The maximally entangled qubit-pair vector (|00> + |11>) / sqrt(2)."""
+    return np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
 
 
 def werner_state(p: float) -> np.ndarray:
-    b = bell_state(0)
+    b = bell_state()
     return p * np.outer(b, b.conj()) + (1.0 - p) * np.eye(4) / 4.0

@@ -163,11 +163,10 @@ def _exp_kms_random(p, seed):
         flows = [(t, 0.0, _unit(alg.element(c))) for t, c in samples]
         return modular.check(modular.tomita(alg, omega), flows)
 
-    worst = dict.fromkeys(("s_reconstruction", "jdj_inverse", "delta_omega",
-                           "kms", "jaj_commutant", "flow_membership"), 0.0)
-    for found in _factor_instances(p, draw, instance):
-        for key in worst:
-            worst[key] = max(worst[key], found[key])
+    found = _factor_instances(p, draw, instance)
+    worst = {key: np.max([f[key] for f in found])
+             for key in ("s_reconstruction", "jdj_inverse", "delta_omega",
+                         "kms", "jaj_commutant", "flow_membership")}
     assertions = [
         Assertion("s_reconstruction", worst["s_reconstruction"], 1e-10),
         Assertion("jdj_inverse", worst["jdj_inverse"], 1e-9),
@@ -192,9 +191,7 @@ def _exp_modular_spectrum(p, seed):
         ratios = np.sort((weights[:, None] / weights[None, :]).flatten())
         return float(np.max(np.abs(md.delta_spectrum - ratios) / ratios))
 
-    worst = 0.0
-    for err in _factor_instances(p, draw, instance):
-        worst = max(worst, err)
+    worst = np.max(_factor_instances(p, draw, instance))
     metrics = {"max_ratio_error": worst, "instances": p["instances"]}
     return metrics, [Assertion("spectrum_ratio_law", worst, 1e-9)], None
 
@@ -217,16 +214,17 @@ def _set_match_error(values: np.ndarray, targets: np.ndarray,
 
 def _exp_powers(p, seed):
     lam, n_max = p["lam"], p["n"]
-    purities, spec_err, purity_err = [], 0.0, 0.0
+    purities, spec_errs, purity_errs = [], [], []
     for n in range(1, n_max + 1):
         approx = factors.powers_approximant(lam, n)
         sig = factors.signature(approx, window=p["window"])
         targets = lam ** np.arange(-n, n + 1)
-        spec_err = max(spec_err, _set_match_error(
-            approx.delta_spectrum, targets, relative=True))
-        purity_err = max(purity_err, abs(sig.reduced_purity
-                                         - factors.powers_purity(lam, n)))
+        spec_errs.append(_set_match_error(approx.delta_spectrum, targets,
+                                          relative=True))
+        purity_errs.append(abs(sig.reduced_purity
+                               - factors.powers_purity(lam, n)))
         purities.append(sig.reduced_purity)
+    spec_err, purity_err = np.max(spec_errs), np.max(purity_errs)
     decreasing = all(b < a for a, b in zip(purities, purities[1:]))
     metrics = {"spectrum_set_error": spec_err, "purity_error": purity_err,
                "purities": purities}
@@ -250,7 +248,8 @@ def _exp_araki_woods(p, seed):
         gaps.append(sig.max_gap)
         if n == 1:
             log_err = _set_match_error(sig.log_spectrum, targets, relative=False)
-    growth = max((b - a for a, b in zip(gaps, gaps[1:])), default=0.0)
+    # no floor at 0: the growth is negative while the gaps close
+    growth = np.max(np.diff(gaps)) if n_max > 1 else 0.0
     quality = factors.log_ratio_rational_quality(lam, mu)
     metrics = {"n1_log_spectrum_error": log_err, "max_gaps": gaps,
                "log_ratio": quality["ratio"],
@@ -282,17 +281,17 @@ def _exp_fock_ccr(p, seed):
     rng = np.random.default_rng(seed)
     d, n_max = p["d"], p["n_max"]
     f = fock.build_fock(d, n_max)
-    ccr_max, eq_max = 0.0, 0.0
+    ccr, eq = [], []
     for _ in range(p["pairs"]):
         psi, phi = complex_normal(rng, (d,), 2)
         comm = fock.sector_commutator(f, psi, phi)
-        ccr_max = max(ccr_max, comm.defect())
-        eq_max = max(eq_max, abs(comm.norm() - abs(comm.im)))
+        ccr.append(comm.defect())
+        eq.append(abs(comm.norm() - abs(comm.im)))
     # controls: orthogonal real pair, canonical pair, wedge-type subspaces
     e = np.eye(d)
-    eq_max = max(eq_max, fock.sector_commutator(f, e[0], e[1]).norm())
-    eq_max = max(eq_max,
-                 abs(fock.sector_commutator(f, e[0], 1j * e[0]).norm() - 1.0))
+    eq.append(fock.sector_commutator(f, e[0], e[1]).norm())
+    eq.append(abs(fock.sector_commutator(f, e[0], 1j * e[0]).norm() - 1.0))
+    ccr_max, eq_max = np.max(ccr), np.max(eq)
     k = locwedge.real_subspace_from_vectors(np.eye(d), d)
     kp = locwedge.symplectic_complement(k)
     loc = fock.locality_check(f, k, kp)
@@ -355,7 +354,7 @@ def _exp_entropy_scan(p, seed):
     spec = lattice.ChainSpec(p["sites"], p["m"])
     state = lattice.ground_state(spec)
     n = spec.sites
-    sym_max, nu_min = 0.0, np.inf
+    sym, nu_mins = [], []
     for _ in range(p["bipartitions"]):
         size = int(rng.integers(1, n))
         region = rng.choice(n, size=size, replace=False)
@@ -363,8 +362,9 @@ def _exp_entropy_scan(p, seed):
         nu = lattice.symplectic_eigenvalues(state, region)
         s1 = lattice.gaussian_entropy(nu)
         s2 = lattice.reduced_entropy(state, comp)
-        sym_max = max(sym_max, abs(s1 - s2))
-        nu_min = min(nu_min, float(nu.min()))
+        sym.append(abs(s1 - s2))
+        nu_mins.append(nu.min())
+    sym_max, nu_min = np.max(sym), np.min(nu_mins)
     single = lattice.reduced_entropy(state, [0])
     full = lattice.reduced_entropy(state, np.arange(n))
     series = [(w, lattice.reduced_entropy(state, np.arange(w)))
@@ -382,17 +382,17 @@ def _exp_entropy_scan(p, seed):
 
 def _exp_local_difference(p, seed):
     rng = np.random.default_rng(seed)
-    rel_max = 0.0
+    rel = []
     for i in range(p["pairs"]):
         r1 = random_density(rng, p["dim"])
         r2 = random_density(rng, p["dim"])
         tn = lattice.local_difference(r1, r2)
         bf = lattice.local_difference_bruteforce(r1, r2, budget=p["budget"],
                                                  seed=seed + 1000 + i)
-        rel_max = max(rel_max, abs(tn - bf) / tn)
+        rel.append(abs(tn - bf) / tn)
+    rel_max = np.max(rel)
     spec = lattice.ChainSpec(6, 1.0)
-    rep = lattice.region_fock_rep(spec, region=(0, 1), n_max_region=2,
-                                  n_max_complement=2)
+    rep = lattice.region_fock_rep(spec, region=(0, 1))
     g = rep.vacuum_vector
     psi_c = np.zeros(rep.fock_complement.one_particle_dim, dtype=complex)
     psi_c[0], psi_c[2] = 0.8, 0.6j
@@ -436,7 +436,7 @@ def _exp_local_prepare(p, seed):
     xi = haar_pure_state(rng, p["d1"])
     target = np.outer(xi, xi.conj())
     ref_kraus = channels.local_prepare_channel(split, xi).kraus
-    inner_max, outer_max, prod_max = 0.0, 0.0, 0.0
+    devs = []  # per input: inner, outer and product deviation
     kraus_same = True
     for _ in range(p["inputs"]):
         rho = random_density(rng, split.dim)
@@ -444,12 +444,13 @@ def _exp_local_prepare(p, seed):
         kraus_same &= bool(np.array_equal(chan.kraus, ref_kraus))
         out = channels.kraus_apply(rho, chan)
         outer_in = channels.partial_trace(rho, (p["d1"], p["d2"]), 1)
-        inner_max = max(inner_max, lattice.local_difference(
-            channels.partial_trace(out, (p["d1"], p["d2"]), 0), target))
-        outer_max = max(outer_max, lattice.local_difference(
-            channels.partial_trace(out, (p["d1"], p["d2"]), 1), outer_in))
-        prod_max = max(prod_max, lattice.local_difference(
-            out, np.kron(target, outer_in)))
+        devs.append((
+            lattice.local_difference(
+                channels.partial_trace(out, (p["d1"], p["d2"]), 0), target),
+            lattice.local_difference(
+                channels.partial_trace(out, (p["d1"], p["d2"]), 1), outer_in),
+            lattice.local_difference(out, np.kron(target, outer_in))))
+    inner_max, outer_max, prod_max = np.max(devs, axis=0)
     metrics = {"inner_marginal_deviation": inner_max,
                "outer_marginal_deviation": outer_max,
                "product_deviation": prod_max}
@@ -482,7 +483,7 @@ def _exp_disentangle(p, seed):
                            split.outer_marginal(res.state)))
     # no-margin Bell pair: falls back to the product of marginals
     split22 = channels.SplitData(2, 2)
-    bell = channels.bell_state(0)
+    bell = channels.bell_state()
     res_bell = channels.disentangle(split22, np.outer(bell, bell.conj()))
     _, pt_min = channels.is_entangled(res_bell.state, (2, 2))
     # product input passes through unchanged
@@ -513,7 +514,7 @@ def _exp_genericity(p, seed):
                                        seed + 1, "product")
     mixed = channels.genericity_scan(max(100, p["samples"] // 10),
                                      seed + 2, "mixed")
-    bell = channels.bell_state(0)
+    bell = channels.bell_state()
     _, bell_pt = channels.is_entangled(np.outer(bell, bell.conj()), (2, 2))
     _, werner_pt = channels.is_entangled(channels.werner_state(0.5), (2, 2))
     metrics = {"pure_fraction": scan["fraction"],
@@ -633,13 +634,13 @@ _register("reeh-schlieder-rank",
            "degree": Param(int, 3, 0)}, _exp_reeh_schlieder)
 _register("cluster-decay",
           "exponential clustering of vacuum correlations with a mass gap",
-          {"m": Param(float, 1.0), "sites": Param(int, 400),
+          {"m": Param(float, 1.0, 0.0), "sites": Param(int, 400),
            "fit_lo": Param(int, 10), "fit_hi": Param(int, 40),
            "far_site": Param(int, 40), "far_bound": Param(float, 1e-6)},
           _exp_cluster_decay)
 _register("entropy-scan",
           "entanglement entropy of chain regions via symplectic eigenvalues",
-          {"m": Param(float, 1.0), "sites": Param(int, 64),
+          {"m": Param(float, 1.0, 0.0), "sites": Param(int, 64),
            "bipartitions": Param(int, 20, 1)}, _exp_entropy_scan)
 _register("local-difference",
           "trace-norm local difference vs contraction sup; outside ops invisible",
@@ -647,7 +648,7 @@ _register("local-difference",
            "budget": Param(int, 10000, 4)}, _exp_local_difference)
 _register("causality-probe",
           "disjoint-packet overlap under relativistic one-particle evolution",
-          {"m": Param(float, 1.0), "sites": Param(int, 256),
+          {"m": Param(float, 1.0, 0.0), "sites": Param(int, 256),
            "gap": Param(int, 4), "width": Param(int, 8),
            "t": Param(float, 0.5)}, _exp_causality_probe)
 _register("local-prepare",

@@ -133,15 +133,14 @@ def powers_purity(lam: float, n: int) -> float:
     return float(((1.0 + lam ** 2) / (1.0 + lam) ** 2) ** n)
 
 
-def log_ratio_rational_quality(lam: float, mu: float,
-                               max_denominator: int = 1000) -> dict:
-    """Best rational approximation of log(lam)/log(mu).
+def log_ratio_rational_quality(lam: float, mu: float) -> dict:
+    """Best rational approximation of log(lam)/log(mu), denominator <= 1000.
 
     Irrationality cannot be certified in floating point; the distance to the
     best small-denominator rational is reported instead.
     """
     ratio = float(np.log(lam) / np.log(mu))
-    best = Fraction(ratio).limit_denominator(max_denominator)
+    best = Fraction(ratio).limit_denominator(1000)
     return {
         "ratio": ratio,
         "numerator": best.numerator,

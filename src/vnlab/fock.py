@@ -222,17 +222,13 @@ def sector_commutator(f: FockSpace, psi: np.ndarray,
     return SectorCommutator(parts, float(np.vdot(psi, phi).imag))
 
 
-def ccr_defect(f: FockSpace, psi: np.ndarray, phi: np.ndarray) -> float:
-    """Distance of [Phi(psi), Phi(phi)] from i Im<psi,phi> on safe sectors."""
-    return sector_commutator(f, psi, phi).defect()
-
-
 def locality_check(f: FockSpace, k: RealSubspace, k_prime: RealSubspace) -> float:
     """Max commutator norm between fields smeared in K and in K'."""
     if k.ambient_dim != f.one_particle_dim or k_prime.ambient_dim != f.one_particle_dim:
         raise ValueError("subspace ambient dimension does not match the mode count")
-    return max((sector_commutator(f, psi, phi).norm()
-                for psi in k.basis for phi in k_prime.basis), default=0.0)
+    return float(np.max([sector_commutator(f, psi, phi).norm()
+                         for psi in k.basis for phi in k_prime.basis],
+                        initial=0.0))
 
 
 def weyl_operator(f: FockSpace, psi: np.ndarray) -> np.ndarray:
@@ -246,16 +242,15 @@ def weyl_operator(f: FockSpace, psi: np.ndarray) -> np.ndarray:
     return (u * np.exp(1j * w)) @ dagger(u)
 
 
-def weyl_relation_defect(f: FockSpace, psi: np.ndarray, phi: np.ndarray,
-                         low: int = 1) -> float:
+def weyl_relation_defect(f: FockSpace, psi: np.ndarray,
+                         phi: np.ndarray) -> float:
     """Defect of W(psi) W(phi) = exp(-i Im<psi,phi>/2) W(psi+phi) on sectors
-    <= low.
+    <= 1.
 
     Unlike the commutator checks, the product of truncated exponentials feels
     the cutoff through every intermediate sector, so the defect decays with
-    the distance n_max - low (and grows like a power of the argument norms);
-    keep low well below the cutoff."""
-    s = f.sector_dim(low)
+    the distance n_max - 1 (and grows like a power of the argument norms)."""
+    s = f.sector_dim(1)
     lhs = weyl_operator(f, psi)[:s] @ weyl_operator(f, phi)[:, :s]
     rhs = np.exp(-0.5j * np.vdot(psi, phi).imag) * weyl_operator(f, psi + phi)
     return norm2(lhs - rhs[:s, :s])

@@ -31,8 +31,8 @@ class ChainSpec:
     def __post_init__(self):
         if self.sites < 2:
             raise ValueError("need at least two sites")
-        if self.mass < 0:
-            raise ValueError("mass must be nonnegative")
+        if not 0 <= self.mass < np.inf:
+            raise ValueError("mass must be finite and nonnegative")
 
     def momenta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.sites) / self.sites
@@ -56,7 +56,6 @@ class GaussianState:
     row_pi: np.ndarray
     weights_phi: np.ndarray
     weights_pi: np.ndarray
-    zero_mode_excluded: bool = False
 
 
 def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:
@@ -64,27 +63,23 @@ def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:
     return row.take(np.subtract.outer(region, region), mode="wrap")
 
 
-def ground_state(spec: ChainSpec, zero_mode: str = "error") -> GaussianState:
+def ground_state(spec: ChainSpec) -> GaussianState:
     """Vacuum covariances G_phi = <phi phi>, G_pi = <pi pi>.
 
-    Massless chains have a divergent k = 0 mode; zero_mode='exclude' drops it
-    (flagged on the returned state), the default refuses.
+    A massless chain has no vacuum: its k = 0 mode diverges, so it is refused.
     """
     omega = spec.dispersion()
-    weights_phi = np.zeros(spec.sites)
+    if not np.all(omega > 0):
+        raise ValueError(
+            "massless chain: the k = 0 mode of <phi phi> diverges")
+    weights_phi = 1.0 / (2.0 * omega)
     weights_pi = omega / 2.0
-    nonzero = omega > 0
-    if not nonzero.all():
-        if zero_mode != "exclude":
-            raise ValueError("massless chain: pass zero_mode='exclude'")
-    weights_phi[nonzero] = 1.0 / (2.0 * omega[nonzero])
 
     # row[r] = sum_k cos(k r) w_k / n: the real part of a forward FFT
     n = spec.sites
     return GaussianState(spec=spec, row_phi=np.fft.fft(weights_phi).real / n,
                          row_pi=np.fft.fft(weights_pi).real / n,
-                         weights_phi=weights_phi, weights_pi=weights_pi,
-                         zero_mode_excluded=not nonzero.all())
+                         weights_phi=weights_phi, weights_pi=weights_pi)
 
 
 def cluster_function(state: GaussianState, r: int) -> float:
@@ -328,13 +323,13 @@ class RegionFockRep:
         return m @ dagger(m)
 
 
-def region_fock_rep(spec: ChainSpec, region, n_max_region: int = 2,
-                    n_max_complement: int = 2) -> RegionFockRep:
+def region_fock_rep(spec: ChainSpec, region) -> RegionFockRep:
+    """The chain vacuum with both factors truncated at two particles."""
     region = np.asarray(sorted(set(int(r) % spec.sites for r in region)))
     complement = np.asarray([s for s in range(spec.sites) if s not in set(region)])
     if region.size == 0 or complement.size == 0:
         raise ValueError("region must be a proper nonempty subset")
-    fr = fockmod.build_fock(region.size, n_max_region)
-    fc = fockmod.build_fock(complement.size, n_max_complement)
+    fr = fockmod.build_fock(region.size, 2)
+    fc = fockmod.build_fock(complement.size, 2)
     return RegionFockRep(spec=spec, region=region, complement=complement,
                          fock_region=fr, fock_complement=fc)

@@ -181,11 +181,9 @@ def flow_invariance_residual(model: WedgeModel) -> float:
     """Max distance between Delta^{is} K and K over the sample boosts
     s = 0.35, 1.0, -0.6."""
     k = model.standard_subspace
-    worst = 0.0
-    for s in (0.35, 1.0, -0.6):
-        moved = apply_real(model.flow_compressed(s), k)
-        worst = max(worst, subspace_distance(moved, k))
-    return worst
+    return float(np.max([
+        subspace_distance(apply_real(model.flow_compressed(s), k), k)
+        for s in (0.35, 1.0, -0.6)]))
 
 
 def wedge_report(model: WedgeModel) -> dict:

@@ -147,14 +147,15 @@ def _kms(md: ModularData) -> float:
 
 def _flow_defects(md: ModularData, flows) -> dict:
     """Group law and membership of the flow samples, one at a time."""
-    group, member = 0.0, 0.0
+    group, member = [], []
     for t, s, x in flows:
         u_s, u_t, u_ts = (md.delta_power(1j * z) for z in (s, t, t + s))
         twice = u_t @ (u_s @ x @ dagger(u_s)) @ dagger(u_t)
         direct = u_ts @ x @ dagger(u_ts)
-        group = max(group, float(np.linalg.norm(twice - direct)))
-        member = max(member, md.algebra.member_residual(direct))
-    return {"group_law": group, "flow_membership": member}
+        group.append(np.linalg.norm(twice - direct))
+        member.append(md.algebra.member_residual(direct))
+    return {"group_law": float(np.max(group, initial=0.0)),
+            "flow_membership": float(np.max(member, initial=0.0))}
 
 
 def purify(rho: np.ndarray, m: int) -> np.ndarray:

@@ -191,8 +191,9 @@ def _commutator_residual(basis: np.ndarray, other: np.ndarray) -> float:
     One batched product per b: a single (basis x other) batch would hold
     size_a * size_c * n^2 entries, about 1 GB for M_8 (x) 1 without the hint.
     """
-    return max(float(np.linalg.norm(b @ other - other @ b, axis=(1, 2)).max())
-               for b in basis)
+    return float(np.max([
+        np.linalg.norm(b @ other - other @ b, axis=(1, 2)).max()
+        for b in basis]))
 
 
 def center_and_factor(a: OperatorAlgebra) -> tuple[OperatorAlgebra, bool]:

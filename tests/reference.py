@@ -3,8 +3,9 @@
 Each is an independent, dense route to something the package computes in a
 structured way: the spectral calculus behind ``ModularData.delta_power`` and
 ``antilinear_polar``, the eigensolve-based S operator behind the wedge's
-Fourier-mode S, the GNS construction as a second route to modular data, and
-the full and scalar matrix algebras as test cases.
+Fourier-mode S, the GNS construction as a second route to modular data, the
+full and scalar matrix algebras as test cases, and the massless chain, which
+``lattice.ground_state`` refuses, with its divergent k = 0 mode dropped.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from vnlab.lattice import ChainSpec, GaussianState
 from vnlab.locwedge import COND_CAP
 from vnlab.numkit import VALIDITY_ATOL, AntilinearMap, dagger, nonzero_mask
 from vnlab.vnalg import OperatorAlgebra, matrix_units, orthonormalize_span
@@ -136,3 +138,21 @@ def gns(rho: np.ndarray) -> GnsRep:
     algebra = OperatorAlgebra(int(keep.sum()), orthonormalize_span(basis))
     return GnsRep(source_dim=d, dim=int(keep.sum()), vector=vector,
                   represent=represent, algebra=algebra)
+
+
+def massless_state(sites: int) -> GaussianState:
+    """Covariances of the massless chain without its k = 0 field mode.
+
+    Each row is the mode sum row[r] = sum_k w_k cos(k r) / n; <phi phi> keeps
+    w_k = 1 / (2 omega_k) for k != 0 only, so its tail is a power law, not an
+    exponential.
+    """
+    spec = ChainSpec(sites, 0.0)
+    omega = spec.dispersion()
+    w_phi = np.zeros(sites)
+    w_phi[1:] = 0.5 / omega[1:]
+    w_pi = omega / 2.0
+    cos = np.cos(np.outer(np.arange(sites), spec.momenta()))
+    return GaussianState(spec=spec, row_phi=cos @ w_phi / sites,
+                         row_pi=cos @ w_pi / sites, weights_phi=w_phi,
+                         weights_pi=w_pi)

@@ -1,13 +1,15 @@
 """Experiment registry, reports, determinism, CLI contract."""
 
 import csv
+import inspect
 import io
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from vnlab import cli, modular
+from vnlab import cli, factors, fock, lattice, locwedge, modular, vnalg
 from vnlab.experiments import (REGISTRY, _set_match_error, list_experiments,
                                run, validate_params)
 from vnlab.vnalg import tensor_factor_algebra
@@ -183,6 +185,56 @@ class TestSetMatchError:
         assert np.isnan(_set_match_error(values, targets, relative=False))
 
 
+def _nan_on_call(monkeypatch, owner, name, call):
+    """Make owner.name (a function, method or property) return NaN in
+    place of its value on its call-th call; a dict value turns into NaNs."""
+    attr = inspect.getattr_static(owner, name)
+    fn = attr.fget if isinstance(attr, property) else attr
+    calls = itertools.count(1)
+
+    def spoiled(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        if next(calls) != call:
+            return value
+        if isinstance(value, dict):
+            return dict.fromkeys(value, np.nan)
+        return np.full(np.shape(value), np.nan)[()]
+
+    monkeypatch.setattr(owner, name, property(spoiled)
+                        if isinstance(attr, property) else spoiled)
+
+
+class TestNanDraws:
+    """A NaN in one draw fails the run: each worst case is a numpy
+    reduction, which keeps a NaN where Python's max and min drop it."""
+
+    # (experiment, params, owner, name, call): the call is that of the
+    # second draw, sample or instance
+    CASES = [
+        ("fock-ccr", {}, fock.SectorCommutator, "defect", 2),
+        ("local-prepare", {}, lattice, "local_difference", 4),
+        ("local-difference", {"pairs": 2, "budget": 1000}, lattice,
+         "local_difference", 2),
+        ("powers", {}, factors, "powers_purity", 2),
+        # call 1 is the J A J residual of the instance
+        ("modular-flow", {}, vnalg.OperatorAlgebra, "member_residual", 3),
+        ("kms-random", {}, modular, "check", 2),
+        # calls 1 and 2 are the first bipartition's region and complement
+        ("entropy-scan", {}, lattice, "symplectic_eigenvalues", 3),
+        # call 1 is the duality residual, then one per boost
+        ("wedge-localization", {}, locwedge, "subspace_distance", 3),
+        ("modular-spectrum", {}, modular.ModularData, "delta_spectrum", 2),
+    ]
+
+    @pytest.mark.parametrize("name,params,owner,attr,call", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_nan_in_second_draw_fails(self, monkeypatch, name, params, owner,
+                                      attr, call):
+        assert run(name, params).passed
+        _nan_on_call(monkeypatch, owner, attr, call)
+        assert not run(name, params).passed
+
+
 class TestCli:
     def test_list_command(self, capsys):
         assert cli.main(["list"]) == 0
@@ -281,11 +333,23 @@ class TestCli:
         ["causality-probe", "--t", "0"],
         # sqrt(lam) of a negative lam
         ["disentangle", "--lam", "-1"],
+        ["causality-probe", "--m", "nan"],
+        ["entropy-scan", "--m", "nan"],
     ])
     def test_out_of_range_parameter_exit_two(self, capsys, argv):
         assert cli.main(argv) == 2
         expected = "must be nonzero" if argv[1] == "--t" else "must be >="
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, says", [
+        (["causality-probe", "--m", "inf"], "mass must be finite"),
+        (["cluster-decay", "--m", "inf"], "mass must be finite"),
+        (["cluster-decay", "--m", "0"], "massless chain"),
+        (["entropy-scan", "--m", "0"], "massless chain")])
+    def test_chain_mass_refused_exit_two(self, capsys, argv, says):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {says}") and "zero_mode" not in err
 
     @pytest.mark.parametrize("name,key", [
         (name, key) for name, exp in REGISTRY.items()

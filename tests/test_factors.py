@@ -266,13 +266,13 @@ class TestAgainstTomita:
 
 class TestRationalQuality:
     def test_reports_best_fraction(self):
-        q = log_ratio_rational_quality(0.5, 0.3, max_denominator=100)
-        assert q["denominator"] <= 100
+        q = log_ratio_rational_quality(0.5, 0.3)
+        assert q["denominator"] <= 1000
         assert q["error"] < 1e-2
         assert abs(q["ratio"] - np.log(0.5) / np.log(0.3)) < 1e-15
 
     def test_rational_pair_detected(self):
         # log(0.25)/log(0.5) = 2 exactly
-        q = log_ratio_rational_quality(0.25, 0.5, max_denominator=10)
+        q = log_ratio_rational_quality(0.25, 0.5)
         assert q["numerator"] == 2 and q["denominator"] == 1
         assert q["error"] < 1e-14

@@ -5,7 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from vnlab.fock import (build_fock, ccr_defect, create, cyclicity_rank,
+from vnlab.fock import (SectorCommutator, build_fock, create, cyclicity_rank,
                         field_operator, locality_check, sector_commutator,
                         weyl_operator, weyl_relation_defect)
 from vnlab.locwedge import (real_subspace_from_vectors, symplectic_complement,
@@ -118,7 +118,7 @@ class TestBuild:
     def test_checks_leave_dense_ladders_unbuilt(self):
         f = build_fock(3, 4)
         rng = np.random.default_rng(12)
-        ccr_defect(f, *_random_pair(rng, 3))
+        sector_commutator(f, *_random_pair(rng, 3)).defect()
         k = real_subspace_from_vectors(np.eye(3), 3)
         locality_check(f, k, symplectic_complement(k))
         assert not hasattr(f, "creators")
@@ -173,7 +173,8 @@ class TestFieldOperator:
 class TestCcr:
     def test_orthogonal_real_pair_commutes(self):
         f = build_fock(2, 3)
-        assert ccr_defect(f, np.eye(2)[0], np.eye(2)[1]) < 1e-12
+        comm = sector_commutator(f, np.eye(2)[0], np.eye(2)[1])
+        assert comm.defect() < 1e-12
 
     def test_canonical_pair(self):
         f = build_fock(2, 3)
@@ -190,7 +191,7 @@ class TestCcr:
         for _ in range(10):
             psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            assert ccr_defect(f, psi, phi) <= 1e-10
+            assert sector_commutator(f, psi, phi).defect() <= 1e-10
 
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4), (4, 3)])
     def test_safe_commutator_is_projected_commutator(self, d, n_max):
@@ -215,7 +216,7 @@ class TestCcr:
 
     def test_needs_room_for_commutator(self):
         with pytest.raises(ValueError):
-            ccr_defect(build_fock(2, 1), np.eye(2)[0], np.eye(2)[1])
+            sector_commutator(build_fock(2, 1), np.eye(2)[0], np.eye(2)[1])
 
 
 class TestSectorCommutator:
@@ -232,8 +233,7 @@ class TestSectorCommutator:
             dense = dense_safe_commutator(f, psi, phi)
             expected = 1j * np.vdot(psi, phi).imag * np.eye(len(dense))
             comm = sector_commutator(f, psi, phi)
-            assert abs(ccr_defect(f, psi, phi)
-                       - norm2(dense - expected)) <= 1e-13
+            assert abs(comm.defect() - norm2(dense - expected)) <= 1e-13
             assert abs(comm.norm() - norm2(dense)) <= 1e-13
 
     @pytest.mark.parametrize("d,n_max", GRID)
@@ -256,7 +256,7 @@ class TestSectorCommutator:
         psi, phi = _random_pair(rng, 3)
         even, odd = sector_commutator(f, psi, phi).parts
         assert even.shape == (1, 1) and odd.shape == (0, 0)
-        assert ccr_defect(f, psi, phi) <= 1e-14
+        assert sector_commutator(f, psi, phi).defect() <= 1e-14
 
     @pytest.mark.parametrize("d,n_max", [(1, 4), (3, 4), (5, 6)])
     def test_real_pairs_commute_exactly(self, d, n_max):
@@ -284,7 +284,7 @@ class TestSectorCommutator:
     def test_terms_built_once_per_space(self):
         f = build_fock(3, 4)
         rng = np.random.default_rng(20)
-        ccr_defect(f, *_random_pair(rng, 3))
+        sector_commutator(f, *_random_pair(rng, 3)).defect()
         parts = f.__dict__["parity_parts"]
         k = real_subspace_from_vectors(np.eye(3), 3)
         locality_check(f, k, symplectic_complement(k))
@@ -292,7 +292,7 @@ class TestSectorCommutator:
 
     def test_rejects_wrong_mode_count_and_low_cutoff(self):
         with pytest.raises(ValueError, match="mode count"):
-            ccr_defect(build_fock(3, 4), np.ones(2), np.ones(3))
+            sector_commutator(build_fock(3, 4), np.ones(2), np.ones(3))
         k = real_subspace_from_vectors(np.eye(2), 2)
         with pytest.raises(ValueError, match="n_max >= 2"):
             locality_check(build_fock(2, 1), k, k)
@@ -343,6 +343,13 @@ class TestLocality:
         with pytest.raises(ValueError):
             locality_check(f, k, k)
 
+    def test_nan_norm_of_second_pair_is_kept(self, monkeypatch):
+        norms = iter([0.0, np.nan, 0.0, 0.0])
+        monkeypatch.setattr(SectorCommutator, "norm", lambda c: next(norms))
+        k = real_subspace_from_vectors(np.eye(2), 2)
+        assert np.isnan(locality_check(build_fock(2, 3), k,
+                                       symplectic_complement(k)))
+
 
 class TestWeyl:
     def test_zero_argument_is_identity(self):
@@ -373,9 +380,9 @@ class TestWeyl:
         psi, phi = (0.5 * v / np.linalg.norm(v) for v in _random_pair(rng, 2))
         lhs = weyl_operator(f, psi) @ weyl_operator(f, phi)
         rhs = np.exp(-0.5j * np.vdot(psi, phi).imag) * weyl_operator(f, psi + phi)
-        p = sector_projector(f, 2)
+        p = sector_projector(f, 1)
         dense = norm2(p @ (lhs - rhs) @ p)
-        assert abs(weyl_relation_defect(f, psi, phi, low=2) - dense) <= 1e-13
+        assert abs(weyl_relation_defect(f, psi, phi) - dense) <= 1e-13
 
     def test_weyl_relation_error_grows_with_norm(self):
         f = build_fock(2, 6)

@@ -1,8 +1,12 @@
 """Chain vacuum: correlations, decay, entropy, local differences, causality."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from reference import massless_state
 
+from vnlab.fock import build_fock
 from vnlab.lattice import (ChainSpec, _circulant_block, causality_probe_scan,
                            cluster_function, decay_rate_fit,
                            expected_decay_rate, ground_state,
@@ -70,14 +74,13 @@ class TestGroundState:
             assert nu.min() >= 0.5 - 1e-10
 
     @pytest.mark.parametrize("n", [2, 12, 64])
-    @pytest.mark.parametrize("mass", [0.0, 0.9])
+    @pytest.mark.parametrize("mass", [0.9])
     def test_fft_rows_match_cosine_table(self, n, mass):
         # reference: G[i, j] = sum_k w_k cos(k (i - j)) / n, mode by mode
         spec = ChainSpec(n, mass)
-        state = ground_state(spec, zero_mode="exclude")
+        state = ground_state(spec)
         omega = spec.dispersion()
-        w_phi = np.zeros(n)
-        w_phi[omega > 0] = 0.5 / omega[omega > 0]
+        w_phi = 0.5 / omega
         x = np.arange(n)
         cos = np.cos(np.subtract.outer(x, x)[..., None] * spec.momenta())
         assert np.max(np.abs(g_phi(state) - cos @ w_phi / n)) < 1e-13
@@ -104,10 +107,14 @@ class TestGroundState:
             assert np.max(np.abs(nu - dense)) < 1e-10
 
     def test_massless_needs_policy(self):
-        with pytest.raises(ValueError):
+        # the policy is the caller's: ground_state refuses the k = 0 mode
+        with pytest.raises(ValueError, match="massless chain"):
             ground_state(ChainSpec(8, 0.0))
-        state = ground_state(ChainSpec(8, 0.0), zero_mode="exclude")
-        assert state.zero_mode_excluded
+
+    @pytest.mark.parametrize("mass", [-0.1, np.inf, -np.inf, np.nan])
+    def test_mass_must_be_finite_and_nonnegative(self, mass):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ChainSpec(8, mass)
 
 
 class TestCirculantBlock:
@@ -156,7 +163,7 @@ class TestDecayFit:
         assert abs(expected_decay_rate(0.5) - 0.49493292) < 1e-7
 
     def test_massless_flagged_non_exponential(self):
-        state = ground_state(ChainSpec(400, 0.0), zero_mode="exclude")
+        state = massless_state(400)
         fit = decay_rate_fit(state, (10, 40))
         assert not fit.is_exponential
 
@@ -269,8 +276,11 @@ class TestOutsideOperations:
                              [((0, 1), 2, 2), ((1, 3, 4), 3, 2)])
     def test_vacuum_vector_matches_dense_pair_matrix(
             self, mass, region, n_max_region, n_max_complement):
-        rep = region_fock_rep(ChainSpec(6, mass), region, n_max_region,
-                              n_max_complement)
+        # other cutoffs than region_fock_rep's two: the factors replaced
+        rep = region_fock_rep(ChainSpec(6, mass), region)
+        rep = replace(
+            rep, fock_region=build_fock(len(rep.region), n_max_region),
+            fock_complement=build_fock(len(rep.complement), n_max_complement))
         gap = rep.vacuum_vector - _dense_vacuum_vector(rep)
         assert np.abs(gap).max() <= 1e-13
 
@@ -284,8 +294,7 @@ class TestOutsideOperations:
                            np.kron(np.eye(dr), u_c) @ vec, rtol=0, atol=1e-12)
 
     def test_outside_unitary_invisible_in_region(self):
-        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1),
-                              n_max_region=2, n_max_complement=2)
+        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1))
         g = rep.vacuum_vector
         rho_before = rep.reduced_region(g)
         psi_c = np.zeros(4, dtype=complex)
@@ -295,8 +304,7 @@ class TestOutsideOperations:
         assert local_difference(rho_before, rho_after) <= 1e-12
 
     def test_inside_operation_is_visible(self):
-        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1),
-                              n_max_region=2, n_max_complement=2)
+        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1))
         g = rep.vacuum_vector
         from vnlab.fock import weyl_operator
         u_r = weyl_operator(rep.fock_region, np.array([0.9, 0.2j]))
@@ -306,8 +314,7 @@ class TestOutsideOperations:
                                 rep.reduced_region(moved)) > 1e-3
 
     def test_ground_vector_entangles_region(self):
-        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1),
-                              n_max_region=2, n_max_complement=2)
+        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1))
         rho = rep.reduced_region(rep.vacuum_vector)
         w = np.linalg.eigvalsh(rho)
         purity = float(np.sum(w ** 2))

@@ -268,6 +268,14 @@ class TestCertifiedCommutant:
         assert residuals[0] > MEMBERSHIP_RTOL >= residuals[1]
         assert span_distance(comm, stacked_commutant(alg)) < 1e-10
 
+    def test_nan_residual_is_kept(self):
+        alg = tensor_factor_algebra(2, 2)
+        hint = alg.commutant_hint.basis
+        assert vnalg._commutator_residual(alg.basis, hint) < 1e-12
+        basis = alg.basis.copy()
+        basis[1, 0, 0] = np.nan
+        assert np.isnan(vnalg._commutator_residual(basis, hint))
+
     def test_raises_when_every_draw_fails(self, monkeypatch):
         monkeypatch.setattr(OperatorAlgebra, "random_element",
                             lambda a, rng: np.zeros((a.dim, a.dim), complex))
