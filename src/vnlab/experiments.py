@@ -217,7 +217,7 @@ def _exp_powers(p, seed):
     purities, spec_errs, purity_errs = [], [], []
     for n in range(1, n_max + 1):
         approx = factors.powers_approximant(lam, n)
-        sig = factors.signature(approx, window=p["window"])
+        sig = factors.signature(approx)
         targets = lam ** np.arange(-n, n + 1)
         spec_errs.append(_set_match_error(approx.delta_spectrum, targets,
                                           relative=True))
@@ -343,7 +343,7 @@ def _exp_cluster_decay(p, seed):
                "f_far": f_far, "fit_hi_used": hi}
     assertions = [
         Assertion("rate_within_10pct", fit.rel_deviation, 0.10),
-        Assertion("far_correlation_small", f_far, p["far_bound"]),
+        Assertion("far_correlation_small", f_far, 1e-6),
         _bool_assert("exponential_profile", fit.is_exponential),
     ]
     return metrics, assertions, (["r", "F"], series)
@@ -381,16 +381,15 @@ def _exp_entropy_scan(p, seed):
 
 
 def _exp_local_difference(p, seed):
-    rng = np.random.default_rng(seed)
-    rel = []
-    for i in range(p["pairs"]):
-        r1 = random_density(rng, p["dim"])
-        r2 = random_density(rng, p["dim"])
-        tn = lattice.local_difference(r1, r2)
-        bf = lattice.local_difference_bruteforce(r1, r2, budget=p["budget"],
-                                                 seed=seed + 1000 + i)
-        rel.append(abs(tn - bf) / tn)
-    rel_max = np.max(rel)
+    rhos = random_density(np.random.default_rng(seed), p["dim"], 2 * p["pairs"])
+    # per pair: the trace norm and the oracle's bracket (L, U)
+    tn, lower, upper = np.transpose([
+        (lattice.local_difference(r1, r2),
+         *lattice.local_difference_bracket(r1, r2))
+        for r1, r2 in zip(rhos[::2], rhos[1::2])])
+    rel_max = np.max(np.abs(tn - lower) / tn)
+    excess_max = np.max(np.maximum(lower - tn, tn - upper) / tn)
+    width_max = np.max((upper - lower) / lower)
     spec = lattice.ChainSpec(6, 1.0)
     rep = lattice.region_fock_rep(spec, region=(0, 1))
     g = rep.vacuum_vector
@@ -400,9 +399,12 @@ def _exp_local_difference(p, seed):
     moved = rep.apply_outside(g, u_out)
     d_outside = lattice.local_difference(rep.reduced_region(g),
                                          rep.reduced_region(moved))
-    metrics = {"dual_gap_rel_max": rel_max, "outside_op_difference": d_outside}
+    metrics = {"dual_gap_rel_max": rel_max, "bracket_excess_max": excess_max,
+               "bracket_width_max": width_max, "outside_op_difference": d_outside}
     assertions = [
         Assertion("trace_norm_duality_2pct", rel_max, 0.02),
+        Assertion("trace_norm_in_bracket", excess_max, 1e-12),
+        Assertion("bracket_within_2pct", width_max, 0.02),
         Assertion("outside_operation_invisible", d_outside, 1e-12),
     ]
     return metrics, assertions, None
@@ -574,8 +576,8 @@ def _exp_modular_flow(p, seed):
 
 
 class Param(NamedTuple):
-    """One schema entry.  A value below ``minimum`` (None: no bound) is
-    rejected before anything runs."""
+    """One schema entry.  A value below ``minimum`` (None: no bound), or a
+    float that is not finite, is rejected before anything runs."""
 
     type: type
     default: object
@@ -611,8 +613,7 @@ _register("modular-spectrum",
           _exp_modular_spectrum)
 _register("powers",
           "tensor powers of M_2 in a product state: spectrum set and purity decay",
-          {"lam": Param(float, 0.5), "n": Param(int, 4, 1),
-           "window": Param(float, 1.0)}, _exp_powers)
+          {"lam": Param(float, 0.5), "n": Param(int, 4, 1)}, _exp_powers)
 _register("araki-woods",
           "tensor powers of M_3: two-ratio log-spectrum and gap densification",
           {"lam": Param(float, 0.5), "mu": Param(float, 0.3),
@@ -636,7 +637,7 @@ _register("cluster-decay",
           "exponential clustering of vacuum correlations with a mass gap",
           {"m": Param(float, 1.0, 0.0), "sites": Param(int, 400),
            "fit_lo": Param(int, 10), "fit_hi": Param(int, 40),
-           "far_site": Param(int, 40), "far_bound": Param(float, 1e-6)},
+           "far_site": Param(int, 40)},
           _exp_cluster_decay)
 _register("entropy-scan",
           "entanglement entropy of chain regions via symplectic eigenvalues",
@@ -644,8 +645,8 @@ _register("entropy-scan",
            "bipartitions": Param(int, 20, 1)}, _exp_entropy_scan)
 _register("local-difference",
           "trace-norm local difference vs contraction sup; outside ops invisible",
-          {"dim": Param(int, 4, 2), "pairs": Param(int, 5, 1),
-           "budget": Param(int, 10000, 4)}, _exp_local_difference)
+          {"dim": Param(int, 4, 2), "pairs": Param(int, 5, 1)},
+          _exp_local_difference)
 _register("causality-probe",
           "disjoint-packet overlap under relativistic one-particle evolution",
           {"m": Param(float, 1.0, 0.0), "sites": Param(int, 256),
@@ -694,6 +695,8 @@ def validate_params(name: str, overrides: dict | None) -> dict:
         # written so that a NaN is rejected too
         if param.minimum is not None and not value >= param.minimum:
             raise ValueError(f"parameter {key} must be >= {param.minimum}")
+        if param.type is float and not np.isfinite(value):
+            raise ValueError(f"parameter {key} must be finite")
         params[key] = value
     return params
 

@@ -37,7 +37,8 @@ class ModularData:
         """Eigenvalues w and eigenvectors u of Delta, which must be strictly
         positive; every power of Delta is taken from this one eigensolve."""
         w, u = np.linalg.eigh(self.delta)
-        if w.min() <= VALIDITY_ATOL * max(1.0, float(w.max())):
+        # written so that a NaN eigenvalue fails too
+        if not w.min() > VALIDITY_ATOL * max(1.0, float(w.max())):
             raise ValueError("Delta is not strictly positive")
         return w, u
 

@@ -224,7 +224,8 @@ def cyclic_separating(a: OperatorAlgebra,
     nrm = float(np.linalg.norm(omega))
     if nrm == 0.0:
         raise ValueError("zero vector")
-    if abs(nrm - 1.0) > VALIDITY_ATOL:
+    # written so that a NaN omega is refused before the SVD
+    if not abs(nrm - 1.0) <= VALIDITY_ATOL:
         raise ValueError("omega must be normalized")
     orbit_rank = rank(np.einsum("aij,j->ai", a.basis, omega))
     return orbit_rank == a.dim, orbit_rank == a.size

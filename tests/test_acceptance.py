@@ -92,20 +92,22 @@ def test_criterion_07_reeh_schlieder_rank():
 
 def test_criterion_08_cluster_decay():
     reports = [run("cluster-decay",
-                   {"m": m, "sites": 400, "far_site": 40, "far_bound": 1e-6},
+                   {"m": m, "sites": 400, "far_site": 40},
                    seed=0) for m in (0.5, 1.0)]
     for r in reports:
-        assert {a.name: a for a in r.assertions}["rate_within_10pct"] \
-            .tolerance == 0.10
+        names = {a.name: a for a in r.assertions}
+        assert names["rate_within_10pct"].tolerance == 0.10
+        assert names["far_correlation_small"].tolerance == 1e-6
     assert _report_line(8, "cluster decay (m in {0.5, 1}, 400 sites)", reports)
     assert sum(r.wall_time_s for r in reports) < 5.0
 
 
 def test_criterion_09_local_differences():
-    report = run("local-difference", {"dim": 4, "pairs": 5, "budget": 10000},
-                 seed=0)
+    report = run("local-difference", {"dim": 4, "pairs": 5}, seed=0)
     names = {a.name: a for a in report.assertions}
     assert names["trace_norm_duality_2pct"].tolerance == 0.02
+    assert names["trace_norm_in_bracket"].tolerance == 1e-12
+    assert names["bracket_within_2pct"].tolerance == 0.02
     assert names["outside_operation_invisible"].tolerance == 1e-12
     assert _report_line(9, "local differences (duality + outside ops)", report)
 

@@ -5,13 +5,14 @@ import inspect
 import io
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vnlab import cli, factors, fock, lattice, locwedge, modular, vnalg
-from vnlab.experiments import (REGISTRY, _set_match_error, list_experiments,
-                               run, validate_params)
+from vnlab.experiments import (REGISTRY, Assertion, _set_match_error,
+                               list_experiments, run, validate_params)
 from vnlab.vnalg import tensor_factor_algebra
 
 REQUIRED = [
@@ -213,8 +214,7 @@ class TestNanDraws:
     CASES = [
         ("fock-ccr", {}, fock.SectorCommutator, "defect", 2),
         ("local-prepare", {}, lattice, "local_difference", 4),
-        ("local-difference", {"pairs": 2, "budget": 1000}, lattice,
-         "local_difference", 2),
+        ("local-difference", {"pairs": 2}, lattice, "local_difference", 2),
         ("powers", {}, factors, "powers_purity", 2),
         # call 1 is the J A J residual of the instance
         ("modular-flow", {}, vnalg.OperatorAlgebra, "member_residual", 3),
@@ -249,18 +249,30 @@ class TestCli:
         assert code == 0
         assert json.loads(out.read_text())["pass"] is True
 
-    def test_failing_assertion_exit_one(self, capsys):
-        code = cli.main(["cluster-decay", "--far-bound", "1e-30"])
-        assert code == 1
+    def test_failing_assertion_exit_one(self, capsys, monkeypatch):
+        def failing(p, seed):
+            return {}, [Assertion("always_fails", 1.0, 0.0)], None
+
+        monkeypatch.setitem(REGISTRY, "powers",
+                            replace(REGISTRY["powers"], fn=failing))
+        assert cli.main(["powers"]) == 1
+        assert "[FAIL] always_fails" in capsys.readouterr().err
 
     def test_unknown_parameter_exit_two(self, capsys):
-        for flag in ("--frobnicate", "--tol-rel", "--tol-abs"):
-            assert cli.main(["powers", flag, "3"]) == 2
-            assert capsys.readouterr().err.startswith("error: ")
+        # the last three were parameters that changed nothing, or a
+        # tolerance: they are unknown now
+        for argv in (["powers", "--frobnicate", "3"],
+                     ["powers", "--tol-rel", "3"],
+                     ["powers", "--tol-abs", "3"],
+                     ["powers", "--window", "1.0"],
+                     ["cluster-decay", "--far-bound", "1e-6"],
+                     ["local-difference", "--budget", "40"]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: unknown parameter(s)")
 
     @pytest.mark.parametrize("argv", [
-        # a prefix of one name (n_max) or of two (far_site, far_bound) is
-        # not a flag
+        # a prefix of a name (n_max, far_site) is not a flag
         ["fock-ccr", "--n", "2"],
         ["cluster-decay", "--far", "50"],
         ["fock-ccr", "--n_max", "3"],
@@ -316,7 +328,6 @@ class TestCli:
         ["local-prepare", "--inputs", "0"],
         ["isometry-impossibility", "--trials", "0"],
         ["local-difference", "--pairs", "0"],
-        ["local-difference", "--budget", "3"],
         ["local-difference", "--dim", "1"],
         ["fock-ccr", "--pairs", "0"],
         ["fock-ccr", "--d", "1"],
@@ -335,15 +346,35 @@ class TestCli:
         ["disentangle", "--lam", "-1"],
         ["causality-probe", "--m", "nan"],
         ["entropy-scan", "--m", "nan"],
+        # no minimum: a NaN or inf is refused as not finite
+        ["araki-woods", "--window", "nan"],
+        ["araki-woods", "--window", "inf"],
+        ["causality-probe", "--t", "nan"],
+        ["causality-probe", "--t", "inf"],
     ])
     def test_out_of_range_parameter_exit_two(self, capsys, argv):
         assert cli.main(argv) == 2
-        expected = "must be nonzero" if argv[1] == "--t" else "must be >="
+        flag, value = argv[1:]
+        expected = ("must be nonzero" if (flag, value) == ("--t", "0")
+                    else "must be finite" if flag in ("--t", "--window")
+                    else "must be >=")
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,key,value", [
+        (name, key, value) for name, exp in REGISTRY.items()
+        for key, param in exp.schema.items() if param.type is float
+        for value in ("nan", "inf", "-inf")])
+    def test_non_finite_float_exit_two(self, capsys, name, key, value):
+        # a minimum refuses NaN and -inf first; the rest are not finite
+        minimum = REGISTRY[name].schema[key].minimum
+        below = minimum is not None and not float(value) >= minimum
+        assert cli.main([name, f"--{key.replace('_', '-')}", value]) == 2
+        expected = "must be >=" if below else "must be finite"
         assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, says", [
-        (["causality-probe", "--m", "inf"], "mass must be finite"),
-        (["cluster-decay", "--m", "inf"], "mass must be finite"),
+        (["causality-probe", "--m", "inf"], "parameter m must be finite"),
+        (["cluster-decay", "--m", "inf"], "parameter m must be finite"),
         (["cluster-decay", "--m", "0"], "massless chain"),
         (["entropy-scan", "--m", "0"], "massless chain")])
     def test_chain_mass_refused_exit_two(self, capsys, argv, says):

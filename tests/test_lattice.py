@@ -10,9 +10,10 @@ from vnlab.fock import build_fock
 from vnlab.lattice import (ChainSpec, _circulant_block, causality_probe_scan,
                            cluster_function, decay_rate_fit,
                            expected_decay_rate, ground_state,
-                           local_difference, local_difference_bruteforce,
+                           local_difference, local_difference_bracket,
                            reduced_entropy, region_fock_rep,
                            symplectic_eigenvalues)
+from vnlab.numkit import haar_unitary
 
 
 def rand_density(rng, n):
@@ -220,14 +221,35 @@ class TestLocalDifference:
         rho2 = np.diag([0, 1.0, 0, 0]).astype(complex)
         assert abs(local_difference(rho1, rho2) - 2.0) < 1e-14
 
+    @staticmethod
+    def assert_bracket(r1, r2):
+        """L <= tn <= U at a 1e-12 relative offset, closed to the stopping
+        width, and L within 2% of the trace norm."""
+        tn = local_difference(r1, r2)
+        lower, upper = local_difference_bracket(r1, r2)
+        assert lower <= tn * (1 + 1e-12) and tn <= upper * (1 + 1e-12)
+        assert upper - lower <= 1e-6 * lower
+        assert abs(tn - lower) / tn <= 0.02
+
     def test_duality_oracle_within_2pct(self):
         rng = np.random.default_rng(7)
-        for i in range(5):
-            r1, r2 = rand_density(rng, 4), rand_density(rng, 4)
-            tn = local_difference(r1, r2)
-            bf = local_difference_bruteforce(r1, r2, budget=10_000, seed=50 + i)
-            assert abs(tn - bf) / tn <= 0.02
-            assert bf <= tn + 1e-9  # search never exceeds the true sup
+        for dim in (2, 4, 6, 8):
+            for _ in range(5):
+                self.assert_bracket(rand_density(rng, dim),
+                                    rand_density(rng, dim))
+
+    @pytest.mark.parametrize("spectrum", [
+        [0.3, 0.3, -0.3, -0.3], [0.25, 0.25, 0.25, -0.75],
+        [0.5, 0.0, 0.0, -0.5], [0.2, 0.2, -0.1, -0.3]])
+    def test_bracket_on_degenerate_spectra(self, spectrum):
+        # repeated and zero eigenvalues of the difference, in a random frame
+        u = haar_unitary(np.random.default_rng(3), 4)
+        delta = (u * spectrum) @ u.conj().T
+        self.assert_bracket(delta, np.zeros_like(delta))
+
+    def test_bracket_of_equal_states_is_zero(self):
+        rho = rand_density(np.random.default_rng(1), 4)
+        assert local_difference_bracket(rho, rho.copy()) == (0.0, 0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

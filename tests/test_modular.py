@@ -216,6 +216,14 @@ class TestDeltaPower:
         with pytest.raises(ValueError, match="strictly positive"):
             md.delta_power(-1.0)
 
+    def test_rejects_nan_eigenvalue(self):
+        alg, omega, _ = powers_pair(0.5)
+        delta = np.eye(4)
+        delta[0, 0] = np.nan
+        md = replace(tomita(alg, omega), delta=delta)
+        with pytest.raises(ValueError, match="strictly positive"):
+            md.delta_spectrum
+
 
 class TestModularFlow:
     def test_flow_at_zero(self):

@@ -4,8 +4,7 @@ An entry point is the `vnlab` CLI (its `list` command and every registered
 experiment), a `demos/*.py` script, or a call the benchmark in `perfbench/`
 makes.  The probe runs in a fresh interpreter with a profile hook set before
 vnlab is imported, so calls made at import time count.  Each experiment runs
-once through the CLI, at reduced sizes where its defaults are slow: an entry
-point may run at any parameter value.  Code that only tests use belongs in
+once through the CLI at its defaults.  Code that only tests use belongs in
 `tests/` (shared reference forms in `tests/reference.py`).
 
 Run as a script, this module is the probe: it prints the entered
@@ -21,9 +20,6 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vnlab"
-
-# parameters that keep a slow default run short
-SMALL = {"local-difference": {"pairs": 1, "budget": 40}}
 
 # Definitions that only the benchmark reaches.  perfbench's bicommutant op
 # closes vN({x (x) 1, y (x) 1}), solves A' and A'' by the generic commutant
@@ -83,10 +79,7 @@ def probe():
                 contextlib.redirect_stderr(io.StringIO()):
             cli.main(["list"])
             for i, name in enumerate(experiments.REGISTRY):
-                argv = [name, "--format", ("json", "csv")[i % 2]]
-                for key, value in SMALL.get(name, {}).items():
-                    argv.append(f"--{key.replace('_', '-')}={value}")
-                cli.main(argv)
+                cli.main([name, "--format", ("json", "csv")[i % 2]])
             for demo in sorted((ROOT / "demos").glob("*.py")):
                 runpy.run_path(str(demo), run_name="__main__")
     finally:

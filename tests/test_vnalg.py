@@ -370,6 +370,11 @@ class TestCyclicSeparating:
         with pytest.raises(ValueError):
             cyclic_separating(full_matrix_algebra(2), np.zeros(2))
 
+    def test_nan_vector_rejected_before_the_svd(self):
+        with pytest.raises(ValueError, match="normalized"):
+            cyclic_separating(tensor_factor_algebra(2, 2),
+                              np.full(4, np.nan, complex))
+
 
 class TestGns:
     def test_faithful_state_single_factor(self):
