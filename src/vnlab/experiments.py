@@ -215,7 +215,8 @@ def _set_match_error(values: np.ndarray, targets: np.ndarray,
 def _exp_powers(p, seed):
     lam, n_max = p["lam"], p["n"]
     purities, spec_errs, purity_errs = [], [], []
-    for n in range(1, n_max + 1):
+    # the largest N first, so a refused one stops the run before any work
+    for n in range(n_max, 0, -1):
         approx = factors.powers_approximant(lam, n)
         sig = factors.signature(approx)
         targets = lam ** np.arange(-n, n + 1)
@@ -223,7 +224,7 @@ def _exp_powers(p, seed):
                                           relative=True))
         purity_errs.append(abs(sig.reduced_purity
                                - factors.powers_purity(lam, n)))
-        purities.append(sig.reduced_purity)
+        purities.insert(0, sig.reduced_purity)
     spec_err, purity_err = np.max(spec_errs), np.max(purity_errs)
     decreasing = all(b < a for a, b in zip(purities, purities[1:]))
     metrics = {"spectrum_set_error": spec_err, "purity_error": purity_err,
@@ -242,10 +243,11 @@ def _exp_araki_woods(p, seed):
     targets = np.unique(np.array([0.0, la, -la, lm, -lm, la - lm, lm - la]))
     gaps = []
     log_err = None
-    for n in range(1, n_max + 1):
+    # the largest N first, so a refused one stops the run before any work
+    for n in range(n_max, 0, -1):
         approx = factors.araki_woods_approximant(lam, mu, n)
         sig = factors.signature(approx, window=window)
-        gaps.append(sig.max_gap)
+        gaps.insert(0, sig.max_gap)
         if n == 1:
             log_err = _set_match_error(sig.log_spectrum, targets, relative=False)
     # no floor at 0: the growth is negative while the gaps close

@@ -67,6 +67,10 @@ def _build(weights: np.ndarray, n: int) -> Approximant:
     if dim > SPECTRUM_CAP:
         raise ValueError(f"ambient dimension {dim} exceeds cap {SPECTRUM_CAP}")
     p = np.sort(weights)[::-1]          # descending, matching purify
+    # Delta's spectrum spans (p_max/p_min)^{+-n}: both ends must be normal
+    if not n * (np.log(p[-1]) - np.log(p[0])) >= np.log(np.finfo(float).tiny):
+        raise ValueError("Delta's spectrum leaves the normal float range at "
+                         f"n = {n}: the weights are too uneven")
     rho = np.diag(p).astype(complex)
     psi_site = purify(rho, s)
     omega = reduce(np.kron, [psi_site] * n)
@@ -111,7 +115,9 @@ class SpectrumSignature:
 
 
 def max_gap_in_window(log_spectrum: np.ndarray, window: float) -> float:
-    """Largest hole the spectrum leaves in [-L, L], endpoints acting as walls."""
+    """Largest hole the spectrum leaves in [-L, L], L > 0, ends as walls."""
+    if not window > 0:
+        raise ValueError("window must be positive")
     pts = np.asarray(log_spectrum, dtype=float)
     inside = np.sort(pts[(pts >= -window) & (pts <= window)])
     walls = np.concatenate([[-window], inside, [window]])

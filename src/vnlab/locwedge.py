@@ -190,7 +190,7 @@ def wedge_report(model: WedgeModel) -> dict:
     """Summary record used by the experiment driver."""
     k = model.standard_subspace
     dim_inter, dim_sum, is_standard = standardness_check(k)
-    s2 = model.s_compressed.squared()
+    s2 = model.s_compressed @ model.s_compressed
     return {
         "n": model.n,
         "theta_max": model.theta_max,

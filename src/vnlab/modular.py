@@ -1,11 +1,11 @@
 """Tomita-Takesaki engine on finite-dimensional standard pairs.
 
 From an algebra with a cyclic separating vector Omega, the antilinear map
-S: b Omega -> b* Omega is recovered by least squares over the orbit; its polar
-decomposition S = J Delta^{1/2} gives the modular operator and conjugation,
-and every power of Delta comes from one eigensolve.  `check` is the one
-checker of an instance: the polar identities, KMS and J A J = A' over the
-basis, and the group law and invariance of the flow on given samples.
+S: b Omega -> b* Omega is one square solve over the orbit.  The SVD of its
+polar decomposition S = J Delta^{1/2} also diagonalizes Delta, so J, Delta's
+spectrum and every power come from that one factorization.  `check` is the
+one checker of an instance: the polar identities, KMS and J A J = A' over
+the basis, and the group law and invariance of the flow on given samples.
 """
 
 from __future__ import annotations
@@ -15,32 +15,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkit import (VALIDITY_ATOL, AntilinearMap, antilinear_polar, dagger,
-                     nonzero_mask, norm2)
+from .numkit import (AntilinearMap, antilinear_polar, dagger, nonzero_mask,
+                     norm2)
 from .vnalg import OperatorAlgebra, commutant, cyclic_separating
 
 
 @dataclass
 class ModularData:
-    """The triple (S, Delta, J) attached to (algebra, Omega); Delta's
-    spectrum and powers all come from its one eigensolve ``delta_eigh``."""
+    """The triple (S, Delta, J) attached to (algebra, Omega).  Delta is held
+    as the eigenpair ``delta_eigh`` = (w ascending, u) that
+    ``antilinear_polar`` returns; Delta, its spectrum and powers read it."""
 
     s: AntilinearMap
-    delta: np.ndarray
     j: AntilinearMap
-    algebra: OperatorAlgebra | None
+    delta_eigh: tuple[np.ndarray, np.ndarray]
+    algebra: OperatorAlgebra
     omega: np.ndarray
     solve_residual: float = 0.0
-
-    @cached_property
-    def delta_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues w and eigenvectors u of Delta, which must be strictly
-        positive; every power of Delta is taken from this one eigensolve."""
-        w, u = np.linalg.eigh(self.delta)
-        # written so that a NaN eigenvalue fails too
-        if not w.min() > VALIDITY_ATOL * max(1.0, float(w.max())):
-            raise ValueError("Delta is not strictly positive")
-        return w, u
 
     @property
     def delta_spectrum(self) -> np.ndarray:
@@ -53,9 +44,11 @@ class ModularData:
         return (u * w ** z) @ dagger(u)
 
     @cached_property
+    def delta(self) -> np.ndarray:
+        return self.delta_power(1.0)
+
+    @cached_property
     def algebra_commutant(self) -> OperatorAlgebra:
-        if self.algebra is None:
-            raise ValueError("modular data carries no algebra")
         return commutant(self.algebra)
 
 
@@ -63,8 +56,9 @@ def tomita(a: OperatorAlgebra, omega: np.ndarray) -> ModularData:
     """Modular data of (a, omega) with omega cyclic and separating.
 
     The conjugation matrix M of S solves M conj(b_i omega) = b_i* omega over
-    the whole basis; cyclicity makes this overdetermined but consistent, and
-    the least-squares residual is kept as a diagnostic.
+    the basis.  Cyclicity gives the orbit {b_i omega} rank dim H and
+    separation gives it rank dim A, so the system is square and invertible;
+    the residual of its solve is kept as a diagnostic.
     """
     omega = np.asarray(omega, dtype=complex)
     cyc, sep = cyclic_separating(a, omega)
@@ -76,18 +70,16 @@ def tomita(a: OperatorAlgebra, omega: np.ndarray) -> ModularData:
     # columns b_i* omega; conjugating omega and the result spares a
     # conjugate copy of the basis
     target = np.einsum("aji,j->ia", a.basis, omega.conj()).conj()
-    mt, *_ = np.linalg.lstsq(orbit.conj().T, target.T, rcond=None)
-    m = mt.T
-    residual = float(np.linalg.norm(m @ orbit.conj() - target))
-    s = AntilinearMap(m)
-    j, delta = antilinear_polar(s)
-    return ModularData(s=s, delta=delta, j=j, algebra=a, omega=omega,
+    s = AntilinearMap(np.linalg.solve(orbit.conj().T, target.T).T)
+    residual = float(np.linalg.norm(s.mat @ orbit.conj() - target))
+    j, w, u = antilinear_polar(s)
+    return ModularData(s=s, j=j, delta_eigh=(w, u), algebra=a, omega=omega,
                        solve_residual=residual)
 
 
 def modular_flow(md: ModularData, x: np.ndarray, t: float) -> np.ndarray:
     """Delta^{it} x Delta^{-it}; the algebra is invariant under the flow."""
-    if md.algebra is not None and not md.algebra.contains(x):
+    if not md.algebra.contains(x):
         raise ValueError("element lies outside the source algebra")
     u = md.delta_power(1j * t)
     return u @ x @ dagger(u)
@@ -110,9 +102,8 @@ def check(md: ModularData, flows=()) -> dict:
     what the caller holds (the conjugated stack and one temporary of
     ``member_residual``); no other stage copies the basis.
     """
-    comm = md.algebra_commutant  # raises when md carries no algebra
     return {**_polar_defects(md), "kms": _kms(md),
-            "jaj_commutant": comm.member_residual(
+            "jaj_commutant": md.algebra_commutant.member_residual(
                 conjugate_by_j(md, md.algebra.basis)),
             **_flow_defects(md, flows)}
 
@@ -123,10 +114,10 @@ def _polar_defects(md: ModularData) -> dict:
     recon = md.j @ md.delta_power(0.5)  # antilinear J o Delta^{1/2}
     return {
         "s_reconstruction": norm2(md.s.mat - recon.mat),
-        "s_squared": norm2(md.s.squared() - eye),
-        "j_squared": norm2(md.j.squared() - eye),
+        "s_squared": norm2(md.s @ md.s - eye),
+        "j_squared": norm2(md.j @ md.j - eye),
         "j_antiunitary": norm2(dagger(md.j.mat) @ md.j.mat - eye),
-        "jdj_inverse": norm2(md.j.mat @ md.delta.conj() @ md.j.mat.conj()
+        "jdj_inverse": norm2(conjugate_by_j(md, md.delta)
                              - md.delta_power(-1.0)),
         "s_omega": float(np.linalg.norm(md.s(md.omega) - md.omega)),
         "delta_omega": float(np.linalg.norm(md.delta @ md.omega - md.omega)),

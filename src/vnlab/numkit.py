@@ -78,10 +78,6 @@ class AntilinearMap:
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.mat @ np.conj(v)
 
-    def squared(self) -> np.ndarray:
-        """S o S as a (linear) matrix."""
-        return self.mat @ np.conj(self.mat)
-
     def __matmul__(self, other):
         if isinstance(other, AntilinearMap):
             return self.mat @ np.conj(other.mat)
@@ -94,23 +90,21 @@ class AntilinearMap:
         return f"AntilinearMap(dim={self.dim})"
 
 
-def antilinear_polar(s: AntilinearMap) -> tuple[AntilinearMap, np.ndarray]:
+def antilinear_polar(s: AntilinearMap
+                     ) -> tuple[AntilinearMap, np.ndarray, np.ndarray]:
     """Polar decomposition S = J Delta^{1/2} of an invertible antilinear map.
 
-    Delta = S* S = M^T conj(M) is positive and linear.  With one SVD
-    M = U Sigma V*, Delta^{-1/2} = conj(V) Sigma^{-1} V^T, so the antiunitary
-    J = S Delta^{-1/2} has conjugation matrix U V*.  The map is rejected
-    unless Delta is strictly positive, sigma_min^2 > VALIDITY_ATOL *
-    max(1, sigma_max^2); this also rejects every sigma_min <= VALIDITY_ATOL.
-    Returns (J, Delta).
+    One SVD M = U Sigma V* gives both factors: J = S Delta^{-1/2} has
+    conjugation matrix U V*, and Delta = S* S = M^T conj(M) = conj(V)
+    Sigma^2 V^T.  The map is rejected unless Delta is strictly positive,
+    sigma_min^2 > VALIDITY_ATOL * max(1, sigma_max^2), which a NaN fails
+    too.  Returns (J, w, u): Delta's eigenvalues w = sigma^2 ascending and
+    its eigenvectors u = conj(V) as the matching columns.
     """
-    m = s.mat
-    u, sv, vh = np.linalg.svd(m)
-    if sv[-1] ** 2 <= VALIDITY_ATOL * max(1.0, sv[0] ** 2):
+    u, sv, vh = np.linalg.svd(s.mat)
+    if not sv[-1] ** 2 > VALIDITY_ATOL * max(1.0, sv[0] ** 2):
         raise ValueError("antilinear_polar requires an invertible map")
-    delta = m.T @ np.conj(m)
-    delta = 0.5 * (delta + dagger(delta))
-    return AntilinearMap(u @ vh), delta
+    return AntilinearMap(u @ vh), sv[::-1] ** 2, vh[::-1].T
 
 
 def real_linearize(op) -> np.ndarray:

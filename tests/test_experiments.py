@@ -360,6 +360,17 @@ class TestCli:
                     else "must be >=")
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,says", [
+        (["powers", "--lam", "1e-200", "--n", "2"], "normal float range"),
+        (["araki-woods", "--lam", "1e-160", "--n", "2"], "normal float range"),
+        (["araki-woods", "--window", "0"], "window must be positive"),
+        (["araki-woods", "--window", "-1"], "window must be positive")])
+    def test_refused_by_factors_exit_two(self, capsys, argv, says):
+        # refused before anything overflows or a gap is measured
+        with np.errstate(all="raise"):
+            assert cli.main(argv) == 2
+        assert says in capsys.readouterr().err
+
     @pytest.mark.parametrize("name,key,value", [
         (name, key, value) for name, exp in REGISTRY.items()
         for key, param in exp.schema.items() if param.type is float

@@ -1,6 +1,6 @@
 """Powers / Araki-Woods approximants and their spectral signatures."""
 
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import reduce
 
 import numpy as np
@@ -51,14 +51,24 @@ def site_modular(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s_mat, delta, j
 
 
-def dense_modular(approx) -> ModularData:
-    """Global (S, Delta, J) as dense Kronecker powers of the site data."""
+def dense_site_powers(approx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Global (S matrix, Delta, J matrix) as dense Kronecker powers of the
+    site data."""
     _check_dense(approx)
-    s_mat, delta, j_mat = (reduce(np.kron, [m] * approx.n_factors)
-                           for m in site_modular(approx.site_weights))
-    return ModularData(s=AntilinearMap(s_mat), delta=delta,
-                       j=AntilinearMap(j_mat), algebra=None,
-                       omega=approx.omega)
+    return tuple(reduce(np.kron, [m] * approx.n_factors)
+                 for m in site_modular(approx.site_weights))
+
+
+def dense_modular(approx) -> ModularData:
+    """The dense global data on the dense algebra.  Delta is diagonal, so
+    its eigenvectors are the standard basis, put in the order of its
+    ascending diagonal."""
+    s_mat, delta, j_mat = dense_site_powers(approx)
+    w = np.diag(delta).real
+    order = np.argsort(w, kind="stable")
+    return ModularData(s=AntilinearMap(s_mat), j=AntilinearMap(j_mat),
+                       delta_eigh=(w[order], np.eye(w.size)[:, order]),
+                       algebra=dense_algebra(approx), omega=approx.omega)
 
 
 def _kron_algebra(site_basis, n, dim) -> OperatorAlgebra:
@@ -143,7 +153,8 @@ class TestSpectrumFirst:
 
         monkeypatch.setattr(factors, "powers_approximant", spy)
         assert run("powers", {"n": 6}, seed=0).passed
-        assert [a.n_factors for a in built] == [1, 2, 3, 4, 5, 6]
+        # the largest first, so a refused N stops the run before any work
+        assert [a.n_factors for a in built] == [6, 5, 4, 3, 2, 1]
         assert all(holds_only_its_fields(a) for a in built)
 
     @pytest.mark.parametrize("args", [
@@ -154,7 +165,7 @@ class TestSpectrumFirst:
         # (lam, n) is a Powers model, (lam, mu, n) an Araki-Woods one
         build = powers_approximant if len(args) == 2 else araki_woods_approximant
         approx = build(*args)
-        dense = np.sort(np.diag(dense_modular(approx).delta).real)
+        dense = np.sort(np.diag(dense_site_powers(approx)[1]).real)
         assert np.array_equal(approx.delta_spectrum, dense)
 
     def test_spectral_scale_beyond_dense_cap(self):
@@ -220,7 +231,28 @@ class TestArakiWoods:
         assert np.allclose(a.delta_spectrum, b.delta_spectrum)
 
 
+class TestFloatRange:
+    def test_spectrum_beyond_normal_floats_refused(self):
+        # (p_max/p_min)^{+-N} must stay normal: lam = 1e-300 spans 691 of
+        # the 708 natural-log units down to the smallest normal float at
+        # N = 1, and twice that at N = 2
+        tiny = np.finfo(float).tiny
+        with np.errstate(all="raise"):
+            spectrum = powers_approximant(1e-300, 1).delta_spectrum
+            assert spectrum[0] >= tiny and 1.0 / spectrum[-1] >= tiny
+            for lam, n in ((1e-300, 2), (1e-200, 2), (5e-324, 1)):
+                with pytest.raises(ValueError, match="normal float range"):
+                    powers_approximant(lam, n)
+            with pytest.raises(ValueError, match="normal float range"):
+                araki_woods_approximant(1e-160, 0.3, 2)
+
+
 class TestMaxGap:
+    @pytest.mark.parametrize("window", [0.0, -1.0, -0.0])
+    def test_non_positive_window_refused(self, window):
+        with pytest.raises(ValueError, match="window must be positive"):
+            max_gap_in_window(np.array([0.0]), window)
+
     def test_empty_window(self):
         assert max_gap_in_window(np.array([5.0, -5.0]), 1.0) == 2.0
 
@@ -246,8 +278,7 @@ class TestAgainstTomita:
 
     def test_closed_form_invariants(self):
         approx = araki_woods_approximant(0.6, 0.2, 2)
-        d = check(replace(dense_modular(approx),
-                          algebra=dense_algebra(approx)))
+        d = check(dense_modular(approx))
         assert max(d.values()) < 1e-9
 
     def test_omega_cyclic_separating_for_algebra(self):

@@ -143,7 +143,7 @@ class TestSOperator:
         expected = np.array([np.conj(z[1]) / np.sqrt(d),
                              np.sqrt(d) * np.conj(z[0])])
         assert np.allclose(s(z), expected)
-        assert norm2(s.squared() - np.eye(2)) < 1e-12
+        assert norm2(s @ s - np.eye(2)) < 1e-12
 
     def test_refuses_unregularized_ill_conditioning(self):
         delta = np.diag([1e12, 1e-12]).astype(complex)
@@ -156,7 +156,8 @@ class TestSOperator:
     def test_wedge_s_squared_on_retained(self):
         model = wedge_one_particle(64, 6.0, cond_cap=1e8)
         n_r = model.retained_dim
-        assert norm2(model.s_compressed.squared() - np.eye(n_r)) <= 1e-8
+        s = model.s_compressed
+        assert norm2(s @ s - np.eye(n_r)) <= 1e-8
 
 
 class TestStandardSubspace:

@@ -7,9 +7,9 @@ import pytest
 
 from reference import full_matrix_algebra, gns, herm_fn
 from vnlab import channels, modular, vnalg
-from vnlab.modular import (check, conjugate_by_j, modular_flow, purify,
-                           tomita)
-from vnlab.numkit import dagger, haar_unitary, norm2
+from vnlab.modular import (ModularData, check, conjugate_by_j, modular_flow,
+                           purify, tomita)
+from vnlab.numkit import antilinear_polar, dagger, haar_unitary, norm2
 from vnlab.vnalg import (OperatorAlgebra, commutant, matrix_units,
                          tensor_factor_algebra, vn_closure,
                          cyclic_separating)
@@ -186,9 +186,10 @@ class TestDeltaPower:
             for z, ref in pairs:
                 assert norm2(md.delta_power(z) - ref) <= 1e-12
 
-    def test_one_eigh_per_instance(self, monkeypatch):
-        # the spectrum, the polar checks and every flow share one eigensolve
-        calls = {"eigh": 0, "eigvalsh": 0}
+    def test_one_factorization_per_instance(self, monkeypatch):
+        # the spectrum, the polar checks and every flow are read from the
+        # one SVD of antilinear_polar: no eigensolve and no least squares
+        calls = {"eigh": 0, "eigvalsh": 0, "lstsq": 0}
 
         def counting(name):
             solver = getattr(np.linalg, name)
@@ -198,31 +199,37 @@ class TestDeltaPower:
                 return solver(*args, **kwargs)
             return counted
 
+        polar = []
+
+        def spy(s):
+            polar.append(antilinear_polar(s))
+            return polar[-1]
+
         rng = np.random.default_rng(31)
         alg, omega = random_pair(rng, 3)
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name))
+        monkeypatch.setattr(modular, "antilinear_polar", spy)
         md = tomita(alg, omega)
         spectrum = md.delta_spectrum
         check(md, draw_flows(rng, alg, 4))
         for t in np.linspace(-2.0, 2.0, 10):
             modular_flow(md, alg.basis[1], t)
-        assert calls == {"eigh": 1, "eigvalsh": 0}
-        assert np.array_equal(spectrum, md.delta_eigh[0])
+        assert calls == {"eigh": 0, "eigvalsh": 0, "lstsq": 0}
+        assert len(polar) == 1
+        _, w, u = polar[0]
+        assert md.delta_eigh[0] is w and md.delta_eigh[1] is u
+        assert spectrum is w
 
     def test_rejects_non_positive_delta(self):
-        alg, omega, _ = powers_pair(0.5)
-        md = replace(tomita(alg, omega), delta=np.diag([1.0, 0.5, 0.0, 2.0]))
-        with pytest.raises(ValueError, match="strictly positive"):
-            md.delta_power(-1.0)
-
-    def test_rejects_nan_eigenvalue(self):
-        alg, omega, _ = powers_pair(0.5)
-        delta = np.eye(4)
-        delta[0, 0] = np.nan
-        md = replace(tomita(alg, omega), delta=delta)
-        with pytest.raises(ValueError, match="strictly positive"):
-            md.delta_spectrum
+        # omega passes the rank test for cyclic and separating, but Delta's
+        # spectrum {lam, 1, 1, 1/lam} has min/max = 1e-12, below the
+        # strict-positivity slack; tomita refuses it, no ModularData exists
+        alg, omega, _ = powers_pair(1e-6)
+        assert cyclic_separating(alg, omega) == (True, True)
+        with pytest.raises(ValueError, match="invertible"):
+            tomita(alg, omega)
+        tomita(*powers_pair(1e-4)[:2])
 
 
 class TestModularFlow:
@@ -417,10 +424,12 @@ class TestReportRecord:
         json.dumps(rec)  # JSON-serializable
 
     def test_check_needs_the_algebra(self):
+        # the algebra is a required field, so every instance carries one
         alg, omega, _ = powers_pair(0.5)
-        md = replace(tomita(alg, omega), algebra=None)
-        with pytest.raises(ValueError, match="no algebra"):
-            check(md)
+        md = tomita(alg, omega)
+        with pytest.raises(TypeError, match="algebra"):
+            ModularData(s=md.s, j=md.j, delta_eigh=md.delta_eigh,
+                        omega=md.omega)
 
     def test_batched_checks_match_per_element_loop(self):
         # on genuine data both sides sit at roundoff, so the comparison also
@@ -436,10 +445,11 @@ class TestReportRecord:
             u = haar_unitary(rng, alg.dim)
             rotated = OperatorAlgebra(alg.dim, u @ alg.basis @ dagger(u))
             md = tomita(rotated, u @ omega)
-            bad = replace(md, delta=md.delta @ md.delta)
-            bad.algebra_commutant = rotated
             w, v = md.delta_eigh
-            bad.delta_eigh = (w, v + 0.1 * haar_unitary(rng, alg.dim))
+            bad = replace(md, delta_eigh=(w, v + 0.1
+                                          * haar_unitary(rng, alg.dim)))
+            bad.delta = md.delta @ md.delta
+            bad.algebra_commutant = rotated
             for data in (tomita(alg, omega), md, bad):
                 basis = data.algebra.basis
                 flows = draw_flows(rng, data.algebra, 5)

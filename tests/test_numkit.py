@@ -20,6 +20,11 @@ def random_hermitian(rng, n):
     return 0.5 * (g + dagger(g))
 
 
+def delta_from(w, u):
+    """Delta multiplied out from its eigenpair."""
+    return (u * w) @ dagger(u)
+
+
 def random_invertible(rng, n, smin=0.3, smax=3.0):
     """Matrix with singular values bounded away from zero."""
     g1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -118,13 +123,16 @@ class TestAntilinearMap:
 
     def test_polar_of_plain_conjugation(self):
         s = AntilinearMap(np.eye(3))
-        j, delta = antilinear_polar(s)
+        j, w, u = antilinear_polar(s)
         assert np.allclose(j.mat, np.eye(3))
-        assert np.allclose(delta, np.eye(3))
+        assert np.allclose(w, 1.0)
+        assert np.allclose(u @ dagger(u), np.eye(3))
 
     def test_polar_diagonal_example(self):
         s = AntilinearMap(np.diag([2.0, 0.5]))
-        j, delta = antilinear_polar(s)
+        j, w, u = antilinear_polar(s)
+        assert np.allclose(w, [0.25, 4.0])
+        delta = delta_from(w, u)
         assert np.allclose(delta, np.diag([4.0, 0.25]))
         assert np.allclose(j.mat, np.eye(2))
         # brute-force inner-product check of delta = S* S on basis vectors
@@ -138,7 +146,12 @@ class TestAntilinearMap:
         for trial in range(100):
             n = int(rng.integers(2, 17))
             s = AntilinearMap(random_invertible(rng, n))
-            j, delta = antilinear_polar(s)
+            j, w, u = antilinear_polar(s)
+            # the eigenpair is that of Delta = M^T conj(M), ascending
+            delta = s.mat.T @ np.conj(s.mat)
+            assert np.all(np.diff(w) >= 0)
+            assert norm2(delta @ u - u * w) <= 1e-12 * w[-1]
+            assert norm2(dagger(u) @ u - np.eye(n)) <= 1e-12 * n
             sqrt_delta = herm_fn(delta, "sqrt")
             recon = j @ sqrt_delta
             assert norm2(s.mat - recon.mat) <= 1e-10
@@ -170,8 +183,9 @@ class TestAntilinearMap:
         d = np.diag([3.0, 1 / 3.0])
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         s = AntilinearMap(flip @ np.sqrt(d))
-        assert norm2(s.squared() - np.eye(2)) < 1e-12
-        j, delta = antilinear_polar(s)
+        assert norm2(s @ s - np.eye(2)) < 1e-12
+        j, w, u = antilinear_polar(s)
+        delta = delta_from(w, u)
         jdj = j.mat @ delta.conj() @ j.mat.conj()
         assert norm2(jdj - np.linalg.inv(delta)) < 1e-12
 
@@ -182,9 +196,29 @@ class TestAntilinearMap:
         q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         nearly = (q1 * np.array([2.0, 1.0, 0.5, 1e-7])) @ q2
-        for m in (np.diag([1.0, 0.0]), nearly):
-            with pytest.raises(ValueError):
+        # the last makes Delta = S* S = diag(1, 0.5, 0, 2)
+        for m in (np.diag([1.0, 0.0]), nearly,
+                  np.sqrt(np.diag([1.0, 0.5, 0.0, 2.0]))):
+            with pytest.raises(ValueError, match="invertible"):
                 antilinear_polar(AntilinearMap(m))
+
+    def test_polar_rejects_nan(self, monkeypatch):
+        # a NaN entry stops the SVD itself; a NaN singular value that came
+        # through would fail the strict-positivity test as written
+        m = np.eye(4, dtype=complex)
+        m[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            antilinear_polar(AntilinearMap(m))
+        svd = np.linalg.svd
+
+        def nan_last(*args, **kwargs):
+            u, sv, vh = svd(*args, **kwargs)
+            sv[-1] = np.nan
+            return u, sv, vh
+
+        monkeypatch.setattr(np.linalg, "svd", nan_last)
+        with pytest.raises(ValueError, match="invertible"):
+            antilinear_polar(AntilinearMap(np.eye(4)))
 
 
 class TestRealLinearize:
@@ -358,7 +392,8 @@ class TestNorm2:
 
 
 def test_rank_decisions_live_in_numkit():
-    """Outside numkit, no function takes an SVD or a matrix rank."""
+    """Outside numkit, no function takes an SVD or a matrix rank, or calls
+    lstsq or pinv, which make a rank cut of their own."""
     found = set()
     for path in pathlib.Path(vnlab.__file__).parent.glob("*.py"):
         if path.name == "numkit.py":
@@ -369,7 +404,8 @@ def test_rank_decisions_live_in_numkit():
             for node in ast.walk(fn):
                 if (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in ("svd", "matrix_rank")):
+                        and node.func.attr in ("svd", "matrix_rank",
+                                               "lstsq", "pinv")):
                     found.add((path.stem, fn.name, node.func.attr))
     assert found == set()
 
