@@ -33,7 +33,7 @@ for label, pair in [("orthogonal real pair", (np.eye(2)[0], np.eye(2)[1])),
     expect = abs(np.vdot(pair[0], pair[1]).imag)
     print(f"   {label:<22} |[Phi,Phi]| = {got:.6f}, |Im| = {expect:.6f}")
 
-k = real_subspace_from_vectors(np.eye(2), 2)
+k = real_subspace_from_vectors(np.eye(2))
 kp = symplectic_complement(k)
 print(f"\nfields over K vs its symplectic complement: "
       f"max commutator {locality_check(f, k, kp):.2e}")
@@ -43,7 +43,7 @@ for degree in range(4):
     print(f"   degree {degree}: rank {cyclicity_rank(f, k, degree)}"
           + ("  <- full space" if cyclicity_rank(f, k, degree) == f.total_dim
              else ""))
-line = real_subspace_from_vectors(np.eye(2)[:1], 2)
+line = real_subspace_from_vectors(np.eye(2)[:1])
 print(f"single-mode control at max degree: rank "
       f"{cyclicity_rank(f, line, f.n_max)} (= cutoff + 1)")
 

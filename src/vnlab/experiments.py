@@ -200,24 +200,42 @@ def _set_match_error(values: np.ndarray, targets: np.ndarray,
                      relative: bool) -> float:
     """Two-sided distance between the sets of values and targets.
 
-    A max or min over a set equals the same over its distinct elements, so
-    the 4^N Powers spectrum collapses to its few distinct values first.  A
-    NaN in either set makes the error NaN, so the assertion fails.
+    Each point is compared only with its two neighbours in the other set,
+    in sorted order.  That gives the same minima as the full value-by-target
+    table: |v - t| falls as t rises toward v and rises as t moves above it,
+    and so does |v - t| / t for positive targets, which the relative form
+    assumes.  No distance is then divided by a target far below it, so a
+    spectrum that spans the normal floats does not overflow.  A NaN in
+    either set makes the error NaN, so the assertion fails.
     """
-    values = np.unique(values)
-    scale = np.abs(targets) if relative else np.ones_like(targets)
-    dist = np.abs(values[:, None] - targets[None, :])
-    to_targets = np.max(np.min(dist / scale, axis=1))
-    to_values = np.max(np.min(dist, axis=0) / scale)
-    return float(np.maximum(to_targets, to_values))
+    values, targets = np.unique(values), np.sort(targets)
+
+    def neighbours(points, ref):
+        i = np.searchsorted(ref, points)
+        return np.stack([ref[np.maximum(i - 1, 0)],
+                         ref[np.minimum(i, ref.size - 1)]])
+
+    scale = np.abs if relative else np.ones_like
+    near_t = neighbours(values, targets)
+    to_targets = np.min(np.abs(values - near_t) / scale(near_t), axis=0)
+    near_v = neighbours(targets, values)
+    to_values = np.min(np.abs(near_v - targets), axis=0) / scale(targets)
+    return float(np.maximum(np.max(to_targets), np.max(to_values)))
 
 
 def _exp_powers(p, seed):
     lam, n_max = p["lam"], p["n"]
     purities, spec_errs, purity_errs = [], [], []
-    # the largest N first, so a refused one stops the run before any work
+    # the largest N first, so a refused one stops the run before any work;
+    # construction computes nothing but the refusals
     for n in range(n_max, 0, -1):
         approx = factors.powers_approximant(lam, n)
+        # below lam ~ 1e-16 the per-site purity rounds to 1.0, so no purity
+        # can fall as N grows; a single factor has no decrease to show
+        if n >= 2 and factors.powers_purity(lam, 1) == 1.0:
+            raise ValueError(f"lam = {lam!r} is too small for n >= 2: the "
+                             "per-site purity rounds to 1.0 in double "
+                             "precision")
         sig = factors.signature(approx)
         targets = lam ** np.arange(-n, n + 1)
         spec_errs.append(_set_match_error(approx.delta_spectrum, targets,
@@ -294,7 +312,7 @@ def _exp_fock_ccr(p, seed):
     eq.append(fock.sector_commutator(f, e[0], e[1]).norm())
     eq.append(abs(fock.sector_commutator(f, e[0], 1j * e[0]).norm() - 1.0))
     ccr_max, eq_max = np.max(ccr), np.max(eq)
-    k = locwedge.real_subspace_from_vectors(np.eye(d), d)
+    k = locwedge.real_subspace_from_vectors(np.eye(d))
     kp = locwedge.symplectic_complement(k)
     loc = fock.locality_check(f, k, kp)
     metrics = {"ccr_defect_max": ccr_max, "equality_defect_max": eq_max,
@@ -310,10 +328,10 @@ def _exp_fock_ccr(p, seed):
 def _exp_reeh_schlieder(p, seed):
     d, n_max, degree = p["d"], p["n_max"], p["degree"]
     f = fock.build_fock(d, n_max)
-    k_std = locwedge.real_subspace_from_vectors(np.eye(d), d)
+    k_std = locwedge.real_subspace_from_vectors(np.eye(d))
     table = [(dd, fock.cyclicity_rank(f, k_std, dd)) for dd in range(degree + 1)]
     ranks = [r for _, r in table]
-    k_line = locwedge.real_subspace_from_vectors(np.eye(d)[:1], d)
+    k_line = locwedge.real_subspace_from_vectors(np.eye(d)[:1])
     line_rank = fock.cyclicity_rank(f, k_line, n_max)
     metrics = {"cyclicity_table": table, "total_dim": f.total_dim,
                "line_rank": line_rank}

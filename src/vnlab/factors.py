@@ -8,9 +8,10 @@ of products of per-site eigenvalue ratios.  The spectral signatures (log
 spectrum, gaps in a window, reduced purity) are the desk-scale shadows of the
 type-III classification data.
 
-The approximants are spectrum-first.  Construction keeps the site weights
-and computes only the product vector and ``delta_spectrum``, the sorted
-Kronecker product of the per-site Delta diagonals p (x) 1/p; that is all the
+The approximants are spectrum-first.  An Approximant stores only its site
+weights and the number of factors N; the product vector and
+``delta_spectrum``, the sorted Kronecker product of the per-site Delta
+diagonals p (x) 1/p, are computed when first read.  That is all the
 signatures read, and no modular operator, per-site or global (268 MB per
 complex matrix at D = 4096), is formed.  Construction accepts ambient
 dimensions up to ``SPECTRUM_CAP`` (N = 10 for Powers).
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -32,24 +33,52 @@ SPECTRUM_CAP = 1 << 20
 
 @dataclass
 class Approximant:
-    """A finite tensor-power model: site weights, product vector and the
-    global Delta-spectrum.
+    """A finite tensor-power model, fixed by its site weights and the number
+    of factors N.
 
-    ``site_weights`` p are descending, matching ``purify``; each site's Delta
-    is diag(p (x) 1/p), and ``delta_spectrum`` is the sorted Kronecker
-    product of those diagonals, taken in the same left-to-right order as the
-    Kronecker powers of the site vector.
+    ``site_weights`` p are sorted descending on construction, matching
+    ``purify``; each site's Delta is diag(p (x) 1/p), and ``delta_spectrum``
+    is the sorted Kronecker product of those diagonals, taken in the same
+    left-to-right order as the Kronecker powers of the site vector.
+    Construction refuses an ambient dimension above ``SPECTRUM_CAP`` and
+    weights whose spectrum would leave the normal float range.
     """
 
-    n_factors: int
-    site_dim: int
     site_weights: np.ndarray
-    omega: np.ndarray
-    delta_spectrum: np.ndarray
+    n_factors: int
+
+    def __post_init__(self):
+        p = np.sort(self.site_weights)[::-1]    # descending, matching purify
+        n = self.n_factors
+        dim = (p.size * p.size) ** n
+        if dim > SPECTRUM_CAP:
+            raise ValueError(f"ambient dimension {dim} exceeds cap {SPECTRUM_CAP}")
+        # Delta's spectrum spans (p_max/p_min)^{+-n}: both ends must be normal
+        if not n * (np.log(p[-1]) - np.log(p[0])) >= np.log(np.finfo(float).tiny):
+            raise ValueError("Delta's spectrum leaves the normal float range at "
+                             f"n = {n}: the weights are too uneven")
+        self.site_weights = p
+
+    @property
+    def site_dim(self) -> int:
+        return self.site_weights.size
 
     @property
     def ambient_dim(self) -> int:
         return (self.site_dim ** 2) ** self.n_factors
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """The product vector: the N-th Kronecker power of the purified
+        site state."""
+        p = self.site_weights
+        psi_site = purify(np.diag(p).astype(complex), p.size)
+        return reduce(np.kron, [psi_site] * self.n_factors)
+
+    @cached_property
+    def delta_spectrum(self) -> np.ndarray:
+        p = self.site_weights
+        return np.sort(reduce(np.kron, [np.kron(p, 1.0 / p)] * self.n_factors))
 
     def reduced_density(self) -> np.ndarray:
         """Partial trace of |Omega><Omega| over the commutant-side factors."""
@@ -59,24 +88,6 @@ class Approximant:
         env_legs = tuple(range(1, 2 * n, 2))
         m = psi.transpose(alg_legs + env_legs).reshape(s ** n, s ** n)
         return m @ m.conj().T
-
-
-def _build(weights: np.ndarray, n: int) -> Approximant:
-    s = weights.size
-    dim = (s * s) ** n
-    if dim > SPECTRUM_CAP:
-        raise ValueError(f"ambient dimension {dim} exceeds cap {SPECTRUM_CAP}")
-    p = np.sort(weights)[::-1]          # descending, matching purify
-    # Delta's spectrum spans (p_max/p_min)^{+-n}: both ends must be normal
-    if not n * (np.log(p[-1]) - np.log(p[0])) >= np.log(np.finfo(float).tiny):
-        raise ValueError("Delta's spectrum leaves the normal float range at "
-                         f"n = {n}: the weights are too uneven")
-    rho = np.diag(p).astype(complex)
-    psi_site = purify(rho, s)
-    omega = reduce(np.kron, [psi_site] * n)
-    spectrum = np.sort(reduce(np.kron, [np.kron(p, 1.0 / p)] * n))
-    return Approximant(n_factors=n, site_dim=s, site_weights=p, omega=omega,
-                       delta_spectrum=spectrum)
 
 
 def powers_approximant(lam: float, n: int) -> Approximant:
@@ -90,7 +101,7 @@ def powers_approximant(lam: float, n: int) -> Approximant:
     if n < 1:
         raise ValueError("need at least one tensor factor")
     weights = np.array([1.0, lam]) / (1.0 + lam)
-    return _build(weights, n)
+    return Approximant(weights, n)
 
 
 def araki_woods_approximant(lam: float, mu: float, n: int) -> Approximant:
@@ -104,7 +115,7 @@ def araki_woods_approximant(lam: float, mu: float, n: int) -> Approximant:
     if n < 1:
         raise ValueError("need at least one tensor factor")
     weights = np.array([1.0, lam, mu]) / (1.0 + lam + mu)
-    return _build(weights, n)
+    return Approximant(weights, n)
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 Occupation-number basis over d modes with total particle number capped at
 n_max, ordered by total particle number, so the sectors <= k are the leading
-`sector_dim(k)` basis states.  Ladders are stored as index maps: for each
-mode, the basis index that a creator sends each of the first
-`sector_dim(n_max - 1)` states to, and the symmetric-tensor weight
+`sector_dim(k)` basis states.  A FockSpace stores that basis alone: d is its
+width and n_max the total of its last state.  Ladders are index maps cached
+on first read: for each mode, the basis index that a creator sends each of
+the first `sector_dim(n_max - 1)` states to, and the symmetric-tensor weight
 sqrt(occ + 1); `create` applies a*(v) from them, and no dense ladder matrix
 is formed.  The field operator Phi(psi) = (a(psi) + a*(psi))/sqrt(2) (with
 a conjugate-linear in psi) reproduces the commutator i Im<psi, phi> exactly
@@ -39,15 +40,44 @@ DIMENSION_CAP = 4096
 
 @dataclass
 class FockSpace:
-    one_particle_dim: int
-    n_max: int
-    occupations: np.ndarray      # (total_dim, d)
-    raise_index: np.ndarray      # (d, sector_dim(n_max - 1)): a*_m target
-    raise_value: np.ndarray      # (d, sector_dim(n_max - 1)): sqrt(occ_m + 1)
+    """The truncated Fock space, stored as its occupation basis; the mode
+    count, the cutoff and the ladder index maps are read from it."""
+
+    occupations: np.ndarray      # (total_dim, d), ordered by total
 
     @property
     def total_dim(self) -> int:
         return self.occupations.shape[0]
+
+    @property
+    def one_particle_dim(self) -> int:
+        return self.occupations.shape[1]
+
+    @cached_property
+    def n_max(self) -> int:
+        """The particle cutoff: the total of the last basis state."""
+        return int(self.occupations[-1].sum())
+
+    @cached_property
+    def raise_index(self) -> np.ndarray:
+        """(d, sector_dim(n_max - 1)): the basis index a*_m sends each state
+        below the top sector to."""
+        occs = self.occupations.tolist()
+        s1 = self.sector_dim(self.n_max - 1)
+        index = {tuple(o): i for i, o in enumerate(occs)}
+        out = np.empty((self.one_particle_dim, s1), dtype=np.intp)
+        for i, occ in enumerate(occs[:s1]):
+            for m in range(self.one_particle_dim):
+                occ[m] += 1
+                out[m, i] = index[tuple(occ)]
+                occ[m] -= 1
+        return out
+
+    @cached_property
+    def raise_value(self) -> np.ndarray:
+        """(d, sector_dim(n_max - 1)): the weight sqrt(occ_m + 1) of a*_m."""
+        s1 = self.sector_dim(self.n_max - 1)
+        return np.sqrt(self.occupations[:s1].T + 1.0)
 
     def sector_dim(self, max_total: int) -> int:
         """Number of basis states with total <= max_total (a leading block)."""
@@ -106,7 +136,7 @@ class FockSpace:
 
 
 def build_fock(d: int, n_max: int) -> FockSpace:
-    """Occupation basis (ordered by total, then lexicographically) and ladders."""
+    """Occupation basis, ordered by total, then lexicographically."""
     if d < 1 or n_max < 1:
         raise ValueError("need d >= 1 and n_max >= 1")
     total_dim = comb(n_max + d, d)
@@ -124,19 +154,7 @@ def build_fock(d: int, n_max: int) -> FockSpace:
             occs.append(occ)
     occupations = np.array(occs, dtype=int)
     assert occupations.shape[0] == total_dim
-
-    # a creator acts on the states below the top sector: the first s1
-    s1 = comb(n_max - 1 + d, d)
-    index = {tuple(o): i for i, o in enumerate(occs)}
-    raise_index = np.empty((d, s1), dtype=np.intp)
-    for i, occ in enumerate(occs[:s1]):
-        for m in range(d):
-            occ[m] += 1
-            raise_index[m, i] = index[tuple(occ)]
-            occ[m] -= 1
-    raise_value = np.sqrt(occupations[:s1].T + 1.0)
-    return FockSpace(one_particle_dim=d, n_max=n_max, occupations=occupations,
-                     raise_index=raise_index, raise_value=raise_value)
+    return FockSpace(occupations)
 
 
 def create(f: FockSpace, v: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -9,9 +9,12 @@ f -> -f.  Because the modular spectrum spans e^{+-2 pi k}, a spectral window
 (condition cap on Delta^{1/2}) defines the retained subspace, and every
 localization statement is made there.
 
-Each object has one stored form: a RealSubspace its orthonormal rows in R^{2n}
-under v -> (Re v, Im v), so a span, an image or a complement is one rank-rule
-call; a WedgeModel the indices of its retained modes ordered by k.
+Each object has one stored form and keeps only the data that fixes it: a
+RealSubspace its orthonormal rows in R^{2n} under v -> (Re v, Im v), so a span,
+an image or a complement is one rank-rule call, and n is half their width; a
+WedgeModel its rapidity half-width, the generator's spectrum k_values and the
+indices of its retained modes ordered by k, so the grid size n is the number
+of frequencies.
 """
 
 from __future__ import annotations
@@ -37,8 +40,15 @@ def boost_matrix(s: float) -> np.ndarray:
 class RealSubspace:
     """Real-linear subspace of C^n, stored as orthonormal rows of R^{2n}."""
 
-    ambient_dim: int
     rows: np.ndarray  # (real_dim, 2 * ambient_dim) real, orthonormal
+
+    def __post_init__(self):
+        if self.rows.ndim != 2 or self.rows.shape[1] % 2:
+            raise ValueError("rows must be a 2-D array of even width")
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.rows.shape[1] // 2
 
     @property
     def real_dim(self) -> int:
@@ -53,10 +63,10 @@ class RealSubspace:
         return f"RealSubspace(ambient={self.ambient_dim}, real_dim={self.real_dim})"
 
 
-def real_subspace_from_vectors(vecs: np.ndarray,
-                               ambient_dim: int) -> RealSubspace:
-    """Span over R of the given complex vectors (orthonormalized)."""
-    return RealSubspace(ambient_dim, row_space(embed_real(np.atleast_2d(vecs))))
+def real_subspace_from_vectors(vecs: np.ndarray) -> RealSubspace:
+    """Span over R of the given complex vectors (orthonormalized); the rows
+    of vecs, whose width is the ambient dimension."""
+    return RealSubspace(row_space(embed_real(np.atleast_2d(vecs))))
 
 
 def subspace_distance(k1: RealSubspace, k2: RealSubspace) -> float:
@@ -75,10 +85,14 @@ class WedgeModel:
     overflows beyond small n.
     """
 
-    n: int
     theta_max: float
     k_values: np.ndarray
     retained: np.ndarray  # indices of the retained modes, ordered by k
+
+    @property
+    def n(self) -> int:
+        """Number of grid points, one per Fourier frequency."""
+        return self.k_values.size
 
     @property
     def k_retained(self) -> np.ndarray:
@@ -135,27 +149,23 @@ def wedge_one_particle(n: int, theta_max: float,
     k_cut = np.log(cond_cap) / (2.0 * np.pi)
     order = np.argsort(kvals, kind="stable")
     retained = order[np.abs(kvals[order]) <= k_cut + 1e-12]
-    return WedgeModel(n=n, theta_max=theta_max, k_values=kvals,
-                      retained=retained)
+    return WedgeModel(theta_max=theta_max, k_values=kvals, retained=retained)
 
 
 def standard_subspace(s: AntilinearMap) -> RealSubspace:
     """Fixed-point space of S, from the null space of its realification - 1."""
-    m = s.dim
-    return RealSubspace(m, null_space(real_linearize(s) - np.eye(2 * m)))
+    return RealSubspace(null_space(real_linearize(s) - np.eye(2 * s.dim)))
 
 
 def symplectic_complement(k: RealSubspace) -> RealSubspace:
     """{psi : Im<psi, phi> = Re<psi, -i phi> = 0 for all phi in K}."""
-    m = k.ambient_dim
-    minus_i = real_linearize(-1j * np.eye(m))
-    return RealSubspace(m, null_space(k.rows @ minus_i.T))
+    minus_i = real_linearize(-1j * np.eye(k.ambient_dim))
+    return RealSubspace(null_space(k.rows @ minus_i.T))
 
 
 def apply_real(op, k: RealSubspace) -> RealSubspace:
     """Image of a real subspace under a linear matrix or an AntilinearMap."""
-    return RealSubspace(k.ambient_dim,
-                        row_space(k.rows @ real_linearize(op).T))
+    return RealSubspace(row_space(k.rows @ real_linearize(op).T))
 
 
 def multiply_i(k: RealSubspace) -> RealSubspace:

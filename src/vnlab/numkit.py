@@ -10,8 +10,10 @@ value (or eigenvalue of a positive semidefinite matrix) ``s`` counts as zero
 when ``s <= RANK_RTOL * max(1, s.max())``.  ``nonzero_mask``, ``rank``,
 ``row_space`` and ``null_space`` apply that rule.  The validity checks
 (positivity, invertibility, trace preservation, the partial-transpose sign)
-share one absolute slack, ``VALIDITY_ATOL``.  These two constants are the
-package's only global tolerances; neither can be overridden at run time.
+share one absolute slack, ``VALIDITY_ATOL``.  These two constants and
+``vnalg.MEMBERSHIP_RTOL`` (1e-9), the residual bound that decides
+``OperatorAlgebra.contains`` and certifies a solved commutant, are the
+package's only global tolerances; none can be overridden at run time.
 
 Antilinear maps are stored by their *conjugation matrix* ``M``: the map acts as
 ``v -> M @ conj(v)``.  With this convention the adjoint (defined through

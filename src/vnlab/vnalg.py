@@ -36,14 +36,18 @@ class OperatorAlgebra:
     """A *-closed unital span of matrices on C^dim, given by an orthonormal
     basis (orthonormalize_span makes one from any spanning set)."""
 
-    def __init__(self, dim: int, basis: np.ndarray, *, generators=None):
+    def __init__(self, basis: np.ndarray, *, generators=None):
         basis = np.asarray(basis, dtype=complex)
-        if basis.ndim != 3 or basis.shape[1:] != (dim, dim):
-            raise ValueError("basis must be a stack of dim x dim matrices")
-        self.dim = dim
+        if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
+            raise ValueError("basis must be a stack of square matrices")
         self.basis = basis
         self.generators = None if generators is None else np.asarray(generators, complex)
         self.commutant_hint: "OperatorAlgebra | None" = None
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the Hilbert space the matrices act on."""
+        return self.basis.shape[-1]
 
     @property
     def size(self) -> int:
@@ -111,8 +115,8 @@ def tensor_factor_algebra(d: int, m: int) -> OperatorAlgebra:
                        np.eye(m) / np.sqrt(m)).reshape(d * d, n, n)
     right_b = np.einsum("ij,akl->aikjl", np.eye(d) / np.sqrt(d),
                         matrix_units(m)).reshape(m * m, n, n)
-    alg = OperatorAlgebra(n, left_b)
-    alg.commutant_hint = OperatorAlgebra(n, right_b)
+    alg = OperatorAlgebra(left_b)
+    alg.commutant_hint = OperatorAlgebra(right_b)
     return alg
 
 
@@ -135,8 +139,7 @@ def vn_closure(generators, dim: int) -> OperatorAlgebra:
         if grown.shape[0] == basis.shape[0]:
             break
         basis = grown
-    return OperatorAlgebra(dim, basis,
-                           generators=np.array(gens) if gens else None)
+    return OperatorAlgebra(basis, generators=np.array(gens) if gens else None)
 
 
 def commutant(a: OperatorAlgebra, use_hint: bool = True) -> OperatorAlgebra:
@@ -161,7 +164,7 @@ def commutant(a: OperatorAlgebra, use_hint: bool = True) -> OperatorAlgebra:
     for _ in range(COMMUTANT_DRAWS):
         basis = _commutant_of_element(a.random_element(rng))
         if _commutator_residual(a.basis, basis) <= MEMBERSHIP_RTOL:
-            return OperatorAlgebra(a.dim, basis)
+            return OperatorAlgebra(basis)
     raise RuntimeError("commutant certification failed on every draw")
 
 
@@ -207,8 +210,7 @@ def center_and_factor(a: OperatorAlgebra) -> tuple[OperatorAlgebra, bool]:
     # row block j, column i: the entries of [b_j, b_i]
     cmap = (prod - prod.swapaxes(0, 1)).transpose(0, 2, 3, 1)
     coeff = null_space(cmap.reshape(-1, a.size))
-    center = OperatorAlgebra(a.dim,
-                             (coeff @ a._flat()).reshape(-1, a.dim, a.dim))
+    center = OperatorAlgebra((coeff @ a._flat()).reshape(-1, a.dim, a.dim))
     return center, center.size == 1
 
 

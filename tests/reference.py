@@ -91,11 +91,11 @@ def s_operator(delta: np.ndarray, j: AntilinearMap,
 
 def full_matrix_algebra(n: int) -> OperatorAlgebra:
     """All of B(C^n); matrix units are already HS-orthonormal."""
-    return OperatorAlgebra(n, matrix_units(n))
+    return OperatorAlgebra(matrix_units(n))
 
 
 def scalar_algebra(n: int) -> OperatorAlgebra:
-    return OperatorAlgebra(n, np.eye(n)[None, :, :] / np.sqrt(n))
+    return OperatorAlgebra(np.eye(n)[None, :, :] / np.sqrt(n))
 
 
 @dataclass
@@ -135,7 +135,7 @@ def gns(rho: np.ndarray) -> GnsRep:
 
     vector = sq * (dagger(v) @ np.eye(d).flatten())
     basis = np.stack([represent(u) for u in matrix_units(d)])
-    algebra = OperatorAlgebra(int(keep.sum()), orthonormalize_span(basis))
+    algebra = OperatorAlgebra(orthonormalize_span(basis))
     return GnsRep(source_dim=d, dim=int(keep.sum()), vector=vector,
                   represent=represent, algebra=algebra)
 

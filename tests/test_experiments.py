@@ -163,6 +163,15 @@ def _set_match_error_loop(values, targets, relative):
 
 
 class TestSetMatchError:
+    @pytest.mark.parametrize("lam,n", [(lam, n)
+                                       for lam in (0.5, 0.3, 0.9, 1.0, 1e-5)
+                                       for n in range(1, 7)])
+    def test_matches_loop_form_on_powers_spectra(self, lam, n):
+        values = factors.powers_approximant(lam, n).delta_spectrum
+        targets = lam ** np.arange(-n, n + 1)
+        assert _set_match_error(values, targets, True) \
+            == _set_match_error_loop(values, targets, True)
+
     @pytest.mark.parametrize("relative", [True, False])
     def test_matches_loop_form_with_duplicates(self, relative):
         rng = np.random.default_rng(5)
@@ -370,6 +379,36 @@ class TestCli:
         with np.errstate(all="raise"):
             assert cli.main(argv) == 2
         assert says in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_purity_rounding_to_one_refused_before_building(
+            self, capsys, monkeypatch, n):
+        # at lam = 1e-17 the per-site purity is 1.0 in double precision, so
+        # the purities of N >= 2 factors cannot decrease; the refusal comes
+        # after the largest N's construction, which computes nothing
+        built, build = [], factors.powers_approximant
+
+        def spy(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(factors, "powers_approximant", spy)
+        assert cli.main(["powers", "--lam", "1e-17", "--n", str(n)]) == 2
+        assert "purity rounds to 1.0" in capsys.readouterr().err
+        assert [vars(a).keys() for a in built] == [{"site_weights",
+                                                    "n_factors"}]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        # a spectrum spanning 1e-200 to 1e200: no distance overflows
+        ["powers", "--lam", "1e-200", "--n", "1"],
+        # the smallest lam whose per-site purity stays below 1.0
+        ["powers", "--lam", "1.2e-16", "--n", "2"],
+        # one factor has no decrease to show
+        ["powers", "--lam", "1e-17", "--n", "1"]])
+    def test_extreme_powers_weights_pass(self, argv):
+        with np.errstate(all="raise"):
+            assert cli.main(argv) == 0
 
     @pytest.mark.parametrize("name,key,value", [
         (name, key, value) for name, exp in REGISTRY.items()

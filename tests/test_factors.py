@@ -71,11 +71,11 @@ def dense_modular(approx) -> ModularData:
                        algebra=dense_algebra(approx), omega=approx.omega)
 
 
-def _kron_algebra(site_basis, n, dim) -> OperatorAlgebra:
+def _kron_algebra(site_basis, n) -> OperatorAlgebra:
     basis = [np.eye(1, dtype=complex)]
     for _ in range(n):
         basis = [np.kron(b, u) for b in basis for u in site_basis]
-    return OperatorAlgebra(dim, np.stack(basis))
+    return OperatorAlgebra(np.stack(basis))
 
 
 def dense_algebra(approx) -> OperatorAlgebra:
@@ -85,15 +85,17 @@ def dense_algebra(approx) -> OperatorAlgebra:
     eye = np.eye(s)
     site_left = [np.kron(u, eye) / np.sqrt(s) for u in matrix_units(s)]
     site_right = [np.kron(eye, u) / np.sqrt(s) for u in matrix_units(s)]
-    left = _kron_algebra(site_left, approx.n_factors, approx.ambient_dim)
-    left.commutant_hint = _kron_algebra(site_right, approx.n_factors,
-                                        approx.ambient_dim)
+    left = _kron_algebra(site_left, approx.n_factors)
+    left.commutant_hint = _kron_algebra(site_right, approx.n_factors)
     return left
 
 
 def holds_only_its_fields(approx) -> bool:
-    """True when nothing was cached on the approximant after construction."""
-    return set(vars(approx)) == {f.name for f in fields(approx)}
+    """True when the approximant holds its fields and at most the product
+    vector and the spectrum, which it computes when first read: no dense
+    operator was cached on it."""
+    return set(vars(approx)) <= ({f.name for f in fields(approx)}
+                                 | {"omega", "delta_spectrum"})
 
 
 class TestPowers:
@@ -229,6 +231,28 @@ class TestArakiWoods:
         a = araki_woods_approximant(0.3, 0.5, 1)
         b = araki_woods_approximant(0.5, 0.3, 1)
         assert np.allclose(a.delta_spectrum, b.delta_spectrum)
+
+
+class TestConstruction:
+    def test_weights_sorted_descending(self):
+        approx = factors.Approximant(np.array([0.25, 0.75]), 2)
+        assert np.array_equal(approx.site_weights, [0.75, 0.25])
+        assert approx.site_dim == 2 and approx.ambient_dim == 16
+        assert np.array_equal(approx.delta_spectrum,
+                              powers_approximant(1 / 3, 2).delta_spectrum)
+
+    def test_direct_construction_over_cap_refused(self):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            factors.Approximant(np.full(2, 0.5), 11)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            factors.Approximant(np.full(4, 0.25), 6)
+
+    def test_direct_construction_outside_float_range_refused(self):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="normal float range"):
+                factors.Approximant(np.array([1e-200, 1.0]), 2)
+            with pytest.raises(ValueError, match="normal float range"):
+                factors.Approximant(np.array([0.5, 1e-160, 0.5]), 2)
 
 
 class TestFloatRange:

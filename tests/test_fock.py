@@ -5,9 +5,10 @@ from math import factorial
 import numpy as np
 import pytest
 
-from vnlab.fock import (SectorCommutator, build_fock, create, cyclicity_rank,
-                        field_operator, locality_check, sector_commutator,
-                        weyl_operator, weyl_relation_defect)
+from vnlab.fock import (FockSpace, SectorCommutator, build_fock, create,
+                        cyclicity_rank, field_operator, locality_check,
+                        sector_commutator, weyl_operator,
+                        weyl_relation_defect)
 from vnlab.locwedge import (real_subspace_from_vectors, symplectic_complement,
                             wedge_one_particle)
 from vnlab.numkit import complex_normal, dagger, norm2, rank
@@ -88,6 +89,13 @@ class TestBuild:
     def test_total_dim(self, d, n_max, expected):
         assert build_fock(d, n_max).total_dim == expected
 
+    @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (4, 3)])
+    def test_sizes_read_from_the_basis(self, d, n_max):
+        f = FockSpace(build_fock(d, n_max).occupations)
+        assert (f.one_particle_dim, f.n_max) == (d, n_max)
+        assert f.raise_index.shape == f.raise_value.shape \
+            == (d, f.sector_dim(n_max - 1))
+
     def test_sector_structure(self):
         f = build_fock(2, 2)
         assert list(sector_totals(f)) == [0, 1, 1, 2, 2, 2]
@@ -119,7 +127,7 @@ class TestBuild:
         f = build_fock(3, 4)
         rng = np.random.default_rng(12)
         sector_commutator(f, *_random_pair(rng, 3)).defect()
-        k = real_subspace_from_vectors(np.eye(3), 3)
+        k = real_subspace_from_vectors(np.eye(3))
         locality_check(f, k, symplectic_complement(k))
         assert not hasattr(f, "creators")
         assert not hasattr(f, "annihilators")
@@ -242,7 +250,7 @@ class TestSectorCommutator:
         f = build_fock(d, n_max)
         rng = np.random.default_rng(18)
         k = real_subspace_from_vectors(
-            complex_normal(rng, (d,), max(1, d - 1)), d)
+            complex_normal(rng, (d,), max(1, d - 1)))
         for other in (k, symplectic_complement(k)):
             dense = max((norm2(dense_safe_commutator(f, psi, phi))
                          for psi in k.basis for phi in other.basis),
@@ -266,7 +274,7 @@ class TestSectorCommutator:
             for b in range(d):
                 for part in sector_commutator(f, e[a], e[b]).parts:
                     assert not part.any()
-        k = real_subspace_from_vectors(e, d)
+        k = real_subspace_from_vectors(e)
         assert locality_check(f, k, symplectic_complement(k)) == 0.0
 
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4)])
@@ -286,14 +294,14 @@ class TestSectorCommutator:
         rng = np.random.default_rng(20)
         sector_commutator(f, *_random_pair(rng, 3)).defect()
         parts = f.__dict__["parity_parts"]
-        k = real_subspace_from_vectors(np.eye(3), 3)
+        k = real_subspace_from_vectors(np.eye(3))
         locality_check(f, k, symplectic_complement(k))
         assert f.__dict__["parity_parts"] is parts
 
     def test_rejects_wrong_mode_count_and_low_cutoff(self):
         with pytest.raises(ValueError, match="mode count"):
             sector_commutator(build_fock(3, 4), np.ones(2), np.ones(3))
-        k = real_subspace_from_vectors(np.eye(2), 2)
+        k = real_subspace_from_vectors(np.eye(2))
         with pytest.raises(ValueError, match="n_max >= 2"):
             locality_check(build_fock(2, 1), k, k)
 
@@ -301,7 +309,7 @@ class TestSectorCommutator:
 class TestLocality:
     def test_real_space_against_itself(self):
         f = build_fock(2, 3)
-        k = real_subspace_from_vectors(np.eye(2), 2)
+        k = real_subspace_from_vectors(np.eye(2))
         kp = symplectic_complement(k)
         assert locality_check(f, k, kp) < 1e-10
 
@@ -339,14 +347,14 @@ class TestLocality:
 
     def test_dimension_mismatch(self):
         f = build_fock(2, 2)
-        k = real_subspace_from_vectors(np.eye(3), 3)
+        k = real_subspace_from_vectors(np.eye(3))
         with pytest.raises(ValueError):
             locality_check(f, k, k)
 
     def test_nan_norm_of_second_pair_is_kept(self, monkeypatch):
         norms = iter([0.0, np.nan, 0.0, 0.0])
         monkeypatch.setattr(SectorCommutator, "norm", lambda c: next(norms))
-        k = real_subspace_from_vectors(np.eye(2), 2)
+        k = real_subspace_from_vectors(np.eye(2))
         assert np.isnan(locality_check(build_fock(2, 3), k,
                                        symplectic_complement(k)))
 
@@ -405,23 +413,23 @@ class TestWeyl:
 class TestCyclicity:
     def test_trivial_subspace(self):
         f = build_fock(2, 3)
-        k = real_subspace_from_vectors(np.zeros((0, 2)), 2)
+        k = real_subspace_from_vectors(np.zeros((0, 2)))
         assert cyclicity_rank(f, k, 3) == 1
 
     def test_standard_subspace_saturates(self):
         f = build_fock(2, 3)
-        k = real_subspace_from_vectors(np.eye(2), 2)
+        k = real_subspace_from_vectors(np.eye(2))
         assert cyclicity_rank(f, k, 3) == f.total_dim == 10
 
     def test_single_line_control(self):
         for n_max in (2, 3):
             f = build_fock(2, n_max)
-            k = real_subspace_from_vectors(np.eye(2)[:1], 2)
+            k = real_subspace_from_vectors(np.eye(2)[:1])
             assert cyclicity_rank(f, k, n_max) == n_max + 1
 
     def test_monotone_in_degree(self):
         f = build_fock(3, 4)
-        k = real_subspace_from_vectors(np.eye(3), 3)
+        k = real_subspace_from_vectors(np.eye(3))
         ranks = [cyclicity_rank(f, k, dd) for dd in range(5)]
         assert ranks == sorted(ranks)
         assert ranks[-1] == f.total_dim
@@ -429,15 +437,15 @@ class TestCyclicity:
     @pytest.mark.parametrize("d,n_max", [(2, 3), (3, 4), (3, 5)])
     def test_layer_bases_match_product_stack(self, d, n_max):
         f = build_fock(d, n_max)
-        for k in (real_subspace_from_vectors(np.eye(d), d),
-                  real_subspace_from_vectors(np.eye(d)[:1], d)):
+        for k in (real_subspace_from_vectors(np.eye(d)),
+                  real_subspace_from_vectors(np.eye(d)[:1])):
             for degree in range(n_max + 1):
                 assert (cyclicity_rank(f, k, degree)
                         == _product_cyclicity_rank(f, k, degree))
 
     def test_degree_cap(self):
         f = build_fock(2, 2)
-        k = real_subspace_from_vectors(np.eye(2), 2)
+        k = real_subspace_from_vectors(np.eye(2))
         with pytest.raises(ValueError):
             cyclicity_rank(f, k, 3)
 

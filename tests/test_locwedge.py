@@ -191,21 +191,30 @@ class TestStandardSubspace:
         for v in k.basis:
             assert np.linalg.norm(s(v) - v) <= 1e-9
 
+    @pytest.mark.parametrize("rows", [np.zeros((2, 5)), np.zeros(4),
+                                      np.zeros((1, 2, 2))])
+    def test_rows_of_odd_width_or_wrong_rank_refused(self, rows):
+        with pytest.raises(ValueError, match="2-D array of even width"):
+            locwedge.RealSubspace(rows)
+
+    def test_ambient_dim_is_the_vectors_width(self):
+        assert real_subspace_from_vectors(np.eye(3)[:1]).ambient_dim == 3
+        assert real_subspace_from_vectors(np.zeros((0, 5))).ambient_dim == 5
+
     def test_zero_space_not_standard(self):
-        zero = real_subspace_from_vectors(np.zeros((0, 3)), 3)
+        zero = real_subspace_from_vectors(np.zeros((0, 3)))
         assert standardness_check(zero) == (0, 0, False)
 
     def test_full_complex_space_not_standard(self):
         n = 3
-        k = real_subspace_from_vectors(
-            np.vstack([np.eye(n), 1j * np.eye(n)]), n)
+        k = real_subspace_from_vectors(np.vstack([np.eye(n), 1j * np.eye(n)]))
         dim_inter, dim_sum, std = standardness_check(k)
         assert dim_inter == 2 * n and not std
 
 
 class TestSymplecticComplement:
     def test_rn_is_self_complementary(self):
-        k = real_subspace_from_vectors(np.eye(3), 3)
+        k = real_subspace_from_vectors(np.eye(3))
         kp = symplectic_complement(k)
         assert subspace_distance(k, kp) < 1e-10
 
@@ -221,26 +230,26 @@ class TestSymplecticComplement:
     def test_double_complement(self):
         rng = np.random.default_rng(3)
         vecs = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        k = real_subspace_from_vectors(vecs, 4)
+        k = real_subspace_from_vectors(vecs)
         kpp = symplectic_complement(symplectic_complement(k))
         assert subspace_distance(k, kpp) <= 1e-9
 
     def test_zero_space_complement_is_everything(self):
-        k = real_subspace_from_vectors(np.zeros((0, 2)), 2)
+        k = real_subspace_from_vectors(np.zeros((0, 2)))
         assert k.real_dim == 0 and k.basis.shape == (0, 2)
         kp = symplectic_complement(k)
         assert kp.real_dim == 4
 
     def test_whole_space_complement_is_zero(self):
         whole = np.vstack([np.eye(3), 1j * np.eye(3)])
-        k = real_subspace_from_vectors(whole, 3)
+        k = real_subspace_from_vectors(whole)
         assert k.real_dim == 6
         kp = symplectic_complement(k)
         assert kp.real_dim == 0 and kp.basis.shape == (0, 3)
-        assert real_subspace_from_vectors(np.zeros((2, 3)), 3).real_dim == 0
+        assert real_subspace_from_vectors(np.zeros((2, 3))).real_dim == 0
 
     def test_multiply_i_dimension(self):
-        k = real_subspace_from_vectors(np.eye(2), 2)
+        k = real_subspace_from_vectors(np.eye(2))
         assert multiply_i(k).real_dim == 2
 
     @pytest.mark.parametrize("image", [
@@ -248,7 +257,7 @@ class TestSymplecticComplement:
         lambda k: apply_real(AntilinearMap(np.eye(3)), k),
         multiply_i], ids=["linear", "antilinear", "multiply_i"])
     def test_zero_space_maps_to_zero_space(self, image):
-        moved = image(real_subspace_from_vectors(np.zeros((0, 3)), 3))
+        moved = image(real_subspace_from_vectors(np.zeros((0, 3))))
         assert moved.ambient_dim == 3
         assert moved.real_dim == 0 and moved.basis.shape == (0, 3)
 
@@ -319,7 +328,7 @@ class TestDualityAndFlow:
         k_gen = standard_subspace(s_gen)
         k_model = model.standard_subspace
         embedded = real_subspace_from_vectors(
-            (isometry(model) @ k_model.basis.T).T, 8)
+            (isometry(model) @ k_model.basis.T).T)
         assert subspace_distance(k_gen, embedded) < 1e-7
 
     @pytest.mark.parametrize("n", [8, 16, 64, 256])

@@ -138,7 +138,7 @@ class TestTomita:
         # tomita needs the commutant neither as a hint nor by a generic solve
         alg, omega = random_pair(np.random.default_rng(5), 2)
         if not hinted:
-            alg = OperatorAlgebra(alg.dim, alg.basis)
+            alg = OperatorAlgebra(alg.basis)
         calls = []
 
         def counted(*args, **kwargs):
@@ -443,7 +443,7 @@ class TestReportRecord:
         for k in (2, 3, 4):
             alg, omega = random_pair(rng, k)
             u = haar_unitary(rng, alg.dim)
-            rotated = OperatorAlgebra(alg.dim, u @ alg.basis @ dagger(u))
+            rotated = OperatorAlgebra(u @ alg.basis @ dagger(u))
             md = tomita(rotated, u @ omega)
             w, v = md.delta_eigh
             bad = replace(md, delta_eigh=(w, v + 0.1

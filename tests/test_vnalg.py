@@ -44,7 +44,7 @@ def stacked_commutant(a: OperatorAlgebra) -> OperatorAlgebra:
         blocks.append(np.kron(g, eye) - np.kron(eye, g.T))
         blocks.append(np.kron(dagger(g), eye) - np.kron(eye, g.conj()))
     kernel = null_space(np.concatenate(blocks, axis=0))
-    return OperatorAlgebra(n, kernel.reshape(-1, n, n))
+    return OperatorAlgebra(kernel.reshape(-1, n, n))
 
 
 def pairwise_closure(generators, dim: int) -> OperatorAlgebra:
@@ -60,7 +60,7 @@ def pairwise_closure(generators, dim: int) -> OperatorAlgebra:
         products = products.reshape(-1, dim, dim)
         grown = orthonormalize_span(np.concatenate([basis, products]))
         if grown.shape[0] == basis.shape[0]:
-            return OperatorAlgebra(dim, basis)
+            return OperatorAlgebra(basis)
         basis = grown
 
 
@@ -72,7 +72,7 @@ def principal_intersection(a: OperatorAlgebra,
     p, cosines, _ = np.linalg.svd(fa.conj() @ b._flat().T,
                                   full_matrices=False)
     shared = p[:, cosines >= 1.0 - 1e-9].T @ fa
-    return OperatorAlgebra(a.dim, shared.reshape(-1, a.dim, a.dim))
+    return OperatorAlgebra(shared.reshape(-1, a.dim, a.dim))
 
 
 def ginibre(rng, n):
@@ -411,6 +411,16 @@ class TestGns:
 
 
 class TestSpanTools:
+    @pytest.mark.parametrize("basis", [np.zeros((2, 3, 4)), np.zeros((3, 3)),
+                                       np.zeros((1, 2, 2, 2))])
+    def test_non_square_stack_refused(self, basis):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            OperatorAlgebra(basis)
+
+    def test_dim_is_the_matrix_size(self):
+        assert OperatorAlgebra(np.zeros((0, 4, 4))).dim == 4
+        assert tensor_factor_algebra(2, 3).dim == 6
+
     def test_member_residual_of_a_stack(self):
         # a single matrix gives ||x - P x||_F bit for bit and is left as it
         # is; a stack gives the largest of its matrices' residuals
