@@ -54,5 +54,5 @@ print(f"\nHaar-random pure states entangled: {scan['entangled']}/{scan['samples'
 
 print("\nisometry obstruction (why the channel form):")
 e = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-rep = isometry_impossibility_check(4, e)
+rep = isometry_impossibility_check(e)
 print(f"   {rep['reason']}")

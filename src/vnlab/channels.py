@@ -110,7 +110,8 @@ class SplitData:
 def local_prepare_channel(split: SplitData, xi: np.ndarray) -> Channel:
     """Kraus family {|xi><e_i| (x) 1}: depends only on the target vector."""
     xi = np.asarray(xi, dtype=complex)
-    if abs(np.linalg.norm(xi) - 1.0) > VALIDITY_ATOL:
+    # written so that a NaN target is refused
+    if not abs(np.linalg.norm(xi) - 1.0) <= VALIDITY_ATOL:
         raise ValueError("target must be a unit vector")
     eye2 = np.eye(split.d2)
     ops = [np.kron(np.outer(xi, np.eye(split.d1)[i].conj()), eye2)
@@ -194,15 +195,18 @@ def genericity_scan(samples: int, seed: int, kind: str = "pure") -> dict:
             "fraction": hits / samples}
 
 
-def isometry_impossibility_check(n: int, projector: np.ndarray,
-                                 seed: int = 0) -> dict:
-    """Certify that W*W = 1, WW* = E has no solution for a proper projector.
+def isometry_impossibility_check(projector: np.ndarray, seed: int = 0) -> dict:
+    """Certify that W*W = 1, WW* = E has no solution for a proper projector
+    E on C^n, n read from its shape.
 
     rank(W*W) = rank(W) = rank(WW*) for every matrix W, so the two conditions
     force rank(E) = n.  Random W samples illustrate the rank equality; the
     certificate itself is the exact rank argument.
     """
     projector = np.asarray(projector, dtype=complex)
+    if projector.ndim != 2 or projector.shape[0] != projector.shape[1]:
+        raise ValueError("E must be a square matrix")
+    n = projector.shape[0]
     if norm2(projector @ projector - projector) > VALIDITY_ATOL \
             or norm2(projector - dagger(projector)) > VALIDITY_ATOL:
         raise ValueError("E must be an orthogonal projector")

@@ -560,9 +560,9 @@ def _exp_isometry(p, seed):
         rank = int(rng.integers(1, n))
         u = haar_unitary(rng, n)
         e = u[:, :rank] @ dagger(u[:, :rank])
-        rep = channels.isometry_impossibility_check(n, e, seed=seed + i)
+        rep = channels.isometry_impossibility_check(e, seed=seed + i)
         all_certified &= (not rep["possible"]) and rep["sampled_ranks_equal"]
-    identity_rep = channels.isometry_impossibility_check(n, np.eye(n), seed=seed)
+    identity_rep = channels.isometry_impossibility_check(np.eye(n), seed=seed)
     metrics = {"trials": p["trials"], "all_certified": all_certified,
                "identity_possible": identity_rep["possible"]}
     assertions = [

@@ -112,8 +112,9 @@ class TestLocalPrepare:
         assert worst <= 1e-12
 
     def test_target_must_be_unit(self):
-        with pytest.raises(ValueError):
-            local_prepare_channel(SplitData(2, 2), np.array([1.0, 1.0]))
+        for xi in ([1.0, 1.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="unit vector"):
+                local_prepare_channel(SplitData(2, 2), np.array(xi))
 
     def test_trace_preserving(self):
         rng = np.random.default_rng(6)
@@ -325,15 +326,18 @@ class TestIsometryObstruction:
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             q, _ = np.linalg.qr(g)
             e = q[:, :rank] @ dagger(q[:, :rank])
-            rep = isometry_impossibility_check(4, e, seed=seed)
+            rep = isometry_impossibility_check(e, seed=seed)
             assert not rep["possible"]
             assert rep["sampled_ranks_equal"]
             assert str(rank) in rep["reason"] or "rank" in rep["reason"]
 
     def test_identity_projector_admits_unitary(self):
-        rep = isometry_impossibility_check(3, np.eye(3))
+        rep = isometry_impossibility_check(np.eye(3))
         assert rep["possible"]
 
     def test_rejects_non_projector(self):
-        with pytest.raises(ValueError):
-            isometry_impossibility_check(2, np.array([[0.5, 0], [0, 0.5]]) * 1.5)
+        # n is read from E's shape, so a non-square E has none
+        for e, says in ((np.eye(2) * 0.75, "projector"),
+                        (np.eye(3)[:, :2], "square")):
+            with pytest.raises(ValueError, match=says):
+                isometry_impossibility_check(e)

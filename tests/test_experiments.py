@@ -369,6 +369,7 @@ class TestCli:
                     else "must be >=")
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv,says", [
         (["powers", "--lam", "1e-200", "--n", "2"], "normal float range"),
         (["araki-woods", "--lam", "1e-160", "--n", "2"], "normal float range"),
@@ -380,6 +381,7 @@ class TestCli:
             assert cli.main(argv) == 2
         assert says in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [2, 6])
     def test_purity_rounding_to_one_refused_before_building(
             self, capsys, monkeypatch, n):
@@ -462,8 +464,9 @@ class TestCli:
 
     @pytest.mark.parametrize("name", list(list_experiments()))
     def test_text_output_prints_plain_values(self, capsys, name):
-        # the CSV report and the assertion lines, at the registry defaults:
-        # a numpy scalar would print as np.float64(...) or np.True_
-        cli.main([name, "--format", "csv"])
+        # every experiment passes at the registry defaults; the CSV report
+        # and the assertion lines print plain values: a numpy scalar would
+        # print as np.float64(...) or np.True_
+        assert cli.main([name, "--format", "csv"]) == 0
         captured = capsys.readouterr()
         assert "np." not in captured.out + captured.err
