@@ -207,8 +207,11 @@ def isometry_impossibility_check(projector: np.ndarray, seed: int = 0) -> dict:
     if projector.ndim != 2 or projector.shape[0] != projector.shape[1]:
         raise ValueError("E must be a square matrix")
     n = projector.shape[0]
-    if norm2(projector @ projector - projector) > VALIDITY_ATOL \
-            or norm2(projector - dagger(projector)) > VALIDITY_ATOL:
+    # a NaN or inf would reach the SVD in norm2 and break it there
+    if not np.isfinite(projector).all():
+        raise ValueError("projector E must be finite")
+    if not (norm2(projector @ projector - projector) <= VALIDITY_ATOL
+            and norm2(projector - dagger(projector)) <= VALIDITY_ATOL):
         raise ValueError("E must be an orthogonal projector")
     rank_e = int(round(np.trace(projector).real))
     trials = 20

@@ -1,18 +1,22 @@
 """Command-line experiment driver: `vnlab --help` prints USAGE and the table
-of experiments, with each parameter's default and minimum.
+of experiments, with each parameter's default and bounds.
 
 A flag is a schema name with dashes for underscores, written in full, and
 takes the next token as its value, so a negative value may follow it after
 a space.  The values reach `experiments.validate_params` as strings: it
 alone converts and checks them.  Exit status is 0 iff every assertion of the
 run passed, 1 if one failed and 2, after one `error:` line, on any invalid
-invocation.  Reports echo the full parameter set so any table or figure can
-be regenerated from the JSON alone.
+invocation.  A numerical breakdown (`LinAlgError`, a `ValueError` subclass)
+is not an invalid invocation: it propagates, and Python exits 1.  Reports
+echo the full parameter set so any table or figure can be regenerated from
+the JSON alone.
 """
 
 from __future__ import annotations
 
 import sys
+
+import numpy as np
 
 from .experiments import list_experiments, run, validate_params
 
@@ -58,6 +62,7 @@ def main(argv=None) -> int:
                 schema = ", ".join(
                     f"{k}={p.default}"
                     + ("" if p.minimum is None else f" (min {p.minimum})")
+                    + ("" if p.maximum is None else f" (max {p.maximum})")
                     for k, p in exp.schema.items())
                 print(f"{exp.name:<{width}}  {exp.description}  [{schema}]")
             return 0
@@ -69,6 +74,8 @@ def main(argv=None) -> int:
         except ValueError:
             raise ValueError("--seed must be int") from None
         report = run(name, flags, seed=seed, out=out, fmt=fmt)
+    except np.linalg.LinAlgError:
+        raise
     except (KeyError, ValueError) as err:
         # str() of a KeyError quotes its message
         print(f"error: {err.args[0] if isinstance(err, KeyError) else err}",

@@ -338,6 +338,9 @@ class TestIsometryObstruction:
     def test_rejects_non_projector(self):
         # n is read from E's shape, so a non-square E has none
         for e, says in ((np.eye(2) * 0.75, "projector"),
-                        (np.eye(3)[:, :2], "square")):
+                        (np.eye(3)[:, :2], "square"),
+                        # refused before the SVD, which would not converge
+                        (np.full((2, 2), np.nan), "projector E must be finite"),
+                        (np.diag([1.0, np.inf]), "projector E must be finite")):
             with pytest.raises(ValueError, match=says):
                 isometry_impossibility_check(e)

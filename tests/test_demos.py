@@ -1,6 +1,7 @@
 """Entry points as real processes, with RuntimeWarnings as errors: every demo
 script, and the `vnlab` command reading sys.argv and ending in
-sys.exit(main()) on the README's examples, its help and one refusal."""
+sys.exit(main()) on the README's examples, its help, one refusal, and the
+in-schema points that once exited 1."""
 
 import json
 import os
@@ -10,9 +11,11 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import vnlab
+from vnlab import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -66,3 +69,26 @@ def test_vnlab_process(tmp_path, argv, code):
         else:
             # the cluster-decay series header
             assert text.startswith("r,F\n")
+
+
+# points the schema accepted and the runs failed on: a log taken before
+# the weights were refused, a rank compared with sectors the degree cannot
+# reach, and fixed floors or fit windows that the physics outran
+BOUNDED = [["araki-woods", "--lam", "0"], ["araki-woods", "--mu", "0"],
+           ["araki-woods", "--lam", "-1"], ["reeh-schlieder-rank", "--degree", "2"],
+           ["wedge-localization", "--cond-cap", "3e20"],
+           ["wedge-localization", "--cond-cap", "1e22"],
+           ["cluster-decay", "--m", "0.2"], ["cluster-decay", "--m", "0.05"],
+           ["entropy-scan", "--m", "12"], ["causality-probe", "--gap", "12"],
+           ["causality-probe", "--t", "1e-8"], ["causality-probe", "--m", "5"]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("argv", BOUNDED, ids="_".join)
+def test_bounded_point_passes_or_is_refused(tmp_path, capsys, argv, seed):
+    argv = [*argv, "--seed", seed]
+    proc = _python(["-m", "vnlab.cli", *argv], tmp_path)
+    with np.errstate(all="raise"):
+        code = cli.main(argv)
+    assert code in (0, 2) and proc.returncode == code, proc.stderr[-2000:]

@@ -37,6 +37,7 @@ class TestRegistry:
             for param in exp.schema.values():
                 assert isinstance(param.default, param.type)
                 assert param.minimum is None or param.default >= param.minimum
+                assert param.maximum is None or param.default <= param.maximum
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
@@ -54,46 +55,18 @@ class TestRegistry:
 
 
 class TestReports:
-    def test_fast_experiments_pass_at_defaults(self):
-        quick = {"modular-flow": {}, "powers": {"n": 2},
-                 "araki-woods": {"n": 2}, "fock-ccr": {"pairs": 5},
-                 "reeh-schlieder-rank": {}, "cluster-decay": {},
-                 "entropy-scan": {"bipartitions": 5},
-                 "causality-probe": {}, "local-prepare": {"inputs": 5},
-                 "disentangle": {}, "isometry-impossibility": {"trials": 5}}
-        for name, params in quick.items():
-            report = run(name, params, seed=0)
-            assert report.passed, f"{name} failed: " + ", ".join(
-                a.name for a in report.assertions if not a.passed)
-            assert json.loads(report.to_json())["pass"] is True
+    WEDGE_CASES = [(256, theta_max, cond_cap)
+                   for cond_cap in (1e8, 1e9, 1e10, 1e12, 1e14)
+                   for theta_max in (6.0, 10.0)] + [(1024, 10.0, 1e14)]
 
-    @pytest.mark.parametrize("name,params", [
-        ("wedge-localization", {"n": 4096}),
-        ("entropy-scan", {"sites": 1024, "bipartitions": 2}),
-        ("fock-ccr", {"d": 8, "n_max": 6, "pairs": 5}),
-        ("reeh-schlieder-rank", {"d": 5, "n_max": 6, "degree": 6}),
-        ("powers", {"n": 10}),
-        ("araki-woods", {"n": 6}),
-        ("genericity", {"samples": 100000}),
-        ("isometry-impossibility", {"n": 8, "trials": 200}),
-        ("kms-random", {"max_k": 12, "instances": 10}),
-        ("modular-flow", {"k": 8, "samples": 40}),
-        ("wedge-localization", {"n": 1024, "theta_max": 10.0,
-                                "cond_cap": 1e14}),
-        ("modular-spectrum", {"max_k": 12, "instances": 11})])
-    def test_scale_configurations_pass_finite(self, name, params):
-        with np.errstate(all="raise"):
-            report = run(name, params, seed=0)
-        assert report.passed, f"{name} failed: " + ", ".join(
-            a.name for a in report.assertions if not a.passed)
-
-    @pytest.mark.parametrize("theta_max", [6.0, 10.0])
-    @pytest.mark.parametrize("cond_cap", [1e8, 1e9, 1e10, 1e12, 1e14])
-    def test_wedge_passes_across_cond_cap(self, cond_cap, theta_max):
+    @pytest.mark.parametrize("n,theta_max,cond_cap", WEDGE_CASES, ids=[
+        f"{cond_cap}-{theta_max}" + (f"-{n}" if n != 256 else "")
+        for n, theta_max, cond_cap in WEDGE_CASES])
+    def test_wedge_passes_across_cond_cap(self, n, theta_max, cond_cap):
         # the registered bounds hold over the whole window range: J is the
         # exact frequency reflection, so S^2 = 1 is met at roundoff however
         # large cond(Delta^{1/2}) is
-        params = {"n": 256, "theta_max": theta_max, "cond_cap": cond_cap}
+        params = {"n": n, "theta_max": theta_max, "cond_cap": cond_cap}
         with np.errstate(all="raise"):
             report = run("wedge-localization", params, seed=0)
         assert report.passed, ", ".join(
@@ -111,6 +84,14 @@ class TestReports:
             metrics = run("modular-flow", {"k": k}, seed=seed).metrics
             assert keys <= set(metrics)
             assert max(metrics[key] for key in keys) <= 1e-12
+
+    @pytest.mark.parametrize("m", [0.2, 1.0, 3.0, 20.0])
+    def test_cluster_decay_window_from_mass(self, m):
+        # the window scales as 1 / rate, so light and heavy chains resolve
+        # their decay on 400 sites alike
+        report = run("cluster-decay", {"m": m}, seed=0)
+        assert report.passed
+        assert report.metrics["rel_deviation"] <= 0.05
 
     def test_deterministic_reports(self):
         a = run("modular-flow", {}, seed=11).to_dict()
@@ -149,6 +130,44 @@ class TestReports:
         assert text.startswith("metric,value")
         rows = list(csv.reader(io.StringIO(text)))
         assert all(len(row) == len(rows[0]) for row in rows)
+
+
+def _sweep_points(name):
+    """The registry's points of one experiment, each once: its defaults, its
+    scale point, then every set minimum and maximum with the other
+    parameters at their defaults."""
+    exp = REGISTRY[name]
+    points = [{}, exp.scale] + [
+        {key: bound} for key, param in exp.schema.items()
+        for bound in (param.minimum, param.maximum) if bound is not None]
+    unique = {}
+    for point in points:
+        # every point is inside the schema, so a refusal below is a run's
+        unique.setdefault(tuple(validate_params(name, point).items()), point)
+    return list(unique.values())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_registry_points_pass_or_are_refused(name, seed):
+    """Each point passes with finite values and no floating-point event, or
+    the run refuses it with a ValueError that is not a numerical breakdown;
+    the defaults and the scale point must pass."""
+    for point in _sweep_points(name):
+        with np.errstate(all="raise"):
+            try:
+                report = run(name, point, seed=seed)
+            except np.linalg.LinAlgError:
+                raise
+            except ValueError:
+                assert point not in ({}, REGISTRY[name].scale), \
+                    f"{name} {point} refused"
+                continue
+        assert report.passed, f"{name} {point} failed: " + ", ".join(
+            a.name for a in report.assertions if not a.passed)
+        # strict JSON refuses a value that is not finite
+        json.dumps([report.to_dict(), report.series], allow_nan=False)
 
 
 def _set_match_error_loop(values, targets, relative):
@@ -268,22 +287,25 @@ class TestCli:
         assert "[FAIL] always_fails" in capsys.readouterr().err
 
     def test_unknown_parameter_exit_two(self, capsys):
-        # the last three were parameters that changed nothing, or a
-        # tolerance: they are unknown now
+        # from the second on, parameters that changed nothing, set a
+        # tolerance, or that the mass now fixes: they are unknown now
         for argv in (["powers", "--frobnicate", "3"],
                      ["powers", "--tol-rel", "3"],
                      ["powers", "--tol-abs", "3"],
                      ["powers", "--window", "1.0"],
                      ["cluster-decay", "--far-bound", "1e-6"],
-                     ["local-difference", "--budget", "40"]):
+                     ["local-difference", "--budget", "40"],
+                     ["cluster-decay", "--fit-hi", "2"],
+                     ["cluster-decay", "--fit-hi", "10"],
+                     ["cluster-decay", "--fit-hi", "11"]):
             assert cli.main(argv) == 2
             assert capsys.readouterr().err.startswith(
                 "error: unknown parameter(s)")
 
     @pytest.mark.parametrize("argv", [
-        # a prefix of a name (n_max, far_site) is not a flag
+        # a prefix of a name (n_max, sites) is not a flag
         ["fock-ccr", "--n", "2"],
-        ["cluster-decay", "--far", "50"],
+        ["cluster-decay", "--site", "50"],
         ["fock-ccr", "--n_max", "3"],
         ["--n_max", "3"],
         ["powers", "--lam"],
@@ -322,8 +344,11 @@ class TestCli:
             row = next(ln for ln in text.splitlines()
                        if ln.startswith(f"{name} "))
             for key, param in exp.schema.items():
-                if param.minimum is not None:
-                    assert f"{key}={param.default} (min {param.minimum})" in row
+                bounds = "".join(
+                    f" ({word} {bound})" for word, bound in
+                    (("min", param.minimum), ("max", param.maximum))
+                    if bound is not None)
+                assert f"{key}={param.default}{bounds}" in row
 
     @pytest.mark.parametrize("argv", [
         ["entropy-scan", "--bipartitions", "0"],
@@ -343,13 +368,7 @@ class TestCli:
         ["wedge-localization", "--cond-cap", "0.5"],
         ["wedge-localization", "--cond-cap", "nan"],
         ["local-prepare", "--d2", "0"],
-        # bounds across parameters: the decay fit needs a window of three
-        # points, after clipping at the roundoff floor (m = 3 reaches it at
-        # r = 12), and the probe needs the packets to have moved
-        ["cluster-decay", "--fit-hi", "2"],
-        ["cluster-decay", "--fit-hi", "10"],
-        ["cluster-decay", "--fit-hi", "11"],
-        ["cluster-decay", "--m", "3"],
+        # the probe needs the packets to have moved
         ["causality-probe", "--t", "0"],
         # sqrt(lam) of a negative lam
         ["disentangle", "--lam", "-1"],
@@ -360,12 +379,22 @@ class TestCli:
         ["araki-woods", "--window", "inf"],
         ["causality-probe", "--t", "nan"],
         ["causality-probe", "--t", "inf"],
+        # above a maximum: K and iK meet below the rank cut, the vacuum is
+        # nearly a product state, or the overlap sinks into roundoff
+        ["wedge-localization", "--cond-cap", "3e20"],
+        ["wedge-localization", "--cond-cap", "1e22"],
+        ["entropy-scan", "--m", "12"],
+        ["causality-probe", "--gap", "12"],
+        ["causality-probe", "--m", "5"],
     ])
     def test_out_of_range_parameter_exit_two(self, capsys, argv):
         assert cli.main(argv) == 2
         flag, value = argv[1:]
+        maximum = REGISTRY[argv[0]].schema[flag[2:].replace("-", "_")].maximum
         expected = ("must be nonzero" if (flag, value) == ("--t", "0")
                     else "must be finite" if flag in ("--t", "--window")
+                    else "must be <=" if maximum is not None
+                    and float(value) > maximum
                     else "must be >=")
         assert expected in capsys.readouterr().err
 
@@ -428,7 +457,11 @@ class TestCli:
         (["causality-probe", "--m", "inf"], "parameter m must be finite"),
         (["cluster-decay", "--m", "inf"], "parameter m must be finite"),
         (["cluster-decay", "--m", "0"], "massless chain"),
-        (["entropy-scan", "--m", "0"], "massless chain")])
+        (["entropy-scan", "--m", "0"], "massless chain"),
+        # the window from the mass: past the antipode of 400 sites, or
+        # under three sites wide
+        (["cluster-decay", "--m", "0.1"], "fit range must sit inside"),
+        (["cluster-decay", "--m", "50"], "fit window (2, 3)")])
     def test_chain_mass_refused_exit_two(self, capsys, argv, says):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -443,6 +476,32 @@ class TestCli:
                  else float(np.nextafter(param.minimum, -np.inf)))
         assert cli.main([name, f"--{key.replace('_', '-')}", str(below)]) == 2
         assert "must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,key", [
+        (name, key) for name, exp in REGISTRY.items()
+        for key, param in exp.schema.items() if param.maximum is not None])
+    def test_value_just_above_every_maximum_exit_two(self, capsys,
+                                                     monkeypatch, name, key):
+        # refused by validate_params: the experiment itself must not run
+        def never(p, seed):
+            raise AssertionError(f"{name} ran above its cap")
+
+        monkeypatch.setitem(REGISTRY, name, replace(REGISTRY[name], fn=never))
+        param = REGISTRY[name].schema[key]
+        above = (param.maximum + 1 if param.type is int
+                 else float(np.nextafter(param.maximum, np.inf)))
+        assert cli.main([name, f"--{key.replace('_', '-')}", str(above)]) == 2
+        assert "must be <=" in capsys.readouterr().err
+
+    def test_numerical_breakdown_is_not_exit_two(self, monkeypatch):
+        # LinAlgError is a ValueError, but a breakdown is a failed run, not
+        # an invalid invocation: it propagates
+        def breakdown(spec):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(lattice, "ground_state", breakdown)
+        with pytest.raises(np.linalg.LinAlgError):
+            cli.main(["cluster-decay"])
 
     @pytest.mark.parametrize("token", ["-1e-3", "-1E-3", "-.5e-2", "-2.5e+0"])
     def test_negative_exponent_value_after_space(self, capsys, tmp_path, token):
