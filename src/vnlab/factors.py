@@ -13,8 +13,9 @@ weights and the number of factors N; the product vector and
 ``delta_spectrum``, the sorted Kronecker product of the per-site Delta
 diagonals p (x) 1/p, are computed when first read.  That is all the
 signatures read, and no modular operator, per-site or global (268 MB per
-complex matrix at D = 4096), is formed.  Construction accepts ambient
-dimensions up to ``SPECTRUM_CAP`` (N = 10 for Powers).
+complex matrix at D = 4096), is formed.  Construction refuses a model
+whose stated peak, ``Approximant.peak_bytes``, exceeds the package's byte
+budget (``numkit.BYTE_BUDGET``).
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .modular import purify
-
-# largest ambient dimension of an approximant (its spectrum and product vector)
-SPECTRUM_CAP = 1 << 20
+from .numkit import require_budget
 
 
 @dataclass
@@ -40,7 +39,7 @@ class Approximant:
     ``purify``; each site's Delta is diag(p (x) 1/p), and ``delta_spectrum``
     is the sorted Kronecker product of those diagonals, taken in the same
     left-to-right order as the Kronecker powers of the site vector.
-    Construction refuses an ambient dimension above ``SPECTRUM_CAP`` and
+    Construction refuses a model over the byte budget (``peak_bytes``) and
     weights whose spectrum would leave the normal float range.
     """
 
@@ -48,11 +47,10 @@ class Approximant:
     n_factors: int
 
     def __post_init__(self):
+        require_budget(self.peak_bytes, f"an approximant of ambient "
+                       f"dimension {self.ambient_dim}")
         p = np.sort(self.site_weights)[::-1]    # descending, matching purify
         n = self.n_factors
-        dim = (p.size * p.size) ** n
-        if dim > SPECTRUM_CAP:
-            raise ValueError(f"ambient dimension {dim} exceeds cap {SPECTRUM_CAP}")
         # Delta's spectrum spans (p_max/p_min)^{+-n}: both ends must be normal
         if not n * (np.log(p[-1]) - np.log(p[0])) >= np.log(np.finfo(float).tiny):
             raise ValueError("Delta's spectrum leaves the normal float range at "
@@ -66,6 +64,15 @@ class Approximant:
     @property
     def ambient_dim(self) -> int:
         return (self.site_dim ** 2) ** self.n_factors
+
+    @property
+    def peak_bytes(self) -> int:
+        """Peak of building the model and its signature: five complex
+        vectors of the ambient dimension D and up to 16 KiB besides
+        (tracemalloc read 5.0 x 16 D plus 3-10 KiB for Powers N = 1..10,
+        Araki-Woods N = 1..6 and uniform weights on 4 to 7 levels).  The
+        byte budget then admits Powers N <= 10 and Araki-Woods N <= 6."""
+        return 5 * 16 * self.ambient_dim + (1 << 14)
 
     @cached_property
     def omega(self) -> np.ndarray:

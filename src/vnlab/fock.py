@@ -32,10 +32,8 @@ from math import comb
 
 import numpy as np
 
-from .numkit import dagger, norm2, rank, row_space
+from .numkit import dagger, norm2, rank, require_budget, row_space
 from .locwedge import RealSubspace
-
-DIMENSION_CAP = 4096
 
 
 @dataclass
@@ -136,12 +134,15 @@ class FockSpace:
 
 
 def build_fock(d: int, n_max: int) -> FockSpace:
-    """Occupation basis, ordered by total, then lexicographically."""
+    """Occupation basis, ordered by total, then lexicographically.
+
+    The space is refused when one dense operator on it, 16 D^2 bytes, is
+    over the byte budget, which admits D <= 4096."""
     if d < 1 or n_max < 1:
         raise ValueError("need d >= 1 and n_max >= 1")
     total_dim = comb(n_max + d, d)
-    if total_dim > DIMENSION_CAP:
-        raise ValueError(f"Fock dimension {total_dim} exceeds cap {DIMENSION_CAP}")
+    require_budget(16 * total_dim ** 2,
+                   f"a dense operator on the Fock space of dimension {total_dim}")
 
     occs = []
     for total in range(n_max + 1):
@@ -274,10 +275,26 @@ def weyl_relation_defect(f: FockSpace, psi: np.ndarray,
     return norm2(lhs - rhs[:s, :s])
 
 
+def cyclicity_bytes(fields: int, total_dim: int) -> int:
+    """Stated peak of `cyclicity_rank` with `fields` dense fields (one per
+    basis vector of K) on a space of dimension D: 2 (fields + 1) dense
+    operators of 16 D^2 bytes, the fields, one layer's stacked products and
+    the rank of all layers.  tracemalloc read 1.7-2.2 x fields x 16 D^2 for
+    K = R^d at (d, n_max) = (3, 5), (5, 6), (4, 8), (6, 5), (3, 12), (8, 4),
+    and at most 3.3 x 16 D^2 for a one-dimensional K."""
+    return 2 * (fields + 1) * 16 * total_dim ** 2
+
+
 def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> int:
-    """Rank of span{Phi(psi_1)...Phi(psi_j) vacuum : j <= degree, psi in K}."""
+    """Rank of span{Phi(psi_1)...Phi(psi_j) vacuum : j <= degree, psi in K}.
+
+    Refused before any field is built when `cyclicity_bytes` is over the
+    byte budget."""
     if degree > f.n_max:
         raise ValueError("degree exceeds the particle cutoff")
+    require_budget(cyclicity_bytes(k.real_dim, f.total_dim),
+                   f"cyclicity_rank with {k.real_dim} fields of dimension "
+                   f"{f.total_dim}")
     fields = [field_operator(f, psi) for psi in k.basis]
     # each layer is kept as an orthonormal basis of its span, never as the
     # (dim K)^j products themselves; rows v map to (m v)^T = v m^T

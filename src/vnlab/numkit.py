@@ -2,8 +2,8 @@
 
 Antilinear-operator arithmetic and polar decomposition, the
 real-linearization used to extract fixed-point subspaces of antilinear
-involutions, the one rank rule, and the random samplers shared by the
-experiments (each draws a whole stack in one call).
+involutions, the one rank rule, the one memory budget, and the random
+samplers shared by the experiments (each draws a whole stack in one call).
 
 Every rank or null-space decision in the package is made here: a singular
 value (or eigenvalue of a positive semidefinite matrix) ``s`` counts as zero
@@ -14,6 +14,13 @@ share one absolute slack, ``VALIDITY_ATOL``.  These two constants and
 ``vnalg.MEMBERSHIP_RTOL`` (1e-9), the residual bound that decides
 ``OperatorAlgebra.contains`` and certifies a solved commutant, are the
 package's only global tolerances; none can be overridden at run time.
+
+Every size rule is one byte budget, ``BYTE_BUDGET`` (256 MiB, one dense
+complex operator at dimension 4096), and it cannot be set at run time
+either.  A builder whose memory grows fastest with its parameters states
+its measured peak in bytes and calls ``require_budget`` before it
+allocates, so a point over the budget is refused with a ValueError instead
+of being built.
 
 Antilinear maps are stored by their *conjugation matrix* ``M``: the map acts as
 ``v -> M @ conj(v)``.  With this convention the adjoint (defined through
@@ -35,6 +42,17 @@ RANK_RTOL = 1e-10
 
 # absolute slack of the validity checks (module docstring)
 VALIDITY_ATOL = 1e-10
+
+# bytes a builder may allocate at its peak (module docstring)
+BYTE_BUDGET = 1 << 28
+
+
+def require_budget(nbytes: int, what: str) -> None:
+    """Refuse a build whose stated peak, nbytes, exceeds BYTE_BUDGET.  The
+    count is an exact integer, so no size is too large to compare."""
+    if not nbytes <= BYTE_BUDGET:
+        raise ValueError(f"{what} needs {-(-nbytes >> 20):,} MiB, over the "
+                         f"byte budget of {BYTE_BUDGET >> 20:,} MiB")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

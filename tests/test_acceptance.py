@@ -118,7 +118,8 @@ def test_criterion_10_causality_probe():
                    seed=0) for gap in (2, 4, 8)]
     main = reports[1]  # gap = 4, the pinned configuration
     names = {a.name: a for a in main.assertions}
-    assert names["amplitude_nonzero_at_t"].tolerance == 1e-14
+    # the floor shrinks as min(1, |t|) with the overlap's roundoff
+    assert names["amplitude_nonzero_at_t"].tolerance == 1e-14 * 0.5
     assert _report_line(10, "causality probe (disjoint packets)", reports)
 
 

@@ -73,14 +73,18 @@ def test_vnlab_process(tmp_path, argv, code):
 
 # points the schema accepted and the runs failed on: a log taken before
 # the weights were refused, a rank compared with sectors the degree cannot
-# reach, and fixed floors or fit windows that the physics outran
+# reach, fixed floors or fit windows that the physics outran, and overlaps
+# at small |t| read against a floor that did not shrink with |t|
 BOUNDED = [["araki-woods", "--lam", "0"], ["araki-woods", "--mu", "0"],
            ["araki-woods", "--lam", "-1"], ["reeh-schlieder-rank", "--degree", "2"],
            ["wedge-localization", "--cond-cap", "3e20"],
            ["wedge-localization", "--cond-cap", "1e22"],
            ["cluster-decay", "--m", "0.2"], ["cluster-decay", "--m", "0.05"],
            ["entropy-scan", "--m", "12"], ["causality-probe", "--gap", "12"],
-           ["causality-probe", "--t", "1e-8"], ["causality-probe", "--m", "5"]]
+           ["causality-probe", "--t", "1e-8"], ["causality-probe", "--m", "5"],
+           ["causality-probe", "--m", "3", "--gap", "8", "--t", "1e-3"],
+           ["causality-probe", "--m", "3", "--gap", "8", "--width", "32"],
+           ["causality-probe", "--t", "1e-10"]]
 
 
 @pytest.mark.filterwarnings("error")

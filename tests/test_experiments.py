@@ -5,6 +5,7 @@ import inspect
 import io
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -134,12 +135,19 @@ class TestReports:
 
 def _sweep_points(name):
     """The registry's points of one experiment, each once: its defaults, its
-    scale point, then every set minimum and maximum with the other
-    parameters at their defaults."""
+    scale point, every set minimum and maximum with the other parameters at
+    their defaults, then, with two or more bounded parameters, every corner:
+    each combination of their set bounds."""
     exp = REGISTRY[name]
+    bounds = {key: [b for b in (param.minimum, param.maximum) if b is not None]
+              for key, param in exp.schema.items()}
+    bounds = {key: values for key, values in bounds.items() if values}
+    corners = ([dict(zip(bounds, values))
+                for values in itertools.product(*bounds.values())]
+               if len(bounds) >= 2 else [])
     points = [{}, exp.scale] + [
-        {key: bound} for key, param in exp.schema.items()
-        for bound in (param.minimum, param.maximum) if bound is not None]
+        {key: bound} for key, values in bounds.items()
+        for bound in values] + corners
     unique = {}
     for point in points:
         # every point is inside the schema, so a refusal below is a run's
@@ -461,11 +469,32 @@ class TestCli:
         # the window from the mass: past the antipode of 400 sites, or
         # under three sites wide
         (["cluster-decay", "--m", "0.1"], "fit range must sit inside"),
-        (["cluster-decay", "--m", "50"], "fit window (2, 3)")])
+        (["cluster-decay", "--m", "50"], "fit window (2, 3)"),
+        # the square of the mass overflows
+        (["cluster-decay", "--m", "1.35e154"], "mass must be finite and "
+         "nonnegative, with a finite square"),
+        (["cluster-decay", "--m", "1e200"], "mass must be finite and "
+         "nonnegative, with a finite square")])
     def test_chain_mass_refused_exit_two(self, capsys, argv, says):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {says}") and "zero_mode" not in err
+
+    @pytest.mark.parametrize("argv", [
+        # eight dense fields of dimension 3003 (1.15 GB), and 4095 of
+        # dimension 4096 (about 1.1 TB)
+        ["reeh-schlieder-rank", "--d", "8", "--n-max", "6"],
+        ["reeh-schlieder-rank", "--d", "4095", "--n-max", "1"]])
+    def test_over_budget_point_refused_before_allocating(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "over the byte budget" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("name,key", [
         (name, key) for name, exp in REGISTRY.items()

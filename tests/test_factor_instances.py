@@ -1,6 +1,8 @@
 """The modular experiments on random standard pairs hold one M_k (x) 1 at a
 time: same reports as the loop over the instances in order, and peak memory
-measured with tracemalloc, to which numpy reports its buffers.
+measured with tracemalloc, to which numpy reports its buffers.  The same
+measure holds the approximants and cyclicity_rank to the peaks they state
+against the byte budget.
 
 S(k) = 16 k^6 bytes is the size of one basis stack of M_k (x) 1 on
 C^k (x) C^k.  A run holds the algebra and its commutant hint (2 S); the J A J
@@ -12,9 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vnlab import modular
+from vnlab import factors, fock, modular
 from vnlab.experiments import (REGISTRY, Assertion, _conditioned_weights,
                                _faithful_vector, run)
+from vnlab.locwedge import real_subspace_from_vectors
 from vnlab.numkit import dagger, haar_unitary
 from vnlab.vnalg import tensor_factor_algebra
 
@@ -114,6 +117,24 @@ def test_run_peak_within_stacks(name, params, bound):
     report, peak, _ = peak_above_entry(lambda: run(name, params, seed=0))
     assert report.passed
     assert peak < bound * stack_bytes(params["max_k"])
+
+
+def test_approximant_peak_within_stated_bytes():
+    def build():
+        approx = factors.araki_woods_approximant(0.5, 0.3, 5)
+        factors.signature(approx)
+        return approx
+
+    approx, peak, _ = peak_above_entry(build)
+    assert peak < approx.peak_bytes
+
+
+def test_cyclicity_peak_within_stated_bytes():
+    # the reeh-schlieder-rank scale point's K = R^5, at the top degree
+    f = fock.build_fock(5, 6)
+    k = real_subspace_from_vectors(np.eye(5))
+    _, peak, _ = peak_above_entry(lambda: fock.cyclicity_rank(f, k, 6))
+    assert peak < fock.cyclicity_bytes(5, f.total_dim)
 
 
 def test_factor_algebra_peak_is_what_it_keeps():

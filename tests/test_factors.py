@@ -12,7 +12,7 @@ from vnlab.factors import (araki_woods_approximant, log_ratio_rational_quality,
                            max_gap_in_window, powers_approximant,
                            powers_purity, signature)
 from vnlab.modular import ModularData, check, tomita
-from vnlab.numkit import AntilinearMap, norm2
+from vnlab.numkit import AntilinearMap, norm2, require_budget
 from vnlab.vnalg import (OperatorAlgebra, commutant, cyclic_separating,
                          matrix_units)
 
@@ -20,14 +20,11 @@ from vnlab.vnalg import (OperatorAlgebra, commutant, cyclic_separating,
 # The dense D x D objects of an approximant, multiplied out from its site
 # weights; the package itself works from the spectrum alone.
 
-# largest ambient dimension of a dense reference (268 MB per complex matrix)
-DIMENSION_CAP = 4096
-
-
 def _check_dense(approx):
-    if approx.ambient_dim > DIMENSION_CAP:
-        raise ValueError(f"dense operators of dimension {approx.ambient_dim}"
-                         f" exceed cap {DIMENSION_CAP}")
+    """A dense reference holds complex D x D matrices of 16 D^2 bytes; the
+    byte budget admits D <= 4096."""
+    require_budget(16 * approx.ambient_dim ** 2,
+                   f"dense operators of dimension {approx.ambient_dim}")
 
 
 def _flip(s: int) -> np.ndarray:
@@ -131,11 +128,16 @@ class TestPowers:
                                  + np.sort(sig.log_spectrum)[::-1])) < 1e-9
 
     def test_dimension_cap(self):
-        # construction stops at the spectral cap, dense access at 4096
+        # construction stops at the byte budget (N = 10 for Powers, 6 for
+        # Araki-Woods), dense access at 4096
         with pytest.raises(ValueError):
             dense_modular(powers_approximant(0.5, 7))
+        assert powers_approximant(0.5, 10).ambient_dim == 4 ** 10
         with pytest.raises(ValueError):
             powers_approximant(0.5, 11)
+        assert araki_woods_approximant(0.5, 0.3, 6).ambient_dim == 9 ** 6
+        with pytest.raises(ValueError, match="byte budget"):
+            araki_woods_approximant(0.5, 0.3, 7)
         with pytest.raises(ValueError):
             powers_approximant(1.5, 1)
 
@@ -242,9 +244,9 @@ class TestConstruction:
                               powers_approximant(1 / 3, 2).delta_spectrum)
 
     def test_direct_construction_over_cap_refused(self):
-        with pytest.raises(ValueError, match="exceeds cap"):
+        with pytest.raises(ValueError, match="byte budget"):
             factors.Approximant(np.full(2, 0.5), 11)
-        with pytest.raises(ValueError, match="exceeds cap"):
+        with pytest.raises(ValueError, match="byte budget"):
             factors.Approximant(np.full(4, 0.25), 6)
 
     def test_direct_construction_outside_float_range_refused(self):

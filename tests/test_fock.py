@@ -85,6 +85,8 @@ def _random_pair(rng, d):
 class TestBuild:
     @pytest.mark.parametrize("d,n_max,expected", [
         (2, 2, 6), (1, 5, 6), (3, 3, 20), (2, 3, 10), (3, 4, 35),
+        # the largest dimension the byte budget admits
+        (1, 4095, 4096),
     ])
     def test_total_dim(self, d, n_max, expected):
         assert build_fock(d, n_max).total_dim == expected
@@ -135,6 +137,9 @@ class TestBuild:
     def test_cap(self):
         with pytest.raises(ValueError):
             build_fock(8, 8)
+        # one dense operator at dimension 4097 is over the byte budget
+        with pytest.raises(ValueError, match="byte budget"):
+            build_fock(1, 4096)
         with pytest.raises(ValueError):
             build_fock(0, 2)
 

@@ -3,16 +3,21 @@ samplers, and the reference spectral calculus the modular tests lean on."""
 
 import ast
 import pathlib
+from math import comb
 
 import numpy as np
 import pytest
 
 import vnlab
 from reference import herm_fn
-from vnlab.numkit import (RANK_RTOL, AntilinearMap, antilinear_polar,
-                          complex_normal, dagger, embed_real, haar_pure_state,
-                          nonzero_mask, norm2, null_space, random_density,
-                          rank, real_linearize, row_space, unembed_real)
+from vnlab import factors, fock, numkit
+from vnlab.experiments import REGISTRY
+from vnlab.locwedge import real_subspace_from_vectors
+from vnlab.numkit import (BYTE_BUDGET, RANK_RTOL, AntilinearMap,
+                          antilinear_polar, complex_normal, dagger,
+                          embed_real, haar_pure_state, nonzero_mask, norm2,
+                          null_space, random_density, rank, real_linearize,
+                          require_budget, row_space, unembed_real)
 
 
 def random_hermitian(rng, n):
@@ -411,6 +416,35 @@ def test_tolerances_are_not_arguments():
                 rebinds.add(path.stem)
     assert knobs == set()
     assert rebinds == set()
+
+
+class TestByteBudget:
+    def test_refuses_above_the_budget(self):
+        require_budget(BYTE_BUDGET, "a build at the budget")
+        # one dense operator at d = n_max = 1000 is far past any float
+        for nbytes in (BYTE_BUDGET + 1, 16 * comb(2000, 1000) ** 2):
+            with pytest.raises(ValueError, match="over the byte budget"):
+                require_budget(nbytes, "a build")
+
+    def test_builders_refuse_through_the_one_budget(self, monkeypatch):
+        f = fock.build_fock(2, 2)
+        k = real_subspace_from_vectors(np.eye(2))
+        # below one dense operator on the six states of build_fock(2, 2)
+        monkeypatch.setattr(numkit, "BYTE_BUDGET", 16 * 6 ** 2 - 1)
+        with pytest.raises(ValueError, match="over the byte budget"):
+            fock.build_fock(2, 2)
+        with pytest.raises(ValueError, match="over the byte budget"):
+            fock.cyclicity_rank(f, k, 1)
+        # an approximant's fixed 16 KiB is over the lowered budget too
+        with pytest.raises(ValueError, match="over the byte budget"):
+            factors.powers_approximant(0.5, 1)
+
+    @pytest.mark.parametrize("name,key", [("kms-random", "max_k"),
+                                          ("modular-flow", "k"),
+                                          ("modular-spectrum", "max_k")])
+    def test_factor_size_maximum_from_the_budget(self, name, key):
+        # 4.3 basis stacks of 16 k^6 bytes: 205 MB at k = 12, 332 MB at 13
+        assert REGISTRY[name].schema[key].maximum == 12
 
 
 def _haar_pure_state_loop(rng, dim, count):

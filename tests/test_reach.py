@@ -23,16 +23,14 @@ PACKAGE = ROOT / "src" / "vnlab"
 
 # Definitions that only the benchmark reaches.  perfbench's bicommutant op
 # closes vN({x (x) 1, y (x) 1}), solves A' and A'' by the generic commutant
-# and takes the centre of A''; its tracer reads `ambient_dim` of every
-# approximant it counts.  No experiment or demo builds an algebra without a
-# structured commutant hint.
+# and takes the centre of A''.  No experiment or demo builds an algebra
+# without a structured commutant hint.
 PERFBENCH_ONLY = {
     ("vnalg", "vn_closure"),
     ("vnalg", "orthonormalize_span"),
     ("vnalg", "_commutant_of_element"),
     ("vnalg", "_commutator_residual"),
     ("vnalg", "center_and_factor"),
-    ("factors", "Approximant.ambient_dim"),
 }
 
 
