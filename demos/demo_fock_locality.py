@@ -39,13 +39,12 @@ print(f"\nfields over K vs its symplectic complement: "
       f"max commutator {locality_check(f, k, kp):.2e}")
 
 print("\ncyclicity rank of vacuum excitations (degree -> rank):")
-for degree in range(4):
-    print(f"   degree {degree}: rank {cyclicity_rank(f, k, degree)}"
-          + ("  <- full space" if cyclicity_rank(f, k, degree) == f.total_dim
-             else ""))
+for degree, r in enumerate(cyclicity_rank(f, k, 3)):
+    print(f"   degree {degree}: rank {r}"
+          + ("  <- full space" if r == f.total_dim else ""))
 line = real_subspace_from_vectors(np.eye(2)[:1])
 print(f"single-mode control at max degree: rank "
-      f"{cyclicity_rank(f, line, f.n_max)} (= cutoff + 1)")
+      f"{cyclicity_rank(f, line, f.n_max)[-1]} (= cutoff + 1)")
 
 f6 = build_fock(2, 6)
 psi6 = 0.5 * psi / np.linalg.norm(psi)

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channels, factors, fock, lattice, locwedge, modular, vnalg
-from .numkit import (BYTE_BUDGET, complex_normal, dagger, haar_pure_state,
-                     haar_unitary, norm2, random_density, require_budget)
+from .numkit import (complex_normal, dagger, haar_pure_state, haar_unitary,
+                     norm2, random_density, require_budget)
 
 
 @dataclass
@@ -337,10 +337,10 @@ def _exp_reeh_schlieder(p, seed):
                    f"(dimension {total_dim})")
     f = fock.build_fock(d, n_max)
     k_std = locwedge.real_subspace_from_vectors(np.eye(d))
-    table = [(dd, fock.cyclicity_rank(f, k_std, dd)) for dd in range(degree + 1)]
-    ranks = [r for _, r in table]
+    ranks = fock.cyclicity_rank(f, k_std, degree)
+    table = list(enumerate(ranks))
     k_line = locwedge.real_subspace_from_vectors(np.eye(d)[:1])
-    line_rank = fock.cyclicity_rank(f, k_line, n_max)
+    line_rank = fock.cyclicity_rank(f, k_line, n_max)[-1]
     metrics = {"cyclicity_table": table, "total_dim": f.total_dim,
                "line_rank": line_rank}
     assertions = [
@@ -638,10 +638,12 @@ def _register(name, description, schema, scale, fn):
     REGISTRY[name] = ExperimentDef(name, description, schema, scale, fn)
 
 
-# A run on M_k (x) 1 peaks at up to 4.3 basis stacks of 16 k^6 bytes
-# (tracemalloc at k = 10: 4.1 kms-random, 4.3 modular-flow, 2.1
-# modular-spectrum); the byte budget admits k = 12 (205 MB; 332 MB at 13).
-_k_max = int((BYTE_BUDGET / (4.3 * 16)) ** (1 / 6))
+# A run on M_k (x) 1 peaks at up to 2.6 basis stacks of 16 k^6 bytes
+# (tracemalloc at k = 10: 2.40 kms-random, 2.51 modular-flow, 2.06
+# modular-spectrum), so the byte budget would admit k = 13 (194 MB; 301 MB
+# at 14).  The cap is 12 for time: on two cores kms-random's 50 default
+# instances take about 3.5 s at max_k = 12 and 8 s at 13.
+_k_max = 12
 
 _register("kms-random",
           "Tomita engine on random standard pairs: polar, KMS, commutant map",
@@ -680,9 +682,14 @@ _register("fock-ccr",
           {"d": Param(int, 3, 2), "n_max": Param(int, 4),
            "pairs": Param(int, 20, 1)}, {"d": 8, "n_max": 6, "pairs": 5},
           _exp_fock_ccr)
+# from n_max = 44 on, the line control loses rank at d = 1 and 2 (the
+# largest in-budget points of larger d, d = 3 at 18 and d = 4 at 10, pass):
+# the top-sector part of Phi(e)^j vacuum shrinks to about 1e-6 of the layer,
+# and the smallest singular value of the stacked layers falls from 1.55e-10
+# of the largest at n_max = 43 to 9.0e-11 at 44, under the 1e-10 rank cut
 _register("reeh-schlieder-rank",
           "cyclicity rank of polynomial field excitations over a real subspace",
-          {"d": Param(int, 2), "n_max": Param(int, 3),
+          {"d": Param(int, 2), "n_max": Param(int, 3, maximum=43),
            "degree": Param(int, 3, 0)}, {"d": 5, "n_max": 6, "degree": 6},
           _exp_reeh_schlieder)
 _register("cluster-decay",

@@ -285,8 +285,9 @@ def cyclicity_bytes(fields: int, total_dim: int) -> int:
     return 2 * (fields + 1) * 16 * total_dim ** 2
 
 
-def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> int:
-    """Rank of span{Phi(psi_1)...Phi(psi_j) vacuum : j <= degree, psi in K}.
+def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> list[int]:
+    """Rank of span{Phi(psi_1)...Phi(psi_j) vacuum : j <= dd, psi in K} at
+    every degree dd = 0, 1, ..., degree, from one set of fields and layers.
 
     Refused before any field is built when `cyclicity_bytes` is over the
     byte budget."""
@@ -305,5 +306,5 @@ def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> int:
             break
         layer = row_space(np.concatenate([layer @ m.T for m in fields]))
         layers.append(layer)
-    return rank(np.concatenate(layers))
+    return [rank(np.concatenate(layers[:dd + 1])) for dd in range(degree + 1)]
 

@@ -178,6 +178,23 @@ def test_registry_points_pass_or_are_refused(name, seed):
         json.dumps([report.to_dict(), report.series], allow_nan=False)
 
 
+def test_reeh_schlieder_builds_each_field_once(monkeypatch):
+    # the whole table comes from one pass: three fields of R^3 and the
+    # line control's one (a call per degree built 4 x 3 + 1)
+    built, field = [], fock.field_operator
+
+    def spy(f, psi):
+        built.append(psi)
+        return field(f, psi)
+
+    monkeypatch.setattr(fock, "field_operator", spy)
+    report = run("reeh-schlieder-rank", {"d": 3, "n_max": 3, "degree": 3})
+    assert report.passed
+    assert report.metrics["cyclicity_table"] == [(0, 1), (1, 4), (2, 10),
+                                                 (3, 20)]
+    assert len(built) == 4
+
+
 def _set_match_error_loop(values, targets, relative):
     """Reference form: one Python step per value and per target."""
     scale = np.abs(targets) if relative else np.ones_like(targets)
@@ -252,8 +269,8 @@ class TestNanDraws:
         ("local-prepare", {}, lattice, "local_difference", 4),
         ("local-difference", {"pairs": 2}, lattice, "local_difference", 2),
         ("powers", {}, factors, "powers_purity", 2),
-        # call 1 is the J A J residual of the instance
-        ("modular-flow", {}, vnalg.OperatorAlgebra, "member_residual", 3),
+        # calls 1-8 are the J A J residual's eight blocks of the instance
+        ("modular-flow", {}, vnalg.OperatorAlgebra, "member_residual", 10),
         ("kms-random", {}, modular, "check", 2),
         # calls 1 and 2 are the first bipartition's region and complement
         ("entropy-scan", {}, lattice, "symplectic_eigenvalues", 3),
@@ -394,6 +411,8 @@ class TestCli:
         ["entropy-scan", "--m", "12"],
         ["causality-probe", "--gap", "12"],
         ["causality-probe", "--m", "5"],
+        # the line control's layers stack below the rank cut
+        ["reeh-schlieder-rank", "--n-max", "44"],
     ])
     def test_out_of_range_parameter_exit_two(self, capsys, argv):
         assert cli.main(argv) == 2

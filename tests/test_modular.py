@@ -423,6 +423,22 @@ class TestReportRecord:
         assert check(md)["group_law"] == check(md)["flow_membership"] == 0.0
         json.dumps(rec)  # JSON-serializable
 
+    def test_nan_in_a_later_jaj_block_is_kept(self, monkeypatch):
+        # the stage's maximum over blocks is numpy's: Python's max keeps its
+        # first value when a later one is NaN
+        md = tomita(*random_pair(np.random.default_rng(5), 3))
+        comm, calls = md.algebra_commutant, []
+        residual = comm.member_residual
+
+        def spoiled(x):
+            calls.append(len(x))
+            return np.nan if len(calls) == 2 else residual(x)
+
+        monkeypatch.setattr(comm, "member_residual", spoiled)
+        assert np.isnan(check(md)["jaj_commutant"])
+        # nine basis elements in eight nonempty blocks
+        assert sorted(calls) == [1] * 7 + [2]
+
     def test_check_needs_the_algebra(self):
         # the algebra is a required field, so every instance carries one
         alg, omega, _ = powers_pair(0.5)
