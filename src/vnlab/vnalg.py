@@ -92,11 +92,7 @@ class OperatorAlgebra:
 
 
 def matrix_units(n: int) -> np.ndarray:
-    units = np.zeros((n * n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            units[i * n + j, i, j] = 1.0
-    return units
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
 
 
 def tensor_factor_algebra(d: int, m: int) -> OperatorAlgebra:

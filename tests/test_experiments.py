@@ -178,9 +178,9 @@ def test_registry_points_pass_or_are_refused(name, seed):
         json.dumps([report.to_dict(), report.series], allow_nan=False)
 
 
-def test_reeh_schlieder_builds_each_field_once(monkeypatch):
-    # the whole table comes from one pass: three fields of R^3 and the
-    # line control's one (a call per degree built 4 x 3 + 1)
+def test_reeh_schlieder_builds_no_dense_field(monkeypatch):
+    # the fields act through the ladder index maps; the layer-stack form
+    # built the three fields of R^3 and the line control's one
     built, field = [], fock.field_operator
 
     def spy(f, psi):
@@ -192,7 +192,7 @@ def test_reeh_schlieder_builds_each_field_once(monkeypatch):
     assert report.passed
     assert report.metrics["cyclicity_table"] == [(0, 1), (1, 4), (2, 10),
                                                  (3, 20)]
-    assert len(built) == 4
+    assert built == []
 
 
 def _set_match_error_loop(values, targets, relative):
@@ -384,6 +384,11 @@ class TestCli:
         ["araki-woods", "--n", "0"],
         ["modular-flow", "--k", "1"],
         ["reeh-schlieder-rank", "--degree", "-1"],
+        # sizes math.comb would refuse inside the run, naming its own
+        # arguments; the commutator checks need n_max >= 2
+        ["reeh-schlieder-rank", "--d", "-1"],
+        ["reeh-schlieder-rank", "--n-max", "-3"],
+        ["fock-ccr", "--n-max", "1"],
         ["local-prepare", "--inputs", "0"],
         ["isometry-impossibility", "--trials", "0"],
         ["local-difference", "--pairs", "0"],
@@ -411,7 +416,7 @@ class TestCli:
         ["entropy-scan", "--m", "12"],
         ["causality-probe", "--gap", "12"],
         ["causality-probe", "--m", "5"],
-        # the line control's layers stack below the rank cut
+        # the run-time cap of the cyclicity table
         ["reeh-schlieder-rank", "--n-max", "44"],
     ])
     def test_out_of_range_parameter_exit_two(self, capsys, argv):
@@ -500,8 +505,8 @@ class TestCli:
         assert err.startswith(f"error: {says}") and "zero_mode" not in err
 
     @pytest.mark.parametrize("argv", [
-        # eight dense fields of dimension 3003 (1.15 GB), and 4095 of
-        # dimension 4096 (about 1.1 TB)
+        # the images of the last block alone are 304 MB at (8, 6), and
+        # 4095 fields on dimension 4096 need about 1.3 GB
         ["reeh-schlieder-rank", "--d", "8", "--n-max", "6"],
         ["reeh-schlieder-rank", "--d", "4095", "--n-max", "1"]])
     def test_over_budget_point_refused_before_allocating(self, capsys, argv):
@@ -560,8 +565,13 @@ class TestCli:
 
     def test_minimum_is_per_experiment(self, capsys):
         # d = 1 is a valid Reeh-Schlieder run, and the fock-ccr minimum of 2
-        # does not reach it
-        assert cli.main(["reeh-schlieder-rank", "--d", "1"]) == 0
+        # does not reach it; the smallest sizes pass
+        for argv in (["reeh-schlieder-rank", "--d", "1"],
+                     ["reeh-schlieder-rank", "--d", "1", "--n-max", "1",
+                      "--degree", "0"],
+                     ["reeh-schlieder-rank", "--n-max", "1", "--degree", "1"],
+                     ["fock-ccr", "--n-max", "2"]):
+            assert cli.main(argv) == 0
 
     def test_seed_flag_threads_through(self, capsys, tmp_path):
         out = tmp_path / "e.json"

@@ -2,7 +2,8 @@
 time: same reports as the loop over the instances in order, and peak memory
 measured with tracemalloc, to which numpy reports its buffers.  The same
 measure holds the approximants and cyclicity_rank to the peaks they state
-against the byte budget.
+against the byte budget: for cyclicity_rank, its span with one copy and the
+images of its last block with their SVD, never a dense field.
 
 S(k) = 16 k^6 bytes is the size of one basis stack of M_k (x) 1 on
 C^k (x) C^k.  A run holds the algebra and its commutant hint (2 S).  The J A J
@@ -135,11 +136,15 @@ def test_approximant_peak_within_stated_bytes():
 
 
 def test_cyclicity_peak_within_stated_bytes():
-    # the reeh-schlieder-rank scale point's K = R^5, at the top degree
-    f = fock.build_fock(5, 6)
-    k = real_subspace_from_vectors(np.eye(5))
-    _, peak, _ = peak_above_entry(lambda: fock.cyclicity_rank(f, k, 6))
-    assert peak < fock.cyclicity_bytes(5, f.total_dim)
+    # the reeh-schlieder-rank scale point's K = R^5, and R^4 at (4, 10),
+    # where the last block's images and their SVD set the peak; both at
+    # the top degree
+    for d, n_max in [(5, 6), (4, 10)]:
+        f = fock.build_fock(d, n_max)
+        k = real_subspace_from_vectors(np.eye(d))
+        _, peak, _ = peak_above_entry(
+            lambda: fock.cyclicity_rank(f, k, n_max))
+        assert peak < fock.cyclicity_bytes(d, d, n_max)
 
 
 def test_factor_algebra_peak_is_what_it_keeps():

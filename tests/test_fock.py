@@ -5,8 +5,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from vnlab.fock import (FockSpace, SectorCommutator, build_fock, create,
-                        cyclicity_rank, field_operator, locality_check,
+from vnlab import fock
+from vnlab.fock import (FockSpace, SectorCommutator, apply_field, build_fock,
+                        create, cyclicity_rank, field_operator, locality_check,
                         sector_commutator, weyl_operator,
                         weyl_relation_defect)
 from vnlab.locwedge import (real_subspace_from_vectors, symplectic_complement,
@@ -181,6 +182,14 @@ class TestFieldOperator:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             field_operator(build_fock(2, 2), np.zeros(2))
+
+    def test_apply_matches_dense_field(self):
+        f = build_fock(3, 4)
+        rng = np.random.default_rng(5)
+        psi = complex_normal(rng, (3,))
+        x = complex_normal(rng, (f.total_dim, 4))
+        want = field_operator(f, psi) @ x
+        assert norm2(apply_field(f, psi, x) - want) < 1e-12
 
 
 class TestCcr:
@@ -447,6 +456,38 @@ class TestCyclicity:
             assert cyclicity_rank(f, k, n_max) == [
                 _product_cyclicity_rank(f, k, degree)
                 for degree in range(n_max + 1)]
+
+    @pytest.mark.parametrize("n_max", [44, 60, 80])
+    def test_line_control_exact_past_the_cap(self, n_max):
+        # each new direction is a tiny part of Phi(e)^j vacuum (8e-7 at
+        # j = 44), which a rank of the stacked powers reads as dependent
+        f = build_fock(1, n_max)
+        k = real_subspace_from_vectors(np.eye(1))
+        assert cyclicity_rank(f, k, n_max) == list(range(1, n_max + 2))
+
+    def test_plane_saturates_past_the_cap(self):
+        # a rank of the stacked layers reads 1030 at the top degree
+        f = build_fock(2, 44)
+        k = real_subspace_from_vectors(np.eye(2))
+        assert cyclicity_rank(f, k, 44) == [f.sector_dim(j)
+                                            for j in range(45)]
+
+    def test_one_decomposition_per_degree(self, monkeypatch):
+        # no dense field and no rank of a stack of layers: one row space
+        # per new block
+        def never(*args):
+            raise AssertionError("dense work in cyclicity_rank")
+
+        calls, row_space = [], fock.row_space
+        monkeypatch.setattr(fock, "field_operator", never)
+        monkeypatch.setattr(fock, "rank", never, raising=False)
+        monkeypatch.setattr(fock, "row_space",
+                            lambda a: calls.append(a.shape) or row_space(a))
+        f = build_fock(3, 4)
+        assert cyclicity_rank(f, real_subspace_from_vectors(np.eye(3)),
+                              4) == [1, 4, 10, 20, 35]
+        assert calls == [(3, f.total_dim), (9, f.total_dim),
+                         (18, f.total_dim), (30, f.total_dim)]
 
     def test_degree_cap(self):
         f = build_fock(2, 2)

@@ -294,6 +294,14 @@ class TestCertifiedCommutant:
         assert span_distance(double, alg) < 1e-10
         assert is_factor and center.size == 1
 
+    def test_matrix_units_match_loop(self):
+        for n in range(1, 13):
+            units = np.zeros((n * n, n, n), dtype=complex)
+            for i in range(n):
+                for j in range(n):
+                    units[i * n + j, i, j] = 1.0
+            assert np.array_equal(matrix_units(n), units)
+
     def test_tensor_factor_bases_match_kron_loop(self):
         for d, m in [(1, 3), (2, 2), (2, 5), (4, 3)]:
             eye_m, eye_d = np.eye(m), np.eye(d)
