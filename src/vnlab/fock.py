@@ -3,14 +3,15 @@
 Occupation-number basis over d modes with total particle number capped at
 n_max, ordered by total particle number, so the sectors <= k are the leading
 `sector_dim(k)` basis states.  A FockSpace stores that basis alone: d is its
-width and n_max the total of its last state.  Ladders are index maps cached
-on first read: for each mode, the basis index that a creator sends each of
-the first `sector_dim(n_max - 1)` states to, and the symmetric-tensor weight
-sqrt(occ + 1); `create` applies a*(v) from them, and no dense ladder matrix
-is formed.  The field operator Phi(psi) = (a(psi) + a*(psi))/sqrt(2) (with
-a conjugate-linear in psi) reproduces the commutator i Im<psi, phi> exactly
-away from the cutoff, so the canonical-commutation and locality checks are
-made on the safe sectors <= n_max - 2, where truncation cannot reach.
+width and n_max the total of its last state.  Ladders are one index map
+cached on first read: for each mode, the basis index that a creator sends
+each of the first `sector_dim(n_max - 1)` states to, and the weight
+sqrt(occ + 1); `apply_ladders` applies any number of ladder sums from it at
+once, and no dense ladder matrix is formed.  The field operator Phi(psi) =
+(a(psi) + a*(psi))/sqrt(2) (with a conjugate-linear in psi) reproduces the
+commutator i Im<psi, phi> exactly away from the cutoff, so the
+canonical-commutation and locality checks are made on the safe sectors
+<= n_max - 2, where truncation cannot reach.
 
 Those checks follow the particle-number structure.  A field moves the
 number by one, so C = [Phi(psi), Phi(phi)] couples sector k only to k and
@@ -59,17 +60,21 @@ class FockSpace:
     @cached_property
     def raise_index(self) -> np.ndarray:
         """(d, sector_dim(n_max - 1)): the basis index a*_m sends each state
-        below the top sector to."""
-        occs = self.occupations.tolist()
-        s1 = self.sector_dim(self.n_max - 1)
-        index = {tuple(o): i for i, o in enumerate(occs)}
-        out = np.empty((self.one_particle_dim, s1), dtype=np.intp)
-        for i, occ in enumerate(occs[:s1]):
-            for m in range(self.one_particle_dim):
-                occ[m] += 1
-                out[m, i] = index[tuple(occ)]
-                occ[m] -= 1
-        return out
+        below the top sector to, counted in `build_fock`'s order.  Of the
+        states that precede one in its sector, below[r, k] agree with it
+        before mode j and exceed it at j (k = d - 1 - j, r the total it
+        leaves to the modes after j); raising mode m adds one to r at j < m."""
+        d = self.one_particle_dim
+        occ = self.occupations[:self.sector_dim(self.n_max - 1)]
+        total = occ.sum(axis=1)
+        # below[r, k]: the states of k modes with total < r
+        below = np.array([[comb(r - 1 + k, k) if r else 0 for k in range(d + 1)]
+                          for r in range(self.n_max + 1)], dtype=np.intp)
+        rest, after = total[:, None] - np.cumsum(occ, axis=1), np.arange(d)[::-1]
+        kept = below[rest, after]
+        gain = below[rest + 1, after] - kept
+        start = below[total + 1, d] + kept.sum(axis=1)    # index of occ + e_0
+        return (start[:, None] + np.cumsum(gain, axis=1) - gain).T
 
     @cached_property
     def raise_value(self) -> np.ndarray:
@@ -88,19 +93,6 @@ class FockSpace:
         return v
 
     @cached_property
-    def ladders(self) -> tuple[np.ndarray, np.ndarray]:
-        """Target index and weight of every ladder on the states below the
-        top sector, each (2d, sector_dim(n_max - 1)): row m is a*_m, row
-        d + m is a_m.  The lowering map inverts `raise_index`; a_m of a state
-        with mode m empty has weight 0."""
-        d, s1 = self.raise_index.shape
-        lower = np.zeros((d, self.total_dim), dtype=np.intp)
-        lower[np.arange(d)[:, None], self.raise_index] = np.arange(s1)
-        return (np.concatenate([self.raise_index, lower[:, :s1]]),
-                np.concatenate([self.raise_value,
-                                np.sqrt(self.occupations[:s1].T)]))
-
-    @cached_property
     def parity_parts(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
         """The ladder-pair terms of Phi(psi) Phi(phi) on the safe sectors
         (total <= n_max - 2), split into the even and the odd totals.
@@ -111,7 +103,13 @@ class FockSpace:
         `pairs` (t2 * 2d + t1) of the two fields' ladder coefficients to flat
         cell `cells` of the width x width part.  Terms that lower an empty
         mode or leave the safe sectors are dropped."""
-        index, weight = self.ladders
+        # rows a*_m, then a_m by the inverse map (weight 0 on an empty mode)
+        d, s1 = self.raise_index.shape
+        lower = np.zeros((d, self.total_dim), dtype=np.intp)
+        lower[np.arange(d)[:, None], self.raise_index] = np.arange(s1)
+        index = np.concatenate([self.raise_index, lower[:, :s1]])
+        weight = np.concatenate([self.raise_value,
+                                 np.sqrt(self.occupations[:s1].T)])
         safe = self.sector_dim(self.n_max - 2)
         two_d = index.shape[0]
         mid = index[:, :safe]                         # [t1, j]
@@ -158,16 +156,24 @@ def build_fock(d: int, n_max: int) -> FockSpace:
     return FockSpace(occupations)
 
 
-def create(f: FockSpace, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a*(v) x = sum_m v_m a*_m x along the first axis of x, scattered from
-    the index maps; the top sector has no image under the truncation."""
+def apply_ladders(f: FockSpace, up, down, x: np.ndarray) -> np.ndarray:
+    """sum_m up[k, m] a*_m x + down[k, m] a_m x along the first axis of x,
+    one image per row k of up and down, which broadcast to (rows, d).  a* is
+    one scatter per mode into every row (the top sector has no image); a_m
+    reads the state a*_m raises each state to, one gather and one
+    contraction over the modes."""
+    up, down = np.broadcast_arrays(up, down)
     x = np.asarray(x)
-    low = x[:f.raise_index.shape[1]]
-    weights = (np.asarray(v)[:, None] * f.raise_value).reshape(
-        f.raise_value.shape + (1,) * (x.ndim - 1))
-    out = np.zeros((f.total_dim,) + x.shape[1:], dtype=complex)
+    index = f.raise_index
+    s1 = index.shape[1]
+    value = f.raise_value.reshape(index.shape + (1,) * (x.ndim - 1))
+    out = np.zeros((len(up), f.total_dim) + x.shape[1:], dtype=complex)
+    lead = (len(up),) + (1,) * x.ndim
     for m in range(f.one_particle_dim):
-        out[f.raise_index[m]] += weights[m] * low
+        out[:, index[m]] += (up[:, m].reshape(lead) * value[m]) * x[:s1]
+    lowered = x[index]            # (d, s1, ...), weighted in place
+    lowered *= value
+    out[:, :s1] += np.tensordot(down, lowered, axes=(1, 0))
     return out
 
 
@@ -182,21 +188,12 @@ def _checked_vector(f: FockSpace, psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def apply_field(f: FockSpace, psi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Phi(psi) on the columns of x: a*(psi) by `create`'s scatter and
-    a(psi) by its adjoint, a gather from the same index maps."""
-    psi = _checked_vector(f, psi)
-    out = create(f, psi, x)
-    weights = psi.conj()[:, None] * f.raise_value
-    for m in range(f.one_particle_dim):
-        out[:weights.shape[1]] += weights[m][:, None] * x[f.raise_index[m]]
-    return out / np.sqrt(2.0)
-
-
 def field_operator(f: FockSpace, psi: np.ndarray) -> np.ndarray:
     """Phi(psi) = (a(psi) + a*(psi)) / sqrt(2), a conjugate-linear in psi: the
-    full total_dim x total_dim matrix, `apply_field` on the identity."""
-    return apply_field(f, psi, np.eye(f.total_dim, dtype=complex))
+    full total_dim x total_dim matrix, `apply_ladders` on the identity."""
+    psi = _checked_vector(f, psi)
+    return apply_ladders(f, psi[None], psi.conj()[None],
+                         np.eye(f.total_dim, dtype=complex))[0] / np.sqrt(2.0)
 
 
 @dataclass
@@ -281,14 +278,19 @@ def weyl_relation_defect(f: FockSpace, psi: np.ndarray,
 
 
 def cyclicity_bytes(fields: int, d: int, n_max: int) -> int:
-    """Stated peak of `cyclicity_rank` with `fields` fields on the Fock
-    space of d modes and cutoff n_max: 16 D (2 D + 3 fields b) bytes, D the
-    dimension and b the states of total n_max - 1, the largest block the
-    fields act on: the span and its copy, and the block's images with their
-    SVD.  tracemalloc read 0.76-0.96 of it for K = R^d at 15 points from
-    (d, n_max) = (2, 20) and (2, 43) to (8, 4) and (8, 5)."""
-    dim = comb(n_max + d, d)
-    return 16 * dim * (2 * dim + 3 * fields * comb(n_max + d - 2, d - 1))
+    """Stated peak of `cyclicity_rank` with `fields` fields on d modes and
+    cutoff n_max: 16 D (2 S + 3 fields b) bytes for the span with its copy
+    and a block's images with their SVD, 16 s1 b (d + 2 fields) for the
+    kernel's gather or scatter, 80 d s1 for the index maps, and 16 KiB.  D
+    and s1 count all states and those below the top sector, S and b the
+    span's and the largest block's rows over the c = min(fields, d) modes
+    that K spans, the only ones its fields reach."""
+    c = min(fields, d)
+    dim, s1 = comb(n_max + d, d), comb(n_max - 1 + d, d)
+    span = comb(n_max + c, c)
+    block = comb(n_max + c - 2, c - 1) if c else 0
+    return (16 * (dim * (2 * span + 3 * fields * block)
+                  + s1 * (block * (d + 2 * fields) + 5 * d)) + (1 << 14))
 
 
 def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> list[int]:
@@ -296,11 +298,14 @@ def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> list[int]:
     every degree dd = 0, 1, ..., degree, from one Krylov pass: the rows of
     `span` are an orthonormal basis of the degrees <= j, and `block` is the
     part degree j added.  Phi(psi) maps the degrees <= j - 1 into the
-    degrees <= j, so the fields act on `block` alone; their images,
-    projected off `span` twice, have the next block as row space.  Refused
-    before any vector is built when `cyclicity_bytes` is over the budget."""
+    degrees <= j, so one `apply_ladders` call moves `block` by every field
+    (without the 1/sqrt(2)); the images, projected off `span` twice, have
+    the next block as row space.  Refused before any vector is built when
+    `cyclicity_bytes` is over the budget."""
     if degree > f.n_max:
         raise ValueError("degree exceeds the particle cutoff")
+    if k.ambient_dim != f.one_particle_dim:
+        raise ValueError("subspace ambient dimension does not match the mode count")
     require_budget(cyclicity_bytes(k.real_dim, f.one_particle_dim, f.n_max),
                    f"cyclicity_rank with {k.real_dim} fields of dimension "
                    f"{f.total_dim}")
@@ -311,8 +316,8 @@ def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> list[int]:
             # the roundoff left along `span` shrinks by about eps^2 a degree
             # and underflows on long chains: ignored, as in numpy.linalg
             with np.errstate(under="ignore"):
-                images = np.concatenate([apply_field(f, psi, block.T).T
-                                         for psi in k.basis])
+                images = apply_ladders(f, k.basis, k.basis.conj(), block.T)
+                images = images.transpose(0, 2, 1).reshape(-1, f.total_dim)
                 for _ in range(2):
                     images -= (images @ dagger(span)) @ span
             block = row_space(images)

@@ -284,8 +284,9 @@ class RegionFockRep:
     def _create(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
         """a*(v) on the (dr, dc) tensor x, v over region then complement."""
         nr = len(self.region)
-        return (fockmod.create(self.fock_region, v[:nr], x)
-                + fockmod.create(self.fock_complement, v[nr:], x.T).T)
+        return (fockmod.apply_ladders(self.fock_region, v[None, :nr], 0, x)[0]
+                + fockmod.apply_ladders(self.fock_complement, v[None, nr:], 0,
+                                        x.T)[0].T)
 
     @cached_property
     def vacuum_vector(self) -> np.ndarray:

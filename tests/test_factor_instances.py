@@ -2,8 +2,9 @@
 time: same reports as the loop over the instances in order, and peak memory
 measured with tracemalloc, to which numpy reports its buffers.  The same
 measure holds the approximants and cyclicity_rank to the peaks they state
-against the byte budget: for cyclicity_rank, its span with one copy and the
-images of its last block with their SVD, never a dense field.
+against the byte budget: for cyclicity_rank, its span with one copy, the
+images of its last block with their SVD, and the ladder kernel's gather and
+index maps, never a dense field.
 
 S(k) = 16 k^6 bytes is the size of one basis stack of M_k (x) 1 on
 C^k (x) C^k.  A run holds the algebra and its commutant hint (2 S).  The J A J
@@ -137,14 +138,18 @@ def test_approximant_peak_within_stated_bytes():
 
 def test_cyclicity_peak_within_stated_bytes():
     # the reeh-schlieder-rank scale point's K = R^5, and R^4 at (4, 10),
-    # where the last block's images and their SVD set the peak; both at
-    # the top degree
-    for d, n_max in [(5, 6), (4, 10)]:
+    # where the last block's images and their SVD set the peak; lines,
+    # where the index maps and the kernel's gather are most of it; and
+    # K = C^3, the highest read of 2 d fields.  All at the top degree, with
+    # the index maps built inside the measured call.
+    for d, n_max, fields in [(5, 6, 5), (4, 10, 4), (3, 22, 1), (52, 2, 1),
+                             (3, 6, 6)]:
         f = fock.build_fock(d, n_max)
-        k = real_subspace_from_vectors(np.eye(d))
+        k = real_subspace_from_vectors(
+            np.concatenate([np.eye(d), 1j * np.eye(d)])[:fields])
         _, peak, _ = peak_above_entry(
             lambda: fock.cyclicity_rank(f, k, n_max))
-        assert peak < fock.cyclicity_bytes(d, d, n_max)
+        assert peak < fock.cyclicity_bytes(fields, d, n_max)
 
 
 def test_factor_algebra_peak_is_what_it_keeps():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from vnlab import fock
-from vnlab.fock import (FockSpace, SectorCommutator, apply_field, build_fock,
-                        create, cyclicity_rank, field_operator, locality_check,
-                        sector_commutator, weyl_operator,
+from vnlab.fock import (FockSpace, SectorCommutator, apply_ladders,
+                        build_fock, cyclicity_rank, field_operator,
+                        locality_check, sector_commutator, weyl_operator,
                         weyl_relation_defect)
 from vnlab.locwedge import (real_subspace_from_vectors, symplectic_complement,
                             wedge_one_particle)
@@ -105,19 +105,32 @@ class TestBuild:
 
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4), (4, 3)])
     def test_index_maps_match_loop_ladders(self, d, n_max):
+        # one row per mode: up = e_m on the identity is a*_m
         f = build_fock(d, n_max)
-        reference = _loop_creators(f)
         identity = np.eye(f.total_dim)
-        for m, e in enumerate(np.eye(d)):
-            assert np.array_equal(create(f, e, identity), reference[m])
+        assert np.array_equal(apply_ladders(f, np.eye(d), 0, identity),
+                              _loop_creators(f))
 
-    def test_create_is_linear_in_the_mode_vector(self):
+    @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4), (4, 3),
+                                         (2, 10), (8, 2), (5, 6)])
+    def test_index_maps_match_the_occupation_lookup(self, d, n_max):
+        # the counted raise map against a dictionary of the basis states
+        f = build_fock(d, n_max)
+        index = {tuple(o): i for i, o in enumerate(f.occupations.tolist())}
+        s1 = f.sector_dim(n_max - 1)
+        lookup = [[index[tuple(o + e)] for o in f.occupations[:s1]]
+                  for e in np.eye(d, dtype=int)]
+        assert f.raise_index.dtype == np.intp
+        assert np.array_equal(f.raise_index, lookup)
+
+    def test_raising_is_linear_in_the_mode_vector(self):
         f = build_fock(3, 4)
         rng = np.random.default_rng(16)
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = rng.standard_normal(f.total_dim)
         dense = np.tensordot(psi, _loop_creators(f), axes=(0, 0))
-        assert np.allclose(create(f, psi, x), dense @ x, rtol=0, atol=1e-14)
+        assert np.allclose(apply_ladders(f, psi[None], 0, x)[0], dense @ x,
+                           rtol=0, atol=1e-14)
 
     def test_sector_dim_is_leading_block(self):
         f = build_fock(3, 4)
@@ -151,7 +164,8 @@ class TestFieldOperator:
         phi = field_operator(f, np.eye(2)[0])
         v = phi @ f.vacuum()
         assert abs(np.linalg.norm(v) - 1 / np.sqrt(2)) < 1e-12
-        assert np.allclose(v, create(f, np.eye(2)[0], f.vacuum()) / np.sqrt(2))
+        assert np.allclose(
+            v, apply_ladders(f, np.eye(2)[:1], 0, f.vacuum())[0] / np.sqrt(2))
 
     def test_two_point_function(self):
         f = build_fock(3, 3)
@@ -184,12 +198,15 @@ class TestFieldOperator:
             field_operator(build_fock(2, 2), np.zeros(2))
 
     def test_apply_matches_dense_field(self):
+        # rows (psi, conj psi) give sqrt(2) Phi(psi), every row in one call
         f = build_fock(3, 4)
         rng = np.random.default_rng(5)
-        psi = complex_normal(rng, (3,))
+        psis = complex_normal(rng, (3,), 5)
         x = complex_normal(rng, (f.total_dim, 4))
-        want = field_operator(f, psi) @ x
-        assert norm2(apply_field(f, psi, x) - want) < 1e-12
+        got = apply_ladders(f, psis, psis.conj(), x) / np.sqrt(2.0)
+        assert got.shape == (5, f.total_dim, 4)
+        for psi, image in zip(psis, got):
+            assert norm2(image - field_operator(f, psi) @ x) < 1e-12
 
 
 class TestCcr:
@@ -293,15 +310,11 @@ class TestSectorCommutator:
 
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4)])
     def test_lowering_rows_are_adjoint_ladders(self, d, n_max):
+        # down = e_m on the identity is a_m, the transpose of a*_m
         f = build_fock(d, n_max)
-        index, weight = f.ladders
-        s1 = f.sector_dim(n_max - 1)
-        creators = _loop_creators(f)
-        for row, dense in enumerate(np.concatenate(
-                [creators, creators.transpose(0, 2, 1)])):
-            got = np.zeros((f.total_dim, s1))
-            got[index[row], np.arange(s1)] = weight[row]
-            assert np.array_equal(got, dense[:, :s1].real)
+        identity = np.eye(f.total_dim)
+        assert np.array_equal(apply_ladders(f, 0, np.eye(d), identity),
+                              _loop_creators(f).transpose(0, 2, 1))
 
     def test_terms_built_once_per_space(self):
         f = build_fock(3, 4)
@@ -488,6 +501,32 @@ class TestCyclicity:
                               4) == [1, 4, 10, 20, 35]
         assert calls == [(3, f.total_dim), (9, f.total_dim),
                          (18, f.total_dim), (30, f.total_dim)]
+
+    def test_one_kernel_call_per_degree(self, monkeypatch):
+        # every field of K moves the block in one call, whatever their count
+        calls, kernel = [], fock.apply_ladders
+        monkeypatch.setattr(fock, "apply_ladders",
+                            lambda f, up, down, x: calls.append(up.shape)
+                            or kernel(f, up, down, x))
+        f = build_fock(3, 4)
+        for fields in (np.eye(3), np.concatenate([np.eye(3), 1j * np.eye(3)])):
+            calls.clear()
+            cyclicity_rank(f, real_subspace_from_vectors(fields), 4)
+            assert calls == [(len(fields), 3)] * 4
+
+    def test_line_admitted_at_its_own_size(self):
+        # the line's span has n_max + 1 rows: a few MiB where K = R^3 on
+        # the same space would be over the budget
+        f = build_fock(3, 24)
+        k = real_subspace_from_vectors(np.eye(3)[:1])
+        assert cyclicity_rank(f, k, 24) == list(range(1, 26))
+
+    def test_rejects_wrong_mode_count(self):
+        f = build_fock(3, 3)
+        for width in (2, 4):
+            k = real_subspace_from_vectors(np.eye(width))
+            with pytest.raises(ValueError, match="mode count"):
+                cyclicity_rank(f, k, 2)
 
     def test_degree_cap(self):
         f = build_fock(2, 2)
