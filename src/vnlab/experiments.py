@@ -634,11 +634,13 @@ def _register(name, description, schema, scale, fn):
     REGISTRY[name] = ExperimentDef(name, description, schema, scale, fn)
 
 
-# A run on M_k (x) 1 peaks at up to 2.6 basis stacks of 16 k^6 bytes
-# (tracemalloc at k = 10: 2.40 kms-random, 2.51 modular-flow, 2.06
-# modular-spectrum), so the byte budget would admit k = 13 (194 MB; 301 MB
-# at 14).  The cap is 12 for time: on two cores kms-random's 50 default
-# instances take about 3.5 s at max_k = 12 and 8 s at 13.
+# A run on M_k (x) 1 peaks at up to 2.5 basis stacks of 16 k^6 bytes
+# (tracemalloc at k = 10: 2.31 kms-random, 2.42 modular-flow, 2.06
+# modular-spectrum), so the byte budget would admit k = 13 (193 MB; 301 MB
+# at 14).  The cap is 12 for time.  It was set when kms-random's 50 default
+# instances took about 4 s at max_k = 12 and 7.3 s at 13 on two cores;
+# with membership by partial trace and J A J from N's column blocks they
+# take 1.5-1.8 s and 2.5-2.6 s.
 _k_max = 12
 
 _register("kms-random",
@@ -704,11 +706,15 @@ _register("local-difference",
           {"dim": Param(int, 4, 2, 12), "pairs": Param(int, 5, 1)},
           {"dim": 12}, _exp_local_difference)
 # the overlap falls as e^{-rate(m) gap}: at m = 3 and gap = 8 it reads
-# 3e-13 at t = 0.5, and beyond either cap it sinks to the roundoff floor
+# 3e-13 at t = 0.5, and beyond either cap it sinks to the roundoff floor.
+# A negative gap overlaps the packets (the run refuses that), and below
+# -2 width it puts the second packet on the other side of the first,
+# |gap| - 2 width sites away, where the cap no longer bounds the distance:
+# --gap -40 --width 1 failed both nonzero assertions
 _register("causality-probe",
           "disjoint-packet overlap under relativistic one-particle evolution",
           {"m": Param(float, 1.0, 0.0, 3.0), "sites": Param(int, 256),
-           "gap": Param(int, 4, maximum=8), "width": Param(int, 8),
+           "gap": Param(int, 4, 0, 8), "width": Param(int, 8),
            "t": Param(float, 0.5)}, {"sites": 4096}, _exp_causality_probe)
 _register("local-prepare",
           "state-independent Kraus preparation of a vector state on one factor",

@@ -188,10 +188,25 @@ def _checked_vector(f: FockSpace, psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+def field_bytes(dim: int) -> int:
+    """Stated peak of `field_operator` on a Fock space of dimension D = dim:
+    six dense operators of 16 D^2 bytes, and 16 KiB.  They are the
+    identity, the lowered identity (d n_max / (d + n_max) operators), the
+    scatter's temporaries and the result.  Over 30 spaces with
+    21 <= D <= 1891, tracemalloc read 3.0 operators at d = 1671, n_max = 1,
+    and at most 5.6, at d = 4, n_max = 10; `weyl_operator`, whose
+    eigensolve follows, read at most 5.0.  The budget admits D <= 1672."""
+    return 96 * dim ** 2 + (1 << 14)
+
+
 def field_operator(f: FockSpace, psi: np.ndarray) -> np.ndarray:
     """Phi(psi) = (a(psi) + a*(psi)) / sqrt(2), a conjugate-linear in psi: the
-    full total_dim x total_dim matrix, `apply_ladders` on the identity."""
+    full total_dim x total_dim matrix, `apply_ladders` on the identity.
+    Refused when `field_bytes` is over the budget."""
     psi = _checked_vector(f, psi)
+    require_budget(field_bytes(f.total_dim),
+                   f"a field operator on the Fock space of dimension "
+                   f"{f.total_dim}")
     return apply_ladders(f, psi[None], psi.conj()[None],
                          np.eye(f.total_dim, dtype=complex))[0] / np.sqrt(2.0)
 

@@ -99,9 +99,11 @@ def check(md: ModularData, flows=()) -> dict:
     off the algebra to ``flow_membership`` (maxima; 0.0 without samples).
     Each stage is its own helper, so its arrays are freed before the next.
     With S the size of the basis stack, the J A J stage runs over eighths of
-    the basis and peaks at about S / 4 above what the caller holds (one
-    conjugated block and one temporary of ``member_residual``; tracemalloc
-    read 0.27 S at k = 10); no other stage copies the basis.
+    the basis.  On M_k (x) 1 it peaks at about S / 5 above what the caller
+    holds (one block of images, which membership by partial trace reduces
+    in place; tracemalloc read 0.19 S at k = 10); on an algebra without a
+    split, at about S / 4 (one conjugated block and one temporary of the
+    projection; 0.28 S on the same basis).  No other stage copies the basis.
     """
     return {**_polar_defects(md), "kms": _kms(md),
             "jaj_commutant": _jaj_residual(md),
@@ -111,15 +113,30 @@ def check(md: ModularData, flows=()) -> dict:
 def _jaj_residual(md: ModularData) -> float:
     """Largest residual of J b J off A' over the basis, block by block.
 
-    Eight blocks (one element each when the basis is smaller) keep the
-    stage at a quarter of a stack: two or four blocks ran about 12% faster
-    at k = 12 but peak at S and S / 2, and sixteen ran 9-35% slower at
-    k = 8 to 12.  numpy's maximum keeps a NaN block, which Python's max
-    would drop."""
-    basis = md.algebra.basis
-    return float(np.max([
-        md.algebra_commutant.member_residual(conjugate_by_j(md, block))
-        for block in np.array_split(basis, min(8, len(basis)))]))
+    On M_d (x) 1_m the basis element b = E_ij (x) 1 / sqrt(m) is real, so
+    J b J = N b conj(N) is N's column block i times conj(N)'s row block j
+    over sqrt(m): about k^5 flops an element on C^k (x) C^k, against 2 k^6
+    for `conjugate_by_j`, which any other algebra uses.  Eight blocks (one
+    element each when the basis is smaller) bound the stage's peak (see
+    `check`): with `conjugate_by_j` on M_k (x) 1, two or four blocks ran
+    about 12% faster at k = 12 but peaked at S and S / 2, and sixteen ran
+    9-35% slower at k = 8 to 12.  numpy's maximum keeps a NaN block, which
+    Python's max would drop."""
+    a = md.algebra
+    parts = min(8, a.size)
+    if a.split is not None and a.split[2] == 0:
+        d, m, _ = a.split
+        cols = md.j.mat.reshape(-1, d, m).transpose(1, 0, 2) / np.sqrt(m)
+        rows = md.j.mat.conj().reshape(d, m, -1)
+        images = (cols[idx // d] @ rows[idx % d]
+                  for idx in np.array_split(np.arange(a.size), parts))
+    else:
+        images = (conjugate_by_j(md, block)
+                  for block in np.array_split(a.basis, parts))
+    # map drops each image before it makes the next; a comprehension's
+    # loop variable would hold it
+    return float(np.max(list(map(md.algebra_commutant.member_residual,
+                                 images))))
 
 
 def _polar_defects(md: ModularData) -> dict:

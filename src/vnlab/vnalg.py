@@ -2,12 +2,12 @@
 
 Algebras are unital *-closed spans of matrices, stored with a basis that is
 orthonormal in the Hilbert-Schmidt inner product tr(A* B); membership tests
-are then projection residuals with a single threshold.  Every rank decision
-is numkit's rank rule: the closure grows a span by one letter per pass,
-commutants are solved from one random element of the algebra on the entries
-where its Hermitian part's commutator vanishes and certified against the
-whole basis, and the center is one null space over the algebra's
-coefficients.
+are then projection residuals with a single threshold (on a tensor factor,
+the projection is a partial trace).  Every rank decision is numkit's rank
+rule: the closure grows a span by one letter per pass, commutants are solved
+from one random element of the algebra on the entries where its Hermitian
+part's commutator vanishes and certified against the whole basis, and the
+center is one null space over the algebra's coefficients.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ class OperatorAlgebra:
         self.basis = basis
         self.generators = None if generators is None else np.asarray(generators, complex)
         self.commutant_hint: "OperatorAlgebra | None" = None
+        # (d, m, side), set by tensor_factor_algebra alone: side 0 for
+        # M_d (x) 1_m, 1 for 1_d (x) M_m, each with the basis of matrix units
+        # that function builds (modular.check reads the left one's order)
+        self.split: tuple[int, int, int] | None = None
 
     @property
     def dim(self) -> int:
@@ -54,20 +58,32 @@ class OperatorAlgebra:
         """Linear dimension of the algebra."""
         return self.basis.shape[0]
 
-    def _flat(self) -> np.ndarray:
-        return self.basis.reshape(self.size, -1)
-
     def member_residual(self, x: np.ndarray) -> float:
         """Norm of the component of x orthogonal to the span; for a stack of
         matrices, the largest over the stack.  A complex stack is overwritten
         by those components (the projections are subtracted in place); a
-        single matrix is left as it is.  A stack still costs one temporary of
-        its own size, first its conjugated rows, then the projection product.
+        single matrix is left as it is.  A tensor factor subtracts a partial
+        trace in place: tr_2 x (x) 1 / m on M_d (x) 1, 1 (x) tr_1 x / d on
+        1 (x) M_m.  Any other algebra projects onto its basis, and a stack
+        then costs one temporary of its own size, first its conjugated
+        rows, then the projection product.
         """
         rows = x.reshape(-1, self.dim ** 2).astype(complex, copy=x.ndim == 2)
-        f = self._flat()
-        # the coefficients tr(b_i* x) conjugate x, not the whole basis
-        rows -= (f @ rows.conj().T).conj().T @ f
+        if self.split is None:
+            f = self.basis.reshape(self.size, -1)
+            # the coefficients tr(b_i* x) conjugate x, not the whole basis
+            rows -= (f @ rows.conj().T).conj().T @ f
+        else:
+            # the entries x[(a, i), (b, j)] the projection reaches are a
+            # writeable diagonal view: i = j on the left, a = b on the right
+            d, m, side = self.split
+            blocks = rows.reshape(-1, d, m, d, m)
+            if side == 0:
+                diag = np.einsum("xaibi->xabi", blocks)
+                diag -= diag.sum(axis=-1, keepdims=True) / m
+            else:
+                diag = np.einsum("xaiaj->xaij", blocks)
+                diag -= diag.sum(axis=1, keepdims=True) / d
         # per row, the sum np.linalg.norm forms for one matrix
         sq = np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag)
         return float(np.sqrt(sq.max()))
@@ -100,7 +116,8 @@ def tensor_factor_algebra(d: int, m: int) -> OperatorAlgebra:
 
     The hint lets structured models avoid the generic null-space solve
     (cross-checked against it in the test suite at small dimensions), and it
-    is where the right factor is reached.  The hint points one way only: a
+    is where the right factor is reached.  Both record their split, so
+    membership in either is a partial trace.  The hint points one way only: a
     pair hinting at each other is a reference cycle, and both bases would
     stay allocated until the cyclic garbage collector happened to run.
     """
@@ -113,6 +130,7 @@ def tensor_factor_algebra(d: int, m: int) -> OperatorAlgebra:
                         matrix_units(m)).reshape(m * m, n, n)
     alg = OperatorAlgebra(left_b)
     alg.commutant_hint = OperatorAlgebra(right_b)
+    alg.split, alg.commutant_hint.split = (d, m, 0), (d, m, 1)
     return alg
 
 
@@ -206,7 +224,8 @@ def center_and_factor(a: OperatorAlgebra) -> tuple[OperatorAlgebra, bool]:
     # row block j, column i: the entries of [b_j, b_i]
     cmap = (prod - prod.swapaxes(0, 1)).transpose(0, 2, 3, 1)
     coeff = null_space(cmap.reshape(-1, a.size))
-    center = OperatorAlgebra((coeff @ a._flat()).reshape(-1, a.dim, a.dim))
+    flat = a.basis.reshape(a.size, -1)
+    center = OperatorAlgebra((coeff @ flat).reshape(-1, a.dim, a.dim))
     return center, center.size == 1
 
 

@@ -404,6 +404,8 @@ class TestCli:
         ["disentangle", "--lam", "-1"],
         ["causality-probe", "--m", "nan"],
         ["entropy-scan", "--m", "nan"],
+        # a negative gap overlaps the packets or wraps round the ring
+        ["causality-probe", "--gap", "-1"],
         # no minimum: a NaN or inf is refused as not finite
         ["araki-woods", "--window", "nan"],
         ["araki-woods", "--window", "inf"],

@@ -1,17 +1,18 @@
 """The modular experiments on random standard pairs hold one M_k (x) 1 at a
 time: same reports as the loop over the instances in order, and peak memory
 measured with tracemalloc, to which numpy reports its buffers.  The same
-measure holds the approximants and cyclicity_rank to the peaks they state
-against the byte budget: for cyclicity_rank, its span with one copy, the
-images of its last block with their SVD, and the ladder kernel's gather and
-index maps, never a dense field.
+measure holds the approximants, field_operator and cyclicity_rank to the
+peaks they state against the byte budget: for field_operator, six dense
+operators; for cyclicity_rank, its span with one copy, the images of its
+last block with their SVD, and the ladder kernel's gather and index maps,
+never a dense field.
 
 S(k) = 16 k^6 bytes is the size of one basis stack of M_k (x) 1 on
 C^k (x) C^k.  A run holds the algebra and its commutant hint (2 S).  The J A J
 stage of ``modular.check`` runs over eighths of the basis and adds about
-S / 4 on top; no other stage copies a stack.  At k = 10 tracemalloc read
-2.40 S for kms-random, 2.51 S for modular-flow and 2.06 S for
-modular-spectrum.
+S / 5 on top (one block of images, reduced in place by the partial trace);
+no other stage copies a stack.  At k = 10 tracemalloc read 2.31 S for
+kms-random, 2.42 S for modular-flow and 2.06 S for modular-spectrum.
 """
 
 import tracemalloc
@@ -19,11 +20,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vnlab import factors, fock, modular
+from vnlab import factors, fock, modular, vnalg
 from vnlab.experiments import (REGISTRY, Assertion, _conditioned_weights,
                                _faithful_vector, run)
 from vnlab.locwedge import real_subspace_from_vectors
-from vnlab.numkit import dagger, haar_unitary
+from vnlab.numkit import complex_normal, dagger, haar_unitary
 from vnlab.vnalg import tensor_factor_algebra
 
 
@@ -114,6 +115,33 @@ def test_same_reports_as_instance_order(monkeypatch, name, reference, max_k):
         assert found == expected
 
 
+def test_kms_random_does_no_dense_work(monkeypatch):
+    # J A J reads N's column blocks and membership in M_k (x) 1 and in its
+    # commutant is a partial trace: conjugate_by_j runs once an instance,
+    # for jdj_inverse, and no member_residual projects onto a basis
+    calls = {"conjugate_by_j": 0, "member_residual": 0, "dense": 0}
+    conjugate = modular.conjugate_by_j
+    residual = vnalg.OperatorAlgebra.member_residual
+
+    def conjugate_spy(md, x):
+        calls["conjugate_by_j"] += 1
+        return conjugate(md, x)
+
+    def residual_spy(self, x):
+        calls["member_residual"] += 1
+        calls["dense"] += getattr(self, "split", None) is None
+        return residual(self, x)
+
+    monkeypatch.setattr(modular, "conjugate_by_j", conjugate_spy)
+    monkeypatch.setattr(vnalg.OperatorAlgebra, "member_residual", residual_spy)
+    report = run("kms-random", {})
+    assert report.passed
+    # per instance, min(8, k^2) J A J blocks and four flow samples, with
+    # 17 instances at k = 2, 17 at 3 and 16 at 4
+    assert calls == {"conjugate_by_j": 50,
+                     "member_residual": 17 * 4 + 33 * 8 + 50 * 4, "dense": 0}
+
+
 @pytest.mark.parametrize("name,params,bound", [
     # the instance-order loop read 6.1 S and 5.55 S; the whole-basis J A J
     # stage read 4.14 S (kms-random) and 4.25 S (modular-flow)
@@ -150,6 +178,23 @@ def test_cyclicity_peak_within_stated_bytes():
         _, peak, _ = peak_above_entry(
             lambda: fock.cyclicity_rank(f, k, n_max))
         assert peak < fock.cyclicity_bytes(fields, d, n_max)
+
+
+def test_field_operator_peak_within_stated_bytes():
+    # the largest read, at (4, 10); the one-mode-per-state edge (300, 1),
+    # near half the statement; and spaces between.  weyl_operator runs
+    # its eigensolve after the field, under the same statement.
+    rng = np.random.default_rng(3)
+    for d, n_max, fn in [(4, 10, fock.field_operator),
+                         (300, 1, fock.field_operator),
+                         (6, 6, fock.field_operator),
+                         (2, 40, fock.field_operator),
+                         (2, 40, fock.weyl_operator)]:
+        f = fock.build_fock(d, n_max)
+        psi = complex_normal(rng, (d,))
+        _, peak, _ = peak_above_entry(lambda: fn(f, psi))
+        stated = fock.field_bytes(f.total_dim)
+        assert 0.45 * stated < peak < stated
 
 
 def test_factor_algebra_peak_is_what_it_keeps():

@@ -317,7 +317,7 @@ class TestAgainstTomita:
         alg = dense_algebra(approx)
         generic = commutant(alg, use_hint=False)
         hinted = commutant(alg)
-        fa, fb = generic._flat(), hinted._flat()
+        fa, fb = (x.basis.reshape(x.size, -1) for x in (generic, hinted))
         assert norm2(fa.conj().T @ fa - fb.conj().T @ fb) < 1e-10
 
 

@@ -9,7 +9,8 @@ from reference import full_matrix_algebra, gns, herm_fn
 from vnlab import channels, modular, vnalg
 from vnlab.modular import (ModularData, check, conjugate_by_j, modular_flow,
                            purify, tomita)
-from vnlab.numkit import antilinear_polar, dagger, haar_unitary, norm2
+from vnlab.numkit import (AntilinearMap, antilinear_polar, complex_normal,
+                          dagger, haar_unitary, norm2)
 from vnlab.vnalg import (OperatorAlgebra, commutant, matrix_units,
                          tensor_factor_algebra, vn_closure,
                          cyclic_separating)
@@ -438,6 +439,35 @@ class TestReportRecord:
         assert np.isnan(check(md)["jaj_commutant"])
         # nine basis elements in eight nonempty blocks
         assert sorted(calls) == [1] * 7 + [2]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_jaj_column_blocks_match_conjugate_by_j(self, monkeypatch, k):
+        # on M_k (x) 1 the stage reads J b J from N's column blocks; the
+        # reference is conjugate_by_j on the whole basis, with its residual
+        # from the dense projection onto A' (a copy without the split).  A
+        # generic N in place of J's puts the images off A' by O(1).
+        rng = np.random.default_rng(k)
+        md = tomita(*random_pair(rng, k))
+        skewed = replace(md, j=AntilinearMap(complex_normal(rng, (k * k,) * 2)))
+        comm, seen = md.algebra_commutant, []
+        dense = OperatorAlgebra(comm.basis)
+        residual = comm.member_residual
+
+        def spy(x):
+            seen.append(x.copy())
+            return residual(x)
+
+        monkeypatch.setattr(comm, "member_residual", spy)
+        for data in (md, skewed):
+            assert data.algebra_commutant is comm
+            images = conjugate_by_j(data, data.algebra.basis)
+            ref = dense.member_residual(images.copy())
+            seen.clear()
+            got = modular._jaj_residual(data)
+            assert abs(got - ref) <= 1e-13 * max(1.0, ref)
+            assert np.max(np.abs(np.concatenate(seen) - images)) \
+                <= 1e-14 * np.max(np.abs(images))
+        assert ref > 0.1
 
     def test_check_needs_the_algebra(self):
         # the algebra is a required field, so every instance carries one

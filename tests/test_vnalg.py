@@ -20,7 +20,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def span_distance(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
-    fa, fb = a._flat(), b._flat()
+    fa, fb = (x.basis.reshape(x.size, -1) for x in (a, b))
     return norm2(fa.conj().T @ fa - fb.conj().T @ fb)
 
 
@@ -68,8 +68,8 @@ def principal_intersection(a: OperatorAlgebra,
                            b: OperatorAlgebra) -> OperatorAlgebra:
     """Reference form: span a ∩ span b from the principal angles, keeping
     each direction whose cosine is within 1e-9 of one."""
-    fa = a._flat()
-    p, cosines, _ = np.linalg.svd(fa.conj() @ b._flat().T,
+    fa, fb = (x.basis.reshape(x.size, -1) for x in (a, b))
+    p, cosines, _ = np.linalg.svd(fa.conj() @ fb.T,
                                   full_matrices=False)
     shared = p[:, cosines >= 1.0 - 1e-9].T @ fa
     return OperatorAlgebra(shared.reshape(-1, a.dim, a.dim))
@@ -431,9 +431,12 @@ class TestSpanTools:
 
     def test_member_residual_of_a_stack(self):
         # a single matrix gives ||x - P x||_F bit for bit and is left as it
-        # is; a stack gives the largest of its matrices' residuals
+        # is; a stack gives the largest of its matrices' residuals.  The
+        # algebra is M_3 (x) 1 without its split, so it projects onto its
+        # basis; the partial trace of the split one agrees at roundoff.
         rng = np.random.default_rng(41)
-        alg = tensor_factor_algebra(3, 3)
+        split = tensor_factor_algebra(3, 3)
+        alg = OperatorAlgebra(split.basis)
         f = alg.basis.reshape(alg.size, -1)
         stack = (rng.standard_normal((5, 9, 9))
                  + 1j * rng.standard_normal((5, 9, 9)))
@@ -446,7 +449,72 @@ class TestSpanTools:
             assert singles[-1] == np.linalg.norm(x - proj)
             assert np.array_equal(x, kept)
         assert singles[2] <= 1e-12 < min(singles[:2] + singles[3:])
+        assert split.member_residual(stack.copy()) == pytest.approx(
+            max(singles), rel=1e-13)
         assert alg.member_residual(stack) == pytest.approx(max(singles),
                                                            rel=1e-13)
         assert alg.member_residual(np.eye(9)) <= 1e-12  # real input
+        assert split.member_residual(np.eye(9)) <= 1e-12
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("d,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+class TestTensorFactorSplit:
+    """Membership in M_d (x) 1 (side 0) and in its commutant 1 (x) M_m (side
+    1) is a partial trace; the reference is the dense projection onto the
+    same basis, an algebra that carries no split."""
+
+    @staticmethod
+    def pair(d, m, side):
+        alg = tensor_factor_algebra(d, m)
+        split = (alg, alg.commutant_hint)[side]
+        return split, OperatorAlgebra(split.basis), np.random.default_rng(
+            [d, m, side])
+
+    def test_split_is_recorded(self, d, m, side):
+        split, dense, _ = self.pair(d, m, side)
+        assert split.split == (d, m, side)
+        assert dense.split is None
+        assert commutant(split, use_hint=False).split is None
+
+    def test_random_matrices(self, d, m, side):
+        split, dense, rng = self.pair(d, m, side)
+        n = d * m
+        for x in [*complex_normal(rng, (4, n, n)),
+                  rng.standard_normal((n, n))]:
+            kept = x.copy()
+            got, ref = split.member_residual(x), dense.member_residual(x)
+            assert abs(got - ref) <= 1e-13 * ref
+            assert np.array_equal(x, kept)
+
+    def test_near_members(self, d, m, side):
+        split, dense, rng = self.pair(d, m, side)
+        n = d * m
+        for _ in range(4):
+            member = split.random_element(rng)
+            assert split.member_residual(member) <= 1e-14 * norm2(member)
+            x = member + 1e-10 * complex_normal(rng, (n, n))
+            got, ref = split.member_residual(x), dense.member_residual(x)
+            assert 1e-12 < ref <= MEMBERSHIP_RTOL * np.linalg.norm(x)
+            assert abs(got - ref) <= 1e-5 * ref
+            assert split.contains(x)
+
+    def test_stack_overwritten_in_place(self, d, m, side):
+        split, dense, rng = self.pair(d, m, side)
+        n = d * m
+        stack = complex_normal(rng, (5, n, n))
+        stack[1] = split.random_element(rng)
+        got, ref = stack.copy(), stack.copy()
+        residual = split.member_residual(got)
+        assert residual == pytest.approx(dense.member_residual(ref),
+                                         rel=1e-13)
+        # both hold the components off the span, and the member's is zero
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(stack))
+        assert np.max(np.abs(got[1])) <= 1e-14 * np.max(np.abs(stack[1]))
+        assert residual == pytest.approx(
+            np.linalg.norm(got, axis=(1, 2)).max(), rel=1e-13)
+        real = rng.standard_normal((3, n, n))
+        kept = real.copy()
+        split.member_residual(real)
+        assert np.array_equal(real, kept)
 
