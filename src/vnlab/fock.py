@@ -271,6 +271,8 @@ def weyl_operator(f: FockSpace, psi: np.ndarray) -> np.ndarray:
     """exp(i Phi(psi)) on the truncation (exactly unitary as a matrix; the
     discrepancy against the untruncated Weyl operator sits in the top sectors)."""
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (f.one_particle_dim,):
+        raise ValueError("one-particle vector does not match the mode count")
     if np.linalg.norm(psi) == 0:
         return np.eye(f.total_dim, dtype=complex)
     phi = field_operator(f, psi)

@@ -1,11 +1,14 @@
 """Tomita-Takesaki engine on finite-dimensional standard pairs.
 
 From an algebra with a cyclic separating vector Omega, the antilinear map
-S: b Omega -> b* Omega is one square solve over the orbit.  The SVD of its
-polar decomposition S = J Delta^{1/2} also diagonalizes Delta, so J, Delta's
+S: b Omega -> b* Omega is one square solve between the orbit {b_i Omega}
+and the adjoint orbit {b_i* Omega}, which `tomita` forms once; the orbit's
+rank also decides cyclic and separating.  The SVD of the polar
+decomposition S = J Delta^{1/2} also diagonalizes Delta, so J, Delta's
 spectrum and every power come from that one factorization.  `check` is the
-one checker of an instance: the polar identities, KMS and J A J = A' over
-the basis, and the group law and invariance of the flow on given samples.
+one checker of an instance: the polar identities, KMS over the orbits,
+J A J = A' over the basis, and the group law and invariance of the flow on
+given samples.
 """
 
 from __future__ import annotations
@@ -15,22 +18,26 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkit import (AntilinearMap, antilinear_polar, dagger, nonzero_mask,
-                     norm2)
-from .vnalg import OperatorAlgebra, commutant, cyclic_separating
+from .numkit import (VALIDITY_ATOL, AntilinearMap, antilinear_polar, dagger,
+                     nonzero_mask, norm2, rank)
+from .vnalg import OperatorAlgebra, commutant
 
 
 @dataclass
 class ModularData:
     """The triple (S, Delta, J) attached to (algebra, Omega).  Delta is held
     as the eigenpair ``delta_eigh`` = (w ascending, u) that
-    ``antilinear_polar`` returns; Delta, its spectrum and powers read it."""
+    ``antilinear_polar`` returns; Delta, its spectrum and powers read it.
+    ``orbit`` and ``adjoint_orbit`` hold b_i Omega and b_i* Omega as the
+    columns of two dim x size matrices."""
 
     s: AntilinearMap
     j: AntilinearMap
     delta_eigh: tuple[np.ndarray, np.ndarray]
     algebra: OperatorAlgebra
     omega: np.ndarray
+    orbit: np.ndarray
+    adjoint_orbit: np.ndarray
     solve_residual: float = 0.0
 
     @property
@@ -56,17 +63,23 @@ def tomita(a: OperatorAlgebra, omega: np.ndarray) -> ModularData:
     """Modular data of (a, omega) with omega cyclic and separating.
 
     The conjugation matrix M of S solves M conj(b_i omega) = b_i* omega over
-    the basis.  Cyclicity gives the orbit {b_i omega} rank dim H and
-    separation gives it rank dim A, so the system is square and invertible;
-    the residual of its solve is kept as a diagnostic.
+    the basis.  One rank of the orbit {b_i omega} decides both conditions:
+    omega is cyclic iff it spans H, and separating iff b -> b omega is
+    injective on the algebra, that is iff it is dim A.  The system is then
+    square and invertible; the residual of its solve is kept as a
+    diagnostic.  The two orbits are the only passes over the basis stack.
     """
     omega = np.asarray(omega, dtype=complex)
-    cyc, sep = cyclic_separating(a, omega)
-    missing = [word for word, ok in (("cyclic", cyc), ("separating", sep))
+    # written so that a NaN omega is refused before the SVD
+    if not abs(float(np.linalg.norm(omega)) - 1.0) <= VALIDITY_ATOL:
+        raise ValueError("omega must be normalized")
+    orbit = np.einsum("aij,j->ia", a.basis, omega)          # columns b_i omega
+    orbit_rank = rank(orbit)
+    missing = [word for word, ok in (("cyclic", orbit_rank == a.dim),
+                                     ("separating", orbit_rank == a.size))
                if not ok]
     if missing:
         raise ValueError(f"omega is not {' or '.join(missing)} for the algebra")
-    orbit = np.einsum("aij,j->ia", a.basis, omega)          # columns b_i omega
     # columns b_i* omega; conjugating omega and the result spares a
     # conjugate copy of the basis
     target = np.einsum("aji,j->ia", a.basis, omega.conj()).conj()
@@ -74,6 +87,7 @@ def tomita(a: OperatorAlgebra, omega: np.ndarray) -> ModularData:
     residual = float(np.linalg.norm(s.mat @ orbit.conj() - target))
     j, w, u = antilinear_polar(s)
     return ModularData(s=s, j=j, delta_eigh=(w, u), algebra=a, omega=omega,
+                       orbit=orbit, adjoint_orbit=target,
                        solve_residual=residual)
 
 
@@ -93,8 +107,10 @@ def conjugate_by_j(md: ModularData, x: np.ndarray) -> np.ndarray:
 
 def check(md: ModularData, flows=()) -> dict:
     """Defects of every identity of one modular instance, at roundoff for
-    genuine data.  KMS and J A J = A' run over the algebra's basis.  Each
-    flow sample (t, s, x), x in the algebra, adds ||sigma_t sigma_s(x) -
+    genuine data.  KMS runs over the orbits `tomita` formed, and J A J = A'
+    over the algebra's basis elements; on M_d (x) 1 that stage takes each
+    element from its split, so no stage reads the basis stack.  Each flow
+    sample (t, s, x), x in the algebra, adds ||sigma_t sigma_s(x) -
     sigma_{t+s}(x)||_F to ``group_law`` and the residual of sigma_{t+s}(x)
     off the algebra to ``flow_membership`` (maxima; 0.0 without samples).
     Each stage is its own helper, so its arrays are freed before the next.
@@ -159,12 +175,10 @@ def _kms(md: ModularData) -> float:
     """max |<O, x y O> - <O, y Delta x O>| over basis pairs: the orientation
     forced by S = J Delta^{1/2} and S(b O) = b* O.  (Texts with the opposite
     sign convention for the flow write Delta^{-1} here.)"""
-    basis = md.algebra.basis
     # lhs[i, j] = <b_i* O, b_j O> and rhs[j, i] = <b_j* O, Delta b_i O>
-    xo = basis @ md.omega
-    xso = np.conj(basis.transpose(0, 2, 1) @ np.conj(md.omega))
-    lhs = np.conj(xso) @ xo.T
-    rhs = np.conj(xso) @ (md.delta @ xo.T)
+    adjoint = md.adjoint_orbit.conj().T
+    lhs = adjoint @ md.orbit
+    rhs = adjoint @ (md.delta @ md.orbit)
     return float(np.max(np.abs(lhs - rhs.T)))
 
 
@@ -193,10 +207,9 @@ def purify(rho: np.ndarray, m: int) -> np.ndarray:
     w, u = np.linalg.eigh(0.5 * (rho + dagger(rho)))
     order = np.argsort(w)[::-1]
     w, u = w[order], u[:, order]
-    rank = int(nonzero_mask(w).sum())
-    if m < rank:
-        raise ValueError(f"purification needs at least {rank} ancilla dimensions")
+    kept = int(nonzero_mask(w).sum())
+    if m < kept:
+        raise ValueError(f"purification needs at least {kept} ancilla dimensions")
     psi = np.zeros(k * m, dtype=complex)
-    for i in range(rank):
-        psi += np.sqrt(w[i]) * np.kron(u[:, i], np.eye(m)[i])
+    psi.reshape(k, m)[:, :kept] = u[:, :kept] * np.sqrt(w[:kept])
     return psi

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import (VALIDITY_ATOL, complex_normal, dagger, nonzero_mask,
-                     null_space, rank, row_space)
+from .numkit import (complex_normal, dagger, nonzero_mask, null_space,
+                     row_space)
 
 # an element belongs to a span when its orthogonal residual is below
 # MEMBERSHIP_RTOL times its own norm
@@ -227,23 +227,4 @@ def center_and_factor(a: OperatorAlgebra) -> tuple[OperatorAlgebra, bool]:
     flat = a.basis.reshape(a.size, -1)
     center = OperatorAlgebra((coeff @ flat).reshape(-1, a.dim, a.dim))
     return center, center.size == 1
-
-
-def cyclic_separating(a: OperatorAlgebra,
-                      omega: np.ndarray) -> tuple[bool, bool]:
-    """(is_cyclic, is_separating) for a unit vector.
-
-    Both flags read the rank of the orbit {b_i omega} of the basis: cyclic
-    iff it spans the ambient space, separating iff a -> a omega is injective
-    on the algebra, that is iff the rank equals the algebra's dimension.
-    """
-    omega = np.asarray(omega, dtype=complex)
-    nrm = float(np.linalg.norm(omega))
-    if nrm == 0.0:
-        raise ValueError("zero vector")
-    # written so that a NaN omega is refused before the SVD
-    if not abs(nrm - 1.0) <= VALIDITY_ATOL:
-        raise ValueError("omega must be normalized")
-    orbit_rank = rank(np.einsum("aij,j->ai", a.basis, omega))
-    return orbit_rank == a.dim, orbit_rank == a.size
 

@@ -4,8 +4,10 @@ Each is an independent, dense route to something the package computes in a
 structured way: the spectral calculus behind ``ModularData.delta_power`` and
 ``antilinear_polar``, the eigensolve-based S operator behind the wedge's
 Fourier-mode S, the GNS construction as a second route to modular data, the
-full and scalar matrix algebras as test cases, and the massless chain, which
-``lattice.ground_state`` refuses, with its divergent k = 0 mode dropped.
+cyclic and separating flags that ``modular.tomita`` decides inside its
+solve, the full and scalar matrix algebras as test cases, and the massless
+chain, which ``lattice.ground_state`` refuses, with its divergent k = 0
+mode dropped.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 
 from vnlab.lattice import ChainSpec, GaussianState
 from vnlab.locwedge import COND_CAP
-from vnlab.numkit import VALIDITY_ATOL, AntilinearMap, dagger, nonzero_mask
+from vnlab.numkit import (VALIDITY_ATOL, AntilinearMap, dagger, nonzero_mask,
+                          rank)
 from vnlab.vnalg import OperatorAlgebra, matrix_units, orthonormalize_span
 
 _HERM_FNS = ("exp", "log", "sqrt", "power", "ipower")
@@ -96,6 +99,16 @@ def full_matrix_algebra(n: int) -> OperatorAlgebra:
 
 def scalar_algebra(n: int) -> OperatorAlgebra:
     return OperatorAlgebra(np.eye(n)[None, :, :] / np.sqrt(n))
+
+
+def cyclic_separating(a: OperatorAlgebra,
+                      omega: np.ndarray) -> tuple[bool, bool]:
+    """(is_cyclic, is_separating) for a unit vector, from the rank of the
+    orbit {b_i omega}: cyclic iff it spans the ambient space, separating iff
+    b -> b omega is injective on the algebra, that is iff the rank equals
+    the algebra's dimension."""
+    orbit_rank = rank(np.einsum("aij,j->ai", a.basis, omega))
+    return orbit_rank == a.dim, orbit_rank == a.size
 
 
 @dataclass

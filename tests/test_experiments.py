@@ -195,6 +195,21 @@ def test_reeh_schlieder_builds_no_dense_field(monkeypatch):
     assert built == []
 
 
+def test_causality_first_order_catches_frozen_packets(monkeypatch):
+    # a scan that reads every t as 0 returns the t = 0 roundoff at t = 1e-10
+    # (4.5e-18), which clears that t's nonzero floor of 1e-24; the first
+    # order -i t <chi, w psi> is 3.1e-15 there
+    assert run("causality-probe", {"t": 1e-10}).passed
+    scan = lattice.causality_probe_scan
+    monkeypatch.setattr(lattice, "causality_probe_scan",
+                        lambda spec, a, b, grid: scan(spec, a, b,
+                                                      np.zeros(len(grid))))
+    found = {a.name: a.passed
+             for a in run("causality-probe", {"t": 1e-10}).assertions}
+    assert found["amplitude_nonzero_at_t"]
+    assert not found["amplitude_first_order"]
+
+
 def _set_match_error_loop(values, targets, relative):
     """Reference form: one Python step per value and per target."""
     scale = np.abs(targets) if relative else np.ones_like(targets)
@@ -491,7 +506,8 @@ class TestCli:
         (["causality-probe", "--m", "inf"], "parameter m must be finite"),
         (["cluster-decay", "--m", "inf"], "parameter m must be finite"),
         (["cluster-decay", "--m", "0"], "massless chain"),
-        (["entropy-scan", "--m", "0"], "massless chain"),
+        # the schema's minimum refuses the massless chain first
+        (["entropy-scan", "--m", "0"], "parameter m must be >= 5e-05"),
         # the window from the mass: past the antipode of 400 sites, or
         # under three sites wide
         (["cluster-decay", "--m", "0.1"], "fit range must sit inside"),

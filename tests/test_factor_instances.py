@@ -11,8 +11,12 @@ S(k) = 16 k^6 bytes is the size of one basis stack of M_k (x) 1 on
 C^k (x) C^k.  A run holds the algebra and its commutant hint (2 S).  The J A J
 stage of ``modular.check`` runs over eighths of the basis and adds about
 S / 5 on top (one block of images, reduced in place by the partial trace);
-no other stage copies a stack.  At k = 10 tracemalloc read 2.31 S for
-kms-random, 2.42 S for modular-flow and 2.06 S for modular-spectrum.
+no other stage copies a stack.  ``modular.tomita`` passes over the stack
+twice, for the orbit {b_i Omega} and the adjoint orbit {b_i* Omega}, each a
+k^2 x k^2 matrix that the instance keeps (0.02 S together at k = 10);
+``modular.check`` reads those and the split, and no entry of the stack.  At
+k = 10 tracemalloc read 2.33 S for kms-random, 2.44 S for modular-flow and
+2.06 S for modular-spectrum.
 """
 
 import tracemalloc

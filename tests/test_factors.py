@@ -6,15 +6,15 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from reference import cyclic_separating
 from vnlab import factors
 from vnlab.experiments import run
 from vnlab.factors import (araki_woods_approximant, log_ratio_rational_quality,
                            max_gap_in_window, powers_approximant,
                            powers_purity, signature)
 from vnlab.modular import ModularData, check, tomita
-from vnlab.numkit import AntilinearMap, norm2, require_budget
-from vnlab.vnalg import (OperatorAlgebra, commutant, cyclic_separating,
-                         matrix_units)
+from vnlab.numkit import AntilinearMap, dagger, norm2, require_budget
+from vnlab.vnalg import OperatorAlgebra, commutant, matrix_units
 
 # ---------------------------------------------------------- reference forms
 # The dense D x D objects of an approximant, multiplied out from its site
@@ -59,13 +59,16 @@ def dense_site_powers(approx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def dense_modular(approx) -> ModularData:
     """The dense global data on the dense algebra.  Delta is diagonal, so
     its eigenvectors are the standard basis, put in the order of its
-    ascending diagonal."""
+    ascending diagonal.  The orbits b_i Omega and b_i* Omega are columns."""
     s_mat, delta, j_mat = dense_site_powers(approx)
     w = np.diag(delta).real
     order = np.argsort(w, kind="stable")
+    alg = dense_algebra(approx)
     return ModularData(s=AntilinearMap(s_mat), j=AntilinearMap(j_mat),
                        delta_eigh=(w[order], np.eye(w.size)[:, order]),
-                       algebra=dense_algebra(approx), omega=approx.omega)
+                       algebra=alg, omega=approx.omega,
+                       orbit=(alg.basis @ approx.omega).T,
+                       adjoint_orbit=(dagger(alg.basis) @ approx.omega).T)
 
 
 def _kron_algebra(site_basis, n) -> OperatorAlgebra:

@@ -391,6 +391,14 @@ class TestWeyl:
         f = build_fock(2, 3)
         assert np.allclose(weyl_operator(f, np.zeros(2)), np.eye(f.total_dim))
 
+    def test_zero_vector_of_the_wrong_length_is_refused(self):
+        # the zero shortcut comes after the shape check, as for a non-zero
+        # vector of that length
+        f = build_fock(2, 2)
+        for psi in (np.zeros(7), np.ones(7)):
+            with pytest.raises(ValueError, match="mode count"):
+                weyl_operator(f, psi)
+
     def test_unitarity_on_low_sectors(self):
         f = build_fock(2, 4)
         rng = np.random.default_rng(2)

@@ -9,7 +9,8 @@ from reference import massless_state
 from vnlab.fock import build_fock
 from vnlab.lattice import (ChainSpec, _circulant_block, causality_probe_scan,
                            cluster_function, decay_rate_fit,
-                           expected_decay_rate, ground_state,
+                           expected_decay_rate, first_order_overlap,
+                           ground_state,
                            local_difference, local_difference_bracket,
                            reduced_entropy, region_fock_rep,
                            symplectic_eigenvalues)
@@ -388,3 +389,21 @@ class TestCausalityProbe:
         with pytest.raises(ValueError):
             causality_probe_scan(spec, np.arange(0, 8), np.arange(7, 12),
                                  [0.1])
+
+    def test_first_order_overlap_matches_dense_and_the_slope(self):
+        # <chi, sqrt(m^2 - laplacian) psi> in site space; the scan at small
+        # t is -i t times it, up to the Taylor remainder t^2 (m^2 + 4) / 2
+        spec = ChainSpec(64, 2.0)
+        supp_in, supp_out = np.arange(10, 14), np.arange(16, 20)
+        lap = 2.0 * np.eye(64) - np.roll(np.eye(64), 1, 0) \
+            - np.roll(np.eye(64), -1, 0)
+        w, u = np.linalg.eigh(spec.mass ** 2 * np.eye(64) + lap)
+        bump = np.sin(np.pi * np.arange(1, 5) / 5) / np.sqrt(2.5)
+        psi, chi = np.zeros(64), np.zeros(64)
+        psi[supp_in], chi[supp_out] = bump, bump
+        c1 = first_order_overlap(spec, supp_in, supp_out)
+        assert abs(c1 - chi @ (u * np.sqrt(w)) @ u.T @ psi) < 1e-12
+        assert abs(c1) > 1e-4
+        for t in (1e-4, -1e-5, 1e-7):
+            a = causality_probe_scan(spec, supp_in, supp_out, [t])[0]
+            assert abs(a + 1j * t * c1) <= t ** 2 * (spec.mass ** 2 + 4) / 2

@@ -5,15 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import full_matrix_algebra, gns, herm_fn
+from reference import cyclic_separating, full_matrix_algebra, gns, herm_fn
 from vnlab import channels, modular, vnalg
 from vnlab.modular import (ModularData, check, conjugate_by_j, modular_flow,
                            purify, tomita)
 from vnlab.numkit import (AntilinearMap, antilinear_polar, complex_normal,
                           dagger, haar_unitary, norm2)
 from vnlab.vnalg import (OperatorAlgebra, commutant, matrix_units,
-                         tensor_factor_algebra, vn_closure,
-                         cyclic_separating)
+                         tensor_factor_algebra, vn_closure)
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -133,9 +132,26 @@ class TestTomita:
         for b in alg.basis:
             assert np.linalg.norm(md.s(b @ omega) - dagger(b) @ omega) < 1e-10
 
+    def test_forms_the_orbit_and_its_adjoint_once(self, monkeypatch):
+        # one pass over the basis stack gives b_i omega, whose rank also
+        # decides cyclic and separating, and one gives b_i* omega
+        alg, omega = random_pair(np.random.default_rng(7), 3)
+        calls, einsum = [], np.einsum
+
+        def counted(subscripts, *operands, **kwargs):
+            calls.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        md = tomita(alg, omega)
+        assert len(calls) == 2
+        assert np.array_equal(md.orbit, (alg.basis @ omega).T)
+        assert norm2(md.adjoint_orbit - (dagger(alg.basis) @ omega).T) \
+            < 1e-15
+
     @pytest.mark.parametrize("hinted", [True, False])
     def test_solves_no_commutant(self, monkeypatch, hinted):
-        # both flags of cyclic_separating come from one orbit rank, so
+        # both flags come from one orbit rank, so
         # tomita needs the commutant neither as a hint nor by a generic solve
         alg, omega = random_pair(np.random.default_rng(5), 2)
         if not hinted:
@@ -476,6 +492,18 @@ class TestReportRecord:
         with pytest.raises(TypeError, match="algebra"):
             ModularData(s=md.s, j=md.j, delta_eigh=md.delta_eigh,
                         omega=md.omega)
+
+    def test_check_reads_no_basis_stack_of_a_tensor_factor(self):
+        # KMS reads the orbits tomita formed, and J A J and membership read
+        # the split, so a basis overwritten after tomita changes no value
+        rng = np.random.default_rng(31)
+        alg, omega = random_pair(rng, 3)
+        flows = draw_flows(rng, alg, 3)
+        md = tomita(alg, omega)
+        clean = check(md, flows)
+        alg.basis = np.full(alg.basis.shape, np.nan, complex)
+        assert check(md, flows) == clean
+        assert np.all(np.isfinite(list(clean.values())))
 
     def test_batched_checks_match_per_element_loop(self):
         # on genuine data both sides sit at roundoff, so the comparison also

@@ -5,10 +5,13 @@ experiment), a `demos/*.py` script, or a call the benchmark in `perfbench/`
 makes.  The probe runs in a fresh interpreter with a profile hook set before
 vnlab is imported, so calls made at import time count.  Each experiment runs
 once through the CLI at its defaults.  Code that only tests use belongs in
-`tests/` (shared reference forms in `tests/reference.py`).
+`tests/` (shared reference forms in `tests/reference.py`).  A call is
+matched to its definition by file and first line, the line of the first
+decorator if there is one, which is what a code object reports on every
+Python the package supports (`co_qualname` is new in 3.11).
 
 Run as a script, this module is the probe: it prints the entered
-(file, qualified name) pairs as JSON on its last line.
+(file, first line) pairs as JSON on its last line.
 """
 
 import ast
@@ -37,7 +40,12 @@ PERFBENCH_ONLY = {
 def definitions():
     """(module path, qualified name) of every function, method and property
     in the package, nested functions included; dunder methods are left out."""
-    found = set()
+    return set(first_lines().values())
+
+
+def first_lines():
+    """The definitions of `definitions`, keyed by (module path, first line)."""
+    found = {}
 
     def walk(path, node, prefix):
         for child in ast.iter_child_nodes(node):
@@ -47,7 +55,9 @@ def definitions():
                 name = f"{prefix}{child.name}"
                 if not (child.name.startswith("__")
                         and child.name.endswith("__")):
-                    found.add((str(path), name))
+                    line = min([d.lineno for d in child.decorator_list]
+                               + [child.lineno])
+                    found[str(path), line] = (str(path), name)
                 walk(path, child, f"{name}.<locals>.")
             else:
                 walk(path, child, prefix)
@@ -67,7 +77,7 @@ def probe():
 
     def record(frame, event, arg):
         if event == "call":
-            entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     sys.setprofile(record)
     try:
@@ -82,7 +92,7 @@ def probe():
                 runpy.run_path(str(demo), run_name="__main__")
     finally:
         sys.setprofile(None)
-    return {(str(pathlib.Path(f).resolve()), q) for f, q in entered
+    return {(str(pathlib.Path(f).resolve()), line) for f, line in entered
             if f.endswith(".py")}
 
 
@@ -93,8 +103,10 @@ def test_every_definition_is_reached():
     proc = subprocess.run([sys.executable, __file__], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    entered = {tuple(pair)
-               for pair in json.loads(proc.stdout.splitlines()[-1])}
+    lines = first_lines()
+    entered = {lines[tuple(pair)]
+               for pair in json.loads(proc.stdout.splitlines()[-1])
+               if tuple(pair) in lines}
     unreached = {(pathlib.Path(path).stem, name)
                  for path, name in definitions() - entered}
     assert unreached == PERFBENCH_ONLY
