@@ -38,4 +38,5 @@ print("\ndefining identities, defect norms:")
 flows = [(1.0, -0.4, e21), (0.3, 0.9, alg.basis[1])]
 for name, val in check(md, flows).items():
     print(f"   {name:<16} {val:.2e}")
+print(f"   {'solve_residual':<16} {md.solve_residual:.2e}")
 print(f"   commutant dimension: {md.algebra_commutant.size}")

@@ -125,23 +125,10 @@ def _faithful_vector(rng, k):
 
 def _factor_instances(p, draw, instance) -> list:
     """instance(M_k (x) 1, draw(k)) for the sizes k = 2, 3, ..., max_k, 2, ...
-    of p["instances"] random standard pairs on C^k (x) C^k.
-
-    Every instance's draws are made first, in instance order, so the random
-    stream is that of one loop over the instances.  Each M_k (x) 1 is then
-    built once, runs its instances and is released before the next one is
-    built, so a run holds one algebra at a time.  The results come back
-    grouped by k, an order the callers' maxima do not see.
-    """
+    of p["instances"] random standard pairs on C^k (x) C^k, in turn."""
     sizes = range(2, p["max_k"] + 1)
-    ks = [sizes[i % len(sizes)] for i in range(p["instances"])]
-    drawn = [draw(k) for k in ks]
-    found = []
-    for k in sorted(set(ks)):
-        alg = vnalg.tensor_factor_algebra(k, k)
-        found += [instance(alg, d) for kd, d in zip(ks, drawn) if kd == k]
-        del alg
-    return found
+    return [instance(vnalg.tensor_factor_algebra(k, k), draw(k))
+            for k in (sizes[i % len(sizes)] for i in range(p["instances"]))]
 
 
 # ---------------------------------------------------------------- experiments
@@ -607,7 +594,8 @@ def _exp_modular_flow(p, seed):
     found = modular.check(md, flows)
     group_max = found.pop("group_law")
     member_max = found.pop("flow_membership")
-    fixed = norm2(modular.modular_flow(md, alg.basis[1], 0.0) - alg.basis[1])
+    x = alg.element(np.eye(alg.size)[1])
+    fixed = norm2(modular.modular_flow(md, x, 0.0) - x)
     # the other identities of the instance, under their check names
     metrics = {"group_law_defect": group_max, "membership_residual": member_max,
                "t0_defect": fixed, **found}
@@ -646,13 +634,8 @@ def _register(name, description, schema, scale, fn):
     REGISTRY[name] = ExperimentDef(name, description, schema, scale, fn)
 
 
-# A run on M_k (x) 1 peaks at up to 2.5 basis stacks of 16 k^6 bytes
-# (tracemalloc at k = 10: 2.33 kms-random, 2.44 modular-flow, 2.06
-# modular-spectrum), so the byte budget would admit k = 13 (193 MB; 301 MB
-# at 14).  The cap is 12 for time.  It was set when kms-random's 50 default
-# instances took about 4 s at max_k = 12 and 7.3 s at 13 on two cores;
-# with membership by partial trace and J A J from N's column blocks they
-# take 1.5-1.8 s and 2.5-2.6 s.
+# The cap is for time alone: kms-random's 50 default instances take
+# 0.34-0.41 s at max_k = 12 and 0.49-0.59 s at 13 on two cores.
 _k_max = 12
 
 _register("kms-random",
@@ -685,7 +668,8 @@ _register("araki-woods",
 _register("wedge-localization",
           "discretized boost: S^2, standardness, duality, flow invariance",
           {"n": Param(int, 64, 1), "theta_max": Param(float, 6.0),
-           "cond_cap": Param(float, 1e8, 1.0, 1e18)}, {"n": 4096}, _exp_wedge)
+           "cond_cap": Param(float, locwedge.COND_CAP, 1.0, 1e18)},
+          {"n": 4096}, _exp_wedge)
 # the orthogonal-pair control needs two modes, the commutators n_max >= 2
 _register("fock-ccr",
           "canonical commutation relations and locality from symplectic orthogonality",

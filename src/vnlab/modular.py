@@ -38,7 +38,12 @@ class ModularData:
     omega: np.ndarray
     orbit: np.ndarray
     adjoint_orbit: np.ndarray
-    solve_residual: float = 0.0
+
+    @property
+    def solve_residual(self) -> float:
+        """||S conj(orbit) - adjoint_orbit||, the solve's residual."""
+        return float(np.linalg.norm(self.s.mat @ self.orbit.conj()
+                                    - self.adjoint_orbit))
 
     @property
     def delta_spectrum(self) -> np.ndarray:
@@ -63,32 +68,27 @@ def tomita(a: OperatorAlgebra, omega: np.ndarray) -> ModularData:
     """Modular data of (a, omega) with omega cyclic and separating.
 
     The conjugation matrix M of S solves M conj(b_i omega) = b_i* omega over
-    the basis.  One rank of the orbit {b_i omega} decides both conditions:
-    omega is cyclic iff it spans H, and separating iff b -> b omega is
-    injective on the algebra, that is iff it is dim A.  The system is then
-    square and invertible; the residual of its solve is kept as a
-    diagnostic.  The two orbits are the only passes over the basis stack.
+    the basis, with both orbits from `OperatorAlgebra.orbits` (read off
+    omega on M_d (x) 1).  One rank of the orbit {b_i omega} decides both
+    conditions: omega is cyclic iff it spans H, and separating iff
+    b -> b omega is injective on the algebra, that is iff it is dim A.  The
+    system is then square and invertible.
     """
     omega = np.asarray(omega, dtype=complex)
     # written so that a NaN omega is refused before the SVD
     if not abs(float(np.linalg.norm(omega)) - 1.0) <= VALIDITY_ATOL:
         raise ValueError("omega must be normalized")
-    orbit = np.einsum("aij,j->ia", a.basis, omega)          # columns b_i omega
+    orbit, target = a.orbits(omega)
     orbit_rank = rank(orbit)
     missing = [word for word, ok in (("cyclic", orbit_rank == a.dim),
                                      ("separating", orbit_rank == a.size))
                if not ok]
     if missing:
         raise ValueError(f"omega is not {' or '.join(missing)} for the algebra")
-    # columns b_i* omega; conjugating omega and the result spares a
-    # conjugate copy of the basis
-    target = np.einsum("aji,j->ia", a.basis, omega.conj()).conj()
     s = AntilinearMap(np.linalg.solve(orbit.conj().T, target.T).T)
-    residual = float(np.linalg.norm(s.mat @ orbit.conj() - target))
     j, w, u = antilinear_polar(s)
     return ModularData(s=s, j=j, delta_eigh=(w, u), algebra=a, omega=omega,
-                       orbit=orbit, adjoint_orbit=target,
-                       solve_residual=residual)
+                       orbit=orbit, adjoint_orbit=target)
 
 
 def modular_flow(md: ModularData, x: np.ndarray, t: float) -> np.ndarray:
@@ -108,18 +108,16 @@ def conjugate_by_j(md: ModularData, x: np.ndarray) -> np.ndarray:
 def check(md: ModularData, flows=()) -> dict:
     """Defects of every identity of one modular instance, at roundoff for
     genuine data.  KMS runs over the orbits `tomita` formed, and J A J = A'
-    over the algebra's basis elements; on M_d (x) 1 that stage takes each
-    element from its split, so no stage reads the basis stack.  Each flow
+    over eighths of the algebra's basis; on M_d (x) 1 that stage takes each
+    element from its split, so no stage reads a basis stack.  Each flow
     sample (t, s, x), x in the algebra, adds ||sigma_t sigma_s(x) -
     sigma_{t+s}(x)||_F to ``group_law`` and the residual of sigma_{t+s}(x)
     off the algebra to ``flow_membership`` (maxima; 0.0 without samples).
     Each stage is its own helper, so its arrays are freed before the next.
-    With S the size of the basis stack, the J A J stage runs over eighths of
-    the basis.  On M_k (x) 1 it peaks at about S / 5 above what the caller
-    holds (one block of images, which membership by partial trace reduces
-    in place; tracemalloc read 0.19 S at k = 10); on an algebra without a
-    split, at about S / 4 (one conjugated block and one temporary of the
-    projection; 0.28 S on the same basis).  No other stage copies the basis.
+    With S = 16 k^6 bytes, what a basis stack of M_k (x) 1 would take, the
+    J A J stage peaks at about S / 5 there (one block of images, reduced in
+    place by the partial trace; tracemalloc read 0.19 S at k = 10), and at
+    about S / 4 on the same basis without a split (0.28 S).
     """
     return {**_polar_defects(md), "kms": _kms(md),
             "jaj_commutant": _jaj_residual(md),

@@ -1,16 +1,19 @@
 """Finite-dimensional von Neumann algebra machinery.
 
 Algebras are unital *-closed spans of matrices, stored with a basis that is
-orthonormal in the Hilbert-Schmidt inner product tr(A* B); membership tests
-are then projection residuals with a single threshold (on a tensor factor,
-the projection is a partial trace).  Every rank decision is numkit's rank
-rule: the closure grows a span by one letter per pass, commutants are solved
-from one random element of the algebra on the entries where its Hermitian
-part's commutator vanishes and certified against the whole basis, and the
-center is one null space over the algebra's coefficients.
+orthonormal in the Hilbert-Schmidt inner product tr(A* B), a tensor factor
+as its split alone; membership tests are projection residuals with a single
+threshold (on a tensor factor, a partial trace).  Every rank decision is
+numkit's rank rule: the closure grows a span by one letter per pass,
+commutants are solved from one random element of the algebra on the entries
+where its Hermitian part's commutator vanishes and certified against the
+whole basis, and the center is one null space over the algebra's
+coefficients.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -36,27 +39,30 @@ class OperatorAlgebra:
     """A *-closed unital span of matrices on C^dim, given by an orthonormal
     basis (orthonormalize_span makes one from any spanning set)."""
 
+    # a TensorFactor's (d, m, side) and its commutant; none on a generic span
+    split: tuple[int, int, int] | None = None
+    commutant_hint: OperatorAlgebra | None = None
+
     def __init__(self, basis: np.ndarray, *, generators=None):
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise ValueError("basis must be a stack of square matrices")
         self.basis = basis
         self.generators = None if generators is None else np.asarray(generators, complex)
-        self.commutant_hint: "OperatorAlgebra | None" = None
-        # (d, m, side), set by tensor_factor_algebra alone: side 0 for
-        # M_d (x) 1_m, 1 for 1_d (x) M_m, each with the basis of matrix units
-        # that function builds (modular.check reads the left one's order)
-        self.split: tuple[int, int, int] | None = None
 
     @property
     def dim(self) -> int:
         """Dimension of the Hilbert space the matrices act on."""
-        return self.basis.shape[-1]
+        if self.split is None:
+            return self.basis.shape[-1]
+        return self.split[0] * self.split[1]
 
     @property
     def size(self) -> int:
         """Linear dimension of the algebra."""
-        return self.basis.shape[0]
+        if self.split is None:
+            return self.basis.shape[0]
+        return self.split[self.split[2]] ** 2
 
     def member_residual(self, x: np.ndarray) -> float:
         """Norm of the component of x orthogonal to the span; for a stack of
@@ -95,9 +101,27 @@ class OperatorAlgebra:
         return self.member_residual(x) <= MEMBERSHIP_RTOL * nx
 
     def element(self, coeff: np.ndarray) -> np.ndarray:
-        """Linear combination of basis matrices."""
+        """Linear combination of basis matrices; on M_d (x) 1_m, the
+        coefficients as a d x d matrix, kron'd with 1_m / sqrt(m)."""
         coeff = np.asarray(coeff, dtype=complex)
-        return np.tensordot(coeff, self.basis, axes=(0, 0))
+        if self.split is None or self.split[2] == 1:
+            return np.tensordot(coeff, self.basis, axes=(0, 0))
+        d, m, _ = self.split
+        return np.kron(coeff.reshape(d, d), np.eye(m) / np.sqrt(m))
+
+    def orbits(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The orbit {b_i omega} and the adjoint orbit {b_i* omega}, as the
+        columns of two dim x size matrices, one pass over the basis stack
+        each (conjugating omega and the result spares a conjugate copy of
+        it).  On M_d (x) 1_m, with omega a d x m matrix W, the orbit is
+        kron(1_d, W^T) times the basis's 1 / sqrt(m), bit for bit, and
+        b_(i,j)* = b_(j,i): the adjoint orbit has its columns transposed."""
+        if self.split is None or self.split[2] == 1:
+            return (np.einsum("aij,j->ia", self.basis, omega),
+                    np.einsum("aji,j->ia", self.basis, omega.conj()).conj())
+        d, m, _ = self.split
+        orbit = np.kron(np.eye(d), omega.reshape(d, m).T * (1 / np.sqrt(m)))
+        return orbit, orbit.reshape(-1, d, d).swapaxes(1, 2).reshape(d * m, -1)
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         """sum_i c_i b_i over the basis with complex Gaussian c."""
@@ -111,27 +135,36 @@ def matrix_units(n: int) -> np.ndarray:
     return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
 
 
-def tensor_factor_algebra(d: int, m: int) -> OperatorAlgebra:
-    """M_d (x) 1_m on C^(d m), carrying its commutant 1_d (x) M_m as hint.
+class TensorFactor(OperatorAlgebra):
+    """M_d (x) 1_m (side 0) or 1_d (x) M_m (side 1) on C^(d m), stored as
+    its split alone.  Its basis of matrix units, kron(E_ij, 1_m) / sqrt(m)
+    or kron(1_d, E_ab) / sqrt(d), is built only when a generic reader asks.
+    The left factor hints the right as its commutant, one way only: a pair
+    hinting at each other would be a reference cycle."""
 
-    The hint lets structured models avoid the generic null-space solve
-    (cross-checked against it in the test suite at small dimensions), and it
-    is where the right factor is reached.  Both record their split, so
-    membership in either is a partial trace.  The hint points one way only: a
-    pair hinting at each other is a reference cycle, and both bases would
-    stay allocated until the cyclic garbage collector happened to run.
-    """
-    n = d * m
-    # kron(E_ij, 1_m) and kron(1_d, E_ab), one broadcast each; the small
-    # identity carries the normalization, so no stack-sized quotient is made
-    left_b = np.einsum("aij,kl->aikjl", matrix_units(d),
-                       np.eye(m) / np.sqrt(m)).reshape(d * d, n, n)
-    right_b = np.einsum("ij,akl->aikjl", np.eye(d) / np.sqrt(d),
-                        matrix_units(m)).reshape(m * m, n, n)
-    alg = OperatorAlgebra(left_b)
-    alg.commutant_hint = OperatorAlgebra(right_b)
-    alg.split, alg.commutant_hint.split = (d, m, 0), (d, m, 1)
-    return alg
+    generators = None
+
+    def __init__(self, d: int, m: int, side: int):
+        self.split = (d, m, side)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        d, m, side = self.split
+        if side == 0:
+            return np.kron(matrix_units(d), np.eye(m) / np.sqrt(m))
+        return np.kron(np.eye(d) / np.sqrt(d), matrix_units(m))
+
+    @cached_property
+    def commutant_hint(self) -> TensorFactor | None:
+        d, m, side = self.split
+        return None if side else TensorFactor(d, m, 1)
+
+
+def tensor_factor_algebra(d: int, m: int) -> TensorFactor:
+    """M_d (x) 1_m on C^(d m); its commutant hint 1_d (x) M_m skips the
+    generic null-space solve (cross-checked against it in the test suite at
+    small dimensions), and is where the right factor is reached."""
+    return TensorFactor(d, m, 0)
 
 
 def vn_closure(generators, dim: int) -> OperatorAlgebra:

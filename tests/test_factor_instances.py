@@ -1,22 +1,22 @@
-"""The modular experiments on random standard pairs hold one M_k (x) 1 at a
-time: same reports as the loop over the instances in order, and peak memory
-measured with tracemalloc, to which numpy reports its buffers.  The same
-measure holds the approximants, field_operator and cyclicity_rank to the
-peaks they state against the byte budget: for field_operator, six dense
-operators; for cyclicity_rank, its span with one copy, the images of its
-last block with their SVD, and the ladder kernel's gather and index maps,
-never a dense field.
+"""The modular experiments on random standard pairs read no basis stack:
+same reports as the loop over the instances in order, the same reports
+with the stack unbuildable, and peak memory measured with tracemalloc, to
+which numpy reports its buffers.  The same measure holds the approximants,
+field_operator and cyclicity_rank to the peaks they state against the byte
+budget: for field_operator, six dense operators; for cyclicity_rank, its
+span with one copy, the images of its last block with their SVD, and the
+ladder kernel's gather and index maps, never a dense field.
 
 S(k) = 16 k^6 bytes is the size of one basis stack of M_k (x) 1 on
-C^k (x) C^k.  A run holds the algebra and its commutant hint (2 S).  The J A J
-stage of ``modular.check`` runs over eighths of the basis and adds about
-S / 5 on top (one block of images, reduced in place by the partial trace);
-no other stage copies a stack.  ``modular.tomita`` passes over the stack
-twice, for the orbit {b_i Omega} and the adjoint orbit {b_i* Omega}, each a
-k^2 x k^2 matrix that the instance keeps (0.02 S together at k = 10);
-``modular.check`` reads those and the split, and no entry of the stack.  At
-k = 10 tracemalloc read 2.33 S for kms-random, 2.44 S for modular-flow and
-2.06 S for modular-spectrum.
+C^k (x) C^k, which a `TensorFactor` builds only when a generic reader asks
+for it.  ``modular.tomita`` reads the orbit {b_i Omega} and the adjoint
+orbit {b_i* Omega} off Omega, each a k^2 x k^2 matrix that the instance
+keeps (0.02 S together at k = 10).  The J A J stage of ``modular.check``
+runs over eighths of the basis, each element taken from the split, and
+adds about S / 5 (one block of images, reduced in place by the partial
+trace).  At k = 10 tracemalloc read 0.33 S for kms-random, 0.44 S for
+modular-flow (its 20 flow samples hold 0.2 S), and 0.04 S(12) for
+modular-spectrum at max_k = 12.
 """
 
 import tracemalloc
@@ -147,15 +147,40 @@ def test_kms_random_does_no_dense_work(monkeypatch):
 
 
 @pytest.mark.parametrize("name,params,bound", [
-    # the instance-order loop read 6.1 S and 5.55 S; the whole-basis J A J
-    # stage read 4.14 S (kms-random) and 4.25 S (modular-flow)
-    ("kms-random", {"max_k": 10, "instances": 9}, 3),
-    ("modular-spectrum", {"max_k": 12, "instances": 11}, 4),
-    ("modular-flow", {"k": 10}, 3)])
+    # with the algebra and its hint stored as basis stacks these read
+    # 2.33 S, 2.04 S and 2.44 S; the instance-order loop read 6.1 S and
+    # 5.55 S, the whole-basis J A J stage 4.14 S and 4.25 S
+    ("kms-random", {"max_k": 10, "instances": 9}, 0.5),
+    ("modular-spectrum", {"max_k": 12, "instances": 11}, 0.1),
+    ("modular-flow", {"k": 10}, 0.5)])
 def test_run_peak_within_stacks(name, params, bound):
     report, peak, _ = peak_above_entry(lambda: run(name, params, seed=0))
     assert report.passed
     assert peak < bound * stack_bytes(params.get("max_k", params.get("k")))
+
+
+def test_modular_runs_read_no_basis_stack(monkeypatch):
+    # every stage of an instance on M_k (x) 1 reads the split: the orbits,
+    # elements, J A J and membership, so an unbuildable stack changes no
+    # report
+    points = [(name, params)
+              for name in ("kms-random", "modular-spectrum", "modular-flow")
+              for params in ({}, REGISTRY[name].scale)]
+    expected = [run(name, params).to_dict() for name, params in points]
+
+    def unbuildable(self):
+        raise AssertionError("a basis stack was read")
+
+    monkeypatch.setattr(vnalg.TensorFactor, "basis", property(unbuildable))
+    with pytest.raises(AssertionError, match="stack was read"):
+        tensor_factor_algebra(2, 2).basis
+    for (name, params), ref in zip(points, expected):
+        report = run(name, params)
+        assert report.passed
+        found = report.to_dict()
+        found.pop("wall_time_s")
+        ref.pop("wall_time_s")
+        assert found == ref
 
 
 def test_approximant_peak_within_stated_bytes():
@@ -202,10 +227,14 @@ def test_field_operator_peak_within_stated_bytes():
 
 
 def test_factor_algebra_peak_is_what_it_keeps():
-    # scaling the whole stack after the broadcast read 3 S
-    alg, peak, kept = peak_above_entry(lambda: tensor_factor_algebra(10, 10))
-    assert kept >= 2 * stack_bytes(10)
-    assert peak <= 1.05 * kept
+    # the split (d, m, side) is all it keeps; stored with its hint as
+    # basis stacks it kept 2 S, and scaling the whole stack after the
+    # broadcast read 3 S.  Reading the basis builds one stack.
+    alg, _, kept = peak_above_entry(lambda: tensor_factor_algebra(10, 10))
+    assert kept < 1024
+    basis, peak, _ = peak_above_entry(lambda: alg.basis)
+    assert basis.nbytes == stack_bytes(10)
+    assert peak <= 1.05 * stack_bytes(10)
     assert alg.size == 100
 
 

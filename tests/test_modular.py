@@ -133,9 +133,11 @@ class TestTomita:
             assert np.linalg.norm(md.s(b @ omega) - dagger(b) @ omega) < 1e-10
 
     def test_forms_the_orbit_and_its_adjoint_once(self, monkeypatch):
-        # one pass over the basis stack gives b_i omega, whose rank also
-        # decides cyclic and separating, and one gives b_i* omega
+        # without a split, one pass over the basis stack gives b_i omega,
+        # whose rank also decides cyclic and separating, and one gives
+        # b_i* omega; M_k (x) 1 reads both off omega, bit for bit the same
         alg, omega = random_pair(np.random.default_rng(7), 3)
+        dense = OperatorAlgebra(alg.basis)
         calls, einsum = [], np.einsum
 
         def counted(subscripts, *operands, **kwargs):
@@ -143,11 +145,25 @@ class TestTomita:
             return einsum(subscripts, *operands, **kwargs)
 
         monkeypatch.setattr(np, "einsum", counted)
-        md = tomita(alg, omega)
+        md = tomita(dense, omega)
         assert len(calls) == 2
         assert np.array_equal(md.orbit, (alg.basis @ omega).T)
         assert norm2(md.adjoint_orbit - (dagger(alg.basis) @ omega).T) \
             < 1e-15
+        split = tomita(alg, omega)
+        assert len(calls) == 2
+        assert np.array_equal(split.orbit, md.orbit)
+        assert np.array_equal(split.adjoint_orbit, md.adjoint_orbit)
+
+    def test_solve_residual_reads_the_instance(self):
+        # the residual of S conj(orbit) = adjoint orbit comes from the
+        # fields kept, so data changed after the solve shows in it
+        md = tomita(*random_pair(np.random.default_rng(8), 3))
+        assert md.solve_residual <= 1e-12
+        s = md.s.mat.copy()
+        s[0, 1] += 1e-3
+        assert md.solve_residual < 1e-6 \
+            < replace(md, s=AntilinearMap(s)).solve_residual
 
     @pytest.mark.parametrize("hinted", [True, False])
     def test_solves_no_commutant(self, monkeypatch, hinted):

@@ -443,7 +443,7 @@ class TestByteBudget:
                                           ("modular-flow", "k"),
                                           ("modular-spectrum", "max_k")])
     def test_factor_size_maximum_from_the_budget(self, name, key):
-        # 4.3 basis stacks of 16 k^6 bytes: 205 MB at k = 12, 332 MB at 13
+        # the cap is for run time: a run builds no basis stack of M_k (x) 1
         assert REGISTRY[name].schema[key].maximum == 12
 
 

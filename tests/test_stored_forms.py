@@ -10,7 +10,7 @@ import inspect
 from vnlab.factors import Approximant
 from vnlab.fock import FockSpace
 from vnlab.locwedge import RealSubspace, WedgeModel, real_subspace_from_vectors
-from vnlab.vnalg import OperatorAlgebra
+from vnlab.vnalg import OperatorAlgebra, TensorFactor
 
 
 def parameters(fn) -> list[str]:
@@ -19,9 +19,11 @@ def parameters(fn) -> list[str]:
 
 def test_constructors_take_only_the_defining_data():
     assert {cls.__name__: parameters(cls) for cls in (
-        RealSubspace, OperatorAlgebra, FockSpace, WedgeModel, Approximant)} \
+        RealSubspace, OperatorAlgebra, TensorFactor, FockSpace, WedgeModel,
+        Approximant)} \
         == {"RealSubspace": ["rows"],
             "OperatorAlgebra": ["basis", "generators"],
+            "TensorFactor": ["d", "m", "side"],
             "FockSpace": ["occupations"],
             "WedgeModel": ["theta_max", "k_values", "retained"],
             "Approximant": ["site_weights", "n_factors"]}

@@ -521,3 +521,14 @@ class TestTensorFactorSplit:
         split.member_residual(real)
         assert np.array_equal(real, kept)
 
+
+    def test_split_reads_match_the_basis(self, d, m, side):
+        # dim, size, elements and the orbits of a vector come from the
+        # split, bit for bit what the basis stack gives
+        split, dense, rng = self.pair(d, m, side)
+        assert (split.dim, split.size) == (dense.dim, dense.size)
+        coeff = complex_normal(rng, (split.size,))
+        assert np.array_equal(split.element(coeff), dense.element(coeff))
+        omega = complex_normal(rng, (d * m,))
+        for got, ref in zip(split.orbits(omega), dense.orbits(omega)):
+            assert np.array_equal(got, ref)
