@@ -6,10 +6,10 @@ takes the next token as its value, so a negative value may follow it after
 a space.  The values reach `experiments.validate_params` as strings: it
 alone converts and checks them.  Exit status is 0 iff every assertion of the
 run passed, 1 if one failed and 2, after one `error:` line, on any invalid
-invocation.  A numerical breakdown (`LinAlgError`, a `ValueError` subclass)
-is not an invalid invocation: it propagates, and Python exits 1.  Reports
-echo the full parameter set so any table or figure can be regenerated from
-the JSON alone.
+invocation, an unwritable `--out` included.  A numerical breakdown
+(`LinAlgError`, a `ValueError` subclass) is not an invalid invocation: it
+propagates, and Python exits 1.  Reports echo the full parameter set so any
+table or figure can be regenerated from the JSON alone.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def main(argv=None) -> int:
         report = run(name, flags, seed=seed, out=out, fmt=fmt)
     except np.linalg.LinAlgError:
         raise
-    except (KeyError, ValueError) as err:
-        # str() of a KeyError quotes its message
+    except (KeyError, ValueError, OSError) as err:
+        # str() of a KeyError quotes its message; OSError: an unwritable --out
         print(f"error: {err.args[0] if isinstance(err, KeyError) else err}",
               file=sys.stderr)
         return 2

@@ -151,7 +151,8 @@ def build_fock(d: int, n_max: int) -> FockSpace:
             for m in c:
                 occ[m] += 1
             occs.append(occ)
-    occupations = np.array(occs, dtype=int)
+    # int32 keeps the lists and the table under the budget at D = 4096
+    occupations = np.array(occs, dtype=np.int32)
     assert occupations.shape[0] == total_dim
     return FockSpace(occupations)
 

@@ -99,18 +99,12 @@ def modular_flow(md: ModularData, x: np.ndarray, t: float) -> np.ndarray:
     return u @ x @ dagger(u)
 
 
-def conjugate_by_j(md: ModularData, x: np.ndarray) -> np.ndarray:
-    """J x J as a linear matrix; a stack of x maps matrix by matrix."""
-    n = md.j.mat
-    return n @ x.conj() @ n.conj()
-
-
 def check(md: ModularData, flows=()) -> dict:
     """Defects of every identity of one modular instance, at roundoff for
     genuine data.  KMS runs over the orbits `tomita` formed, and J A J = A'
-    over eighths of the algebra's basis; on M_d (x) 1 that stage takes each
-    element from its split, so no stage reads a basis stack.  Each flow
-    sample (t, s, x), x in the algebra, adds ||sigma_t sigma_s(x) -
+    over eighths of the algebra's basis by `OperatorAlgebra.conjugates`,
+    which on M_d (x) 1 reads the split, so no stage reads a basis stack.
+    Each flow sample (t, s, x), x in the algebra, adds ||sigma_t sigma_s(x) -
     sigma_{t+s}(x)||_F to ``group_law`` and the residual of sigma_{t+s}(x)
     off the algebra to ``flow_membership`` (maxima; 0.0 without samples).
     Each stage is its own helper, so its arrays are freed before the next.
@@ -125,28 +119,16 @@ def check(md: ModularData, flows=()) -> dict:
 
 
 def _jaj_residual(md: ModularData) -> float:
-    """Largest residual of J b J off A' over the basis, block by block.
-
-    On M_d (x) 1_m the basis element b = E_ij (x) 1 / sqrt(m) is real, so
-    J b J = N b conj(N) is N's column block i times conj(N)'s row block j
-    over sqrt(m): about k^5 flops an element on C^k (x) C^k, against 2 k^6
-    for `conjugate_by_j`, which any other algebra uses.  Eight blocks (one
+    """Largest residual of J b J off A' over the basis, block by block, each
+    block of images from `OperatorAlgebra.conjugates`.  Eight blocks (one
     element each when the basis is smaller) bound the stage's peak (see
-    `check`): with `conjugate_by_j` on M_k (x) 1, two or four blocks ran
+    `check`): with the dense product on M_k (x) 1, two or four blocks ran
     about 12% faster at k = 12 but peaked at S and S / 2, and sixteen ran
     9-35% slower at k = 8 to 12.  numpy's maximum keeps a NaN block, which
     Python's max would drop."""
     a = md.algebra
-    parts = min(8, a.size)
-    if a.split is not None and a.split[2] == 0:
-        d, m, _ = a.split
-        cols = md.j.mat.reshape(-1, d, m).transpose(1, 0, 2) / np.sqrt(m)
-        rows = md.j.mat.conj().reshape(d, m, -1)
-        images = (cols[idx // d] @ rows[idx % d]
-                  for idx in np.array_split(np.arange(a.size), parts))
-    else:
-        images = (conjugate_by_j(md, block)
-                  for block in np.array_split(a.basis, parts))
+    images = (a.conjugates(md.j.mat, idx)
+              for idx in np.array_split(np.arange(a.size), min(8, a.size)))
     # map drops each image before it makes the next; a comprehension's
     # loop variable would hold it
     return float(np.max(list(map(md.algebra_commutant.member_residual,
@@ -162,8 +144,7 @@ def _polar_defects(md: ModularData) -> dict:
         "s_squared": norm2(md.s @ md.s - eye),
         "j_squared": norm2(md.j @ md.j - eye),
         "j_antiunitary": norm2(dagger(md.j.mat) @ md.j.mat - eye),
-        "jdj_inverse": norm2(conjugate_by_j(md, md.delta)
-                             - md.delta_power(-1.0)),
+        "jdj_inverse": norm2(md.j @ md.delta @ md.j - md.delta_power(-1.0)),
         "s_omega": float(np.linalg.norm(md.s(md.omega) - md.omega)),
         "delta_omega": float(np.linalg.norm(md.delta @ md.omega - md.omega)),
     }

@@ -5,7 +5,8 @@ structured way: the spectral calculus behind ``ModularData.delta_power`` and
 ``antilinear_polar``, the eigensolve-based S operator behind the wedge's
 Fourier-mode S, the GNS construction as a second route to modular data, the
 cyclic and separating flags that ``modular.tomita`` decides inside its
-solve, the full and scalar matrix algebras as test cases, and the massless
+solve, the full and scalar matrix algebras as test cases, the dense Fock
+ladders that ``fock.apply_ladders`` applies from index maps, and the massless
 chain, which ``lattice.ground_state`` refuses, with its divergent k = 0
 mode dropped.
 """
@@ -109,6 +110,22 @@ def cyclic_separating(a: OperatorAlgebra,
     the algebra's dimension."""
     orbit_rank = rank(np.einsum("aij,j->ai", a.basis, omega))
     return orbit_rank == a.dim, orbit_rank == a.size
+
+
+def dense_creators(f) -> np.ndarray:
+    """Dense (d, D, D) stack of the creation operators a*_m on the Fock space
+    f, by the per-state loop over its occupation basis."""
+    d, dim = f.one_particle_dim, f.total_dim
+    index = {tuple(o): i for i, o in enumerate(f.occupations)}
+    creators = np.zeros((d, dim, dim), dtype=complex)
+    for i, occ in enumerate(f.occupations):
+        if occ.sum() >= f.n_max:
+            continue
+        for m in range(d):
+            target = occ.copy()
+            target[m] += 1
+            creators[m, index[tuple(target)], i] = np.sqrt(occ[m] + 1.0)
+    return creators
 
 
 @dataclass

@@ -16,12 +16,6 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def rand_density(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
-
-
 def einsum_kraus_apply(rho, channel):
     """sum_i K_i rho K_i* as one three-operand einsum: the reference form."""
     return np.einsum("kij,jl,kml->im", channel.kraus, rho,
@@ -34,13 +28,13 @@ class TestKraus:
         rng = np.random.default_rng(dim)
         chan = Channel(rng.standard_normal((count, dim, dim))
                        + 1j * rng.standard_normal((count, dim, dim)))
-        rho = rand_density(rng, dim)
+        rho = random_density(rng, dim)
         ref = einsum_kraus_apply(rho, chan)
         assert norm2(kraus_apply(rho, chan) - ref) <= 1e-12 * norm2(ref)
 
     def test_identity_channel(self):
         rng = np.random.default_rng(0)
-        rho = rand_density(rng, 3)
+        rho = random_density(rng, 3)
         chan = Channel(np.eye(3)[None, :, :])
         assert norm2(kraus_apply(rho, chan) - rho) < 1e-14
         assert chan.is_trace_preserving()
@@ -51,7 +45,7 @@ class TestKraus:
         assert chan.is_trace_preserving()
         rng = np.random.default_rng(1)
         for _ in range(5):
-            rho = rand_density(rng, 2)
+            rho = random_density(rng, 2)
             assert norm2(kraus_apply(rho, chan) - np.eye(2) / 2) < 1e-12
 
     def test_non_trace_preserving_flagged(self):
@@ -64,7 +58,7 @@ class TestKraus:
         ops = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
         chan = Channel(ops)
         for _ in range(10):
-            rho = rand_density(rng, 4)
+            rho = random_density(rng, 4)
             out = kraus_apply(rho, chan)
             assert np.linalg.eigvalsh(out).min() >= -1e-12
 
@@ -77,7 +71,7 @@ class TestLocalPrepare:
     def test_product_input(self):
         rng = np.random.default_rng(3)
         split = SplitData(2, 3)
-        sigma, tau = rand_density(rng, 2), rand_density(rng, 3)
+        sigma, tau = random_density(rng, 2), random_density(rng, 3)
         xi = haar_pure_state(rng, 2)
         chan = local_prepare_channel(split, xi)
         out = kraus_apply(np.kron(sigma, tau), chan)
@@ -105,7 +99,7 @@ class TestLocalPrepare:
         xi = haar_pure_state(rng, 2)
         worst = 0.0
         for _ in range(50):
-            rho = rand_density(rng, 4)
+            rho = random_density(rng, 4)
             out = kraus_apply(rho, local_prepare_channel(split, xi))
             worst = max(worst, local_difference(
                 partial_trace(out, (2, 2), 1), partial_trace(rho, (2, 2), 1)))
@@ -130,7 +124,7 @@ class TestSplitData:
     def test_marginals(self):
         rng = np.random.default_rng(7)
         split = SplitData(4, 2, inner_split=(2, 2))
-        rho = rand_density(rng, 8)
+        rho = random_density(rng, 8)
         inner = split.inner_marginal(rho)
         assert inner.shape == (2, 2)
         assert abs(np.trace(inner) - 1.0) < 1e-12
@@ -147,7 +141,7 @@ class TestDisentangle:
     def test_product_state_passes_through(self):
         rng = np.random.default_rng(9)
         split = SplitData(2, 2)
-        sigma = np.kron(rand_density(rng, 2), rand_density(rng, 2))
+        sigma = np.kron(random_density(rng, 2), random_density(rng, 2))
         res = disentangle(split, sigma)
         assert local_difference(res.state, sigma) < 1e-12
 
@@ -182,7 +176,7 @@ class TestDisentangle:
     def test_margin_too_small_for_rank(self):
         rng = np.random.default_rng(10)
         split = SplitData(4, 2, inner_split=(4, 1))
-        rho = np.kron(rand_density(rng, 4), rand_density(rng, 2))
+        rho = np.kron(random_density(rng, 4), random_density(rng, 2))
         res = disentangle(split, rho)
         assert res.channel is None  # mixed rank-4 marginal, no ancilla room
 
@@ -190,7 +184,7 @@ class TestDisentangle:
         rng = np.random.default_rng(11)
         split = SplitData(2, 2)
         v = haar_pure_state(rng, 2)
-        rho = np.kron(np.outer(v, v.conj()), rand_density(rng, 2))
+        rho = np.kron(np.outer(v, v.conj()), random_density(rng, 2))
         res = disentangle(split, rho)
         assert res.channel is not None
         assert local_difference(res.state, rho) < 1e-12
@@ -206,7 +200,7 @@ class TestEntanglementDetection:
     def test_product_states_separable(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            rho = np.kron(rand_density(rng, 2), rand_density(rng, 2))
+            rho = np.kron(random_density(rng, 2), random_density(rng, 2))
             flag, min_eig = is_entangled(rho, (2, 2))
             assert not flag and min_eig >= -1e-10
 
@@ -219,7 +213,7 @@ class TestEntanglementDetection:
 
     def test_2x3_supported(self):
         rng = np.random.default_rng(12)
-        rho = np.kron(rand_density(rng, 2), rand_density(rng, 3))
+        rho = np.kron(random_density(rng, 2), random_density(rng, 3))
         flag, _ = is_entangled(rho, (2, 3))
         assert not flag
 
@@ -230,7 +224,7 @@ class TestEntanglementDetection:
     def test_partial_transpose_spectra_agree(self):
         # the first factor's transpose, index by index, is the reference
         rng = np.random.default_rng(13)
-        rho = rand_density(rng, 6)
+        rho = random_density(rng, 6)
         first = rho.reshape(2, 3, 2, 3).transpose(2, 1, 0, 3).reshape(6, 6)
         w1 = np.linalg.eigvalsh(partial_transpose(rho, (2, 3)))
         w2 = np.linalg.eigvalsh(first)
@@ -241,7 +235,7 @@ class TestStackedEntanglementTest:
     def _stack(self, rng, dims):
         d = dims[0] * dims[1]
         mixed = random_density(rng, d, 30)
-        products = [np.kron(rand_density(rng, dims[0]), rand_density(rng, dims[1]))
+        products = [np.kron(random_density(rng, dims[0]), random_density(rng, dims[1]))
                     for _ in range(10)]
         return np.concatenate([mixed, products])
 
@@ -279,7 +273,7 @@ def _genericity_scan_loop(samples, seed, kind):
         return v / np.linalg.norm(v)
 
     if kind == "mixed":
-        return sum(int(is_entangled(rand_density(rng, 4), (2, 2))[0])
+        return sum(int(is_entangled(random_density(rng, 4), (2, 2))[0])
                    for _ in range(samples))
     if kind == "pure":
         psi = [haar(4) for _ in range(samples)]

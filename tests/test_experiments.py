@@ -362,6 +362,15 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("out", ["missing/r.json", "."])
+    def test_unwritable_out_exit_two(self, capsys, tmp_path, out):
+        # a missing directory, or a directory in place of a file
+        assert cli.main(["powers", "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     @pytest.mark.parametrize("argv, named", [
         (["--n_max", "3"], "'--n_max'"),
         (["nosuch", "--n", "2"], "'nosuch'")])

@@ -121,28 +121,30 @@ def test_same_reports_as_instance_order(monkeypatch, name, reference, max_k):
 
 def test_kms_random_does_no_dense_work(monkeypatch):
     # J A J reads N's column blocks and membership in M_k (x) 1 and in its
-    # commutant is a partial trace: conjugate_by_j runs once an instance,
-    # for jdj_inverse, and no member_residual projects onto a basis
-    calls = {"conjugate_by_j": 0, "member_residual": 0, "dense": 0}
-    conjugate = modular.conjugate_by_j
+    # commutant is a partial trace: every OperatorAlgebra.conjugates call
+    # takes the split of M_k (x) 1, and no member_residual projects onto a
+    # basis
+    calls = {"conjugates": 0, "member_residual": 0, "dense": 0}
+    conjugates = vnalg.OperatorAlgebra.conjugates
     residual = vnalg.OperatorAlgebra.member_residual
 
-    def conjugate_spy(md, x):
-        calls["conjugate_by_j"] += 1
-        return conjugate(md, x)
+    def conjugates_spy(self, n, idx):
+        calls["conjugates"] += 1
+        calls["dense"] += self.split is None or self.split[2] != 0
+        return conjugates(self, n, idx)
 
     def residual_spy(self, x):
         calls["member_residual"] += 1
         calls["dense"] += getattr(self, "split", None) is None
         return residual(self, x)
 
-    monkeypatch.setattr(modular, "conjugate_by_j", conjugate_spy)
+    monkeypatch.setattr(vnalg.OperatorAlgebra, "conjugates", conjugates_spy)
     monkeypatch.setattr(vnalg.OperatorAlgebra, "member_residual", residual_spy)
     report = run("kms-random", {})
     assert report.passed
     # per instance, min(8, k^2) J A J blocks and four flow samples, with
     # 17 instances at k = 2, 17 at 3 and 16 at 4
-    assert calls == {"conjugate_by_j": 50,
+    assert calls == {"conjugates": 17 * 4 + 33 * 8,
                      "member_residual": 17 * 4 + 33 * 8 + 50 * 4, "dense": 0}
 
 

@@ -1,9 +1,11 @@
 """Truncated Fock space: ladders, CCR, locality, Weyl, cyclicity ranks."""
 
+import tracemalloc
 from math import factorial
 
 import numpy as np
 import pytest
+from reference import dense_creators
 
 from vnlab import fock
 from vnlab.fock import (FockSpace, SectorCommutator, apply_ladders,
@@ -12,7 +14,7 @@ from vnlab.fock import (FockSpace, SectorCommutator, apply_ladders,
                         weyl_relation_defect)
 from vnlab.locwedge import (real_subspace_from_vectors, symplectic_complement,
                             wedge_one_particle)
-from vnlab.numkit import complex_normal, dagger, norm2, rank
+from vnlab.numkit import BYTE_BUDGET, complex_normal, dagger, norm2, rank
 
 
 def sector_totals(f):
@@ -25,25 +27,10 @@ def sector_projector(f, max_total):
     return np.diag((sector_totals(f) <= max_total).astype(float))
 
 
-def _loop_creators(f):
-    """Dense ladder stack by the per-state loop over the occupation basis."""
-    d, dim = f.one_particle_dim, f.total_dim
-    index = {tuple(o): i for i, o in enumerate(f.occupations)}
-    creators = np.zeros((d, dim, dim), dtype=complex)
-    for i, occ in enumerate(f.occupations):
-        if occ.sum() >= f.n_max:
-            continue
-        for m in range(d):
-            target = occ.copy()
-            target[m] += 1
-            creators[m, index[tuple(target)], i] = np.sqrt(occ[m] + 1.0)
-    return creators
-
-
 def _creation_string_gamma(f, u):
     """Gamma(U) column by column from the loop-built ladders:
     prod_m a*(U e_m)^{n_m} vacuum / sqrt(prod_m n_m!)."""
-    rotated = np.tensordot(u, _loop_creators(f), axes=(0, 0))
+    rotated = np.tensordot(u, dense_creators(f), axes=(0, 0))
     gamma = np.zeros((f.total_dim, f.total_dim), dtype=complex)
     for i, occ in enumerate(f.occupations):
         col = f.vacuum()
@@ -109,7 +96,7 @@ class TestBuild:
         f = build_fock(d, n_max)
         identity = np.eye(f.total_dim)
         assert np.array_equal(apply_ladders(f, np.eye(d), 0, identity),
-                              _loop_creators(f))
+                              dense_creators(f))
 
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4), (4, 3),
                                          (2, 10), (8, 2), (5, 6)])
@@ -128,7 +115,7 @@ class TestBuild:
         rng = np.random.default_rng(16)
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = rng.standard_normal(f.total_dim)
-        dense = np.tensordot(psi, _loop_creators(f), axes=(0, 0))
+        dense = np.tensordot(psi, dense_creators(f), axes=(0, 0))
         assert np.allclose(apply_ladders(f, psi[None], 0, x)[0], dense @ x,
                            rtol=0, atol=1e-14)
 
@@ -147,6 +134,18 @@ class TestBuild:
         locality_check(f, k, symplectic_complement(k))
         assert not hasattr(f, "creators")
         assert not hasattr(f, "annihilators")
+
+    def test_widest_space_builds_under_the_budget(self):
+        # d = 4095 at n_max = 1 is D = 4096, the largest space the byte
+        # budget admits: the occupation rows, as lists and then as the
+        # table, stay under the budget too
+        tracemalloc.start()
+        try:
+            build_fock(4095, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BYTE_BUDGET
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -189,7 +188,7 @@ class TestFieldOperator:
         f = build_fock(3, 4)
         rng = np.random.default_rng(13)
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        adag = np.tensordot(psi, _loop_creators(f), axes=(0, 0))
+        adag = np.tensordot(psi, dense_creators(f), axes=(0, 0))
         assert np.array_equal(field_operator(f, psi),
                               (dagger(adag) + adag) / np.sqrt(2.0))
 
@@ -314,7 +313,7 @@ class TestSectorCommutator:
         f = build_fock(d, n_max)
         identity = np.eye(f.total_dim)
         assert np.array_equal(apply_ladders(f, 0, np.eye(d), identity),
-                              _loop_creators(f).transpose(0, 2, 1))
+                              dense_creators(f).transpose(0, 2, 1))
 
     def test_terms_built_once_per_space(self):
         f = build_fock(3, 4)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference import massless_state
+from reference import dense_creators, massless_state
 
 from vnlab.fock import build_fock
 from vnlab.lattice import (ChainSpec, _circulant_block, causality_probe_scan,
@@ -14,13 +14,7 @@ from vnlab.lattice import (ChainSpec, _circulant_block, causality_probe_scan,
                            local_difference, local_difference_bracket,
                            reduced_entropy, region_fock_rep,
                            symplectic_eigenvalues)
-from vnlab.numkit import haar_unitary
-
-
-def rand_density(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+from vnlab.numkit import haar_unitary, random_density
 
 
 def g_phi(state):
@@ -214,7 +208,7 @@ class TestEntropy:
 class TestLocalDifference:
     def test_identical_states(self):
         rng = np.random.default_rng(1)
-        rho = rand_density(rng, 4)
+        rho = random_density(rng, 4)
         assert local_difference(rho, rho.copy()) < 1e-14
 
     def test_orthogonal_pure_states(self):
@@ -236,8 +230,8 @@ class TestLocalDifference:
         rng = np.random.default_rng(7)
         for dim in (2, 4, 6, 8):
             for _ in range(5):
-                self.assert_bracket(rand_density(rng, dim),
-                                    rand_density(rng, dim))
+                self.assert_bracket(random_density(rng, dim),
+                                    random_density(rng, dim))
 
     @pytest.mark.parametrize("spectrum", [
         [0.3, 0.3, -0.3, -0.3], [0.25, 0.25, 0.25, -0.75],
@@ -249,24 +243,12 @@ class TestLocalDifference:
         self.assert_bracket(delta, np.zeros_like(delta))
 
     def test_bracket_of_equal_states_is_zero(self):
-        rho = rand_density(np.random.default_rng(1), 4)
+        rho = random_density(np.random.default_rng(1), 4)
         assert local_difference_bracket(rho, rho.copy()) == (0.0, 0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             local_difference(np.eye(2) / 2, np.eye(3) / 3)
-
-
-def _dense_creators(f):
-    """Dense (d, D, D) ladder stack, looped over the occupation basis."""
-    index = {tuple(o): i for i, o in enumerate(f.occupations)}
-    out = np.zeros((f.one_particle_dim, f.total_dim, f.total_dim))
-    for i, occ in enumerate(f.occupations):
-        for m in range(f.one_particle_dim):
-            target = tuple(occ + np.eye(f.one_particle_dim, dtype=int)[m])
-            if target in index:
-                out[m, index[target], i] = np.sqrt(occ[m] + 1.0)
-    return out
 
 
 def _dense_vacuum_vector(rep):
@@ -280,8 +262,8 @@ def _dense_vacuum_vector(rep):
     order = np.concatenate([rep.region, rep.complement])
     m_mat = m_mat[np.ix_(order, order)]
     fr, fc = rep.fock_region, rep.fock_complement
-    sites = ([np.kron(c, np.eye(fc.total_dim)) for c in _dense_creators(fr)]
-             + [np.kron(np.eye(fr.total_dim), c) for c in _dense_creators(fc)])
+    sites = ([np.kron(c, np.eye(fc.total_dim)) for c in dense_creators(fr)]
+             + [np.kron(np.eye(fr.total_dim), c) for c in dense_creators(fc)])
     pair = 0.5 * sum(m_mat[i, j] * sites[i] @ sites[j]
                      for i in range(n) for j in range(n))
     state = term = np.eye(pair.shape[0])[0]

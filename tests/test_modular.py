@@ -7,8 +7,7 @@ import pytest
 
 from reference import cyclic_separating, full_matrix_algebra, gns, herm_fn
 from vnlab import channels, modular, vnalg
-from vnlab.modular import (ModularData, check, conjugate_by_j, modular_flow,
-                           purify, tomita)
+from vnlab.modular import ModularData, check, modular_flow, purify, tomita
 from vnlab.numkit import (AntilinearMap, antilinear_polar, complex_normal,
                           dagger, haar_unitary, norm2)
 from vnlab.vnalg import (OperatorAlgebra, commutant, matrix_units,
@@ -33,6 +32,12 @@ def kms_defect(md, x, y):
     lhs = np.vdot(omega, x @ (y @ omega))
     rhs = np.vdot(omega, y @ (md.delta @ (x @ omega)))
     return float(abs(lhs - rhs))
+
+
+def conjugate_by_j(md, x):
+    """J x J = N conj(x) conj(N) as a linear matrix, N the matrix of J; a
+    stack of x maps matrix by matrix."""
+    return md.j.mat @ x.conj() @ md.j.mat.conj()
 
 
 def commutant_map_check(md, x):

@@ -1,6 +1,8 @@
 """Algebra generation, commutants, centres and factors, GNS."""
 
+import ast
 import gc
+import pathlib
 import weakref
 
 import numpy as np
@@ -77,10 +79,6 @@ def principal_intersection(a: OperatorAlgebra,
     return OperatorAlgebra(shared.reshape(-1, a.dim, a.dim))
 
 
-def ginibre(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
 def block_diag(*blocks):
     n = sum(b.shape[0] for b in blocks)
     out = np.zeros((n, n), dtype=complex)
@@ -93,19 +91,20 @@ def block_diag(*blocks):
 
 def _m3_times_1(rng):
     eye = np.eye(2)
-    return vn_closure([np.kron(ginibre(rng, 3), eye),
-                       np.kron(ginibre(rng, 3), eye)], 6)
+    return vn_closure([np.kron(complex_normal(rng, (3, 3)), eye),
+                       np.kron(complex_normal(rng, (3, 3)), eye)], 6)
 
 
 def _m2_times_1_plus_c(rng):
     # M_2 (x) 1_2 (+) C 1_3 on C^7
     zero = np.zeros((3, 3))
-    return vn_closure([block_diag(np.kron(ginibre(rng, 2), np.eye(2)), zero)
+    return vn_closure([block_diag(np.kron(complex_normal(rng, (2, 2)),
+                                          np.eye(2)), zero)
                        for _ in range(2)], 7)
 
 
 def _m2_plus_m2(rng):
-    return vn_closure([block_diag(ginibre(rng, 2), ginibre(rng, 2))
+    return vn_closure([block_diag(*complex_normal(rng, (2, 2), 2))
                        for _ in range(2)], 4)
 
 
@@ -287,7 +286,8 @@ class TestCertifiedCommutant:
     def test_bicommutant_m5_at_scale(self):
         rng = np.random.default_rng(3)
         eye = np.eye(5)
-        alg = vn_closure([np.kron(ginibre(rng, 5), eye) for _ in range(2)], 25)
+        alg = vn_closure([np.kron(x, eye)
+                          for x in complex_normal(rng, (5, 5), 2)], 25)
         with np.errstate(all="raise"):
             comm = commutant(alg)
             double = commutant(comm)
@@ -524,7 +524,9 @@ class TestTensorFactorSplit:
 
     def test_split_reads_match_the_basis(self, d, m, side):
         # dim, size, elements and the orbits of a vector come from the
-        # split, bit for bit what the basis stack gives
+        # split, bit for bit what the basis stack gives; the conjugates
+        # n conj(b) conj(n) of a run of the basis sum in another order on
+        # M_d (x) 1, so they match to roundoff of the images' scale
         split, dense, rng = self.pair(d, m, side)
         assert (split.dim, split.size) == (dense.dim, dense.size)
         coeff = complex_normal(rng, (split.size,))
@@ -532,3 +534,23 @@ class TestTensorFactorSplit:
         omega = complex_normal(rng, (d * m,))
         for got, ref in zip(split.orbits(omega), dense.orbits(omega)):
             assert np.array_equal(got, ref)
+        n = complex_normal(rng, (d * m, d * m))
+        for idx in np.array_split(np.arange(split.size), 3):
+            ref = n @ dense.basis[idx].conj() @ n.conj()
+            assert np.array_equal(dense.conjugates(n, idx), ref)
+            got = split.conjugates(n, idx)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_split_is_read_only_in_vnalg():
+    # the tensor layout has one home: no other module reads or sets an
+    # algebra's split (a call such as str.split is not a read)
+    found = set()
+    for path in pathlib.Path(vnalg.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        called = {id(node.func) for node in nodes
+                  if isinstance(node, ast.Call)}
+        if any(isinstance(node, ast.Attribute) and node.attr == "split"
+               and id(node) not in called for node in nodes):
+            found.add(path.name)
+    assert found == {"vnalg.py"}
