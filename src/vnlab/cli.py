@@ -6,7 +6,8 @@ takes the next token as its value, so a negative value may follow it after
 a space.  The values reach `experiments.validate_params` as strings: it
 alone converts and checks them.  Exit status is 0 iff every assertion of the
 run passed, 1 if one failed and 2, after one `error:` line, on any invalid
-invocation, an unwritable `--out` included.  A numerical breakdown
+invocation, an unwritable `--out` included, which `run` refuses before
+the experiment starts.  A numerical breakdown
 (`LinAlgError`, a `ValueError` subclass) is not an invalid invocation: it
 propagates, and Python exits 1.  Reports echo the full parameter set so any
 table or figure can be regenerated from the JSON alone.
@@ -71,8 +72,11 @@ def main(argv=None) -> int:
             raise ValueError(f"--format must be json or csv, not {fmt!r}")
         try:
             seed = int(flags.pop("seed", "0"))
+            if seed < 0:
+                # numpy's seeding refuses it in its own words, or not at all
+                raise ValueError
         except ValueError:
-            raise ValueError("--seed must be int") from None
+            raise ValueError("--seed must be a non-negative int") from None
         report = run(name, flags, seed=seed, out=out, fmt=fmt)
     except np.linalg.LinAlgError:
         raise

@@ -11,8 +11,10 @@ refuse a point, with a ValueError.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -709,12 +711,17 @@ _register("local-difference",
 # A negative gap overlaps the packets (the run refuses that), and below
 # -2 width it puts the second packet on the other side of the first,
 # |gap| - 2 width sites away, where the cap no longer bounds the distance:
-# --gap -40 --width 1 failed both nonzero assertions
+# --gap -40 --width 1 failed both nonzero assertions.  |t| is capped so
+# that the first-order tolerance t^2 (m^2 + 4) / 2 stays finite: at m = 3
+# it overflows from |t| = 5.2e153, and t^2 alone from 1.34e154.  The run
+# passes at 1e100, 1e150 and 5e153 at every corner of m and gap
+_t_max = 1e150
 _register("causality-probe",
           "disjoint-packet overlap under relativistic one-particle evolution",
           {"m": Param(float, 1.0, 0.0, 3.0), "sites": Param(int, 256),
            "gap": Param(int, 4, 0, 8), "width": Param(int, 8),
-           "t": Param(float, 0.5)}, {"sites": 4096}, _exp_causality_probe)
+           "t": Param(float, 0.5, -_t_max, _t_max)}, {"sites": 4096},
+          _exp_causality_probe)
 _register("local-prepare",
           "state-independent Kraus preparation of a vector state on one factor",
           {"d1": Param(int, 2, 1), "d2": Param(int, 2, 1),
@@ -772,8 +779,22 @@ def validate_params(name: str, overrides: dict | None) -> dict:
 
 def run(name: str, params: dict | None = None, seed: int = 0,
         out=None, fmt: str = "json") -> Report:
-    """Run a registered experiment; deterministic given (name, params, seed)."""
+    """Run a registered experiment; deterministic given (name, params, seed).
+    An `out` the report could not be written to is refused before the run,
+    and a run that raises leaves it as it was."""
     resolved = validate_params(name, params)
+    if out is not None:
+        # a directory in its place, a missing directory, or no permission
+        path, code = os.fspath(out), None
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not path or not os.path.isdir(parent):
+            code = errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        if code is not None:
+            raise OSError(code, os.strerror(code), path)
     start = time.perf_counter()
     result = REGISTRY[name].fn(resolved, seed)
     metrics, assertions, series = result[0], result[1], result[2]

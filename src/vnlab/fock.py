@@ -2,8 +2,8 @@
 
 Occupation-number basis over d modes with total particle number capped at
 n_max, ordered by total particle number, so the sectors <= k are the leading
-`sector_dim(k)` basis states.  A FockSpace stores that basis alone: d is its
-width and n_max the total of its last state.  Ladders are one index map
+`sector_dim(k)` basis states.  A FockSpace stores d and n_max alone, and
+writes that basis once from them, row by row.  Ladders are one index map
 cached on first read: for each mode, the basis index that a creator sends
 each of the first `sector_dim(n_max - 1)` states to, and the weight
 sqrt(occ + 1); `apply_ladders` applies any number of ladder sums from it at
@@ -27,7 +27,7 @@ commutator is accumulated from those terms straight into the two parts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
@@ -39,28 +39,37 @@ from .locwedge import RealSubspace
 
 @dataclass
 class FockSpace:
-    """The truncated Fock space, stored as its occupation basis; the mode
-    count, the cutoff and the ladder index maps are read from it."""
+    """The truncated Fock space of d modes with particle cutoff n_max.  The
+    occupation basis, (total_dim, d) and ordered by total, is written once
+    on construction; the ladder index maps are read from it."""
 
-    occupations: np.ndarray      # (total_dim, d), ordered by total
+    one_particle_dim: int
+    n_max: int
+    occupations: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = self.one_particle_dim
+        # int32 keeps the table under the budget at D = 4096
+        table = self.occupations = np.zeros((self.total_dim, d), np.int32)
+        # each multiset of modes is one occupation pattern; the generation
+        # order (by total, then mode-lexicographic) is the basis order
+        patterns = itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(d), total)
+            for total in range(self.n_max + 1))
+        for i, modes in enumerate(patterns):
+            occ = [0] * d
+            for m in modes:
+                occ[m] += 1
+            table[i] = occ
 
     @property
     def total_dim(self) -> int:
-        return self.occupations.shape[0]
-
-    @property
-    def one_particle_dim(self) -> int:
-        return self.occupations.shape[1]
-
-    @cached_property
-    def n_max(self) -> int:
-        """The particle cutoff: the total of the last basis state."""
-        return int(self.occupations[-1].sum())
+        return self.sector_dim(self.n_max)
 
     @cached_property
     def raise_index(self) -> np.ndarray:
         """(d, sector_dim(n_max - 1)): the basis index a*_m sends each state
-        below the top sector to, counted in `build_fock`'s order.  Of the
+        below the top sector to, counted in the basis order.  Of the
         states that precede one in its sector, below[r, k] agree with it
         before mode j and exceed it at j (k = d - 1 - j, r the total it
         leaves to the modes after j); raising mode m adds one to r at j < m."""
@@ -132,29 +141,15 @@ class FockSpace:
 
 
 def build_fock(d: int, n_max: int) -> FockSpace:
-    """Occupation basis, ordered by total, then lexicographically.
-
-    The space is refused when one dense operator on it, 16 D^2 bytes, is
-    over the byte budget, which admits D <= 4096."""
+    """The Fock space of d modes with cutoff n_max, refused when one dense
+    operator on it, 16 D^2 bytes, is over the byte budget, which admits
+    D <= 4096; its occupation table is written here, under that rule."""
     if d < 1 or n_max < 1:
         raise ValueError("need d >= 1 and n_max >= 1")
     total_dim = comb(n_max + d, d)
     require_budget(16 * total_dim ** 2,
                    f"a dense operator on the Fock space of dimension {total_dim}")
-
-    occs = []
-    for total in range(n_max + 1):
-        # each multiset of modes is one occupation pattern; the generation
-        # order (by total, then mode-lexicographic) is the basis order
-        for c in itertools.combinations_with_replacement(range(d), total):
-            occ = [0] * d
-            for m in c:
-                occ[m] += 1
-            occs.append(occ)
-    # int32 keeps the lists and the table under the budget at D = 4096
-    occupations = np.array(occs, dtype=np.int32)
-    assert occupations.shape[0] == total_dim
-    return FockSpace(occupations)
+    return FockSpace(d, n_max)
 
 
 def apply_ladders(f: FockSpace, up, down, x: np.ndarray) -> np.ndarray:

@@ -363,13 +363,43 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("out", ["missing/r.json", "."])
-    def test_unwritable_out_exit_two(self, capsys, tmp_path, out):
-        # a missing directory, or a directory in place of a file
+    def test_unwritable_out_exit_two(self, capsys, monkeypatch, tmp_path,
+                                     out):
+        # a missing directory, or a directory in place of a file, refused
+        # before the experiment is entered
+        def never(p, seed):
+            raise AssertionError("ran with an unwritable --out")
+
+        monkeypatch.setitem(REGISTRY, "powers",
+                            replace(REGISTRY["powers"], fn=never))
         assert cli.main(["powers", "--out", str(tmp_path / out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_raising_run_leaves_out_as_it_was(self, capsys, tmp_path,
+                                              existing):
+        # t = 0 is refused by the run itself, after the --out check
+        out = tmp_path / "r.json"
+        if existing:
+            out.write_text("kept")
+        assert cli.main(["causality-probe", "--t", "0",
+                         "--out", str(out)]) == 2
+        assert "t must be nonzero" in capsys.readouterr().err
+        assert (out.read_text() == "kept") if existing else not out.exists()
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_negative_seed_exit_two(self, capsys, monkeypatch, name):
+        def never(p, seed):
+            raise AssertionError(f"{name} ran at seed {seed}")
+
+        monkeypatch.setitem(REGISTRY, name, replace(REGISTRY[name], fn=never))
+        assert cli.main([name, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be a non-negative int\n"
 
     @pytest.mark.parametrize("argv, named", [
         (["--n_max", "3"], "'--n_max'"),
@@ -430,7 +460,8 @@ class TestCli:
         ["entropy-scan", "--m", "nan"],
         # a negative gap overlaps the packets or wraps round the ring
         ["causality-probe", "--gap", "-1"],
-        # no minimum: a NaN or inf is refused as not finite
+        # no minimum: a NaN or inf is refused as not finite; t's minimum,
+        # its cap against overflow, refuses its NaN first
         ["araki-woods", "--window", "nan"],
         ["araki-woods", "--window", "inf"],
         ["causality-probe", "--t", "nan"],
@@ -444,13 +475,17 @@ class TestCli:
         ["causality-probe", "--m", "5"],
         # the run-time cap of the cyclicity table
         ["reeh-schlieder-rank", "--n-max", "44"],
+        # past the cap on |t|, t^2 overflowed and ended in a traceback
+        ["causality-probe", "--t", "1e300"],
+        ["causality-probe", "--t", "-1e300"],
     ])
     def test_out_of_range_parameter_exit_two(self, capsys, argv):
         assert cli.main(argv) == 2
         flag, value = argv[1:]
         maximum = REGISTRY[argv[0]].schema[flag[2:].replace("-", "_")].maximum
         expected = ("must be nonzero" if (flag, value) == ("--t", "0")
-                    else "must be finite" if flag in ("--t", "--window")
+                    else "must be finite" if flag == "--window"
+                    or value == "inf"
                     else "must be <=" if maximum is not None
                     and float(value) > maximum
                     else "must be >=")

@@ -1,7 +1,8 @@
 """Truncated Fock space: ladders, CCR, locality, Weyl, cyclicity ranks."""
 
+import itertools
 import tracemalloc
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from vnlab.fock import (FockSpace, SectorCommutator, apply_ladders,
                         weyl_relation_defect)
 from vnlab.locwedge import (real_subspace_from_vectors, symplectic_complement,
                             wedge_one_particle)
-from vnlab.numkit import BYTE_BUDGET, complex_normal, dagger, norm2, rank
+from vnlab.numkit import complex_normal, dagger, norm2, rank
 
 
 def sector_totals(f):
@@ -80,9 +81,22 @@ class TestBuild:
         assert build_fock(d, n_max).total_dim == expected
 
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (4, 3)])
-    def test_sizes_read_from_the_basis(self, d, n_max):
-        f = FockSpace(build_fock(d, n_max).occupations)
-        assert (f.one_particle_dim, f.n_max) == (d, n_max)
+    def test_basis_written_from_the_sizes(self, d, n_max):
+        # the sizes are the whole constructor, so no table can be handed
+        # that disagrees with them or with the ladder maps
+        f = FockSpace(d, n_max)
+        assert f == build_fock(d, n_max)
+        with pytest.raises(TypeError):
+            FockSpace(d, n_max, f.occupations)
+        assert "occupations" not in repr(f)
+        # every occupation with total <= n_max, by total and then in
+        # decreasing lexicographic order
+        states = [o for o in itertools.product(range(n_max + 1), repeat=d)
+                  if sum(o) <= n_max]
+        states.sort(key=lambda o: (sum(o), [-c for c in o]))
+        assert f.occupations.dtype == np.int32
+        assert f.occupations.tolist() == [list(o) for o in states]
+        assert f.total_dim == len(states) == comb(n_max + d, d)
         assert f.raise_index.shape == f.raise_value.shape \
             == (d, f.sector_dim(n_max - 1))
 
@@ -137,15 +151,15 @@ class TestBuild:
 
     def test_widest_space_builds_under_the_budget(self):
         # d = 4095 at n_max = 1 is D = 4096, the largest space the byte
-        # budget admits: the occupation rows, as lists and then as the
-        # table, stay under the budget too
+        # budget admits: each row is written straight into the int32
+        # table, so the build's peak is the table's 64 MiB and little more
         tracemalloc.start()
         try:
-            build_fock(4095, 1)
+            f = build_fock(4095, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < BYTE_BUDGET
+        assert peak <= 1.05 * f.occupations.nbytes
 
     def test_cap(self):
         with pytest.raises(ValueError):

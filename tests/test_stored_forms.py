@@ -24,7 +24,7 @@ def test_constructors_take_only_the_defining_data():
         == {"RealSubspace": ["rows"],
             "OperatorAlgebra": ["basis", "generators"],
             "TensorFactor": ["d", "m", "side"],
-            "FockSpace": ["occupations"],
+            "FockSpace": ["one_particle_dim", "n_max"],
             "WedgeModel": ["theta_max", "k_values", "retained"],
             "Approximant": ["site_weights", "n_factors"]}
     assert parameters(real_subspace_from_vectors) == ["vecs"]
