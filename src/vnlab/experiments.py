@@ -666,10 +666,11 @@ _register("araki-woods",
 # a cond_cap below 1 cuts every mode of the wedge space; K and iK meet at
 # an angle of about cond_cap^{-1/2}, which the rank rule reads as 0 from
 # RANK_RTOL^{-2} = 1e20 on (standardness fails at 3e20), so the cap keeps
-# that angle ten times above the cut
+# that angle ten times above the cut.  The model needs an even n >= 8;
+# n = 2^20 takes 32 MiB for its spectrum and 0.02 s at either cap bound
 _register("wedge-localization",
           "discretized boost: S^2, standardness, duality, flow invariance",
-          {"n": Param(int, 64, 1), "theta_max": Param(float, 6.0),
+          {"n": Param(int, 64, 8, 1 << 20), "theta_max": Param(float, 6.0),
            "cond_cap": Param(float, locwedge.COND_CAP, 1.0, 1e18)},
           {"n": 4096}, _exp_wedge)
 # the orthogonal-pair control needs two modes, the commutators n_max >= 2

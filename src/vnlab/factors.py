@@ -8,14 +8,14 @@ of products of per-site eigenvalue ratios.  The spectral signatures (log
 spectrum, gaps in a window, reduced purity) are the desk-scale shadows of the
 type-III classification data.
 
-The approximants are spectrum-first.  An Approximant stores only its site
-weights and the number of factors N; the product vector and
+The approximants are spectrum-first.  An Approximant is frozen and stores
+only its site weights and the number of factors N; the product vector and
 ``delta_spectrum``, the sorted Kronecker product of the per-site Delta
 diagonals p (x) 1/p, are computed when first read.  That is all the
 signatures read, and no modular operator, per-site or global (268 MB per
-complex matrix at D = 4096), is formed.  Construction refuses a model
-whose stated peak, ``Approximant.peak_bytes``, exceeds the package's byte
-budget (``numkit.BYTE_BUDGET``).
+complex matrix at D = 4096), is formed.  Construction refuses N < 1 and a
+model whose stated peak, ``Approximant.peak_bytes``, exceeds the package's
+byte budget (``numkit.BYTE_BUDGET``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .modular import purify
 from .numkit import require_budget
 
 
-@dataclass
+@dataclass(frozen=True)
 class Approximant:
     """A finite tensor-power model, fixed by its site weights and the number
     of factors N.
@@ -39,14 +39,17 @@ class Approximant:
     ``purify``; each site's Delta is diag(p (x) 1/p), and ``delta_spectrum``
     is the sorted Kronecker product of those diagonals, taken in the same
     left-to-right order as the Kronecker powers of the site vector.
-    Construction refuses a model over the byte budget (``peak_bytes``) and
-    weights whose spectrum would leave the normal float range.
+    Construction refuses N < 1, a model over the byte budget
+    (``peak_bytes``) and weights whose spectrum would leave the normal float
+    range.
     """
 
     site_weights: np.ndarray
     n_factors: int
 
     def __post_init__(self):
+        if self.n_factors < 1:
+            raise ValueError("need at least one tensor factor")
         require_budget(self.peak_bytes, f"an approximant of ambient "
                        f"dimension {self.ambient_dim}")
         p = np.sort(self.site_weights)[::-1]    # descending, matching purify
@@ -55,7 +58,7 @@ class Approximant:
         if not n * (np.log(p[-1]) - np.log(p[0])) >= np.log(np.finfo(float).tiny):
             raise ValueError("Delta's spectrum leaves the normal float range at "
                              f"n = {n}: the weights are too uneven")
-        self.site_weights = p
+        object.__setattr__(self, "site_weights", p)
 
     @property
     def site_dim(self) -> int:
@@ -105,8 +108,6 @@ def powers_approximant(lam: float, n: int) -> Approximant:
     """
     if not 0 < lam <= 1:
         raise ValueError("lam must lie in (0, 1]")
-    if n < 1:
-        raise ValueError("need at least one tensor factor")
     weights = np.array([1.0, lam]) / (1.0 + lam)
     return Approximant(weights, n)
 
@@ -119,8 +120,6 @@ def araki_woods_approximant(lam: float, mu: float, n: int) -> Approximant:
     """
     if not (0 < lam < 1 and 0 < mu < 1):
         raise ValueError("lam and mu must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("need at least one tensor factor")
     weights = np.array([1.0, lam, mu]) / (1.0 + lam + mu)
     return Approximant(weights, n)
 

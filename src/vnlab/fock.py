@@ -2,8 +2,9 @@
 
 Occupation-number basis over d modes with total particle number capped at
 n_max, ordered by total particle number, so the sectors <= k are the leading
-`sector_dim(k)` basis states.  A FockSpace stores d and n_max alone, and
-writes that basis once from them, row by row.  Ladders are one index map
+`sector_dim(k)` basis states.  A FockSpace is frozen and stores d and n_max
+alone; its constructor refuses invalid sizes and a space over the byte
+budget, then writes that basis once, row by row.  Ladders are one index map
 cached on first read: for each mode, the basis index that a creator sends
 each of the first `sector_dim(n_max - 1)` states to, and the weight
 sqrt(occ + 1); `apply_ladders` applies any number of ladder sums from it at
@@ -37,11 +38,12 @@ from .numkit import dagger, norm2, require_budget, row_space
 from .locwedge import RealSubspace
 
 
-@dataclass
+@dataclass(frozen=True)
 class FockSpace:
-    """The truncated Fock space of d modes with particle cutoff n_max.  The
-    occupation basis, (total_dim, d) and ordered by total, is written once
-    on construction; the ladder index maps are read from it."""
+    """The truncated Fock space of d modes with particle cutoff n_max,
+    refused when one dense operator on it, 16 D^2 bytes, is over the byte
+    budget (D <= 4096).  The occupation basis, (total_dim, d) and ordered
+    by total, is written on construction; the ladder maps are read from it."""
 
     one_particle_dim: int
     n_max: int
@@ -49,8 +51,13 @@ class FockSpace:
 
     def __post_init__(self):
         d = self.one_particle_dim
+        if d < 1 or self.n_max < 1:
+            raise ValueError("need d >= 1 and n_max >= 1")
+        require_budget(16 * self.total_dim ** 2, f"a dense operator on the "
+                       f"Fock space of dimension {self.total_dim}")
         # int32 keeps the table under the budget at D = 4096
-        table = self.occupations = np.zeros((self.total_dim, d), np.int32)
+        table = np.zeros((self.total_dim, d), np.int32)
+        object.__setattr__(self, "occupations", table)
         # each multiset of modes is one occupation pattern; the generation
         # order (by total, then mode-lexicographic) is the basis order
         patterns = itertools.chain.from_iterable(
@@ -141,14 +148,7 @@ class FockSpace:
 
 
 def build_fock(d: int, n_max: int) -> FockSpace:
-    """The Fock space of d modes with cutoff n_max, refused when one dense
-    operator on it, 16 D^2 bytes, is over the byte budget, which admits
-    D <= 4096; its occupation table is written here, under that rule."""
-    if d < 1 or n_max < 1:
-        raise ValueError("need d >= 1 and n_max >= 1")
-    total_dim = comb(n_max + d, d)
-    require_budget(16 * total_dim ** 2,
-                   f"a dense operator on the Fock space of dimension {total_dim}")
+    """The Fock space of d modes with cutoff n_max, `FockSpace(d, n_max)`."""
     return FockSpace(d, n_max)
 
 

@@ -1,7 +1,8 @@
 """Free scalar field vacuum on a finite periodic chain.
 
-Momentum-space diagonalization gives the ground-state covariances; from these
-come connected correlation functions, their mass-gap decay rate, reduced
+Momentum-space diagonalization gives the ground-state covariances, a frozen
+GaussianState that keeps its ChainSpec and caches its rows; from these come
+connected correlation functions, their mass-gap decay rate, reduced
 entanglement entropies via symplectic eigenvalues, and trace-norm local
 differences of region states.  A one-particle evolution probe exhibits the
 nonvanishing of out-of-region amplitudes at every nonzero time (the
@@ -47,20 +48,40 @@ class ChainSpec:
         return np.sqrt(self.mass ** 2 + 4.0 * np.sin(k / 2.0) ** 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianState:
-    """Ground-state covariances; cross correlations vanish.
+    """Ground-state covariances of the chain; cross correlations vanish.
 
     Both covariances are circulant: <phi_i phi_j> = row_phi[(i - j) % n], and
-    the Fourier modes diagonalize them with eigenvalues weights_phi and
-    weights_pi.  Region blocks are gathered from the rows.
+    the Fourier modes diagonalize them with eigenvalues weights_phi =
+    1 / (2 omega) and weights_pi = omega / 2, omega the dispersion.  Region
+    blocks are gathered from the rows.  A massless chain has no vacuum: its
+    k = 0 mode diverges, so it is refused.
     """
 
     spec: ChainSpec
-    row_phi: np.ndarray
-    row_pi: np.ndarray
-    weights_phi: np.ndarray
-    weights_pi: np.ndarray
+
+    def __post_init__(self):
+        if not np.all(self.weights_pi > 0):
+            raise ValueError(
+                "massless chain: the k = 0 mode of <phi phi> diverges")
+
+    @cached_property
+    def weights_pi(self) -> np.ndarray:
+        return self.spec.dispersion() / 2.0
+
+    @cached_property
+    def weights_phi(self) -> np.ndarray:
+        return 0.25 / self.weights_pi
+
+    # row[r] = sum_k cos(k r) w_k / n: the real part of a forward FFT
+    @cached_property
+    def row_phi(self) -> np.ndarray:
+        return np.fft.fft(self.weights_phi).real / self.spec.sites
+
+    @cached_property
+    def row_pi(self) -> np.ndarray:
+        return np.fft.fft(self.weights_pi).real / self.spec.sites
 
 
 def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:
@@ -69,22 +90,8 @@ def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:
 
 
 def ground_state(spec: ChainSpec) -> GaussianState:
-    """Vacuum covariances G_phi = <phi phi>, G_pi = <pi pi>.
-
-    A massless chain has no vacuum: its k = 0 mode diverges, so it is refused.
-    """
-    omega = spec.dispersion()
-    if not np.all(omega > 0):
-        raise ValueError(
-            "massless chain: the k = 0 mode of <phi phi> diverges")
-    weights_phi = 1.0 / (2.0 * omega)
-    weights_pi = omega / 2.0
-
-    # row[r] = sum_k cos(k r) w_k / n: the real part of a forward FFT
-    n = spec.sites
-    return GaussianState(spec=spec, row_phi=np.fft.fft(weights_phi).real / n,
-                         row_pi=np.fft.fft(weights_pi).real / n,
-                         weights_phi=weights_phi, weights_pi=weights_pi)
+    """Vacuum covariances G_phi = <phi phi>, G_pi = <pi pi> of the chain."""
+    return GaussianState(spec)
 
 
 def cluster_function(state: GaussianState, r: int) -> float:
@@ -277,7 +284,7 @@ def _packet(n: int, support) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionFockRep:
     """Chain vacuum in a region (x) complement product-truncated Fock basis.
 

@@ -9,12 +9,12 @@ f -> -f.  Because the modular spectrum spans e^{+-2 pi k}, a spectral window
 (condition cap on Delta^{1/2}) defines the retained subspace, and every
 localization statement is made there.
 
-Each object has one stored form and keeps only the data that fixes it: a
-RealSubspace its orthonormal rows in R^{2n} under v -> (Re v, Im v), so a span,
-an image or a complement is one rank-rule call, and n is half their width; a
-WedgeModel its rapidity half-width, the generator's spectrum k_values and the
-indices of its retained modes ordered by k, so the grid size n is the number
-of frequencies.
+Each object has one frozen stored form and keeps only the data that fixes
+it: a RealSubspace its orthonormal rows in R^{2n} under v -> (Re v, Im v), so
+a span, an image or a complement is one rank-rule call, and n is half their
+width; a WedgeModel its grid size n, rapidity half-width and condition cap,
+from which the generator's spectrum k_values and the retained modes are
+read once, and whose constructor refuses an invalid grid.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .numkit import (AntilinearMap, embed_real, norm2, null_space, rank,
-                     real_linearize, row_space, unembed_real)
+                     real_linearize, require_budget, row_space, unembed_real)
 
 COND_CAP = 1e8
 
@@ -36,7 +36,7 @@ def boost_matrix(s: float) -> np.ndarray:
                      [np.sinh(s), np.cosh(s)]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class RealSubspace:
     """Real-linear subspace of C^n, stored as orthonormal rows of R^{2n}."""
 
@@ -74,25 +74,59 @@ def subspace_distance(k1: RealSubspace, k2: RealSubspace) -> float:
     return norm2(k1.rows.T @ k1.rows - k2.rows.T @ k2.rows)
 
 
-@dataclass
-class WedgeModel:
-    """Discretized one-particle wedge data.
+def wedge_bytes(n: int, r: int) -> int:
+    """Stated peak of a wedge model of n grid points with r retained modes
+    and its `wedge_report`: 32 n bytes for the spectrum and the window's
+    sort, 11 dense operators of 16 r^2 bytes for the realified solves, and
+    256 KiB.  Over 17 points with 8 <= n <= 2^20 and 2 <= r <= 1232,
+    tracemalloc read 0.06-0.99 of it: 0.99 at n = 2^20 with r <= 26, and
+    10.5 operators (0.95) from r = 420 on.  The budget admits r <= 1234 (r
+    is even) up to n = 5258 and r <= 1154 at n = 2^20; r = 1232 at n = 8192
+    and r = 1154 at n = 2^20 took 12 s and 10 s on two cores."""
+    return 32 * n + 176 * r ** 2 + (1 << 18)
 
-    k_values, the Fourier frequencies of the grid, are the boost generator's
-    spectrum; the cached S, J and K live on the retained modes, the spectral
-    window where cond(Delta^{1/2}) stays below the cap.  No dense n x n
-    operator is formed: Delta's spectrum spans e^{+-2 pi max|k|} and
-    overflows beyond small n.
+
+@dataclass(frozen=True)
+class WedgeModel:
+    """Wedge model on a uniform periodic rapidity grid of n points.
+
+    The generator is the Fourier-grid derivative (Nyquist mode zeroed so the
+    spectrum is symmetric about 0), Delta = exp(-2 pi K), J = conjugation.
+    The cached S, J and K live on the retained modes, where cond(Delta^{1/2})
+    stays below the cap; no dense n x n operator is formed, as Delta's
+    spectrum spans e^{+-2 pi max|k|} and overflows beyond small n.
     """
 
+    n: int
     theta_max: float
-    k_values: np.ndarray
-    retained: np.ndarray  # indices of the retained modes, ordered by k
+    cond_cap: float = COND_CAP
 
-    @property
-    def n(self) -> int:
-        """Number of grid points, one per Fourier frequency."""
-        return self.k_values.size
+    def __post_init__(self):
+        if self.n < 8 or self.n % 2:
+            raise ValueError("need an even grid with n >= 8")
+        if not self.theta_max > 0:     # a NaN half-width is refused too
+            raise ValueError("theta_max must be positive")
+        # the grid is charged before its spectrum is read, the modes after
+        require_budget(wedge_bytes(self.n, 0),
+                       f"a wedge grid of {self.n} points")
+        r = self.retained_dim
+        require_budget(wedge_bytes(self.n, r),
+                       f"a wedge model with {r} retained modes")
+
+    @cached_property
+    def k_values(self) -> np.ndarray:
+        """The generator's spectrum, one Fourier frequency per grid point."""
+        h = 2.0 * self.theta_max / self.n
+        kvals = 2.0 * np.pi * np.fft.fftfreq(self.n, d=h)
+        kvals[self.n // 2] = 0.0  # drop the unpaired Nyquist frequency
+        return kvals
+
+    @cached_property
+    def retained(self) -> np.ndarray:
+        """Indices of the retained modes, ordered by k."""
+        k_cut = np.log(self.cond_cap) / (2.0 * np.pi)
+        order = np.argsort(self.k_values, kind="stable")
+        return order[np.abs(self.k_values[order]) <= k_cut + 1e-12]
 
     @property
     def k_retained(self) -> np.ndarray:
@@ -132,24 +166,8 @@ class WedgeModel:
 
 def wedge_one_particle(n: int, theta_max: float,
                        cond_cap: float = COND_CAP) -> WedgeModel:
-    """Wedge model on a uniform periodic rapidity grid of n points.
-
-    The generator is the Fourier-grid derivative (Nyquist mode zeroed so the
-    spectrum is symmetric about 0), Delta = exp(-2 pi K), J = conjugation.
-    Only the generator's spectrum and the retained window are built here.
-    """
-    if n < 8 or n % 2:
-        raise ValueError("need an even grid with n >= 8")
-    if theta_max <= 0:
-        raise ValueError("theta_max must be positive")
-    h = 2.0 * theta_max / n
-    kvals = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    kvals[n // 2] = 0.0  # drop the unpaired Nyquist frequency, keep its mode
-
-    k_cut = np.log(cond_cap) / (2.0 * np.pi)
-    order = np.argsort(kvals, kind="stable")
-    retained = order[np.abs(kvals[order]) <= k_cut + 1e-12]
-    return WedgeModel(theta_max=theta_max, k_values=kvals, retained=retained)
+    """The wedge model `WedgeModel(n, theta_max, cond_cap)`."""
+    return WedgeModel(n, theta_max, cond_cap)
 
 
 def standard_subspace(s: AntilinearMap) -> RealSubspace:

@@ -7,8 +7,8 @@ Fourier-mode S, the GNS construction as a second route to modular data, the
 cyclic and separating flags that ``modular.tomita`` decides inside its
 solve, the full and scalar matrix algebras as test cases, the dense Fock
 ladders that ``fock.apply_ladders`` applies from index maps, and the massless
-chain, which ``lattice.ground_state`` refuses, with its divergent k = 0
-mode dropped.
+chain, which ``lattice.GaussianState`` refuses, with its divergent k = 0
+mode dropped, in a form of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from vnlab.lattice import ChainSpec, GaussianState
+from vnlab.lattice import ChainSpec
 from vnlab.locwedge import COND_CAP
 from vnlab.numkit import (VALIDITY_ATOL, AntilinearMap, dagger, nonzero_mask,
                           rank)
@@ -170,7 +170,19 @@ def gns(rho: np.ndarray) -> GnsRep:
                   represent=represent, algebra=algebra)
 
 
-def massless_state(sites: int) -> GaussianState:
+@dataclass(frozen=True)
+class MasslessState:
+    """The five attributes of a ``lattice.GaussianState`` that ``lattice``
+    reads, for the chain that ``GaussianState`` refuses."""
+
+    spec: ChainSpec
+    row_phi: np.ndarray
+    row_pi: np.ndarray
+    weights_phi: np.ndarray
+    weights_pi: np.ndarray
+
+
+def massless_state(sites: int) -> MasslessState:
     """Covariances of the massless chain without its k = 0 field mode.
 
     Each row is the mode sum row[r] = sum_k w_k cos(k r) / n; <phi phi> keeps
@@ -183,6 +195,6 @@ def massless_state(sites: int) -> GaussianState:
     w_phi[1:] = 0.5 / omega[1:]
     w_pi = omega / 2.0
     cos = np.cos(np.outer(np.arange(sites), spec.momenta()))
-    return GaussianState(spec=spec, row_phi=cos @ w_phi / sites,
+    return MasslessState(spec=spec, row_phi=cos @ w_phi / sites,
                          row_pi=cos @ w_pi / sites, weights_phi=w_phi,
                          weights_pi=w_pi)

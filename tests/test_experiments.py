@@ -569,10 +569,13 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         # the images of the last block alone are 304 MB at (8, 6), and
         # 4095 fields on dimension 4096 need about 1.3 GB; d = 1831 is the
-        # first point past the edge at n_max = 1
+        # first point past the edge at n_max = 1; the wedge's 4096 retained
+        # modes need about 2.8 GB
         ["reeh-schlieder-rank", "--d", "8", "--n-max", "6"],
         ["reeh-schlieder-rank", "--d", "4095", "--n-max", "1"],
-        ["reeh-schlieder-rank", "--d", "1831", "--n-max", "1"]])
+        ["reeh-schlieder-rank", "--d", "1831", "--n-max", "1"],
+        ["wedge-localization", "--n", "4096", "--theta-max", "1000",
+         "--cond-cap", "1e18"]])
     def test_over_budget_point_refused_before_allocating(self, capsys, argv):
         tracemalloc.start()
         try:

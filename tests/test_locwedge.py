@@ -287,11 +287,14 @@ class TestDualityAndFlow:
 
     def test_report_leaves_dense_operators_unbuilt(self):
         model = wedge_one_particle(64, 6.0)
-        fields = set(model.__dict__)
         wedge_report(model)
-        # the report caches the compressed J, S and K and nothing n x n
-        assert set(model.__dict__) - fields == {"j_compressed", "s_compressed",
-                                                "standard_subspace"}
+        # the report caches the spectrum, the retained modes and the
+        # compressed J, S and K, and nothing n x n
+        assert set(model.__dict__) == {"n", "theta_max", "cond_cap",
+                                       "k_values", "retained", "j_compressed",
+                                       "s_compressed", "standard_subspace"}
+        assert model.k_values.shape == (64,)
+        assert model.retained.shape == (model.retained_dim,)
         assert model.standard_subspace.ambient_dim == model.retained_dim < 64
 
     def test_report_solves_k_once(self, monkeypatch):
