@@ -197,9 +197,11 @@ def _set_match_error(values: np.ndarray, targets: np.ndarray,
     and so does |v - t| / t for positive targets, which the relative form
     assumes.  No distance is then divided by a target far below it, so a
     spectrum that spans the normal floats does not overflow.  A NaN in
-    either set makes the error NaN, so the assertion fails.
+    either set makes the error NaN, so the assertion fails.  Duplicates
+    change neither set's nearest neighbours, so both sets are only sorted
+    (np.unique imports numpy.ma on its first call in a process).
     """
-    values, targets = np.unique(values), np.sort(targets)
+    values, targets = np.sort(values), np.sort(targets)
 
     def neighbours(points, ref):
         i = np.searchsorted(ref, points)
@@ -256,7 +258,7 @@ def _exp_araki_woods(p, seed):
         gaps.insert(0, sig.max_gap)
     # the weights are accepted by now, so their logs are finite; sig is N = 1
     la, lm = np.log(lam), np.log(mu)
-    targets = np.unique(np.array([0.0, la, -la, lm, -lm, la - lm, lm - la]))
+    targets = np.sort([0.0, la, -la, lm, -lm, la - lm, lm - la])
     log_err = _set_match_error(sig.log_spectrum, targets, relative=False)
     # no floor at 0: the growth is negative while the gaps close
     growth = np.max(np.diff(gaps)) if n_max > 1 else 0.0
@@ -372,7 +374,9 @@ def _exp_entropy_scan(p, seed):
     for _ in range(p["bipartitions"]):
         size = int(rng.integers(1, n))
         region = rng.choice(n, size=size, replace=False)
-        comp = np.setdiff1d(np.arange(n), region)
+        outside = np.ones(n, dtype=bool)
+        outside[region] = False
+        comp = np.flatnonzero(outside)
         nu = lattice.symplectic_eigenvalues(state, region)
         s1 = lattice.gaussian_entropy(nu)
         s2 = lattice.reduced_entropy(state, comp)
@@ -636,8 +640,9 @@ def _register(name, description, schema, scale, fn):
     REGISTRY[name] = ExperimentDef(name, description, schema, scale, fn)
 
 
-# The cap is for time alone: kms-random's 50 default instances take
-# 0.34-0.41 s at max_k = 12 and 0.49-0.59 s at 13 on two cores.
+# The cap is for time alone: on two cores, kms-random's 50 default
+# instances take 0.68-0.74 s at max_k = 12 and 0.97-1.17 s at 13 (1.21-1.22 s
+# at 12 on the same host when the polar defects took spectral norms).
 _k_max = 12
 
 _register("kms-random",

@@ -13,9 +13,10 @@ only its site weights and the number of factors N; the product vector and
 ``delta_spectrum``, the sorted Kronecker product of the per-site Delta
 diagonals p (x) 1/p, are computed when first read.  That is all the
 signatures read, and no modular operator, per-site or global (268 MB per
-complex matrix at D = 4096), is formed.  Construction refuses N < 1 and a
-model whose stated peak, ``Approximant.peak_bytes``, exceeds the package's
-byte budget (``numkit.BYTE_BUDGET``).
+complex matrix at D = 4096), is formed.  Construction refuses N < 1,
+weights that are not a probability vector, and a model whose stated peak,
+``Approximant.peak_bytes``, exceeds the package's byte budget
+(``numkit.BYTE_BUDGET``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .modular import purify
-from .numkit import require_budget
+from .numkit import VALIDITY_ATOL, require_budget
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,9 @@ class Approximant:
     is the sorted Kronecker product of those diagonals, taken in the same
     left-to-right order as the Kronecker powers of the site vector.
     Construction refuses N < 1, a model over the byte budget
-    (``peak_bytes``) and weights whose spectrum would leave the normal float
-    range.
+    (``peak_bytes``), weights that are not all finite and positive or do
+    not sum to 1 (within ``VALIDITY_ATOL``), and weights whose spectrum
+    would leave the normal float range.
     """
 
     site_weights: np.ndarray
@@ -53,6 +55,10 @@ class Approximant:
         require_budget(self.peak_bytes, f"an approximant of ambient "
                        f"dimension {self.ambient_dim}")
         p = np.sort(self.site_weights)[::-1]    # descending, matching purify
+        if not np.all(np.isfinite(p) & (p > 0)):
+            raise ValueError("the site weights must be finite and positive")
+        if not abs(p.sum() - 1.0) <= VALIDITY_ATOL:
+            raise ValueError("the site weights must sum to 1")
         n = self.n_factors
         # Delta's spectrum spans (p_max/p_min)^{+-n}: both ends must be normal
         if not n * (np.log(p[-1]) - np.log(p[0])) >= np.log(np.finfo(float).tiny):

@@ -162,7 +162,7 @@ def symplectic_eigenvalues(state: GaussianState, region) -> np.ndarray:
     if region.size == 0:
         raise ValueError("empty region")
     n = state.spec.sites
-    if region.size == n and np.unique(region % n).size == n:
+    if region.size == n and np.bincount(region % n, minlength=n).all():
         return np.sqrt(state.weights_phi * state.weights_pi)
     chol = np.linalg.cholesky(_circulant_block(state.row_phi, region))
     b = _circulant_block(state.row_pi, region)

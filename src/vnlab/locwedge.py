@@ -14,7 +14,8 @@ it: a RealSubspace its orthonormal rows in R^{2n} under v -> (Re v, Im v), so
 a span, an image or a complement is one rank-rule call, and n is half their
 width; a WedgeModel its grid size n, rapidity half-width and condition cap,
 from which the generator's spectrum k_values and the retained modes are
-read once, and whose constructor refuses an invalid grid.
+read once, and whose constructor refuses an invalid grid or a condition
+cap below 1.
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ class WedgeModel:
             raise ValueError("need an even grid with n >= 8")
         if not self.theta_max > 0:     # a NaN half-width is refused too
             raise ValueError("theta_max must be positive")
+        if not self.cond_cap >= 1:     # and a NaN cap
+            raise ValueError("cond_cap must be >= 1: a cap below 1 cuts every "
+                             "mode of the wedge space")
         # the grid is charged before its spectrum is read, the modes after
         require_budget(wedge_bytes(self.n, 0),
                        f"a wedge grid of {self.n} points")

@@ -5,10 +5,11 @@ orthonormal in the Hilbert-Schmidt inner product tr(A* B), a tensor factor
 as its split alone; membership tests are projection residuals with a single
 threshold and J b J a product with the basis (a partial trace on a tensor
 factor, J's column blocks on M_d (x) 1).  Every rank decision is numkit's
-rank rule: the closure grows a span by one letter per pass, commutants are
-solved from one random element of the algebra on the entries where its
-Hermitian part's commutator vanishes and certified against the whole basis,
-and the center is one null space over the algebra's coefficients.
+rank rule: the closure grows a span by one letter per pass, multiplying
+only the directions the last pass added; commutants are solved from one
+random element of the algebra on the entries where its Hermitian part's
+commutator vanishes and certified against the whole basis; and the center
+is one null space over the algebra's coefficients.
 """
 
 from __future__ import annotations
@@ -184,22 +185,28 @@ def vn_closure(generators, dim: int) -> OperatorAlgebra:
     """Smallest unital *-closed product-closed span containing the generators.
 
     The letters are the generators and their adjoints.  Starting from the
-    span of 1 and the letters, each pass adds the letters times the span, so
-    the words it holds grow by one letter per pass; the span is the algebra
-    once a pass leaves its dimension unchanged.
+    span of 1 and the letters, each pass multiplies the letters by the
+    directions the last pass added, so the words it holds grow by one letter
+    per pass; the letters times the older directions already lie in the
+    span.  The words, projected off the span twice, have the new directions
+    as row space (as in `fock.cyclicity_rank`), and the span is the algebra
+    once a pass adds none.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if any(g.shape != (dim, dim) for g in gens):
         raise ValueError("generator dimension mismatch")
     letters = np.array(gens + [dagger(g) for g in gens]).reshape(-1, dim, dim)
-    basis = orthonormalize_span(np.concatenate([np.eye(dim)[None], letters]))
-    while True:
-        words = (letters[:, None] @ basis).reshape(-1, dim, dim)
-        grown = orthonormalize_span(np.concatenate([basis, words]))
-        if grown.shape[0] == basis.shape[0]:
-            break
-        basis = grown
-    return OperatorAlgebra(basis, generators=np.array(gens) if gens else None)
+    span = added = orthonormalize_span(
+        np.concatenate([np.eye(dim)[None], letters])).reshape(-1, dim * dim)
+    while len(added):
+        words = (letters[:, None] @ added.reshape(-1, dim, dim)
+                 ).reshape(-1, dim * dim)
+        for _ in range(2):
+            words -= (words @ dagger(span)) @ span
+        added = row_space(words)
+        span = np.concatenate([span, added])
+    return OperatorAlgebra(span.reshape(-1, dim, dim),
+                           generators=np.array(gens) if gens else None)
 
 
 def commutant(a: OperatorAlgebra, use_hint: bool = True) -> OperatorAlgebra:

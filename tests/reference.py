@@ -5,10 +5,12 @@ structured way: the spectral calculus behind ``ModularData.delta_power`` and
 ``antilinear_polar``, the eigensolve-based S operator behind the wedge's
 Fourier-mode S, the GNS construction as a second route to modular data, the
 cyclic and separating flags that ``modular.tomita`` decides inside its
-solve, the full and scalar matrix algebras as test cases, the dense Fock
-ladders that ``fock.apply_ladders`` applies from index maps, and the massless
-chain, which ``lattice.GaussianState`` refuses, with its divergent k = 0
-mode dropped, in a form of its own.
+solve, the closure that re-orthonormalizes the whole span each pass (which
+``vnalg.vn_closure`` grows by the new directions only), the full and scalar
+matrix algebras as test cases, the dense Fock ladders that
+``fock.apply_ladders`` applies from index maps, and the massless chain,
+which ``lattice.GaussianState`` refuses, with its divergent k = 0 mode
+dropped, in a form of its own.
 """
 
 from __future__ import annotations
@@ -100,6 +102,21 @@ def full_matrix_algebra(n: int) -> OperatorAlgebra:
 
 def scalar_algebra(n: int) -> OperatorAlgebra:
     return OperatorAlgebra(np.eye(n)[None, :, :] / np.sqrt(n))
+
+
+def letter_closure(generators, dim: int) -> OperatorAlgebra:
+    """Reference form of ``vnalg.vn_closure``: each pass re-orthonormalizes
+    the span together with the letters (the generators and their adjoints)
+    times the whole span, until a pass leaves its dimension unchanged."""
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    letters = np.array(gens + [dagger(g) for g in gens]).reshape(-1, dim, dim)
+    basis = orthonormalize_span(np.concatenate([np.eye(dim)[None], letters]))
+    while True:
+        words = (letters[:, None] @ basis).reshape(-1, dim, dim)
+        grown = orthonormalize_span(np.concatenate([basis, words]))
+        if grown.shape[0] == basis.shape[0]:
+            return OperatorAlgebra(basis)
+        basis = grown
 
 
 def cyclic_separating(a: OperatorAlgebra,

@@ -5,6 +5,10 @@ import inspect
 import io
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -15,6 +19,8 @@ from vnlab import cli, factors, fock, lattice, locwedge, modular, vnalg
 from vnlab.experiments import (REGISTRY, Assertion, _set_match_error,
                                list_experiments, run, validate_params)
 from vnlab.vnalg import tensor_factor_algebra
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 REQUIRED = [
     "kms-random", "modular-flow", "modular-spectrum", "powers", "araki-woods",
@@ -208,6 +214,29 @@ def test_causality_first_order_catches_frozen_packets(monkeypatch):
              for a in run("causality-probe", {"t": 1e-10}).assertions}
     assert found["amplitude_nonzero_at_t"]
     assert not found["amplitude_first_order"]
+
+
+NUMPY_MA_PROBE = """
+import sys
+from vnlab.experiments import REGISTRY, run
+for name, exp in REGISTRY.items():
+    for params in (None, exp.scale):
+        run(name, params)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_experiments_leave_numpy_ma_unimported():
+    # np.unique, np.setdiff1d and their kin import numpy.ma on a first call
+    # (numpy 2.4), which a fresh process pays inside its first run; every
+    # experiment at its defaults and at scale, in a fresh interpreter
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
 
 
 def _set_match_error_loop(values, targets, relative):

@@ -441,6 +441,54 @@ class TestPurify:
             purify(np.eye(3) / 3, 2)
 
 
+class TestPolarDefects:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_each_defect_bounds_its_spectral_norm(self, k):
+        # ||X||_2 <= ||X||_F: each tolerance on a polar defect is at least
+        # as hard to meet as on the spectral norm of the same matrix
+        rng = np.random.default_rng(40 + k)
+        eye = np.eye(k * k)
+        for _ in range(3):
+            md = tomita(*random_pair(rng, k))
+            spectral = {
+                "s_reconstruction":
+                    norm2(md.s.mat - (md.j @ md.delta_power(0.5)).mat),
+                "s_squared": norm2(md.s @ md.s - eye),
+                "j_squared": norm2(md.j @ md.j - eye),
+                "j_antiunitary": norm2(dagger(md.j.mat) @ md.j.mat - eye),
+                "jdj_inverse": norm2(md.j @ md.delta @ md.j
+                                     - md.delta_power(-1.0)),
+            }
+            rec = check(md)
+            for key, ref in spectral.items():
+                assert ref <= rec[key] <= 1e-12, key
+
+    def test_scaled_j_is_not_antiunitary(self):
+        # J J* - 1 = ((1 + 1e-6)^2 - 1) 1 at k = 3: 2e-6 on each of nine
+        # diagonal entries
+        md = tomita(*random_pair(np.random.default_rng(7), 3))
+        scaled = replace(md, j=AntilinearMap(md.j.mat * (1 + 1e-6)))
+        assert check(md)["j_antiunitary"] <= 1e-13
+        assert check(scaled)["j_antiunitary"] > 1e-7
+
+    @pytest.mark.parametrize("t,s,count", [(0.7, 0.0, 2), (0.7, 0.4, 3),
+                                           (0.0, 0.4, 2), (0.0, 0.0, 1)])
+    def test_one_power_per_distinct_time(self, monkeypatch, t, s, count):
+        # a sample (t, s, x) needs Delta^{iz} at s, t and t + s, each formed
+        # once; nothing is reused across samples
+        md = tomita(*random_pair(np.random.default_rng(8), 2))
+        x = md.algebra.element(np.eye(2))
+        calls, power = [], ModularData.delta_power
+
+        def spy(self, z):
+            calls.append(z)
+            return power(self, z)
+
+        monkeypatch.setattr(ModularData, "delta_power", spy)
+        modular._flow_defects(md, [(t, s, x)] * 3)
+        assert len(calls) == 3 * count
+
+
 class TestReportRecord:
     def test_check_keys(self):
         import json

@@ -72,6 +72,16 @@ def test_defining_fields_are_read_only(model, field, value):
     (lambda: WedgeModel(7, 1.0), "need an even grid with n >= 8"),
     (lambda: WedgeModel(8, 0.0), "theta_max must be positive"),
     (lambda: WedgeModel(8, float("nan")), "theta_max must be positive"),
+    (lambda: WedgeModel(16, 3.0, 0.5), "cond_cap must be >= 1"),
+    (lambda: WedgeModel(16, 3.0, float("nan")), "cond_cap must be >= 1"),
+    (lambda: Approximant(np.array([2.0, 3.0]), 1),
+     "the site weights must sum to 1"),
+    (lambda: Approximant(np.array([0.0, 1.0]), 1),
+     "the site weights must be finite and positive"),
+    (lambda: Approximant(np.array([-0.5, 1.5]), 1),
+     "the site weights must be finite and positive"),
+    (lambda: Approximant(np.array([np.nan, 1.0]), 1),
+     "the site weights must be finite and positive"),
     (lambda: GaussianState(ChainSpec(8, 0.0)),
      "massless chain: the k = 0 mode of <phi phi> diverges"),
 ])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from reference import (cyclic_separating, full_matrix_algebra, gns,
-                       scalar_algebra)
+                       letter_closure, scalar_algebra)
 from vnlab import vnalg
 from vnlab.modular import tomita
 from vnlab.numkit import (complex_normal, dagger, norm2, null_space,
@@ -35,6 +35,16 @@ def closure_residuals(a: OperatorAlgebra) -> dict:
             "adjoint": max(a.member_residual(dagger(b)) for b in a.basis),
             "product": max(a.member_residual(b @ c)
                            for b in a.basis for c in a.basis)}
+
+
+def assert_same_algebra(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
+    """Equal sizes, an orthonormal basis in a, and principal cosines
+    between the two spans all within 1e-9 of one."""
+    fa, fb = (x.basis.reshape(x.size, -1) for x in (a, b))
+    assert a.size == b.size
+    assert norm2(fa.conj() @ fa.T - np.eye(a.size)) < 1e-12
+    cosines = np.linalg.svd(fa.conj() @ fb.T, compute_uv=False)
+    assert cosines.min() >= 1.0 - 1e-9
 
 
 def stacked_commutant(a: OperatorAlgebra) -> OperatorAlgebra:
@@ -160,6 +170,35 @@ class TestClosure:
             ref = pairwise_closure(gens, alg.dim)
             assert closed.size == ref.size == size
             assert span_distance(closed, ref) < 1e-10
+            # and the closure that multiplies the letters by the whole span
+            assert_same_algebra(closed, letter_closure(gens, alg.dim))
+
+    def test_tensor_factor_draws_match_letter_closure(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            gens = [np.kron(complex_normal(rng, (4, 4)), np.eye(4))
+                    for _ in range(2)]
+            with np.errstate(all="raise"):
+                closed = vn_closure(gens, 16)
+            assert closed.size == 16
+            assert_same_algebra(closed, letter_closure(gens, 16))
+
+    def test_each_pass_multiplies_only_the_new_directions(self, monkeypatch):
+        # on M_4 (x) 1: 1 and the four letters, then the letters times the
+        # 5 directions of that span, then times the 11 the pass added; the
+        # letters times the whole span took SVDs of 25 and 80 rows
+        shapes, row_space = [], vnalg.row_space
+
+        def spy(a):
+            shapes.append(a.shape)
+            return row_space(a)
+
+        monkeypatch.setattr(vnalg, "row_space", spy)
+        rng = np.random.default_rng(1)
+        gens = [np.kron(complex_normal(rng, (4, 4)), np.eye(4))
+                for _ in range(2)]
+        assert vn_closure(gens, 16).size == 16
+        assert shapes == [(5, 256), (20, 256), (44, 256)]
 
     def test_bicommutant_draw_matches_pairwise_reference(self):
         # the benchmark's bicommutant op: vN({x (x) 1, y (x) 1}), x, y in M_4
