@@ -9,12 +9,13 @@ nonzero at every positive time, however far apart they sit.
 
 import numpy as np
 
-from vnlab.lattice import (ChainSpec, causality_probe_scan, cluster_function,
-                           decay_rate_fit, expected_decay_rate, ground_state,
-                           local_difference, reduced_entropy, region_fock_rep)
+from vnlab.lattice import (ChainSpec, GaussianState, RegionFockRep,
+                           causality_probe_scan, cluster_function,
+                           decay_rate_fit, expected_decay_rate,
+                           local_difference, reduced_entropy)
 
 spec = ChainSpec(400, 1.0)
-state = ground_state(spec)
+state = GaussianState(spec)
 
 print("== cluster decay ==")
 for r in (0, 5, 10, 20, 40):
@@ -25,7 +26,7 @@ print(f" fitted rate {fit.rate:.5f} vs lattice value "
       f"exponential profile: {fit.is_exponential}")
 
 print("\n== entanglement entropy (64 sites) ==")
-small = ground_state(ChainSpec(64, 1.0))
+small = GaussianState(ChainSpec(64, 1.0))
 for width in (1, 2, 4, 8, 16, 32):
     region = np.arange(width)
     comp = np.arange(width, 64)
@@ -35,7 +36,7 @@ for width in (1, 2, 4, 8, 16, 32):
           f"(complement {s2:.6f}, pure-state symmetry)")
 
 print("\n== operations outside a region are invisible inside ==")
-rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1))
+rep = RegionFockRep(ChainSpec(6, 1.0), region=(0, 1))
 g = rep.vacuum_vector
 psi_c = np.array([0.9, 0.0, 0.4j, 0.0])
 moved = rep.apply_outside(g, rep.outside_weyl(psi_c))

@@ -9,12 +9,12 @@ the finite-rank analog of vacuum cyclicity for local algebras.
 
 import numpy as np
 
-from vnlab.fock import (build_fock, cyclicity_rank, locality_check,
+from vnlab.fock import (FockSpace, cyclicity_rank, locality_check,
                         sector_commutator, weyl_relation_defect)
 from vnlab.locwedge import real_subspace_from_vectors, symplectic_complement
 from vnlab.numkit import complex_normal
 
-f = build_fock(2, 3)
+f = FockSpace(2, 3)
 print(f"Fock space: 2 modes, cutoff 3, dimension {f.total_dim}")
 
 rng = np.random.default_rng(0)
@@ -46,7 +46,7 @@ line = real_subspace_from_vectors(np.eye(2)[:1])
 print(f"single-mode control at max degree: rank "
       f"{cyclicity_rank(f, line, f.n_max)[-1]} (= cutoff + 1)")
 
-f6 = build_fock(2, 6)
+f6 = FockSpace(2, 6)
 psi6 = 0.5 * psi / np.linalg.norm(psi)
 phi6 = 0.5 * phi / np.linalg.norm(phi)
 print(f"\nWeyl relation defect on low sectors (cutoff 6, norms 0.5): "

@@ -9,10 +9,10 @@ complement is its conjugate image: wedge duality at the one-particle level.
 
 import numpy as np
 
-from vnlab.locwedge import (boost_matrix, duality_check,
+from vnlab.locwedge import (WedgeModel, boost_matrix, duality_check,
                             flow_invariance_residual, standardness_check,
                             subspace_distance, symplectic_complement,
-                            wedge_one_particle, wedge_report)
+                            wedge_report)
 
 print("== boost geometry ==")
 s = 0.8
@@ -22,14 +22,14 @@ print(f" orbit of (0, 1): t={pt[0]:.4f}, x={pt[1]:.4f}  (|t| < x: stays in the w
 
 print("\n== discretized wedge model ==")
 for theta_max in (4.0, 6.0, 8.0):
-    model = wedge_one_particle(64, theta_max)
+    model = WedgeModel(64, theta_max)
     rep = wedge_report(model)
     print(f" theta_max={theta_max}: retained {rep['retained_dim']}/{model.n} modes, "
           f"S^2 defect {rep['s_squared_defect']:.1e}, "
           f"duality {rep['duality_residual']:.1e}, "
           f"boost invariance {rep['flow_invariance_residual']:.1e}")
 
-model = wedge_one_particle(64, 6.0)
+model = WedgeModel(64, 6.0)
 k = model.standard_subspace
 dim_inter, dim_sum, std = standardness_check(k)
 print(f"\n standard subspace: real dim {k.real_dim}, K ∩ iK = {dim_inter}, "

@@ -276,7 +276,7 @@ def _exp_araki_woods(p, seed):
 
 
 def _exp_wedge(p, seed):
-    model = locwedge.wedge_one_particle(p["n"], p["theta_max"], p["cond_cap"])
+    model = locwedge.WedgeModel(p["n"], p["theta_max"], p["cond_cap"])
     rep = locwedge.wedge_report(model)
     assertions = [
         Assertion("s_squared_defect", rep["s_squared_defect"], 1e-8),
@@ -292,7 +292,7 @@ def _exp_wedge(p, seed):
 def _exp_fock_ccr(p, seed):
     rng = np.random.default_rng(seed)
     d, n_max = p["d"], p["n_max"]
-    f = fock.build_fock(d, n_max)
+    f = fock.FockSpace(d, n_max)
     ccr, eq = [], []
     for _ in range(p["pairs"]):
         psi, phi = complex_normal(rng, (d,), 2)
@@ -322,7 +322,7 @@ def _exp_reeh_schlieder(p, seed):
     # the pass over K = R^d sets the peak: checked before the space is built
     require_budget(fock.cyclicity_bytes(d, d, n_max),
                    f"reeh-schlieder-rank at d = {d}, n_max = {n_max}")
-    f = fock.build_fock(d, n_max)
+    f = fock.FockSpace(d, n_max)
     k_std = locwedge.real_subspace_from_vectors(np.eye(d))
     ranks = fock.cyclicity_rank(f, k_std, degree)
     table = list(enumerate(ranks))
@@ -342,8 +342,7 @@ def _exp_reeh_schlieder(p, seed):
 
 
 def _exp_cluster_decay(p, seed):
-    spec = lattice.ChainSpec(p["sites"], p["m"])
-    state = lattice.ground_state(spec)
+    state = lattice.GaussianState(lattice.ChainSpec(p["sites"], p["m"]))
     # F(r) ~ e^{-rate r} / sqrt(r): the prefactor shifts the local slope by
     # 1 / (2 r rate) of the rate, at most 5% from r = 10 / rate on, and 25
     # nats of decay stay clear of the fitter's roundoff floor.  A window
@@ -367,9 +366,8 @@ def _exp_cluster_decay(p, seed):
 
 def _exp_entropy_scan(p, seed):
     rng = np.random.default_rng(seed)
-    spec = lattice.ChainSpec(p["sites"], p["m"])
-    state = lattice.ground_state(spec)
-    n = spec.sites
+    state = lattice.GaussianState(lattice.ChainSpec(p["sites"], p["m"]))
+    n = state.spec.sites
     sym, nu_mins = [], []
     for _ in range(p["bipartitions"]):
         size = int(rng.integers(1, n))
@@ -408,8 +406,7 @@ def _exp_local_difference(p, seed):
     rel_max = np.max(np.abs(tn - lower) / tn)
     excess_max = np.max(np.maximum(lower - tn, tn - upper) / tn)
     width_max = np.max((upper - lower) / lower)
-    spec = lattice.ChainSpec(6, 1.0)
-    rep = lattice.region_fock_rep(spec, region=(0, 1))
+    rep = lattice.RegionFockRep(lattice.ChainSpec(6, 1.0), region=(0, 1))
     g = rep.vacuum_vector
     psi_c = np.zeros(rep.fock_complement.one_particle_dim, dtype=complex)
     psi_c[0], psi_c[2] = 0.8, 0.6j

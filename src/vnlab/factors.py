@@ -28,7 +28,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .modular import purify
-from .numkit import VALIDITY_ATOL, require_budget
+from .numkit import VALIDITY_ATOL, read_only, require_budget
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ class Approximant:
     of factors N.
 
     ``site_weights`` p are sorted descending on construction, matching
-    ``purify``; each site's Delta is diag(p (x) 1/p), and ``delta_spectrum``
-    is the sorted Kronecker product of those diagonals, taken in the same
-    left-to-right order as the Kronecker powers of the site vector.
+    ``purify``, and read-only; each site's Delta is diag(p (x) 1/p), and
+    ``delta_spectrum`` is the sorted Kronecker product of those diagonals,
+    in the left-to-right order of the Kronecker powers of the site vector.
     Construction refuses N < 1, a model over the byte budget
     (``peak_bytes``), weights that are not all finite and positive or do
     not sum to 1 (within ``VALIDITY_ATOL``), and weights whose spectrum
@@ -64,7 +64,7 @@ class Approximant:
         if not n * (np.log(p[-1]) - np.log(p[0])) >= np.log(np.finfo(float).tiny):
             raise ValueError("Delta's spectrum leaves the normal float range at "
                              f"n = {n}: the weights are too uneven")
-        object.__setattr__(self, "site_weights", p)
+        object.__setattr__(self, "site_weights", read_only(p))
 
     @property
     def site_dim(self) -> int:

@@ -34,7 +34,7 @@ from math import comb
 
 import numpy as np
 
-from .numkit import dagger, norm2, require_budget, row_space
+from .numkit import dagger, norm2, read_only, require_budget, row_space
 from .locwedge import RealSubspace
 
 
@@ -42,8 +42,8 @@ from .locwedge import RealSubspace
 class FockSpace:
     """The truncated Fock space of d modes with particle cutoff n_max,
     refused when one dense operator on it, 16 D^2 bytes, is over the byte
-    budget (D <= 4096).  The occupation basis, (total_dim, d) and ordered
-    by total, is written on construction; the ladder maps are read from it."""
+    budget (D <= 4096).  The occupation basis, (total_dim, d), is written
+    on construction; it and the ladder maps read from it are read-only."""
 
     one_particle_dim: int
     n_max: int
@@ -57,7 +57,6 @@ class FockSpace:
                        f"Fock space of dimension {self.total_dim}")
         # int32 keeps the table under the budget at D = 4096
         table = np.zeros((self.total_dim, d), np.int32)
-        object.__setattr__(self, "occupations", table)
         # each multiset of modes is one occupation pattern; the generation
         # order (by total, then mode-lexicographic) is the basis order
         patterns = itertools.chain.from_iterable(
@@ -68,6 +67,7 @@ class FockSpace:
             for m in modes:
                 occ[m] += 1
             table[i] = occ
+        object.__setattr__(self, "occupations", read_only(table))
 
     @property
     def total_dim(self) -> int:
@@ -90,13 +90,13 @@ class FockSpace:
         kept = below[rest, after]
         gain = below[rest + 1, after] - kept
         start = below[total + 1, d] + kept.sum(axis=1)    # index of occ + e_0
-        return (start[:, None] + np.cumsum(gain, axis=1) - gain).T
+        return read_only((start[:, None] + np.cumsum(gain, axis=1) - gain).T)
 
     @cached_property
     def raise_value(self) -> np.ndarray:
         """(d, sector_dim(n_max - 1)): the weight sqrt(occ_m + 1) of a*_m."""
         s1 = self.sector_dim(self.n_max - 1)
-        return np.sqrt(self.occupations[:s1].T + 1.0)
+        return read_only(np.sqrt(self.occupations[:s1].T + 1.0))
 
     def sector_dim(self, max_total: int) -> int:
         """Number of basis states with total <= max_total (a leading block)."""
@@ -145,11 +145,6 @@ class FockSpace:
             parts.append((pos[target[sel]] * members.size + pos[source[sel]],
                           pair[sel], w[sel], members.size))
         return parts
-
-
-def build_fock(d: int, n_max: int) -> FockSpace:
-    """The Fock space of d modes with cutoff n_max, `FockSpace(d, n_max)`."""
-    return FockSpace(d, n_max)
 
 
 def apply_ladders(f: FockSpace, up, down, x: np.ndarray) -> np.ndarray:
@@ -266,13 +261,9 @@ def locality_check(f: FockSpace, k: RealSubspace, k_prime: RealSubspace) -> floa
 def weyl_operator(f: FockSpace, psi: np.ndarray) -> np.ndarray:
     """exp(i Phi(psi)) on the truncation (exactly unitary as a matrix; the
     discrepancy against the untruncated Weyl operator sits in the top sectors)."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (f.one_particle_dim,):
-        raise ValueError("one-particle vector does not match the mode count")
-    if np.linalg.norm(psi) == 0:
+    if np.shape(psi) == (f.one_particle_dim,) and np.linalg.norm(psi) == 0:
         return np.eye(f.total_dim, dtype=complex)
-    phi = field_operator(f, psi)
-    w, u = np.linalg.eigh(phi)
+    w, u = np.linalg.eigh(field_operator(f, psi))
     return (u * np.exp(1j * w)) @ dagger(u)
 
 

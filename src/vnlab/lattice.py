@@ -7,7 +7,7 @@ entanglement entropies via symplectic eigenvalues, and trace-norm local
 differences of region states.  A one-particle evolution probe exhibits the
 nonvanishing of out-of-region amplitudes at every nonzero time (the
 analyticity mechanism that rules out causal position-operator localization),
-and a small product-truncated Fock representation demonstrates that
+and a RegionFockRep, fixed by its ChainSpec and region, demonstrates that
 operations strictly outside a region leave its reduced state untouched.
 """
 
@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fock as fockmod
-from .numkit import dagger
+from .numkit import dagger, read_only
 
 
 @dataclass(frozen=True)
@@ -68,30 +68,25 @@ class GaussianState:
 
     @cached_property
     def weights_pi(self) -> np.ndarray:
-        return self.spec.dispersion() / 2.0
+        return read_only(self.spec.dispersion() / 2.0)
 
     @cached_property
     def weights_phi(self) -> np.ndarray:
-        return 0.25 / self.weights_pi
+        return read_only(0.25 / self.weights_pi)
 
     # row[r] = sum_k cos(k r) w_k / n: the real part of a forward FFT
     @cached_property
     def row_phi(self) -> np.ndarray:
-        return np.fft.fft(self.weights_phi).real / self.spec.sites
+        return read_only(np.fft.fft(self.weights_phi).real / self.spec.sites)
 
     @cached_property
     def row_pi(self) -> np.ndarray:
-        return np.fft.fft(self.weights_pi).real / self.spec.sites
+        return read_only(np.fft.fft(self.weights_pi).real / self.spec.sites)
 
 
 def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:
     """Region block of the circulant matrix C[i, j] = row[(i - j) % n]."""
     return row.take(np.subtract.outer(region, region), mode="wrap")
-
-
-def ground_state(spec: ChainSpec) -> GaussianState:
-    """Vacuum covariances G_phi = <phi phi>, G_pi = <pi pi> of the chain."""
-    return GaussianState(spec)
 
 
 def cluster_function(state: GaussianState, r: int) -> float:
@@ -288,17 +283,35 @@ def _packet(n: int, support) -> np.ndarray:
 class RegionFockRep:
     """Chain vacuum in a region (x) complement product-truncated Fock basis.
 
-    The tensor split is exact, so operators of the form 1 (x) U cannot change
-    the region's reduced density matrix.  The vacuum is the truncated Gaussian
-    state exp(a* M a* / 2)|0> whose quadratic form M comes from the chain's
+    Fixed by the chain and the region, taken mod n, sorted and kept once;
+    an empty or full region is refused.  Both factors are truncated at two
+    particles, and the split is exact, so operators of the form 1 (x) U
+    cannot change the region's reduced density matrix.  The vacuum is the
+    truncated Gaussian state exp(a* M a* / 2)|0>, M from the chain's
     potential matrix; its pair correlations couple the factors.
     """
 
     spec: ChainSpec
     region: np.ndarray
-    complement: np.ndarray
-    fock_region: fockmod.FockSpace
-    fock_complement: fockmod.FockSpace
+
+    def __post_init__(self):
+        inside = np.zeros(self.spec.sites, dtype=bool)
+        inside[np.asarray(self.region, dtype=int) % self.spec.sites] = True
+        if inside.all() or not inside.any():
+            raise ValueError("region must be a proper nonempty subset")
+        object.__setattr__(self, "region", read_only(np.flatnonzero(inside)))
+
+    @cached_property
+    def complement(self) -> np.ndarray:
+        return read_only(np.delete(np.arange(self.spec.sites), self.region))
+
+    @cached_property
+    def fock_region(self) -> fockmod.FockSpace:
+        return fockmod.FockSpace(self.region.size, 2)
+
+    @cached_property
+    def fock_complement(self) -> fockmod.FockSpace:
+        return fockmod.FockSpace(self.complement.size, 2)
 
     def _create(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
         """a*(v) on the (dr, dc) tensor x, v over region then complement."""
@@ -345,15 +358,3 @@ class RegionFockRep:
         dr, dc = self.fock_region.total_dim, self.fock_complement.total_dim
         m = vec.reshape(dr, dc)
         return m @ dagger(m)
-
-
-def region_fock_rep(spec: ChainSpec, region) -> RegionFockRep:
-    """The chain vacuum with both factors truncated at two particles."""
-    region = np.asarray(sorted(set(int(r) % spec.sites for r in region)))
-    complement = np.asarray([s for s in range(spec.sites) if s not in set(region)])
-    if region.size == 0 or complement.size == 0:
-        raise ValueError("region must be a proper nonempty subset")
-    fr = fockmod.build_fock(region.size, 2)
-    fc = fockmod.build_fock(complement.size, 2)
-    return RegionFockRep(spec=spec, region=region, complement=complement,
-                         fock_region=fr, fock_complement=fc)

@@ -26,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .numkit import (AntilinearMap, embed_real, norm2, null_space, rank,
-                     real_linearize, require_budget, row_space, unembed_real)
+                     read_only, real_linearize, require_budget, row_space,
+                     unembed_real)
 
 COND_CAP = 1e8
 
@@ -46,6 +47,7 @@ class RealSubspace:
     def __post_init__(self):
         if self.rows.ndim != 2 or self.rows.shape[1] % 2:
             raise ValueError("rows must be a 2-D array of even width")
+        object.__setattr__(self, "rows", read_only(self.rows))
 
     @property
     def ambient_dim(self) -> int:
@@ -123,14 +125,14 @@ class WedgeModel:
         h = 2.0 * self.theta_max / self.n
         kvals = 2.0 * np.pi * np.fft.fftfreq(self.n, d=h)
         kvals[self.n // 2] = 0.0  # drop the unpaired Nyquist frequency
-        return kvals
+        return read_only(kvals)
 
     @cached_property
     def retained(self) -> np.ndarray:
         """Indices of the retained modes, ordered by k."""
         k_cut = np.log(self.cond_cap) / (2.0 * np.pi)
         order = np.argsort(self.k_values, kind="stable")
-        return order[np.abs(self.k_values[order]) <= k_cut + 1e-12]
+        return read_only(order[np.abs(self.k_values[order]) <= k_cut + 1e-12])
 
     @property
     def k_retained(self) -> np.ndarray:
@@ -166,12 +168,6 @@ class WedgeModel:
     def standard_subspace(self) -> RealSubspace:
         """K = fix(S) in compressed coordinates, solved once per model."""
         return standard_subspace(self.s_compressed)
-
-
-def wedge_one_particle(n: int, theta_max: float,
-                       cond_cap: float = COND_CAP) -> WedgeModel:
-    """The wedge model `WedgeModel(n, theta_max, cond_cap)`."""
-    return WedgeModel(n, theta_max, cond_cap)
 
 
 def standard_subspace(s: AntilinearMap) -> RealSubspace:

@@ -55,6 +55,13 @@ def require_budget(nbytes: int, what: str) -> None:
                          f"byte budget of {BYTE_BUDGET >> 20:,} MiB")
 
 
+def read_only(a) -> np.ndarray:
+    """A view of the array a, never a copy, that refuses in-place writes."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; a stack is transposed matrix by matrix."""
     return a.conj().swapaxes(-1, -2)

@@ -14,12 +14,13 @@ is one null space over the algebra's coefficients.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 
 import numpy as np
 
 from .numkit import (complex_normal, dagger, nonzero_mask, null_space,
-                     row_space)
+                     read_only, row_space)
 
 # an element belongs to a span when its orthogonal residual is below
 # MEMBERSHIP_RTOL times its own norm
@@ -38,7 +39,8 @@ def orthonormalize_span(mats: np.ndarray) -> np.ndarray:
 
 class OperatorAlgebra:
     """A *-closed unital span of matrices on C^dim, given by an orthonormal
-    basis (orthonormalize_span makes one from any spanning set)."""
+    basis (orthonormalize_span makes one from any spanning set); read-only,
+    and it keeps the arrays it is handed as read-only views."""
 
     # a TensorFactor's (d, m, side) and its commutant; none on a generic span
     split: tuple[int, int, int] | None = None
@@ -48,8 +50,12 @@ class OperatorAlgebra:
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise ValueError("basis must be a stack of square matrices")
-        self.basis = basis
-        self.generators = None if generators is None else np.asarray(generators, complex)
+        object.__setattr__(self, "basis", read_only(basis))
+        object.__setattr__(self, "generators", None if generators is None
+                           else read_only(np.asarray(generators, complex)))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def dim(self) -> int:
@@ -68,12 +74,12 @@ class OperatorAlgebra:
     def member_residual(self, x: np.ndarray) -> float:
         """Norm of the component of x orthogonal to the span; for a stack of
         matrices, the largest over the stack.  A complex stack is overwritten
-        by those components (the projections are subtracted in place); a
-        single matrix is left as it is.  A tensor factor subtracts a partial
-        trace in place: tr_2 x (x) 1 / m on M_d (x) 1, 1 (x) tr_1 x / d on
-        1 (x) M_m.  Any other algebra projects onto its basis, and a stack
-        then costs one temporary of its own size, first its conjugated
-        rows, then the projection product.
+        by those components (the projections are subtracted in place; a
+        read-only one raises); a single matrix is left as it is.  A tensor
+        factor subtracts a partial trace in place: tr_2 x (x) 1 / m on
+        M_d (x) 1, 1 (x) tr_1 x / d on 1 (x) M_m.  Any other algebra
+        projects onto its basis, and a stack then costs one temporary of its
+        own size, first its conjugated rows, then the projection product.
         """
         rows = x.reshape(-1, self.dim ** 2).astype(complex, copy=x.ndim == 2)
         if self.split is None:
@@ -159,14 +165,14 @@ class TensorFactor(OperatorAlgebra):
     generators = None
 
     def __init__(self, d: int, m: int, side: int):
-        self.split = (d, m, side)
+        object.__setattr__(self, "split", (d, m, side))
 
     @cached_property
     def basis(self) -> np.ndarray:
         d, m, side = self.split
         if side == 0:
-            return np.kron(matrix_units(d), np.eye(m) / np.sqrt(m))
-        return np.kron(np.eye(d) / np.sqrt(d), matrix_units(m))
+            return read_only(np.kron(matrix_units(d), np.eye(m) / np.sqrt(m)))
+        return read_only(np.kron(np.eye(d) / np.sqrt(d), matrix_units(m)))
 
     @cached_property
     def commutant_hint(self) -> TensorFactor | None:
@@ -175,9 +181,10 @@ class TensorFactor(OperatorAlgebra):
 
 
 def tensor_factor_algebra(d: int, m: int) -> TensorFactor:
-    """M_d (x) 1_m on C^(d m); its commutant hint 1_d (x) M_m skips the
-    generic null-space solve (cross-checked against it in the test suite at
-    small dimensions), and is where the right factor is reached."""
+    """M_d (x) 1_m on C^(d m), `TensorFactor(d, m, 0)`, a name the
+    benchmark's tracer test builds through; its commutant hint 1_d (x) M_m
+    skips the generic null-space solve (cross-checked against it in the test
+    suite at small dimensions), and is where the right factor is reached."""
     return TensorFactor(d, m, 0)
 
 

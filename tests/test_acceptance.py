@@ -154,19 +154,14 @@ def test_criteria_01_02_without_commutant_hints(monkeypatch):
                ("modular-spectrum", {"max_k": 4, "instances": 20})]
     hinted = [run(name, params, seed=0) for name, params in configs]
 
-    make, solve = vnalg.tensor_factor_algebra, vnalg._commutant_of_element
+    solve = vnalg._commutant_of_element
     solves = []
-
-    def hint_free(*args, **kwargs):
-        alg = make(*args, **kwargs)
-        alg.commutant_hint = None
-        return alg
 
     def counted(z):
         solves.append(z.shape[0])
         return solve(z)
 
-    monkeypatch.setattr(vnalg, "tensor_factor_algebra", hint_free)
+    monkeypatch.setattr(vnalg.TensorFactor, "commutant_hint", None)
     monkeypatch.setattr(vnalg, "_commutant_of_element", counted)
     free = [run(name, params, seed=0) for name, params in configs]
     assert max(solves) == 16

@@ -648,7 +648,7 @@ class TestCli:
         def breakdown(spec):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(lattice, "ground_state", breakdown)
+        monkeypatch.setattr(lattice, "GaussianState", breakdown)
         with pytest.raises(np.linalg.LinAlgError):
             cli.main(["cluster-decay"])
 

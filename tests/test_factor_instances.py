@@ -203,7 +203,7 @@ def test_cyclicity_peak_within_stated_bytes():
     # the index maps built inside the measured call.
     for d, n_max, fields in [(5, 6, 5), (4, 10, 4), (3, 22, 1), (52, 2, 1),
                              (3, 6, 6)]:
-        f = fock.build_fock(d, n_max)
+        f = fock.FockSpace(d, n_max)
         k = real_subspace_from_vectors(
             np.concatenate([np.eye(d), 1j * np.eye(d)])[:fields])
         _, peak, _ = peak_above_entry(
@@ -221,7 +221,7 @@ def test_field_operator_peak_within_stated_bytes():
                          (6, 6, fock.field_operator),
                          (2, 40, fock.field_operator),
                          (2, 40, fock.weyl_operator)]:
-        f = fock.build_fock(d, n_max)
+        f = fock.FockSpace(d, n_max)
         psi = complex_normal(rng, (d,))
         _, peak, _ = peak_above_entry(lambda: fn(f, psi))
         stated = fock.field_bytes(f.total_dim)

@@ -78,6 +78,14 @@ def _kron_algebra(site_basis, n) -> OperatorAlgebra:
     return OperatorAlgebra(np.stack(basis))
 
 
+class HintedAlgebra(OperatorAlgebra):
+    """A dense algebra built with a given commutant hint."""
+
+    def __init__(self, basis, hint: OperatorAlgebra):
+        super().__init__(basis)
+        object.__setattr__(self, "commutant_hint", hint)
+
+
 def dense_algebra(approx) -> OperatorAlgebra:
     """The N-fold tensor power of M_s (x) 1, with its commutant as hint."""
     _check_dense(approx)
@@ -86,8 +94,8 @@ def dense_algebra(approx) -> OperatorAlgebra:
     site_left = [np.kron(u, eye) / np.sqrt(s) for u in matrix_units(s)]
     site_right = [np.kron(eye, u) / np.sqrt(s) for u in matrix_units(s)]
     left = _kron_algebra(site_left, approx.n_factors)
-    left.commutant_hint = _kron_algebra(site_right, approx.n_factors)
-    return left
+    return HintedAlgebra(left.basis,
+                         _kron_algebra(site_right, approx.n_factors))
 
 
 def holds_only_its_fields(approx) -> bool:

@@ -10,11 +10,11 @@ from reference import dense_creators
 
 from vnlab import fock
 from vnlab.fock import (FockSpace, SectorCommutator, apply_ladders,
-                        build_fock, cyclicity_rank, field_operator,
-                        locality_check, sector_commutator, weyl_operator,
+                        cyclicity_rank, field_operator, locality_check,
+                        sector_commutator, weyl_operator,
                         weyl_relation_defect)
-from vnlab.locwedge import (real_subspace_from_vectors, symplectic_complement,
-                            wedge_one_particle)
+from vnlab.locwedge import (WedgeModel, real_subspace_from_vectors,
+                            symplectic_complement)
 from vnlab.numkit import complex_normal, dagger, norm2, rank
 
 
@@ -78,14 +78,14 @@ class TestBuild:
         (1, 4095, 4096),
     ])
     def test_total_dim(self, d, n_max, expected):
-        assert build_fock(d, n_max).total_dim == expected
+        assert FockSpace(d, n_max).total_dim == expected
 
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (4, 3)])
     def test_basis_written_from_the_sizes(self, d, n_max):
         # the sizes are the whole constructor, so no table can be handed
         # that disagrees with them or with the ladder maps
         f = FockSpace(d, n_max)
-        assert f == build_fock(d, n_max)
+        assert f == FockSpace(d, n_max)
         with pytest.raises(TypeError):
             FockSpace(d, n_max, f.occupations)
         assert "occupations" not in repr(f)
@@ -101,13 +101,13 @@ class TestBuild:
             == (d, f.sector_dim(n_max - 1))
 
     def test_sector_structure(self):
-        f = build_fock(2, 2)
+        f = FockSpace(2, 2)
         assert list(sector_totals(f)) == [0, 1, 1, 2, 2, 2]
 
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4), (4, 3)])
     def test_index_maps_match_loop_ladders(self, d, n_max):
         # one row per mode: up = e_m on the identity is a*_m
-        f = build_fock(d, n_max)
+        f = FockSpace(d, n_max)
         identity = np.eye(f.total_dim)
         assert np.array_equal(apply_ladders(f, np.eye(d), 0, identity),
                               dense_creators(f))
@@ -116,7 +116,7 @@ class TestBuild:
                                          (2, 10), (8, 2), (5, 6)])
     def test_index_maps_match_the_occupation_lookup(self, d, n_max):
         # the counted raise map against a dictionary of the basis states
-        f = build_fock(d, n_max)
+        f = FockSpace(d, n_max)
         index = {tuple(o): i for i, o in enumerate(f.occupations.tolist())}
         s1 = f.sector_dim(n_max - 1)
         lookup = [[index[tuple(o + e)] for o in f.occupations[:s1]]
@@ -125,7 +125,7 @@ class TestBuild:
         assert np.array_equal(f.raise_index, lookup)
 
     def test_raising_is_linear_in_the_mode_vector(self):
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         rng = np.random.default_rng(16)
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = rng.standard_normal(f.total_dim)
@@ -134,14 +134,14 @@ class TestBuild:
                            rtol=0, atol=1e-14)
 
     def test_sector_dim_is_leading_block(self):
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         totals = sector_totals(f)
         assert np.all(np.diff(totals) >= 0)
         for k in range(-1, f.n_max + 2):
             assert f.sector_dim(k) == int((totals <= k).sum())
 
     def test_checks_leave_dense_ladders_unbuilt(self):
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         rng = np.random.default_rng(12)
         sector_commutator(f, *_random_pair(rng, 3)).defect()
         k = real_subspace_from_vectors(np.eye(3))
@@ -155,7 +155,7 @@ class TestBuild:
         # table, so the build's peak is the table's 64 MiB and little more
         tracemalloc.start()
         try:
-            f = build_fock(4095, 1)
+            f = FockSpace(4095, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -163,17 +163,17 @@ class TestBuild:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            build_fock(8, 8)
+            FockSpace(8, 8)
         # one dense operator at dimension 4097 is over the byte budget
         with pytest.raises(ValueError, match="byte budget"):
-            build_fock(1, 4096)
+            FockSpace(1, 4096)
         with pytest.raises(ValueError):
-            build_fock(0, 2)
+            FockSpace(0, 2)
 
 
 class TestFieldOperator:
     def test_vacuum_one_particle_component(self):
-        f = build_fock(2, 3)
+        f = FockSpace(2, 3)
         phi = field_operator(f, np.eye(2)[0])
         v = phi @ f.vacuum()
         assert abs(np.linalg.norm(v) - 1 / np.sqrt(2)) < 1e-12
@@ -181,7 +181,7 @@ class TestFieldOperator:
             v, apply_ladders(f, np.eye(2)[:1], 0, f.vacuum())[0] / np.sqrt(2))
 
     def test_two_point_function(self):
-        f = build_fock(3, 3)
+        f = FockSpace(3, 3)
         rng = np.random.default_rng(0)
         for _ in range(5):
             psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -192,14 +192,14 @@ class TestFieldOperator:
             assert abs(got - np.vdot(psi, phi) / 2.0) < 1e-12
 
     def test_hermitian(self):
-        f = build_fock(2, 4)
+        f = FockSpace(2, 4)
         rng = np.random.default_rng(1)
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         m = field_operator(f, psi)
         assert norm2(m - dagger(m)) < 1e-12
 
     def test_scatter_matches_dense_ladders(self):
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         rng = np.random.default_rng(13)
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         adag = np.tensordot(psi, dense_creators(f), axes=(0, 0))
@@ -208,11 +208,11 @@ class TestFieldOperator:
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
-            field_operator(build_fock(2, 2), np.zeros(2))
+            field_operator(FockSpace(2, 2), np.zeros(2))
 
     def test_apply_matches_dense_field(self):
         # rows (psi, conj psi) give sqrt(2) Phi(psi), every row in one call
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         rng = np.random.default_rng(5)
         psis = complex_normal(rng, (3,), 5)
         x = complex_normal(rng, (f.total_dim, 4))
@@ -224,12 +224,12 @@ class TestFieldOperator:
 
 class TestCcr:
     def test_orthogonal_real_pair_commutes(self):
-        f = build_fock(2, 3)
+        f = FockSpace(2, 3)
         comm = sector_commutator(f, np.eye(2)[0], np.eye(2)[1])
         assert comm.defect() < 1e-12
 
     def test_canonical_pair(self):
-        f = build_fock(2, 3)
+        f = FockSpace(2, 3)
         e0 = np.eye(2)[0]
         a = field_operator(f, e0)
         b = field_operator(f, 1j * e0)
@@ -238,7 +238,7 @@ class TestCcr:
         assert norm2(comm - 1j * p) < 1e-12
 
     def test_random_pairs(self):
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         rng = np.random.default_rng(3)
         for _ in range(10):
             psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -249,7 +249,7 @@ class TestCcr:
     def test_safe_commutator_is_projected_commutator(self, d, n_max):
         # the projected dense commutator is the direct sum of the parity
         # parts: exact zeros between even and odd totals
-        f = build_fock(d, n_max)
+        f = FockSpace(d, n_max)
         p = sector_projector(f, n_max - 2)
         s2 = f.sector_dim(n_max - 2)
         even, odd = parity_members(f)
@@ -268,7 +268,7 @@ class TestCcr:
 
     def test_needs_room_for_commutator(self):
         with pytest.raises(ValueError):
-            sector_commutator(build_fock(2, 1), np.eye(2)[0], np.eye(2)[1])
+            sector_commutator(FockSpace(2, 1), np.eye(2)[0], np.eye(2)[1])
 
 
 class TestSectorCommutator:
@@ -278,7 +278,7 @@ class TestSectorCommutator:
 
     @pytest.mark.parametrize("d,n_max", GRID)
     def test_ccr_defect_and_norm_match_dense(self, d, n_max):
-        f = build_fock(d, n_max)
+        f = FockSpace(d, n_max)
         rng = np.random.default_rng(17)
         for _ in range(3):
             psi, phi = _random_pair(rng, d)
@@ -291,7 +291,7 @@ class TestSectorCommutator:
     @pytest.mark.parametrize("d,n_max", GRID)
     def test_locality_matches_dense(self, d, n_max):
         # a generic real subspace against itself and against its complement
-        f = build_fock(d, n_max)
+        f = FockSpace(d, n_max)
         rng = np.random.default_rng(18)
         k = real_subspace_from_vectors(
             complex_normal(rng, (d,), max(1, d - 1)))
@@ -303,7 +303,7 @@ class TestSectorCommutator:
 
     def test_odd_part_empty_at_n_max_two(self):
         # the safe sectors are the vacuum alone
-        f = build_fock(3, 2)
+        f = FockSpace(3, 2)
         rng = np.random.default_rng(19)
         psi, phi = _random_pair(rng, 3)
         even, odd = sector_commutator(f, psi, phi).parts
@@ -312,7 +312,7 @@ class TestSectorCommutator:
 
     @pytest.mark.parametrize("d,n_max", [(1, 4), (3, 4), (5, 6)])
     def test_real_pairs_commute_exactly(self, d, n_max):
-        f = build_fock(d, n_max)
+        f = FockSpace(d, n_max)
         e = np.eye(d)
         for a in range(d):
             for b in range(d):
@@ -324,13 +324,13 @@ class TestSectorCommutator:
     @pytest.mark.parametrize("d,n_max", [(1, 5), (2, 3), (3, 4)])
     def test_lowering_rows_are_adjoint_ladders(self, d, n_max):
         # down = e_m on the identity is a_m, the transpose of a*_m
-        f = build_fock(d, n_max)
+        f = FockSpace(d, n_max)
         identity = np.eye(f.total_dim)
         assert np.array_equal(apply_ladders(f, 0, np.eye(d), identity),
                               dense_creators(f).transpose(0, 2, 1))
 
     def test_terms_built_once_per_space(self):
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         rng = np.random.default_rng(20)
         sector_commutator(f, *_random_pair(rng, 3)).defect()
         parts = f.__dict__["parity_parts"]
@@ -340,15 +340,15 @@ class TestSectorCommutator:
 
     def test_rejects_wrong_mode_count_and_low_cutoff(self):
         with pytest.raises(ValueError, match="mode count"):
-            sector_commutator(build_fock(3, 4), np.ones(2), np.ones(3))
+            sector_commutator(FockSpace(3, 4), np.ones(2), np.ones(3))
         k = real_subspace_from_vectors(np.eye(2))
         with pytest.raises(ValueError, match="n_max >= 2"):
-            locality_check(build_fock(2, 1), k, k)
+            locality_check(FockSpace(2, 1), k, k)
 
 
 class TestLocality:
     def test_real_space_against_itself(self):
-        f = build_fock(2, 3)
+        f = FockSpace(2, 3)
         k = real_subspace_from_vectors(np.eye(2))
         kp = symplectic_complement(k)
         assert locality_check(f, k, kp) < 1e-10
@@ -362,11 +362,11 @@ class TestLocality:
         s, _ = s_operator(delta, j)
         k = standard_subspace(s)
         kp = symplectic_complement(k)
-        f = build_fock(2, 3)
+        f = FockSpace(2, 3)
         assert locality_check(f, k, kp) < 1e-10
 
     def test_negative_control_value(self):
-        f = build_fock(2, 3)
+        f = FockSpace(2, 3)
         e0 = np.eye(2)[0]
         a = field_operator(f, e0)
         b = field_operator(f, 1j * e0)  # Im<e0, i e0> = 1
@@ -374,7 +374,7 @@ class TestLocality:
         assert abs(norm2(p @ (a @ b - b @ a) @ p) - 1.0) < 1e-10
 
     def test_commutator_norm_equals_im(self):
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         rng = np.random.default_rng(5)
         p = sector_projector(f, f.n_max - 2)
         for _ in range(10):
@@ -386,7 +386,7 @@ class TestLocality:
             assert abs(got - abs(np.vdot(psi, phi).imag)) <= 1e-10
 
     def test_dimension_mismatch(self):
-        f = build_fock(2, 2)
+        f = FockSpace(2, 2)
         k = real_subspace_from_vectors(np.eye(3))
         with pytest.raises(ValueError):
             locality_check(f, k, k)
@@ -395,25 +395,25 @@ class TestLocality:
         norms = iter([0.0, np.nan, 0.0, 0.0])
         monkeypatch.setattr(SectorCommutator, "norm", lambda c: next(norms))
         k = real_subspace_from_vectors(np.eye(2))
-        assert np.isnan(locality_check(build_fock(2, 3), k,
+        assert np.isnan(locality_check(FockSpace(2, 3), k,
                                        symplectic_complement(k)))
 
 
 class TestWeyl:
     def test_zero_argument_is_identity(self):
-        f = build_fock(2, 3)
+        f = FockSpace(2, 3)
         assert np.allclose(weyl_operator(f, np.zeros(2)), np.eye(f.total_dim))
 
     def test_zero_vector_of_the_wrong_length_is_refused(self):
         # the zero shortcut comes after the shape check, as for a non-zero
         # vector of that length
-        f = build_fock(2, 2)
+        f = FockSpace(2, 2)
         for psi in (np.zeros(7), np.ones(7)):
             with pytest.raises(ValueError, match="mode count"):
                 weyl_operator(f, psi)
 
     def test_unitarity_on_low_sectors(self):
-        f = build_fock(2, 4)
+        f = FockSpace(2, 4)
         rng = np.random.default_rng(2)
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w = weyl_operator(f, psi)
@@ -421,7 +421,7 @@ class TestWeyl:
         assert norm2(p @ (w @ dagger(w) - np.eye(f.total_dim)) @ p) < 1e-9
 
     def test_weyl_relation_small_arguments(self):
-        f = build_fock(2, 6)
+        f = FockSpace(2, 6)
         rng = np.random.default_rng(4)
         for _ in range(5):
             psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -431,7 +431,7 @@ class TestWeyl:
             assert weyl_relation_defect(f, psi, phi) < 1e-6
 
     def test_weyl_relation_block_is_projected_defect(self):
-        f = build_fock(2, 5)
+        f = FockSpace(2, 5)
         rng = np.random.default_rng(15)
         psi, phi = (0.5 * v / np.linalg.norm(v) for v in _random_pair(rng, 2))
         lhs = weyl_operator(f, psi) @ weyl_operator(f, phi)
@@ -441,7 +441,7 @@ class TestWeyl:
         assert abs(weyl_relation_defect(f, psi, phi) - dense) <= 1e-13
 
     def test_weyl_relation_error_grows_with_norm(self):
-        f = build_fock(2, 6)
+        f = FockSpace(2, 6)
         psi = np.array([0.1, 0.05j])
         small = weyl_relation_defect(f, psi, 1j * psi)
         large = weyl_relation_defect(f, 10 * psi, 10j * psi)
@@ -453,30 +453,30 @@ class TestWeyl:
         phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi *= 0.5 / np.linalg.norm(psi)
         phi *= 0.5 / np.linalg.norm(phi)
-        defects = [weyl_relation_defect(build_fock(2, n_max), psi, phi)
+        defects = [weyl_relation_defect(FockSpace(2, n_max), psi, phi)
                    for n_max in (3, 5, 7)]
         assert defects[2] < defects[1] < defects[0]
 
 
 class TestCyclicity:
     def test_trivial_subspace(self):
-        f = build_fock(2, 3)
+        f = FockSpace(2, 3)
         k = real_subspace_from_vectors(np.zeros((0, 2)))
         assert cyclicity_rank(f, k, 3) == [1, 1, 1, 1]
 
     def test_standard_subspace_saturates(self):
-        f = build_fock(2, 3)
+        f = FockSpace(2, 3)
         k = real_subspace_from_vectors(np.eye(2))
         assert cyclicity_rank(f, k, 3)[-1] == f.total_dim == 10
 
     def test_single_line_control(self):
         for n_max in (2, 3):
-            f = build_fock(2, n_max)
+            f = FockSpace(2, n_max)
             k = real_subspace_from_vectors(np.eye(2)[:1])
             assert cyclicity_rank(f, k, n_max) == list(range(1, n_max + 2))
 
     def test_monotone_in_degree(self):
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         k = real_subspace_from_vectors(np.eye(3))
         ranks = cyclicity_rank(f, k, 4)
         assert ranks == sorted(ranks)
@@ -484,7 +484,7 @@ class TestCyclicity:
 
     @pytest.mark.parametrize("d,n_max", [(2, 3), (3, 4), (3, 5)])
     def test_layer_bases_match_product_stack(self, d, n_max):
-        f = build_fock(d, n_max)
+        f = FockSpace(d, n_max)
         for k in (real_subspace_from_vectors(np.eye(d)),
                   real_subspace_from_vectors(np.eye(d)[:1])):
             assert cyclicity_rank(f, k, n_max) == [
@@ -495,13 +495,13 @@ class TestCyclicity:
     def test_line_control_exact_past_the_cap(self, n_max):
         # each new direction is a tiny part of Phi(e)^j vacuum (8e-7 at
         # j = 44), which a rank of the stacked powers reads as dependent
-        f = build_fock(1, n_max)
+        f = FockSpace(1, n_max)
         k = real_subspace_from_vectors(np.eye(1))
         assert cyclicity_rank(f, k, n_max) == list(range(1, n_max + 2))
 
     def test_plane_saturates_past_the_cap(self):
         # a rank of the stacked layers reads 1030 at the top degree
-        f = build_fock(2, 44)
+        f = FockSpace(2, 44)
         k = real_subspace_from_vectors(np.eye(2))
         assert cyclicity_rank(f, k, 44) == [f.sector_dim(j)
                                             for j in range(45)]
@@ -517,7 +517,7 @@ class TestCyclicity:
         monkeypatch.setattr(fock, "rank", never, raising=False)
         monkeypatch.setattr(fock, "row_space",
                             lambda a: calls.append(a.shape) or row_space(a))
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         assert cyclicity_rank(f, real_subspace_from_vectors(np.eye(3)),
                               4) == [1, 4, 10, 20, 35]
         assert calls == [(3, f.total_dim), (9, f.total_dim),
@@ -529,7 +529,7 @@ class TestCyclicity:
         monkeypatch.setattr(fock, "apply_ladders",
                             lambda f, up, down, x: calls.append(up.shape)
                             or kernel(f, up, down, x))
-        f = build_fock(3, 4)
+        f = FockSpace(3, 4)
         for fields in (np.eye(3), np.concatenate([np.eye(3), 1j * np.eye(3)])):
             calls.clear()
             cyclicity_rank(f, real_subspace_from_vectors(fields), 4)
@@ -538,19 +538,19 @@ class TestCyclicity:
     def test_line_admitted_at_its_own_size(self):
         # the line's span has n_max + 1 rows: a few MiB where K = R^3 on
         # the same space would be over the budget
-        f = build_fock(3, 24)
+        f = FockSpace(3, 24)
         k = real_subspace_from_vectors(np.eye(3)[:1])
         assert cyclicity_rank(f, k, 24) == list(range(1, 26))
 
     def test_rejects_wrong_mode_count(self):
-        f = build_fock(3, 3)
+        f = FockSpace(3, 3)
         for width in (2, 4):
             k = real_subspace_from_vectors(np.eye(width))
             with pytest.raises(ValueError, match="mode count"):
                 cyclicity_rank(f, k, 2)
 
     def test_degree_cap(self):
-        f = build_fock(2, 2)
+        f = FockSpace(2, 2)
         k = real_subspace_from_vectors(np.eye(2))
         with pytest.raises(ValueError):
             cyclicity_rank(f, k, 3)
@@ -561,12 +561,12 @@ class TestSecondQuantize:
     that fixes the vacuum, under which the fields transform covariantly."""
 
     def test_identity(self):
-        f = build_fock(2, 3)
+        f = FockSpace(2, 3)
         gamma = _creation_string_gamma(f, np.eye(2))
         assert norm2(gamma - np.eye(f.total_dim)) < 1e-12
 
     def test_vacuum_invariance_and_unitarity(self):
-        f = build_fock(3, 3)
+        f = FockSpace(3, 3)
         rng = np.random.default_rng(7)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u, _ = np.linalg.qr(g)
@@ -575,7 +575,7 @@ class TestSecondQuantize:
         assert norm2(dagger(gamma) @ gamma - np.eye(f.total_dim)) < 1e-10
 
     def test_homomorphism(self):
-        f = build_fock(2, 4)
+        f = FockSpace(2, 4)
         rng = np.random.default_rng(8)
         us = []
         for _ in range(2):
@@ -587,7 +587,7 @@ class TestSecondQuantize:
         assert norm2(lhs - rhs) <= 1e-10
 
     def test_field_covariance(self):
-        f = build_fock(2, 4)
+        f = FockSpace(2, 4)
         rng = np.random.default_rng(9)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         u, _ = np.linalg.qr(g)
@@ -600,10 +600,10 @@ class TestSecondQuantize:
             assert norm2(p @ (lhs - rhs) @ p) < 1e-9
 
     def test_covariance_under_wedge_flow(self):
-        model = wedge_one_particle(8, 1.0, cond_cap=1e8)
+        model = WedgeModel(8, 1.0, cond_cap=1e8)
         u = model.flow_compressed(0.6)
         d = model.retained_dim
-        f = build_fock(d, 3)
+        f = FockSpace(d, 3)
         gamma = _creation_string_gamma(f, u)
         p = sector_projector(f, f.n_max - 2)
         rng = np.random.default_rng(10)

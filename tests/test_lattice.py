@@ -1,19 +1,16 @@
 """Chain vacuum: correlations, decay, entropy, local differences, causality."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from reference import dense_creators, massless_state
 
-from vnlab.fock import build_fock
-from vnlab.lattice import (ChainSpec, _circulant_block, causality_probe_scan,
+from vnlab.fock import FockSpace
+from vnlab.lattice import (ChainSpec, GaussianState, RegionFockRep,
+                           _circulant_block, causality_probe_scan,
                            cluster_function, decay_rate_fit,
                            expected_decay_rate, first_order_overlap,
-                           ground_state,
                            local_difference, local_difference_bracket,
-                           reduced_entropy, region_fock_rep,
-                           symplectic_eigenvalues)
+                           reduced_entropy, symplectic_eigenvalues)
 from vnlab.numkit import haar_unitary, random_density
 
 
@@ -36,7 +33,7 @@ def dense_symplectic(state, region):
 
 class TestGroundState:
     def test_translation_invariance(self):
-        state = ground_state(ChainSpec(12, 0.7))
+        state = GaussianState(ChainSpec(12, 0.7))
         n = 12
         for shift in (1, 5):
             rolled = np.roll(np.roll(g_phi(state), shift, axis=0), shift, axis=1)
@@ -44,7 +41,7 @@ class TestGroundState:
 
     def test_two_site_closed_form(self):
         # N = 2, m = 1: modes at omega = 1 and sqrt(5)
-        state = ground_state(ChainSpec(2, 1.0))
+        state = GaussianState(ChainSpec(2, 1.0))
         expected = 0.25 * (1.0 + 1.0 / np.sqrt(5.0))
         assert abs(g_phi(state)[0, 0] - expected) < 1e-12
         assert abs(expected - 0.36180) < 5e-6
@@ -56,13 +53,13 @@ class TestGroundState:
         assert np.allclose(prod, 0.25)
 
     def test_full_chain_symplectic_values_saturate(self):
-        state = ground_state(ChainSpec(10, 0.5))
+        state = GaussianState(ChainSpec(10, 0.5))
         nu = symplectic_eigenvalues(state, np.arange(10))
         assert np.max(np.abs(nu - 0.5)) < 1e-10
 
     def test_heisenberg_bound_on_regions(self):
         rng = np.random.default_rng(0)
-        state = ground_state(ChainSpec(24, 1.0))
+        state = GaussianState(ChainSpec(24, 1.0))
         for _ in range(10):
             size = int(rng.integers(1, 24))
             region = rng.choice(24, size=size, replace=False)
@@ -74,7 +71,7 @@ class TestGroundState:
     def test_fft_rows_match_cosine_table(self, n, mass):
         # reference: G[i, j] = sum_k w_k cos(k (i - j)) / n, mode by mode
         spec = ChainSpec(n, mass)
-        state = ground_state(spec)
+        state = GaussianState(spec)
         omega = spec.dispersion()
         w_phi = 0.5 / omega
         x = np.arange(n)
@@ -87,7 +84,7 @@ class TestGroundState:
     def test_proper_region_spectrum_matches_dense(self):
         rng = np.random.default_rng(3)
         for n, mass in ((24, 1.0), (40, 0.3)):
-            state = ground_state(ChainSpec(n, mass))
+            state = GaussianState(ChainSpec(n, mass))
             for _ in range(8):
                 size = int(rng.integers(1, n))
                 region = rng.choice(n, size=size, replace=False)
@@ -96,16 +93,16 @@ class TestGroundState:
                     < 1e-10
 
     def test_full_chain_mode_path_matches_dense(self):
-        state = ground_state(ChainSpec(10, 0.5))
+        state = GaussianState(ChainSpec(10, 0.5))
         dense = dense_symplectic(state, np.arange(10))
         for region in (np.arange(10), np.random.default_rng(2).permutation(10)):
             nu = np.sort(symplectic_eigenvalues(state, region))
             assert np.max(np.abs(nu - dense)) < 1e-10
 
     def test_massless_needs_policy(self):
-        # the policy is the caller's: ground_state refuses the k = 0 mode
+        # the policy is the caller's: GaussianState refuses the k = 0 mode
         with pytest.raises(ValueError, match="massless chain"):
-            ground_state(ChainSpec(8, 0.0))
+            GaussianState(ChainSpec(8, 0.0))
 
     @pytest.mark.parametrize("mass", [-0.1, np.inf, -np.inf, np.nan])
     def test_mass_must_be_finite_and_nonnegative(self, mass):
@@ -128,13 +125,13 @@ class TestCirculantBlock:
 
 class TestCluster:
     def test_f0_positive_and_monotone_decay(self):
-        state = ground_state(ChainSpec(64, 1.0))
+        state = GaussianState(ChainSpec(64, 1.0))
         vals = [cluster_function(state, r) for r in range(33)]
         assert vals[0] > 0
         assert all(b < a for a, b in zip(vals[:20], vals[1:21]))
 
     def test_even_and_periodic(self):
-        state = ground_state(ChainSpec(16, 0.8))
+        state = GaussianState(ChainSpec(16, 0.8))
         for r in range(1, 8):
             assert abs(cluster_function(state, r)
                        - cluster_function(state, -r)) < 1e-14
@@ -142,14 +139,14 @@ class TestCluster:
                        - cluster_function(state, r + 16)) < 1e-14
 
     def test_far_correlation_below_bound(self):
-        state = ground_state(ChainSpec(400, 1.0))
+        state = GaussianState(ChainSpec(400, 1.0))
         assert abs(cluster_function(state, 40)) < 1e-6
 
 
 class TestDecayFit:
     @pytest.mark.parametrize("m,hi", [(1.0, 28), (0.5, 40), (2.0, 15)])
     def test_rate_matches_lattice_asymptotics(self, m, hi):
-        state = ground_state(ChainSpec(400, m))
+        state = GaussianState(ChainSpec(400, m))
         fit = decay_rate_fit(state, (10, hi))
         assert fit.rel_deviation <= 0.10
         assert fit.is_exponential
@@ -164,12 +161,12 @@ class TestDecayFit:
         assert not fit.is_exponential
 
     def test_floor_guard(self):
-        state = ground_state(ChainSpec(400, 2.0))
+        state = GaussianState(ChainSpec(400, 2.0))
         with pytest.raises(ValueError, match="floor"):
             decay_rate_fit(state, (10, 60))
 
     def test_range_validation(self):
-        state = ground_state(ChainSpec(64, 1.0))
+        state = GaussianState(ChainSpec(64, 1.0))
         with pytest.raises(ValueError):
             decay_rate_fit(state, (0, 10))
         with pytest.raises(ValueError):
@@ -182,16 +179,16 @@ class TestDecayFit:
 
 class TestEntropy:
     def test_full_chain_is_pure(self):
-        state = ground_state(ChainSpec(16, 1.0))
+        state = GaussianState(ChainSpec(16, 1.0))
         assert reduced_entropy(state, np.arange(16)) < 1e-10
 
     def test_single_site_positive(self):
-        state = ground_state(ChainSpec(64, 1.0))
+        state = GaussianState(ChainSpec(64, 1.0))
         assert reduced_entropy(state, [0]) > 1e-3
 
     def test_region_complement_symmetry(self):
         rng = np.random.default_rng(5)
-        state = ground_state(ChainSpec(20, 0.8))
+        state = GaussianState(ChainSpec(20, 0.8))
         for _ in range(20):
             size = int(rng.integers(1, 20))
             region = rng.choice(20, size=size, replace=False)
@@ -200,7 +197,7 @@ class TestEntropy:
                        - reduced_entropy(state, comp)) < 1e-8
 
     def test_empty_region_rejected(self):
-        state = ground_state(ChainSpec(8, 1.0))
+        state = GaussianState(ChainSpec(8, 1.0))
         with pytest.raises(ValueError):
             reduced_entropy(state, [])
 
@@ -280,17 +277,18 @@ class TestOutsideOperations:
     @pytest.mark.parametrize("region,n_max_region,n_max_complement",
                              [((0, 1), 2, 2), ((1, 3, 4), 3, 2)])
     def test_vacuum_vector_matches_dense_pair_matrix(
-            self, mass, region, n_max_region, n_max_complement):
-        # other cutoffs than region_fock_rep's two: the factors replaced
-        rep = region_fock_rep(ChainSpec(6, mass), region)
-        rep = replace(
-            rep, fock_region=build_fock(len(rep.region), n_max_region),
-            fock_complement=build_fock(len(rep.complement), n_max_complement))
+            self, monkeypatch, mass, region, n_max_region, n_max_complement):
+        # other cutoffs than RegionFockRep's two: the factors patched
+        monkeypatch.setattr(RegionFockRep, "fock_region", property(
+            lambda rep: FockSpace(len(rep.region), n_max_region)))
+        monkeypatch.setattr(RegionFockRep, "fock_complement", property(
+            lambda rep: FockSpace(len(rep.complement), n_max_complement)))
+        rep = RegionFockRep(ChainSpec(6, mass), region)
         gap = rep.vacuum_vector - _dense_vacuum_vector(rep)
         assert np.abs(gap).max() <= 1e-13
 
     def test_apply_outside_is_kronecker_product(self):
-        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1))
+        rep = RegionFockRep(ChainSpec(6, 1.0), region=(0, 1))
         rng = np.random.default_rng(4)
         dr, dc = rep.fock_region.total_dim, rep.fock_complement.total_dim
         vec = rng.standard_normal(dr * dc) + 1j * rng.standard_normal(dr * dc)
@@ -299,7 +297,7 @@ class TestOutsideOperations:
                            np.kron(np.eye(dr), u_c) @ vec, rtol=0, atol=1e-12)
 
     def test_outside_unitary_invisible_in_region(self):
-        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1))
+        rep = RegionFockRep(ChainSpec(6, 1.0), region=(0, 1))
         g = rep.vacuum_vector
         rho_before = rep.reduced_region(g)
         psi_c = np.zeros(4, dtype=complex)
@@ -309,7 +307,7 @@ class TestOutsideOperations:
         assert local_difference(rho_before, rho_after) <= 1e-12
 
     def test_inside_operation_is_visible(self):
-        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1))
+        rep = RegionFockRep(ChainSpec(6, 1.0), region=(0, 1))
         g = rep.vacuum_vector
         from vnlab.fock import weyl_operator
         u_r = weyl_operator(rep.fock_region, np.array([0.9, 0.2j]))
@@ -319,7 +317,7 @@ class TestOutsideOperations:
                                 rep.reduced_region(moved)) > 1e-3
 
     def test_ground_vector_entangles_region(self):
-        rep = region_fock_rep(ChainSpec(6, 1.0), region=(0, 1))
+        rep = RegionFockRep(ChainSpec(6, 1.0), region=(0, 1))
         rho = rep.reduced_region(rep.vacuum_vector)
         w = np.linalg.eigvalsh(rho)
         purity = float(np.sum(w ** 2))

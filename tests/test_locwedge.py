@@ -5,13 +5,12 @@ import pytest
 
 from reference import s_operator
 from vnlab import locwedge
-from vnlab.locwedge import (AntilinearMap, apply_real,
+from vnlab.locwedge import (AntilinearMap, WedgeModel, apply_real,
                             boost_matrix, duality_check,
                             flow_invariance_residual, multiply_i,
                             real_subspace_from_vectors, standard_subspace,
                             standardness_check, subspace_distance,
-                            symplectic_complement, wedge_one_particle,
-                            wedge_report)
+                            symplectic_complement, wedge_report)
 from vnlab.numkit import dagger, norm2
 
 
@@ -80,7 +79,7 @@ class TestBoost:
 
 class TestWedgeModel:
     def test_generator_is_hermitian_and_symmetric_spectrum(self):
-        model = wedge_one_particle(16, 3.0)
+        model = WedgeModel(16, 3.0)
         k = k_op(model)
         assert norm2(k - dagger(k)) < 1e-12
         w = np.sort(np.linalg.eigvalsh(k))
@@ -89,7 +88,7 @@ class TestWedgeModel:
     def test_jdj_equals_delta_inverse(self):
         # conjugation flips the generator sign; checked in relative terms
         # since the full spectrum spans many decades
-        model = wedge_one_particle(16, 2.0)
+        model = WedgeModel(16, 2.0)
         k = k_op(model)
         assert norm2(np.conj(k) + k) < 1e-12 * norm2(k)
         jdj = np.conj(dense_delta(model))
@@ -98,7 +97,7 @@ class TestWedgeModel:
         assert norm2(jdj - dinv) < 1e-12 * norm2(dinv)
 
     def test_flow_group_law(self):
-        model = wedge_one_particle(32, 4.0)
+        model = WedgeModel(32, 4.0)
         rng = np.random.default_rng(1)
         for _ in range(5):
             t, s = rng.uniform(-2, 2, size=2)
@@ -106,22 +105,22 @@ class TestWedgeModel:
             assert norm2(u - flow_full(model, t + s)) <= 1e-9
 
     def test_flow_at_zero(self):
-        model = wedge_one_particle(16, 3.0)
+        model = WedgeModel(16, 3.0)
         assert norm2(flow_full(model, 0.0) - np.eye(16)) < 1e-12
 
     def test_retained_window(self):
-        model = wedge_one_particle(64, 6.0, cond_cap=1e8)
+        model = WedgeModel(64, 6.0, cond_cap=1e8)
         half = np.exp(-np.pi * model.k_retained)
         assert half.max() / half.min() <= 1e8 * (1 + 1e-9)
         assert model.retained_dim == 12
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            wedge_one_particle(7, 3.0)
+            WedgeModel(7, 3.0)
         with pytest.raises(ValueError):
-            wedge_one_particle(6, 3.0)
+            WedgeModel(6, 3.0)
         with pytest.raises(ValueError):
-            wedge_one_particle(16, -1.0)
+            WedgeModel(16, -1.0)
 
 
 class TestSOperator:
@@ -154,7 +153,7 @@ class TestSOperator:
         assert v.shape[1] == 0  # nothing survives a window this spectrum skips
 
     def test_wedge_s_squared_on_retained(self):
-        model = wedge_one_particle(64, 6.0, cond_cap=1e8)
+        model = WedgeModel(64, 6.0, cond_cap=1e8)
         n_r = model.retained_dim
         s = model.s_compressed
         assert norm2(s @ s - np.eye(n_r)) <= 1e-8
@@ -183,7 +182,7 @@ class TestStandardSubspace:
             assert np.linalg.norm(x - proj.T @ (proj @ x)) < 1e-10
 
     def test_wedge_k_dimension(self):
-        model = wedge_one_particle(32, 4.0, cond_cap=1e8)
+        model = WedgeModel(32, 4.0, cond_cap=1e8)
         k = model.standard_subspace
         assert k.real_dim == model.retained_dim
         # S phi = phi on every basis vector
@@ -271,22 +270,22 @@ class TestDualityAndFlow:
             < 1e-12
 
     def test_wedge_duality(self):
-        model = wedge_one_particle(64, 6.0)
+        model = WedgeModel(64, 6.0)
         assert duality_check(model) <= 1e-8
 
     def test_wedge_flow_invariance(self):
-        model = wedge_one_particle(64, 6.0)
+        model = WedgeModel(64, 6.0)
         assert flow_invariance_residual(model) <= 1e-8
 
     def test_report_fields(self):
-        rep = wedge_report(wedge_one_particle(16, 3.0))
+        rep = wedge_report(WedgeModel(16, 3.0))
         assert rep["standardness"] is True
         assert rep["retained_dim"] == rep["k_real_dim"]
         assert set(rep) >= {"n", "theta_max", "retained_dim",
                             "duality_residual", "flow_invariance_residual"}
 
     def test_report_leaves_dense_operators_unbuilt(self):
-        model = wedge_one_particle(64, 6.0)
+        model = WedgeModel(64, 6.0)
         wedge_report(model)
         # the report caches the spectrum, the retained modes and the
         # compressed J, S and K, and nothing n x n
@@ -305,27 +304,27 @@ class TestDualityAndFlow:
             return standard_subspace(s)
 
         monkeypatch.setattr(locwedge, "standard_subspace", counted)
-        wedge_report(wedge_one_particle(64, 6.0))
+        wedge_report(WedgeModel(64, 6.0))
         assert len(calls) == 1
 
     def test_isometry_is_retained_modes(self):
         # the retained modes, ordered by k, diagonalize the generator with
         # the eigenvalues k_retained
-        model = wedge_one_particle(16, 3.0)
+        model = WedgeModel(16, 3.0)
         v = isometry(model)
         assert norm2(k_op(model) @ v - v * model.k_retained) < 1e-12
 
     def test_truncation_comparison_across_theta(self):
         # boundary artifacts remain small for each window choice
         for theta in (4.0, 6.0, 8.0):
-            rep = wedge_report(wedge_one_particle(64, theta))
+            rep = wedge_report(WedgeModel(64, theta))
             assert rep["duality_residual"] <= 1e-8
             assert rep["s_squared_defect"] <= 1e-8
 
     def test_generic_route_matches_wedge_route(self):
         # a small grid keeps the modular operator well-conditioned, so the
         # generic eigh-based S can face the generator-based one
-        model = wedge_one_particle(8, 6.0)
+        model = WedgeModel(8, 6.0)
         s_gen, v = s_operator(dense_delta(model), conjugation(8))
         assert np.allclose(v, np.eye(8))
         k_gen = standard_subspace(s_gen)
@@ -339,7 +338,7 @@ class TestDualityAndFlow:
     @pytest.mark.parametrize("cond_cap", [1e8, 1e14])
     def test_j_compressed_is_the_dense_product(self, n, theta, cond_cap):
         # reference: J = conjugation compressed by the isometry V, V* conj(V)
-        model = wedge_one_particle(n, theta, cond_cap)
+        model = WedgeModel(n, theta, cond_cap)
         v = isometry(model)
         dense = v.conj().T @ v.conj()
         perm = model.j_compressed.mat

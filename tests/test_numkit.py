@@ -427,12 +427,12 @@ class TestByteBudget:
                 require_budget(nbytes, "a build")
 
     def test_builders_refuse_through_the_one_budget(self, monkeypatch):
-        f = fock.build_fock(2, 2)
+        f = fock.FockSpace(2, 2)
         k = real_subspace_from_vectors(np.eye(2))
-        # below one dense operator on the six states of build_fock(2, 2)
+        # below one dense operator on the six states of FockSpace(2, 2)
         monkeypatch.setattr(numkit, "BYTE_BUDGET", 16 * 6 ** 2 - 1)
         with pytest.raises(ValueError, match="over the byte budget"):
-            fock.build_fock(2, 2)
+            fock.FockSpace(2, 2)
         with pytest.raises(ValueError, match="over the byte budget"):
             fock.cyclicity_rank(f, k, 1)
         # an approximant's fixed 16 KiB is over the lowered budget too
