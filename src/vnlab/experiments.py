@@ -372,19 +372,17 @@ def _exp_entropy_scan(p, seed):
     for _ in range(p["bipartitions"]):
         size = int(rng.integers(1, n))
         region = rng.choice(n, size=size, replace=False)
-        outside = np.ones(n, dtype=bool)
-        outside[region] = False
-        comp = np.flatnonzero(outside)
+        comp = np.delete(np.arange(n), region)
         nu = lattice.symplectic_eigenvalues(state, region)
         s1 = lattice.gaussian_entropy(nu)
         s2 = lattice.reduced_entropy(state, comp)
         sym.append(abs(s1 - s2))
         nu_mins.append(nu.min())
     sym_max, nu_min = np.max(sym), np.min(nu_mins)
-    single = lattice.reduced_entropy(state, [0])
     full = lattice.reduced_entropy(state, np.arange(n))
     series = [(w, lattice.reduced_entropy(state, np.arange(w)))
               for w in range(1, min(n // 2, 16) + 1)]
+    single = series[0][1]  # the block of one site
     metrics = {"symmetry_defect_max": sym_max, "single_site_entropy": single,
                "full_chain_entropy": full, "min_symplectic_eigenvalue": nu_min}
     assertions = [

@@ -31,7 +31,7 @@ from .modular import purify
 from .numkit import VALIDITY_ATOL, read_only, require_budget
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Approximant:
     """A finite tensor-power model, fixed by its site weights and the number
     of factors N.

@@ -55,8 +55,8 @@ class GaussianState:
     Both covariances are circulant: <phi_i phi_j> = row_phi[(i - j) % n], and
     the Fourier modes diagonalize them with eigenvalues weights_phi =
     1 / (2 omega) and weights_pi = omega / 2, omega the dispersion.  Region
-    blocks are gathered from the rows.  A massless chain has no vacuum: its
-    k = 0 mode diverges, so it is refused.
+    blocks are read through a read-only strided view of each circulant.  A
+    massless chain has no vacuum: its k = 0 mode diverges, so it is refused.
     """
 
     spec: ChainSpec
@@ -85,8 +85,13 @@ class GaussianState:
 
 
 def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:
-    """Region block of the circulant matrix C[i, j] = row[(i - j) % n]."""
-    return row.take(np.subtract.outer(region, region), mode="wrap")
+    """Region block of the circulant C[i, j] = row[(i - j) % n], sites mod n,
+    gathered from a read-only strided view of C: no r x r index array."""
+    n = row.size
+    ext = row[np.arange(1 - n, n) % n]
+    view = np.lib.stride_tricks.sliding_window_view(ext, n)[:, ::-1]
+    sites = np.asarray(region) % n
+    return view[np.ix_(sites, sites)]
 
 
 def cluster_function(state: GaussianState, r: int) -> float:
@@ -148,21 +153,28 @@ def decay_rate_fit(state: GaussianState,
 def symplectic_eigenvalues(state: GaussianState, region) -> np.ndarray:
     """Symplectic spectrum of the region covariance (vanishing cross block).
 
-    The whole chain is diagonal on the Fourier modes, so its spectrum is
-    sqrt(w_phi w_pi) per mode.  A proper region uses the symmetric form:
-    with G_phi = L L^T, the eigenvalues of L^T G_pi L are those of
-    G_phi G_pi.
+    Sites are taken mod n; a non-integer or repeated site is refused.  The
+    whole chain is diagonal on the Fourier modes: sqrt(w_phi w_pi) per mode.
+    A proper region uses the symmetric form: with G_phi = L L^T, L^T G_pi L,
+    written over the G_pi block, has the eigenvalues of G_phi G_pi; at most
+    three r x r arrays (24 r^2 bytes) are alive at once.
     """
-    region = np.asarray(region, dtype=int)
+    n = state.spec.sites
+    sites = np.asarray(region)
+    region = sites.astype(int) % n
     if region.size == 0:
         raise ValueError("empty region")
-    n = state.spec.sites
-    if region.size == n and np.bincount(region % n, minlength=n).all():
+    if not np.array_equal(region, sites % n):
+        raise ValueError("region sites must be integers")
+    if np.bincount(region).max() > 1:
+        raise ValueError("region repeats a site (mod n)")
+    if region.size == n:
         return np.sqrt(state.weights_phi * state.weights_pi)
     chol = np.linalg.cholesky(_circulant_block(state.row_phi, region))
     b = _circulant_block(state.row_pi, region)
-    ev = np.linalg.eigvalsh(chol.T @ b @ chol)
-    return np.sqrt(np.clip(ev, 0.0, None))
+    np.matmul(chol.T @ b, chol, out=b)
+    del chol
+    return np.sqrt(np.clip(np.linalg.eigvalsh(b), 0.0, None))
 
 
 def reduced_entropy(state: GaussianState, region) -> float:
@@ -279,7 +291,7 @@ def _packet(n: int, support) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionFockRep:
     """Chain vacuum in a region (x) complement product-truncated Fock basis.
 

@@ -38,7 +38,7 @@ def boost_matrix(s: float) -> np.ndarray:
                      [np.sinh(s), np.cosh(s)]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealSubspace:
     """Real-linear subspace of C^n, stored as orthonormal rows of R^{2n}."""
 

@@ -10,7 +10,9 @@ solve, the closure that re-orthonormalizes the whole span each pass (which
 matrix algebras as test cases, the dense Fock ladders that
 ``fock.apply_ladders`` applies from index maps, and the massless chain,
 which ``lattice.GaussianState`` refuses, with its divergent k = 0 mode
-dropped, in a form of its own.
+dropped, in a form of its own, and the region spectrum gathered through
+index matrices, which ``lattice.symplectic_eigenvalues`` reads from a
+strided view of the circulant.
 """
 
 from __future__ import annotations
@@ -215,3 +217,18 @@ def massless_state(sites: int) -> MasslessState:
     return MasslessState(spec=spec, row_phi=cos @ w_phi / sites,
                          row_pi=cos @ w_pi / sites, weights_phi=w_phi,
                          weights_pi=w_pi)
+
+
+def indexed_symplectic_eigenvalues(state, region) -> np.ndarray:
+    """Symplectic spectrum of a proper region, each block gathered with an
+    r x r index matrix and L^T G_pi L formed as a new array.
+
+    The same entries meet the same BLAS and LAPACK calls as in
+    ``lattice.symplectic_eigenvalues``, so the two agree bit for bit.
+    """
+    region = np.asarray(region, dtype=int)
+    index = np.subtract.outer(region, region)
+    chol = np.linalg.cholesky(state.row_phi.take(index, mode="wrap"))
+    b = state.row_pi.take(index, mode="wrap")
+    ev = np.linalg.eigvalsh(chol.T @ b @ chol)
+    return np.sqrt(np.clip(ev, 0.0, None))

@@ -1,8 +1,12 @@
 """Chain vacuum: correlations, decay, entropy, local differences, causality."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
-from reference import dense_creators, massless_state
+from reference import (dense_creators, indexed_symplectic_eigenvalues,
+                       massless_state)
 
 from vnlab.fock import FockSpace
 from vnlab.lattice import (ChainSpec, GaussianState, RegionFockRep,
@@ -99,6 +103,52 @@ class TestGroundState:
             nu = np.sort(symplectic_eigenvalues(state, region))
             assert np.max(np.abs(nu - dense)) < 1e-10
 
+    @pytest.mark.parametrize("n", [7, 64, 512])
+    def test_proper_region_spectrum_matches_index_matrix_form(self, n):
+        """Bit for bit the spectrum of the index-matrix gather, on random
+        unsorted regions."""
+        rng = np.random.default_rng(n)
+        state = GaussianState(ChainSpec(n, 0.4))
+        for size in (1, 2, n // 3, n - 1):
+            region = rng.choice(n, size=size, replace=False)
+            assert np.array_equal(symplectic_eigenvalues(state, region),
+                                  indexed_symplectic_eigenvalues(state, region))
+
+    def test_shifted_sites_read_the_reduced_region(self):
+        state = GaussianState(ChainSpec(6, 0.7))
+        assert np.array_equal(symplectic_eigenvalues(state, [-1, 2]),
+                              symplectic_eigenvalues(state, [5, 2]))
+        region = np.array([4, 0, 3])
+        for shift in (-12, -6, 6, 18):
+            assert np.array_equal(symplectic_eigenvalues(state, region + shift),
+                                  symplectic_eigenvalues(state, region))
+
+    @pytest.mark.parametrize("region,says", [
+        ([0, 0], "region repeats a site (mod n)"),
+        ([0, 6], "region repeats a site (mod n)"),
+        (range(7), "region repeats a site (mod n)"),
+        ([0, 1.7], "region sites must be integers"),
+        ([], "empty region"),
+    ])
+    def test_bad_region_is_refused(self, region, says):
+        state = GaussianState(ChainSpec(6, 1.0))
+        with pytest.raises(ValueError, match=re.escape(says)):
+            symplectic_eigenvalues(state, region)
+
+    def test_proper_region_peaks_at_three_blocks(self):
+        """Two blocks, the factor and one product: 24 r^2 bytes; an r x r
+        index matrix or a fourth block would read 4.0."""
+        state = GaussianState(ChainSpec(1024, 1.0))
+        region = np.arange(1023)
+        symplectic_eigenvalues(state, region[:4])  # first-call set-up
+        tracemalloc.start()
+        try:
+            symplectic_eigenvalues(state, region)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 8 * region.size ** 2
+
     def test_massless_needs_policy(self):
         # the policy is the caller's: GaussianState refuses the k = 0 mode
         with pytest.raises(ValueError, match="massless chain"):
@@ -113,7 +163,8 @@ class TestGroundState:
 class TestCirculantBlock:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gather_equals_modulo_form(self, seed):
-        """Bit for bit equal to row[(i - j) % n] on unsorted regions."""
+        """Bit for bit equal to row[(i - j) % n] on unsorted regions, with
+        their sites also shifted by multiples of n."""
         rng = np.random.default_rng(seed)
         for n in (1, 2, 7, 64, 513):
             row = rng.standard_normal(n)
@@ -121,6 +172,9 @@ class TestCirculantBlock:
                 region = rng.choice(n, size=size, replace=False)
                 ref = row[(region[:, None] - region[None, :]) % n]
                 assert np.array_equal(_circulant_block(row, region), ref)
+                # negative sites and sites >= n are read mod n
+                shifted = region + n * rng.integers(-3, 4, size=region.size)
+                assert np.array_equal(_circulant_block(row, shifted), ref)
 
 
 class TestCluster:

@@ -112,6 +112,19 @@ def test_region_is_reduced_sorted_and_kept_once():
                       FockSpace(2, 2), FockSpace(4, 2))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: RealSubspace(np.eye(2)),
+    lambda: Approximant(W, 2),
+    lambda: RegionFockRep(ChainSpec(6, 1.0), (0, 1)),
+])
+def test_models_holding_arrays_compare_by_identity(build):
+    # a field-wise == would ask an array for its truth value, and a
+    # field-wise hash would hash an array
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 @pytest.mark.parametrize("stored", [
     lambda: FockSpace(2, 3).occupations,
     lambda: FockSpace(2, 3).raise_index,
