@@ -9,10 +9,12 @@ nonzero at every positive time, however far apart they sit.
 
 import numpy as np
 
+from vnlab.fock import weyl_operator
 from vnlab.lattice import (ChainSpec, GaussianState, RegionFockRep,
                            causality_probe_scan, cluster_function,
                            decay_rate_fit, expected_decay_rate,
                            local_difference, reduced_entropy)
+from vnlab.numkit import dagger
 
 spec = ChainSpec(400, 1.0)
 state = GaussianState(spec)
@@ -37,10 +39,10 @@ for width in (1, 2, 4, 8, 16, 32):
 
 print("\n== operations outside a region are invisible inside ==")
 rep = RegionFockRep(ChainSpec(6, 1.0), region=(0, 1))
-g = rep.vacuum_vector
+g = rep.vacuum  # (region, complement) coefficients: 1 (x) U acts as g @ U.T
 psi_c = np.array([0.9, 0.0, 0.4j, 0.0])
-moved = rep.apply_outside(g, rep.outside_weyl(psi_c))
-d = local_difference(rep.reduced_region(g), rep.reduced_region(moved))
+moved = g @ weyl_operator(rep.fock_complement, psi_c).T
+d = local_difference(g @ dagger(g), moved @ dagger(moved))
 print(f"   trace-norm change of the region state: {d:.2e}")
 
 print("\n== causality probe: disjoint packets, one-particle evolution ==")

@@ -350,9 +350,8 @@ def _exp_cluster_decay(p, seed):
     rate = lattice.expected_decay_rate(p["m"])
     window = (int(np.ceil(10 / rate)), int(np.floor(25 / rate)))
     fit = lattice.decay_rate_fit(state, window)
-    f_far = abs(lattice.cluster_function(state, p["sites"] // 2))
-    series = [(r, lattice.cluster_function(state, r))
-              for r in range(p["sites"] // 2 + 1)]
+    series = list(enumerate(state.row_phi[:p["sites"] // 2 + 1].tolist()))
+    f_far = abs(series[-1][1])
     metrics = {"fitted_rate": fit.rate, "expected_rate": fit.expected,
                "rel_deviation": fit.rel_deviation, "curvature": fit.curvature,
                "f_far": f_far, "fit_window": window}
@@ -405,13 +404,12 @@ def _exp_local_difference(p, seed):
     excess_max = np.max(np.maximum(lower - tn, tn - upper) / tn)
     width_max = np.max((upper - lower) / lower)
     rep = lattice.RegionFockRep(lattice.ChainSpec(6, 1.0), region=(0, 1))
-    g = rep.vacuum_vector
+    g = rep.vacuum
     psi_c = np.zeros(rep.fock_complement.one_particle_dim, dtype=complex)
     psi_c[0], psi_c[2] = 0.8, 0.6j
-    u_out = rep.outside_weyl(psi_c)
-    moved = rep.apply_outside(g, u_out)
-    d_outside = lattice.local_difference(rep.reduced_region(g),
-                                         rep.reduced_region(moved))
+    moved = g @ fock.weyl_operator(rep.fock_complement, psi_c).T
+    d_outside = lattice.local_difference(g @ dagger(g),
+                                         moved @ dagger(moved))
     metrics = {"dual_gap_rel_max": rel_max, "bracket_excess_max": excess_max,
                "bracket_width_max": width_max, "outside_op_difference": d_outside}
     assertions = [
@@ -431,16 +429,16 @@ def _exp_causality_probe(p, seed):
     start = p["sites"] // 2 - w - (p["gap"] + 1) // 2
     supp_in = np.arange(start, start + w)
     supp_out = np.arange(start + w + p["gap"], start + 2 * w + p["gap"])
+    grid = np.linspace(0.05, 1.0, 20)
     overlaps = lattice.causality_probe_scan(spec, supp_in, supp_out,
-                                            [0.0, p["t"]])
-    a0, a_t = np.abs(overlaps).tolist()
+                                            [0.0, p["t"], *grid])
+    a0, a_t = np.abs(overlaps[:2]).tolist()
+    amps = np.abs(overlaps[2:])
     # a_t against its first order -i t <chi, w psi>: a scan that froze the
     # packets would read the t = 0 roundoff at t, which passes the nonzero
     # floor at small |t| but not this
     c1 = lattice.first_order_overlap(spec, supp_in, supp_out)
     first_order = abs(overlaps[1] + 1j * p["t"] * c1)
-    grid = np.linspace(0.05, 1.0, 20)
-    amps = np.abs(lattice.causality_probe_scan(spec, supp_in, supp_out, grid))
     series = [(0.0, a0)] + [(float(t), float(a)) for t, a in zip(grid, amps)]
     metrics = {"amp_t0": a0, "amp_t": a_t, "grid_max": float(amps.max())}
     # zero and nonzero are read against one floor, 60 times the roundoff of

@@ -9,6 +9,7 @@ nonvanishing of out-of-region amplitudes at every nonzero time (the
 analyticity mechanism that rules out causal position-operator localization),
 and a RegionFockRep, fixed by its ChainSpec and region, demonstrates that
 operations strictly outside a region leave its reduced state untouched.
+Every list of sites, a region or a packet's support, is read by _sites.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fock as fockmod
-from .numkit import dagger, read_only
+from .numkit import dagger, read_only, require_budget
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,8 @@ class ChainSpec:
     mass: float
 
     def __post_init__(self):
+        if not np.issubdtype(type(self.sites), np.integer):  # bool too
+            raise ValueError("sites must be an integer")
         if self.sites < 2:
             raise ValueError("need at least two sites")
         # dispersion() squares the mass; written so that a NaN is refused
@@ -84,6 +87,23 @@ class GaussianState:
         return read_only(np.fft.fft(self.weights_pi).real / self.spec.sites)
 
 
+def _sites(n: int, region) -> np.ndarray:
+    """The sites of a region, mod n, in the given order.  A 2-D array, a
+    boolean mask, a non-integer site or a site listed twice (mod n) is
+    refused; an empty region is returned, for the caller to refuse."""
+    sites = np.asarray(region)
+    if sites.ndim != 1:
+        raise ValueError("region must be a 1-D list of sites")
+    if sites.size == 0:
+        return sites.astype(int)
+    if not np.issubdtype(sites.dtype, np.integer):  # a bool mask too
+        raise ValueError("region sites must be integers")
+    sites = sites.astype(int) % n
+    if np.bincount(sites).max() > 1:
+        raise ValueError("region repeats a site (mod n)")
+    return sites
+
+
 def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:
     """Region block of the circulant C[i, j] = row[(i - j) % n], sites mod n,
     gathered from a read-only strided view of C: no r x r index array."""
@@ -133,7 +153,7 @@ def decay_rate_fit(state: GaussianState,
     if r1 - r0 < 2:  # the quadratic drift test needs three points
         raise ValueError(f"fit window ({r0}, {r1}) must be >= 2 sites wide")
     rs = np.arange(r0, r1 + 1).astype(float)
-    vals = np.abs([cluster_function(state, int(r)) for r in rs])
+    vals = np.abs(state.row_phi[r0:r1 + 1])
     if np.any(vals < 1e-14):
         raise ValueError("fit range touches the numerical floor")
     logv = np.log(vals)
@@ -153,23 +173,19 @@ def decay_rate_fit(state: GaussianState,
 def symplectic_eigenvalues(state: GaussianState, region) -> np.ndarray:
     """Symplectic spectrum of the region covariance (vanishing cross block).
 
-    Sites are taken mod n; a non-integer or repeated site is refused.  The
-    whole chain is diagonal on the Fourier modes: sqrt(w_phi w_pi) per mode.
-    A proper region uses the symmetric form: with G_phi = L L^T, L^T G_pi L,
-    written over the G_pi block, has the eigenvalues of G_phi G_pi; at most
-    three r x r arrays (24 r^2 bytes) are alive at once.
+    The region is read by _sites; an empty one is refused.  The whole chain
+    is diagonal on the Fourier modes: sqrt(w_phi w_pi) per mode.  A proper
+    region uses the symmetric form: with G_phi = L L^T, L^T G_pi L, written
+    over the G_pi block, has the eigenvalues of G_phi G_pi; at most three
+    r x r arrays, 24 r^2 bytes held to the byte budget, are alive at once.
     """
     n = state.spec.sites
-    sites = np.asarray(region)
-    region = sites.astype(int) % n
+    region = _sites(n, region)
     if region.size == 0:
         raise ValueError("empty region")
-    if not np.array_equal(region, sites % n):
-        raise ValueError("region sites must be integers")
-    if np.bincount(region).max() > 1:
-        raise ValueError("region repeats a site (mod n)")
     if region.size == n:
         return np.sqrt(state.weights_phi * state.weights_pi)
+    require_budget(24 * region.size ** 2, "a region's symplectic spectrum")
     chol = np.linalg.cholesky(_circulant_block(state.row_phi, region))
     b = _circulant_block(state.row_pi, region)
     np.matmul(chol.T @ b, chol, out=b)
@@ -281,13 +297,13 @@ def _packet_transforms(spec: ChainSpec, support_in, support_out):
 
 
 def _packet(n: int, support) -> np.ndarray:
-    """Normalized raised-cosine bump on the given sites."""
-    support = np.asarray(support, dtype=int)
+    """Normalized raised-cosine bump on the given sites, read by _sites."""
+    support = _sites(n, support)
     if support.size == 0:
         raise ValueError("empty support")
     v = np.zeros(n, dtype=complex)
     m = support.size
-    v[support % n] = np.sin(np.pi * (np.arange(m) + 1) / (m + 1))
+    v[support] = np.sin(np.pi * (np.arange(m) + 1) / (m + 1))
     return v / np.linalg.norm(v)
 
 
@@ -295,23 +311,22 @@ def _packet(n: int, support) -> np.ndarray:
 class RegionFockRep:
     """Chain vacuum in a region (x) complement product-truncated Fock basis.
 
-    Fixed by the chain and the region, taken mod n, sorted and kept once;
-    an empty or full region is refused.  Both factors are truncated at two
-    particles, and the split is exact, so operators of the form 1 (x) U
-    cannot change the region's reduced density matrix.  The vacuum is the
-    truncated Gaussian state exp(a* M a* / 2)|0>, M from the chain's
-    potential matrix; its pair correlations couple the factors.
+    Fixed by the chain and the region, read by _sites and sorted; an empty
+    or full region is refused.  Both factors are truncated at two particles.
+    The vacuum is the truncated Gaussian state exp(a* M a* / 2)|0>, M from
+    the chain's potential matrix, kept as its (dr, dc) coefficient matrix G:
+    1 (x) U maps it to G U^T, which leaves the region's reduced density
+    matrix G G* as it was, and M's pair correlations couple the factors.
     """
 
     spec: ChainSpec
     region: np.ndarray
 
     def __post_init__(self):
-        inside = np.zeros(self.spec.sites, dtype=bool)
-        inside[np.asarray(self.region, dtype=int) % self.spec.sites] = True
-        if inside.all() or not inside.any():
+        region = np.sort(_sites(self.spec.sites, self.region))
+        if not 0 < region.size < self.spec.sites:
             raise ValueError("region must be a proper nonempty subset")
-        object.__setattr__(self, "region", read_only(np.flatnonzero(inside)))
+        object.__setattr__(self, "region", read_only(region))
 
     @cached_property
     def complement(self) -> np.ndarray:
@@ -333,7 +348,7 @@ class RegionFockRep:
                                         x.T)[0].T)
 
     @cached_property
-    def vacuum_vector(self) -> np.ndarray:
+    def vacuum(self) -> np.ndarray:
         # M = (1 + sqrt V)^-1 (1 - sqrt V) is circulant with eigenvalues
         # (1 - w_k) / (1 + w_k), w the dispersion: its first row is one FFT
         n = self.spec.sites
@@ -355,18 +370,4 @@ class RegionFockRep:
             k += 1
             term = pair(term) / k  # nilpotent
             state = state + term
-        return state.reshape(-1) / np.linalg.norm(state)
-
-    def apply_outside(self, vec: np.ndarray, u_c: np.ndarray) -> np.ndarray:
-        """(1 (x) u_c) vec, contracted on the complement axis."""
-        dr, dc = self.fock_region.total_dim, self.fock_complement.total_dim
-        return (vec.reshape(dr, dc) @ u_c.T).reshape(-1)
-
-    def outside_weyl(self, psi_c: np.ndarray) -> np.ndarray:
-        """A unitary supported strictly on the complement factor."""
-        return fockmod.weyl_operator(self.fock_complement, psi_c)
-
-    def reduced_region(self, vec: np.ndarray) -> np.ndarray:
-        dr, dc = self.fock_region.total_dim, self.fock_complement.total_dim
-        m = vec.reshape(dr, dc)
-        return m @ dagger(m)
+        return read_only(state / np.linalg.norm(state))

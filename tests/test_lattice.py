@@ -1,5 +1,7 @@
 """Chain vacuum: correlations, decay, entropy, local differences, causality."""
 
+import ast
+import inspect
 import re
 import tracemalloc
 
@@ -8,14 +10,15 @@ import pytest
 from reference import (dense_creators, indexed_symplectic_eigenvalues,
                        massless_state)
 
-from vnlab.fock import FockSpace
+from vnlab import lattice
+from vnlab.fock import FockSpace, weyl_operator
 from vnlab.lattice import (ChainSpec, GaussianState, RegionFockRep,
                            _circulant_block, causality_probe_scan,
                            cluster_function, decay_rate_fit,
                            expected_decay_rate, first_order_overlap,
                            local_difference, local_difference_bracket,
                            reduced_entropy, symplectic_eigenvalues)
-from vnlab.numkit import haar_unitary, random_density
+from vnlab.numkit import dagger, haar_unitary, random_density
 
 
 def g_phi(state):
@@ -149,6 +152,19 @@ class TestGroundState:
             tracemalloc.stop()
         assert peak <= 3.1 * 8 * region.size ** 2
 
+    def test_region_over_the_budget_is_refused_before_a_block(self):
+        # 24 r^2 bytes: 3,344 sites fit in 256 MiB, 3,345 do not
+        state = GaussianState(ChainSpec(4096, 1.0))
+        symplectic_eigenvalues(state, np.arange(4))  # first-call set-up
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the byte budget"):
+                symplectic_eigenvalues(state, np.arange(3345))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_massless_needs_policy(self):
         # the policy is the caller's: GaussianState refuses the k = 0 mode
         with pytest.raises(ValueError, match="massless chain"):
@@ -158,6 +174,60 @@ class TestGroundState:
     def test_mass_must_be_finite_and_nonnegative(self, mass):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             ChainSpec(8, mass)
+
+    @pytest.mark.parametrize("sites", [6.5, True, np.float64(6.0)])
+    def test_sites_must_be_an_integer(self, sites):
+        with pytest.raises(ValueError, match="sites must be an integer"):
+            ChainSpec(sites, 1.0)
+        assert ChainSpec(np.int64(6), 1.0).momenta().size == 6
+
+
+# every reader of a site list, each called with the region it reads on six
+# sites, and the message it gives an empty one
+SITE_READERS = {
+    "symplectic_eigenvalues": (lambda region: symplectic_eigenvalues(
+        GaussianState(ChainSpec(6, 1.0)), region), "empty region"),
+    "RegionFockRep": (lambda region: RegionFockRep(ChainSpec(6, 1.0), region),
+                      "region must be a proper nonempty subset"),
+    "causality_probe_scan": (lambda region: causality_probe_scan(
+        ChainSpec(6, 1.0), region, [4], [0.1]), "empty support"),
+}
+
+
+@pytest.mark.parametrize("reader", SITE_READERS)
+@pytest.mark.parametrize("region,says", [
+    ([True, False], "region sites must be integers"),
+    ([0, 1.7], "region sites must be integers"),
+    ([[0, 1], [2, 3]], "region must be a 1-D list of sites"),
+    ([1, 7], "region repeats a site (mod n)"),
+])
+def test_site_readers_refuse_alike(reader, region, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        SITE_READERS[reader][0](region)
+
+
+@pytest.mark.parametrize("reader", SITE_READERS)
+def test_site_readers_keep_their_empty_message(reader):
+    read, says = SITE_READERS[reader]
+    with pytest.raises(ValueError, match=re.escape(says)):
+        read([])
+
+
+def test_sites_are_read_in_one_place():
+    """bincount and .astype(int) turn a site list into sites: in lattice
+    they occur only in _sites."""
+    def reads(tree):
+        return {(node.lineno, node.col_offset) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and (node.func.attr == "bincount"
+                     or node.func.attr == "astype"
+                     and [ast.unparse(a) for a in node.args] == ["int"])}
+    tree = ast.parse(inspect.getsource(lattice))
+    helper = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_sites")
+    assert reads(helper) and reads(tree) == reads(helper)
 
 
 class TestCirculantBlock:
@@ -338,41 +408,31 @@ class TestOutsideOperations:
         monkeypatch.setattr(RegionFockRep, "fock_complement", property(
             lambda rep: FockSpace(len(rep.complement), n_max_complement)))
         rep = RegionFockRep(ChainSpec(6, mass), region)
-        gap = rep.vacuum_vector - _dense_vacuum_vector(rep)
+        gap = rep.vacuum.reshape(-1) - _dense_vacuum_vector(rep)
         assert np.abs(gap).max() <= 1e-13
-
-    def test_apply_outside_is_kronecker_product(self):
-        rep = RegionFockRep(ChainSpec(6, 1.0), region=(0, 1))
-        rng = np.random.default_rng(4)
-        dr, dc = rep.fock_region.total_dim, rep.fock_complement.total_dim
-        vec = rng.standard_normal(dr * dc) + 1j * rng.standard_normal(dr * dc)
-        u_c = rng.standard_normal((dc, dc)) + 1j * rng.standard_normal((dc, dc))
-        assert np.allclose(rep.apply_outside(vec, u_c),
-                           np.kron(np.eye(dr), u_c) @ vec, rtol=0, atol=1e-12)
 
     def test_outside_unitary_invisible_in_region(self):
         rep = RegionFockRep(ChainSpec(6, 1.0), region=(0, 1))
-        g = rep.vacuum_vector
-        rho_before = rep.reduced_region(g)
+        g = rep.vacuum
+        rho_before = g @ dagger(g)
         psi_c = np.zeros(4, dtype=complex)
         psi_c[1], psi_c[3] = 1.1, -0.4j
-        moved = rep.apply_outside(g, rep.outside_weyl(psi_c))
-        rho_after = rep.reduced_region(moved)
+        moved = g @ weyl_operator(rep.fock_complement, psi_c).T
+        rho_after = moved @ dagger(moved)
         assert local_difference(rho_before, rho_after) <= 1e-12
 
     def test_inside_operation_is_visible(self):
         rep = RegionFockRep(ChainSpec(6, 1.0), region=(0, 1))
-        g = rep.vacuum_vector
-        from vnlab.fock import weyl_operator
+        g = rep.vacuum
         u_r = weyl_operator(rep.fock_region, np.array([0.9, 0.2j]))
-        dr, dc = rep.fock_region.total_dim, rep.fock_complement.total_dim
-        moved = (np.kron(u_r, np.eye(dc)) @ g)
-        assert local_difference(rep.reduced_region(g),
-                                rep.reduced_region(moved)) > 1e-3
+        dr, dc = g.shape
+        moved = (np.kron(u_r, np.eye(dc)) @ g.reshape(-1)).reshape(dr, dc)
+        assert local_difference(g @ dagger(g),
+                                moved @ dagger(moved)) > 1e-3
 
     def test_ground_vector_entangles_region(self):
         rep = RegionFockRep(ChainSpec(6, 1.0), region=(0, 1))
-        rho = rep.reduced_region(rep.vacuum_vector)
+        rho = rep.vacuum @ dagger(rep.vacuum)
         w = np.linalg.eigvalsh(rho)
         purity = float(np.sum(w ** 2))
         assert purity < 1.0 - 1e-4  # coupling across the cut mixes the region

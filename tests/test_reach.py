@@ -116,7 +116,7 @@ def test_definitions_cover_methods_properties_and_nested_functions():
     names = {name for path, name in definitions()
              if pathlib.Path(path).stem in ("locwedge", "lattice")}
     assert {"WedgeModel.j_compressed", "WedgeModel.retained_dim",
-            "RegionFockRep.vacuum_vector.<locals>.pair"} <= names
+            "RegionFockRep.vacuum.<locals>.pair"} <= names
     assert not any(name.split(".")[-1].startswith("__") for name in names)
 
 

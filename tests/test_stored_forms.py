@@ -93,6 +93,8 @@ def test_defining_fields_are_read_only(model, field, value):
     (lambda: RegionFockRep(ChainSpec(6, 1.0), ()),
      "region must be a proper nonempty subset"),
     (lambda: RegionFockRep(ChainSpec(6, 1.0), range(-3, 9)),
+     "region repeats a site (mod n)"),
+    (lambda: RegionFockRep(ChainSpec(6, 1.0), range(6)),
      "region must be a proper nonempty subset"),
 ])
 def test_constructor_refuses_invalid_data(build, says):
@@ -101,7 +103,7 @@ def test_constructor_refuses_invalid_data(build, says):
 
 
 def test_region_is_reduced_sorted_and_kept_once():
-    rep = RegionFockRep(ChainSpec(6, 1.0), [7, -5, 3, 1])
+    rep = RegionFockRep(ChainSpec(6, 1.0), [9, -5])
     assert rep.region.tolist() == [1, 3]
     assert rep.complement.tolist() == [0, 2, 4, 5]
     assert (rep.fock_region, rep.fock_complement) \
@@ -110,6 +112,10 @@ def test_region_is_reduced_sorted_and_kept_once():
     with pytest.raises(TypeError):
         RegionFockRep(ChainSpec(6, 1.0), [0, 1], [1, 2, 3, 4],
                       FockSpace(2, 2), FockSpace(4, 2))
+    # a site listed twice (mod n) is refused, not kept once
+    with pytest.raises(ValueError, match=re.escape(
+            "region repeats a site (mod n)")):
+        RegionFockRep(ChainSpec(6, 1.0), [7, -5, 3, 1])
 
 
 @pytest.mark.parametrize("build", [
