@@ -424,6 +424,8 @@ def _exp_local_difference(p, seed):
 def _exp_causality_probe(p, seed):
     if p["t"] == 0:  # the packets have not moved: zero overlap by design
         raise ValueError("parameter t must be nonzero")
+    if 2 * p["width"] + p["gap"] > p["sites"]:  # the packets share a site
+        raise ValueError("parameters need 2 width + gap <= sites")
     spec = lattice.ChainSpec(p["sites"], p["m"])
     w = p["width"]
     start = p["sites"] // 2 - w - (p["gap"] + 1) // 2
@@ -698,19 +700,20 @@ _register("entropy-scan",
           {"m": Param(float, 1.0, 5e-5, 10.0), "sites": Param(int, 64),
            "bipartitions": Param(int, 20, 1)},
           {"sites": 1024, "bipartitions": 2}, _exp_entropy_scan)
-# the bracket flow's steps grow about as dim^3: on two cores a pair takes
-# about 0.3 s at dim 12, 0.4 s at 16 and 3.3 s at 24, so the cap keeps the
-# five default pairs near a second and a half
+# the Jacobi bracket's cost grows about as dim^3: on two cores five pairs
+# take 0.03-0.05 s at dim 12, 0.14-0.23 s at 24 and 0.76-1.02 s at the cap,
+# 44, where the tier-1 sweep of two seeds takes 2.1-2.3 s
 _register("local-difference",
           "trace-norm local difference vs contraction sup; outside ops invisible",
-          {"dim": Param(int, 4, 2, 12), "pairs": Param(int, 5, 1)},
-          {"dim": 12}, _exp_local_difference)
+          {"dim": Param(int, 4, 2, 44), "pairs": Param(int, 5, 1)},
+          {"dim": 24}, _exp_local_difference)
 # the overlap falls as e^{-rate(m) gap}: at m = 3 and gap = 8 it reads
 # 3e-13 at t = 0.5, and beyond either cap it sinks to the roundoff floor.
 # A negative gap overlaps the packets (the run refuses that), and below
 # -2 width it puts the second packet on the other side of the first,
 # |gap| - 2 width sites away, where the cap no longer bounds the distance:
-# --gap -40 --width 1 failed both nonzero assertions.  |t| is capped so
+# --gap -40 --width 1 failed both nonzero assertions.  A packet needs a
+# site, and two of them fit only when 2 width + gap <= sites.  |t| is capped so
 # that the first-order tolerance t^2 (m^2 + 4) / 2 stays finite: at m = 3
 # it overflows from |t| = 5.2e153, and t^2 alone from 1.34e154.  The run
 # passes at 1e100, 1e150 and 5e153 at every corner of m and gap
@@ -718,7 +721,7 @@ _t_max = 1e150
 _register("causality-probe",
           "disjoint-packet overlap under relativistic one-particle evolution",
           {"m": Param(float, 1.0, 0.0, 3.0), "sites": Param(int, 256),
-           "gap": Param(int, 4, 0, 8), "width": Param(int, 8),
+           "gap": Param(int, 4, 0, 8), "width": Param(int, 8, 1),
            "t": Param(float, 0.5, -_t_max, _t_max)}, {"sites": 4096},
           _exp_causality_probe)
 _register("local-prepare",

@@ -14,6 +14,7 @@ Every list of sites, a region or a packet's support, is read by _sites.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -215,44 +216,48 @@ def local_difference(rho1: np.ndarray, rho2: np.ndarray) -> float:
     Equals the sup of |tr((rho1 - rho2) A)| over contractions A when the
     region algebra is the full truncated matrix algebra.
     """
+    return float(np.sum(np.abs(np.linalg.eigvalsh(_difference(rho1, rho2)))))
+
+
+def _difference(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """The Hermitian part of rho1 - rho2; two shapes are refused."""
     rho1, rho2 = np.asarray(rho1), np.asarray(rho2)
     if rho1.shape != rho2.shape:
         raise ValueError("region states live at different cutoffs")
-    w = np.linalg.eigvalsh(0.5 * ((rho1 - rho2) + dagger(rho1 - rho2)))
-    return float(np.sum(np.abs(w)))
+    return 0.5 * ((rho1 - rho2) + dagger(rho1 - rho2))
 
 
-# flow steps before local_difference_bracket stops short; dimension 32
-# needs about 53,000, and the count grows roughly as dim^3
-BRACKET_STEPS = 100_000
+# Jacobi sweeps before local_difference_bracket stops short; random pairs
+# close in 4-5 sweeps at dims 12 to 64 and in 6 at dim 128
+BRACKET_SWEEPS = 20
 
 
 def local_difference_bracket(rho1: np.ndarray,
                              rho2: np.ndarray) -> tuple[float, float]:
-    """Bounds L <= ||rho1 - rho2||_1 <= U by Brockett's double-bracket flow.
+    """Bounds L <= ||rho1 - rho2||_1 <= U by cyclic Jacobi on B = V* delta V.
 
-    Each step takes B = V* delta V, delta = rho1 - rho2, and moves V by the
-    Cayley transform of eta [B, N], N = diag(0, ..., n-1), eta = 1 / (2 n
-    ||delta||_F) (R. W. Brockett, Linear Algebra Appl. 146 (1991) 79-91).
-    L = sum |B_ii| = tr(delta A) for the contraction A = V diag(sign B_ii) V*,
-    and U = sum_j ||B e_j||_2 >= ||B||_1.  The flow stops at U - L <= 1e-6 L,
-    at a NaN, or after BRACKET_STEPS steps.  Knows nothing about the
-    eigenvalue route in local_difference.
+    delta is the Hermitian part of rho1 - rho2 and V starts at 1.  A sweep
+    zeroes each B_pq, p < q in row order, by a 2 x 2 unitary at an angle of
+    at most pi/4 (Golub & Van Loan, Matrix Computations, 4th ed., 8.5).  L =
+    sum |B_ii| = tr(delta A) for the contraction A = V diag(sign B_ii) V*, and
+    U = sum_j ||B e_j||_2 >= ||B||_1.  Sweeps stop at U - L <= 1e-6 L, at a
+    NaN or after BRACKET_SWEEPS, blind to local_difference's eigenvalues.
     """
-    delta = np.asarray(rho1) - np.asarray(rho2)
-    n = delta.shape[0]
-    scale = 4 * n * np.linalg.norm(delta)  # x below is eta [B, N] / 2
-    gen = np.arange(n)
-    eye = np.eye(n)
-    v = eye
-    for _ in range(BRACKET_STEPS):
-        b = dagger(v) @ delta @ v
+    b = _difference(rho1, rho2).astype(complex)
+    for sweep in range(BRACKET_SWEEPS + 1):
         lower = np.sum(np.abs(np.diagonal(b).real))
         upper = np.sum(np.linalg.norm(b, axis=0))
-        if not upper - lower > 1e-6 * lower:
+        if not upper - lower > 1e-6 * lower or sweep == BRACKET_SWEEPS:
             break
-        x = (b * gen - gen[:, None] * b) / scale
-        v = v @ np.linalg.solve(eye - x, eye + x)
+        for p, q in itertools.combinations(range(len(b)), 2):
+            gap = (b[p, p] - b[q, q]).real
+            angle = 0.5 * math.atan2(math.copysign(2 * abs(b[p, q]), gap),
+                                     abs(gap))
+            c, s = math.cos(angle), math.sin(angle)
+            phase = np.exp(-1j * np.angle(b[p, q]))
+            rot = np.array([[c, -s], [s * phase, c * phase]])
+            b[:, [p, q]] = b[:, [p, q]] @ rot  # two columns, then two rows
+            b[[p, q]] = dagger(rot) @ b[[p, q]]
     return float(lower), float(upper)
 
 

@@ -489,6 +489,8 @@ class TestCli:
         ["entropy-scan", "--m", "nan"],
         # a negative gap overlaps the packets or wraps round the ring
         ["causality-probe", "--gap", "-1"],
+        # a packet needs a site
+        ["causality-probe", "--width", "0"],
         # no minimum: a NaN or inf is refused as not finite; t's minimum,
         # its cap against overflow, refuses its NaN first
         ["araki-woods", "--window", "nan"],
@@ -519,6 +521,14 @@ class TestCli:
                     and float(value) > maximum
                     else "must be >=")
         assert expected in capsys.readouterr().err
+
+    def test_packets_wider_than_the_chain_exit_two(self, capsys):
+        # two packets of width 20 need 40 sites: refused by name, not as a
+        # region that repeats a site
+        argv = ["causality-probe", "--sites", "16", "--width", "20"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "width" in err and "repeats" not in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv,says", [

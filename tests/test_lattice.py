@@ -356,10 +356,11 @@ class TestLocalDifference:
 
     @pytest.mark.parametrize("spectrum", [
         [0.3, 0.3, -0.3, -0.3], [0.25, 0.25, 0.25, -0.75],
-        [0.5, 0.0, 0.0, -0.5], [0.2, 0.2, -0.1, -0.3]])
+        [0.5, 0.0, 0.0, -0.5], [0.2, 0.2, -0.1, -0.3],
+        [0.5, 0.0, -0.5], [0.3, 0.3, -0.2, -0.2, -0.2]])
     def test_bracket_on_degenerate_spectra(self, spectrum):
         # repeated and zero eigenvalues of the difference, in a random frame
-        u = haar_unitary(np.random.default_rng(3), 4)
+        u = haar_unitary(np.random.default_rng(3), len(spectrum))
         delta = (u * spectrum) @ u.conj().T
         self.assert_bracket(delta, np.zeros_like(delta))
 
@@ -367,9 +368,41 @@ class TestLocalDifference:
         rho = random_density(np.random.default_rng(1), 4)
         assert local_difference_bracket(rho, rho.copy()) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 16, 44])
+    def test_bracket_closes_within_eight_sweeps(self, monkeypatch, dim):
+        # random pairs up to the registry's dim cap close in 4-6 sweeps
+        monkeypatch.setattr(lattice, "BRACKET_SWEEPS", 8)
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            lower, upper = local_difference_bracket(random_density(rng, dim),
+                                                    random_density(rng, dim))
+            assert upper - lower <= 1e-6 * lower
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             local_difference(np.eye(2) / 2, np.eye(3) / 3)
+
+    def test_bracket_refuses_shape_mismatch(self):
+        # a (1, 1) state broadcast against a (3, 3) one read as 3.33
+        with pytest.raises(ValueError, match="different cutoffs"):
+            local_difference_bracket(np.eye(1), np.eye(3) / 3)
+
+    def test_bracket_solves_nothing(self):
+        """Both trace-norm routes read _difference; of np.linalg, the oracle
+        and _difference call only norm: no eigensolver, SVD or solve."""
+        tree = ast.parse(inspect.getsource(lattice))
+
+        def calls(name):
+            fn = next(node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == name)
+            return {ast.unparse(node.func) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)}
+        assert "_difference" in calls("local_difference")
+        assert "_difference" in calls("local_difference_bracket")
+        linalg = {call for name in ("local_difference_bracket", "_difference")
+                  for call in calls(name) if "linalg" in call}
+        assert linalg == {"np.linalg.norm"}
 
 
 def _dense_vacuum_vector(rep):
