@@ -9,7 +9,8 @@ rank rule: the closure grows a span by one letter per pass, multiplying
 only the directions the last pass added; commutants are solved from one
 random element of the algebra on the entries where its Hermitian part's
 commutator vanishes and certified against the whole basis; and the center
-is one null space over the algebra's coefficients.
+is the null space of a triangular factor that the commutator map's row
+blocks are folded into one QR at a time, so the map is never formed.
 """
 
 from __future__ import annotations
@@ -278,12 +279,20 @@ def center_and_factor(a: OperatorAlgebra) -> tuple[OperatorAlgebra, bool]:
 
     The center is the null space of c -> ([b_j, sum_i c_i b_i])_j over the
     basis coefficients; the basis is orthonormal, so orthonormal coefficient
-    rows give an orthonormal basis of the center.
+    rows give an orthonormal basis of the center.  The map is never formed:
+    its row block j (the entries of [b_j, b_i] in column i, n^2 x size) is
+    folded into a running triangular factor R by one QR at a time.  The map
+    is Q R with Q's columns orthonormal, so R has its singular values and
+    right singular vectors, and the null space of R is the same rank decision.
+    The peak is a few complex size * n^2-entry blocks, not size^2 * n^2:
+    tracemalloc reads about four (0.96 MiB on M_5 (x) 1; a test holds it to
+    five), where the whole map took 23.9 MiB.
     """
-    prod = a.basis[:, None] @ a.basis
-    # row block j, column i: the entries of [b_j, b_i]
-    cmap = (prod - prod.swapaxes(0, 1)).transpose(0, 2, 3, 1)
-    coeff = null_space(cmap.reshape(-1, a.size))
+    r = np.zeros((0, a.size), dtype=complex)
+    for b in a.basis:
+        block = (b @ a.basis - a.basis @ b).reshape(a.size, -1).T
+        r = np.linalg.qr(np.concatenate([r, block]), mode="r")
+    coeff = null_space(r)
     flat = a.basis.reshape(a.size, -1)
     center = OperatorAlgebra((coeff @ flat).reshape(-1, a.dim, a.dim))
     return center, center.size == 1
