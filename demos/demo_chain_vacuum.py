@@ -11,9 +11,9 @@ import numpy as np
 
 from vnlab.fock import weyl_operator
 from vnlab.lattice import (ChainSpec, GaussianState, RegionFockRep,
-                           causality_probe_scan, cluster_function,
-                           decay_rate_fit, expected_decay_rate,
-                           local_difference, reduced_entropy)
+                           causality_probe_scan, decay_rate_fit,
+                           expected_decay_rate, local_difference,
+                           reduced_entropy)
 from vnlab.numkit import dagger
 
 spec = ChainSpec(400, 1.0)
@@ -21,7 +21,7 @@ state = GaussianState(spec)
 
 print("== cluster decay ==")
 for r in (0, 5, 10, 20, 40):
-    print(f"   F({r:2d}) = {cluster_function(state, r):+.3e}")
+    print(f"   F({r:2d}) = {state.row_phi[r]:+.3e}")
 fit = decay_rate_fit(state, (10, 28))
 print(f" fitted rate {fit.rate:.5f} vs lattice value "
       f"{expected_decay_rate(1.0):.5f} ({100 * fit.rel_deviation:.1f}% off); "

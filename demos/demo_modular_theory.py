@@ -10,7 +10,7 @@ conjugation maps the algebra onto its commutant.
 import numpy as np
 
 from vnlab.modular import check, modular_flow, purify, tomita
-from vnlab.vnalg import tensor_factor_algebra
+from vnlab.vnalg import TensorFactor
 
 lam = 0.5
 rho = np.diag([1.0, lam]) / (1.0 + lam)
@@ -18,7 +18,7 @@ weights = tuple(float(x) for x in np.round(np.diag(rho).real, 4))
 print(f"state on the 2x2 factor: diag{weights}")
 
 omega = purify(rho, 2)
-alg = tensor_factor_algebra(2, 2)
+alg = TensorFactor(2, 2, 0)
 md = tomita(alg, omega)
 
 print("\nmodular spectrum (eigenvalue ratios of the state):")

@@ -129,7 +129,7 @@ def _factor_instances(p, draw, instance) -> list:
     """instance(M_k (x) 1, draw(k)) for the sizes k = 2, 3, ..., max_k, 2, ...
     of p["instances"] random standard pairs on C^k (x) C^k, in turn."""
     sizes = range(2, p["max_k"] + 1)
-    return [instance(vnalg.tensor_factor_algebra(k, k), draw(k))
+    return [instance(vnalg.TensorFactor(k, k, 0), draw(k))
             for k in (sizes[i % len(sizes)] for i in range(p["instances"]))]
 
 
@@ -587,7 +587,7 @@ def _exp_isometry(p, seed):
 
 def _exp_modular_flow(p, seed):
     rng = np.random.default_rng(seed)
-    alg = vnalg.tensor_factor_algebra(p["k"], p["k"])
+    alg = vnalg.TensorFactor(p["k"], p["k"], 0)
     md = modular.tomita(alg, _faithful_vector(rng, p["k"]))
     # each flow sample draws t and s, then x
     flows = [(*rng.uniform(-2, 2, size=2), _unit(alg.random_element(rng)))
@@ -692,12 +692,16 @@ _register("cluster-decay",
           {"sites": 4096}, _exp_cluster_decay)
 # from m = 11 on, the single-site entropy of the nearly product vacuum
 # falls below the 1e-4 floor (1.05e-4 at 11, 7.7e-5 at 12, at any size).
-# Below m = 5e-5 the symmetry defect, which grows about as 1/m, passes half
-# its 1e-8 tolerance: over seeds 0-4 at 64, 1024 and 2048 sites the largest
-# was 3.2e-9 at 5e-5, 6.1e-9 at 3e-5 and 1.2e-8 (a failure) at 1e-5
+# The symmetry defect grows about as 1/m and with the sites; over seeds 0-4
+# at 1024 sites its largest was 2.0e-9 at m = 5e-5, 3.7e-9 at 3e-5 and
+# 7.8e-9 at 1e-5, past half its 1e-8 tolerance.  sites is capped for time,
+# below the 3345 that the 24 r^2 bytes alone allow: on two cores 20
+# bipartitions take 1.7-2.2 s at 1024, 4.9-6.2 s at 1536 and 9.8-12.3 s at
+# 2048 (seeds 0-1), and the tier-1 sweep runs the cap at both seeds
 _register("entropy-scan",
           "entanglement entropy of chain regions via symplectic eigenvalues",
-          {"m": Param(float, 1.0, 5e-5, 10.0), "sites": Param(int, 64),
+          {"m": Param(float, 1.0, 5e-5, 10.0),
+           "sites": Param(int, 64, maximum=1024),
            "bipartitions": Param(int, 20, 1)},
           {"sites": 1024, "bipartitions": 2}, _exp_entropy_scan)
 # the Jacobi bracket's cost grows about as dim^3: on two cores five pairs

@@ -115,13 +115,6 @@ def _circulant_block(row: np.ndarray, region: np.ndarray) -> np.ndarray:
     return view[np.ix_(sites, sites)]
 
 
-def cluster_function(state: GaussianState, r: int) -> float:
-    """Connected field-field correlator F(r) = <phi_0 phi_r> (one-point
-    functions vanish in the vacuum)."""
-    n = state.spec.sites
-    return float(state.row_phi[r % n])
-
-
 def expected_decay_rate(mass: float) -> float:
     """Lattice-dispersion decay rate 2 asinh(m/2) of the vacuum correlator."""
     return 2.0 * np.arcsinh(mass / 2.0)

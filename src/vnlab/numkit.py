@@ -20,7 +20,10 @@ complex operator at dimension 4096), and it cannot be set at run time
 either.  A builder whose memory grows fastest with its parameters states
 its measured peak in bytes and calls ``require_budget`` before it
 allocates, so a point over the budget is refused with a ValueError instead
-of being built.
+of being built.  tracemalloc, which read most stated peaks, misses the
+copies and workspaces of numpy.linalg's LAPACK calls (n = 1000: Cholesky
+15.6 MiB of resident peak against 7.6 traced, complex eigh 65.3 against
+15.3), so a peak read that way over an eigensolve or SVD under-counts.
 
 Antilinear maps are stored by their *conjugation matrix* ``M``: the map acts as
 ``v -> M @ conj(v)``.  With this convention the adjoint (defined through

@@ -182,10 +182,7 @@ class TensorFactor(OperatorAlgebra):
 
 
 def tensor_factor_algebra(d: int, m: int) -> TensorFactor:
-    """M_d (x) 1_m on C^(d m), `TensorFactor(d, m, 0)`, a name the
-    benchmark's tracer test builds through; its commutant hint 1_d (x) M_m
-    skips the generic null-space solve (cross-checked against it in the test
-    suite at small dimensions), and is where the right factor is reached."""
+    """`TensorFactor(d, m, 0)`, kept only for perfbench/test_tracer.py."""
     return TensorFactor(d, m, 0)
 
 

@@ -18,7 +18,7 @@ import pytest
 from vnlab import cli, factors, fock, lattice, locwedge, modular, vnalg
 from vnlab.experiments import (REGISTRY, Assertion, _set_match_error,
                                list_experiments, run, validate_params)
-from vnlab.vnalg import tensor_factor_algebra
+from vnlab.vnalg import TensorFactor
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -84,7 +84,7 @@ class TestReports:
     def test_modular_flow_reports_every_check_key(self, k):
         # the keys of check on any instance; the flow keys are reported
         # under their own metric names
-        md = modular.tomita(tensor_factor_algebra(2, 2),
+        md = modular.tomita(TensorFactor(2, 2, 0),
                             modular.purify(np.diag([0.6, 0.4]), 2))
         keys = set(modular.check(md)) - {"group_law", "flow_membership"}
         for seed in range(3):

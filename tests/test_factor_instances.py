@@ -29,7 +29,7 @@ from vnlab.experiments import (REGISTRY, Assertion, _conditioned_weights,
                                _faithful_vector, run)
 from vnlab.locwedge import real_subspace_from_vectors
 from vnlab.numkit import complex_normal, dagger, haar_unitary
-from vnlab.vnalg import tensor_factor_algebra
+from vnlab.vnalg import TensorFactor
 
 
 def stack_bytes(k: int) -> int:
@@ -41,7 +41,7 @@ def in_order_algebras(p):
     k's M_k (x) 1, all held for the whole run."""
     sizes = list(range(2, p["max_k"] + 1))
     ks = [sizes[i % len(sizes)] for i in range(p["instances"])]
-    return ks, {k: tensor_factor_algebra(k, k) for k in set(ks)}
+    return ks, {k: TensorFactor(k, k, 0) for k in set(ks)}
 
 
 def kms_random_in_order(p, seed):
@@ -175,7 +175,7 @@ def test_modular_runs_read_no_basis_stack(monkeypatch):
 
     monkeypatch.setattr(vnalg.TensorFactor, "basis", property(unbuildable))
     with pytest.raises(AssertionError, match="stack was read"):
-        tensor_factor_algebra(2, 2).basis
+        TensorFactor(2, 2, 0).basis
     for (name, params), ref in zip(points, expected):
         report = run(name, params)
         assert report.passed
@@ -232,7 +232,7 @@ def test_factor_algebra_peak_is_what_it_keeps():
     # the split (d, m, side) is all it keeps; stored with its hint as
     # basis stacks it kept 2 S, and scaling the whole stack after the
     # broadcast read 3 S.  Reading the basis builds one stack.
-    alg, _, kept = peak_above_entry(lambda: tensor_factor_algebra(10, 10))
+    alg, _, kept = peak_above_entry(lambda: TensorFactor(10, 10, 0))
     assert kept < 1024
     basis, peak, _ = peak_above_entry(lambda: alg.basis)
     assert basis.nbytes == stack_bytes(10)
@@ -243,7 +243,7 @@ def test_factor_algebra_peak_is_what_it_keeps():
 @pytest.fixture(scope="module")
 def factor_pair():
     k = 10
-    return tensor_factor_algebra(k, k), _faithful_vector(
+    return TensorFactor(k, k, 0), _faithful_vector(
         np.random.default_rng(0), k)
 
 

@@ -14,10 +14,10 @@ from vnlab import lattice
 from vnlab.fock import FockSpace, weyl_operator
 from vnlab.lattice import (ChainSpec, GaussianState, RegionFockRep,
                            _circulant_block, causality_probe_scan,
-                           cluster_function, decay_rate_fit,
-                           expected_decay_rate, first_order_overlap,
-                           local_difference, local_difference_bracket,
-                           reduced_entropy, symplectic_eigenvalues)
+                           decay_rate_fit, expected_decay_rate,
+                           first_order_overlap, local_difference,
+                           local_difference_bracket, reduced_entropy,
+                           symplectic_eigenvalues)
 from vnlab.numkit import dagger, haar_unitary, random_density
 
 
@@ -250,21 +250,19 @@ class TestCirculantBlock:
 class TestCluster:
     def test_f0_positive_and_monotone_decay(self):
         state = GaussianState(ChainSpec(64, 1.0))
-        vals = [cluster_function(state, r) for r in range(33)]
+        vals = state.row_phi[:33]
         assert vals[0] > 0
         assert all(b < a for a, b in zip(vals[:20], vals[1:21]))
 
-    def test_even_and_periodic(self):
+    def test_even(self):
+        # the real part of an FFT: even to roundoff, not bit for bit
         state = GaussianState(ChainSpec(16, 0.8))
         for r in range(1, 8):
-            assert abs(cluster_function(state, r)
-                       - cluster_function(state, -r)) < 1e-14
-            assert abs(cluster_function(state, r)
-                       - cluster_function(state, r + 16)) < 1e-14
+            assert abs(state.row_phi[r] - state.row_phi[-r]) < 1e-14
 
     def test_far_correlation_below_bound(self):
         state = GaussianState(ChainSpec(400, 1.0))
-        assert abs(cluster_function(state, 40)) < 1e-6
+        assert abs(state.row_phi[40]) < 1e-6
 
 
 class TestDecayFit:

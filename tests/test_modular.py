@@ -10,8 +10,8 @@ from vnlab import channels, modular, vnalg
 from vnlab.modular import ModularData, check, modular_flow, purify, tomita
 from vnlab.numkit import (AntilinearMap, antilinear_polar, complex_normal,
                           dagger, haar_unitary, norm2)
-from vnlab.vnalg import (OperatorAlgebra, commutant, matrix_units,
-                         tensor_factor_algebra, vn_closure)
+from vnlab.vnalg import (OperatorAlgebra, TensorFactor, commutant,
+                         matrix_units, vn_closure)
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -19,7 +19,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 def powers_pair(lam):
     rho = np.diag([1.0, lam]) / (1.0 + lam)
     omega = purify(rho, 2)
-    return tensor_factor_algebra(2, 2), omega, rho
+    return TensorFactor(2, 2, 0), omega, rho
 
 
 # ---------------------------------------------------------- reference forms
@@ -78,12 +78,12 @@ def random_pair(rng, k):
     u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
     v, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
     omega = ((u * np.sqrt(q)) @ v.T).flatten()
-    return tensor_factor_algebra(k, k), omega
+    return TensorFactor(k, k, 0), omega
 
 
 class TestTomita:
     def test_maximally_entangled_gives_tracial_data(self):
-        alg = tensor_factor_algebra(2, 2)
+        alg = TensorFactor(2, 2, 0)
         omega = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         md = tomita(alg, omega)
         assert norm2(md.delta - np.eye(4)) < 1e-12
@@ -189,7 +189,7 @@ class TestTomita:
         assert calls == []
 
     def test_rejects_non_cyclic_or_non_separating(self):
-        alg = tensor_factor_algebra(2, 2)
+        alg = TensorFactor(2, 2, 0)
         with pytest.raises(ValueError, match="cyclic"):
             tomita(alg, np.array([1, 0, 0, 0], dtype=complex))
         full = full_matrix_algebra(2)
@@ -292,7 +292,7 @@ class TestModularFlow:
         assert norm2(flowed - lam ** (-1j * t) * e12) < 1e-10
 
     def test_tracial_flow_is_trivial(self):
-        alg = tensor_factor_algebra(2, 2)
+        alg = TensorFactor(2, 2, 0)
         omega = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         md = tomita(alg, omega)
         for t in (0.3, -1.7):
@@ -362,7 +362,7 @@ class TestKms:
 
 class TestCommutantMap:
     def test_flip_conjugation_action(self):
-        alg = tensor_factor_algebra(2, 2)
+        alg = TensorFactor(2, 2, 0)
         omega = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         md = tomita(alg, omega)
         sz1 = np.kron(SZ, np.eye(2))
@@ -402,7 +402,7 @@ class TestPurify:
         psi = purify(rho, 2)
         m = psi.reshape(2, 2)
         assert np.linalg.matrix_rank(m, tol=1e-10) == 1
-        alg = tensor_factor_algebra(2, 2)
+        alg = TensorFactor(2, 2, 0)
         _, sep = cyclic_separating(alg, psi)
         assert not sep
 
@@ -431,7 +431,7 @@ class TestPurify:
                                 + 1j * rng.standard_normal((k, k)))
             rho = (u * q) @ dagger(u)
             psi = purify(rho, k)
-            md = tomita(tensor_factor_algebra(k, k), psi)
+            md = tomita(TensorFactor(k, k, 0), psi)
             qs = np.sort(q)[::-1]
             ratios = np.sort((qs[:, None] / qs[None, :]).flatten())
             assert np.max(np.abs(md.delta_spectrum - ratios) / ratios) < 1e-9
@@ -626,6 +626,6 @@ class TestGnsModularLink:
         lam = 0.5
         rho = np.diag([1.0, lam]) / (1.0 + lam)
         md_gns = tomita(gns(rho).algebra, gns(rho).vector)
-        md_pur = tomita(tensor_factor_algebra(2, 2), purify(rho, 2))
+        md_pur = tomita(TensorFactor(2, 2, 0), purify(rho, 2))
         assert np.allclose(md_gns.delta_spectrum, md_pur.delta_spectrum,
                            atol=1e-10)

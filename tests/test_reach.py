@@ -27,8 +27,10 @@ PACKAGE = ROOT / "src" / "vnlab"
 # Definitions that only the benchmark reaches.  perfbench's bicommutant op
 # closes vN({x (x) 1, y (x) 1}), solves A' and A'' by the generic commutant
 # and takes the centre of A''.  No experiment or demo builds an algebra
-# without a structured commutant hint.
+# without a structured commutant hint.  perfbench/test_tracer.py builds its
+# M_2 (x) 1 through the alias tensor_factor_algebra.
 PERFBENCH_ONLY = {
+    ("vnalg", "tensor_factor_algebra"),
     ("vnalg", "vn_closure"),
     ("vnalg", "orthonormalize_span"),
     ("vnalg", "_commutant_of_element"),

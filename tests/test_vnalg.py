@@ -15,8 +15,8 @@ from vnlab import vnalg
 from vnlab.modular import tomita
 from vnlab.numkit import (complex_normal, dagger, norm2, null_space,
                           random_density)
-from vnlab.vnalg import (MEMBERSHIP_RTOL, OperatorAlgebra, center_and_factor,
-                         commutant, matrix_units,
+from vnlab.vnalg import (MEMBERSHIP_RTOL, OperatorAlgebra, TensorFactor,
+                         center_and_factor, commutant, matrix_units,
                          orthonormalize_span, tensor_factor_algebra,
                          vn_closure)
 
@@ -219,8 +219,8 @@ class TestClosure:
 
 class TestCommutant:
     def test_tensor_factor(self):
-        alg = tensor_factor_algebra(2, 2)
-        comm = commutant(alg, use_hint=False)
+        alg = TensorFactor(2, 2, 0)
+        comm = commutant(OperatorAlgebra(alg.basis))
         assert comm.size == 4
         assert span_distance(comm, alg.commutant_hint) < 1e-10
         # brute-force commutation scan
@@ -230,8 +230,8 @@ class TestCommutant:
 
     def test_hint_matches_generic(self):
         for k, m in [(2, 3), (3, 2)]:
-            alg = tensor_factor_algebra(k, m)
-            generic = commutant(alg, use_hint=False)
+            alg = TensorFactor(k, m, 0)
+            generic = commutant(OperatorAlgebra(alg.basis))
             assert span_distance(generic, alg.commutant_hint) < 1e-10
 
     def test_hinted_pair_freed_without_collector(self):
@@ -240,7 +240,7 @@ class TestCommutant:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            alg = tensor_factor_algebra(3, 2)
+            alg = TensorFactor(3, 2, 0)
             refs = [weakref.ref(alg), weakref.ref(alg.commutant_hint)]
             del alg
             assert [r() for r in refs] == [None, None]
@@ -249,7 +249,7 @@ class TestCommutant:
                 gc.enable()
 
     def test_full_algebra_commutant_is_scalars(self):
-        comm = commutant(full_matrix_algebra(3), use_hint=False)
+        comm = commutant(full_matrix_algebra(3))
         assert comm.size == 1
         assert comm.contains(np.eye(3))
 
@@ -262,16 +262,16 @@ class TestCommutant:
     def test_double_commutant(self):
         rng = np.random.default_rng(4)
         gens = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))]
-        for alg in (vn_closure(gens, 4), tensor_factor_algebra(2, 2),
+        for alg in (vn_closure(gens, 4), TensorFactor(2, 2, 0),
                     vn_closure([SZ], 2), scalar_algebra(3)):
-            double = commutant(commutant(alg, use_hint=False), use_hint=False)
+            double = commutant(commutant(OperatorAlgebra(alg.basis)))
             assert span_distance(alg, double) < 1e-9
 
     def test_commutant_dimension_law(self):
         for k in range(2, 5):
             for m in range(2, 5):
-                alg = tensor_factor_algebra(k, m)
-                assert commutant(alg, use_hint=False).size == m * m
+                alg = TensorFactor(k, m, 0)
+                assert commutant(OperatorAlgebra(alg.basis)).size == m * m
 
 
 class TestCertifiedCommutant:
@@ -282,7 +282,7 @@ class TestCertifiedCommutant:
         for _ in range(3):
             alg = build(rng)
             assert alg.size == size
-            comm = commutant(alg, use_hint=False)
+            comm = commutant(alg)
             ref = stacked_commutant(alg)
             assert comm.size == ref.size
             assert span_distance(comm, ref) < 1e-10
@@ -313,7 +313,7 @@ class TestCertifiedCommutant:
         assert span_distance(comm, stacked_commutant(alg)) < 1e-10
 
     def test_nan_residual_is_kept(self):
-        alg = tensor_factor_algebra(2, 2)
+        alg = TensorFactor(2, 2, 0)
         hint = alg.commutant_hint.basis
         assert vnalg._commutator_residual(alg.basis, hint) < 1e-12
         basis = alg.basis.copy()
@@ -324,7 +324,7 @@ class TestCertifiedCommutant:
         monkeypatch.setattr(OperatorAlgebra, "random_element",
                             lambda a, rng: np.zeros((a.dim, a.dim), complex))
         with pytest.raises(RuntimeError):
-            commutant(tensor_factor_algebra(2, 2), use_hint=False)
+            commutant(OperatorAlgebra(TensorFactor(2, 2, 0).basis))
 
     def test_bicommutant_m5_at_scale(self):
         rng = np.random.default_rng(3)
@@ -354,7 +354,7 @@ class TestCertifiedCommutant:
                              for u in matrix_units(d)]) / np.sqrt(m)
             right = np.stack([np.kron(eye_d, u)
                               for u in matrix_units(m)]) / np.sqrt(d)
-            alg = tensor_factor_algebra(d, m)
+            alg = TensorFactor(d, m, 0)
             for basis, ref in ((alg.basis, left),
                                (alg.commutant_hint.basis, right)):
                 assert basis.dtype == ref.dtype and basis.shape == ref.shape
@@ -363,7 +363,7 @@ class TestCertifiedCommutant:
 
 class TestCenterFactor:
     def test_tensor_factor_is_factor(self):
-        center, is_factor = center_and_factor(tensor_factor_algebra(2, 2))
+        center, is_factor = center_and_factor(TensorFactor(2, 2, 0))
         assert is_factor and center.size == 1
 
     def test_diagonal_is_not_factor(self):
@@ -409,7 +409,7 @@ class TestCenterFactor:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_basis_is_not_read_as_a_centre(self, bad):
-        basis = tensor_factor_algebra(2, 2).basis.copy()
+        basis = TensorFactor(2, 2, 0).basis.copy()
         basis[1, 0, 0] = bad
         with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
             center_and_factor(OperatorAlgebra(basis))
@@ -417,12 +417,12 @@ class TestCenterFactor:
 
 class TestCyclicSeparating:
     def test_maximally_entangled(self):
-        alg = tensor_factor_algebra(2, 2)
+        alg = TensorFactor(2, 2, 0)
         omega = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         assert cyclic_separating(alg, omega) == (True, True)
 
     def test_product_vector(self):
-        alg = tensor_factor_algebra(2, 2)
+        alg = TensorFactor(2, 2, 0)
         omega = np.array([1, 0, 0, 0], dtype=complex)
         assert cyclic_separating(alg, omega) == (False, False)
 
@@ -435,7 +435,7 @@ class TestCyclicSeparating:
 
     def test_separating_iff_cyclic_for_commutant(self):
         rng = np.random.default_rng(8)
-        alg = tensor_factor_algebra(2, 3)
+        alg = TensorFactor(2, 3, 0)
         comm = commutant(alg)
         for _ in range(5):
             v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -452,7 +452,7 @@ class TestCyclicSeparating:
 
     def test_nan_vector_rejected_before_the_svd(self):
         with pytest.raises(ValueError, match="normalized"):
-            tomita(tensor_factor_algebra(2, 2), np.full(4, np.nan, complex))
+            tomita(TensorFactor(2, 2, 0), np.full(4, np.nan, complex))
 
 
 class TestGns:
@@ -498,7 +498,7 @@ class TestSpanTools:
 
     def test_dim_is_the_matrix_size(self):
         assert OperatorAlgebra(np.zeros((0, 4, 4))).dim == 4
-        assert tensor_factor_algebra(2, 3).dim == 6
+        assert TensorFactor(2, 3, 0).dim == 6
 
     def test_member_residual_of_a_stack(self):
         # a single matrix gives ||x - P x||_F bit for bit and is left as it
@@ -506,7 +506,7 @@ class TestSpanTools:
         # algebra is M_3 (x) 1 without its split, so it projects onto its
         # basis; the partial trace of the split one agrees at roundoff.
         rng = np.random.default_rng(41)
-        split = tensor_factor_algebra(3, 3)
+        split = TensorFactor(3, 3, 0)
         alg = OperatorAlgebra(split.basis)
         f = alg.basis.reshape(alg.size, -1)
         stack = (rng.standard_normal((5, 9, 9))
@@ -537,7 +537,7 @@ class TestTensorFactorSplit:
 
     @staticmethod
     def pair(d, m, side):
-        alg = tensor_factor_algebra(d, m)
+        alg = TensorFactor(d, m, 0)
         split = (alg, alg.commutant_hint)[side]
         return split, OperatorAlgebra(split.basis), np.random.default_rng(
             [d, m, side])
@@ -545,6 +545,7 @@ class TestTensorFactorSplit:
     def test_split_is_recorded(self, d, m, side):
         split, dense, _ = self.pair(d, m, side)
         assert split.split == (d, m, side)
+        assert tensor_factor_algebra(d, m).split == (d, m, 0)
         assert dense.split is None
         assert commutant(split, use_hint=False).split is None
 
