@@ -51,7 +51,8 @@ supp_in = np.arange(116, 124)
 for gap in (4, 16):
     supp_out = np.arange(124 + gap, 132 + gap)
     ts = np.array([0.0, 0.25, 0.5, 1.0])
-    amps = np.abs(causality_probe_scan(probe_spec, supp_in, supp_out, ts))
+    overlaps, _ = causality_probe_scan(probe_spec, supp_in, supp_out, ts)
+    amps = np.abs(overlaps)
     vals = "  ".join(f"|A({t})|={a:.2e}" for t, a in zip(ts, amps))
     print(f"   gap {gap:2d}: {vals}")
 print("   zero at t = 0, nonzero at every t > 0: the analyticity mechanism")

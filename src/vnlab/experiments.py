@@ -394,6 +394,10 @@ def _exp_entropy_scan(p, seed):
 
 
 def _exp_local_difference(p, seed):
+    # the draw peaks at 6.0-6.8 complex dim x dim arrays a pair (tracemalloc,
+    # dims 2 to 44), 112 dim^2 bytes stated: 1236 pairs at dim 44
+    require_budget(112 * p["dim"] ** 2 * p["pairs"] + (1 << 18),
+                   f"{p['pairs']:,} pairs of {p['dim']} x {p['dim']} states")
     rhos = random_density(np.random.default_rng(seed), p["dim"], 2 * p["pairs"])
     # per pair: the trace norm and the oracle's bracket (L, U)
     tn, lower, upper = np.transpose([
@@ -432,14 +436,13 @@ def _exp_causality_probe(p, seed):
     supp_in = np.arange(start, start + w)
     supp_out = np.arange(start + w + p["gap"], start + 2 * w + p["gap"])
     grid = np.linspace(0.05, 1.0, 20)
-    overlaps = lattice.causality_probe_scan(spec, supp_in, supp_out,
-                                            [0.0, p["t"], *grid])
+    overlaps, c1 = lattice.causality_probe_scan(spec, supp_in, supp_out,
+                                                [0.0, p["t"], *grid])
     a0, a_t = np.abs(overlaps[:2]).tolist()
     amps = np.abs(overlaps[2:])
     # a_t against its first order -i t <chi, w psi>: a scan that froze the
     # packets would read the t = 0 roundoff at t, which passes the nonzero
     # floor at small |t| but not this
-    c1 = lattice.first_order_overlap(spec, supp_in, supp_out)
     first_order = abs(overlaps[1] + 1j * p["t"] * c1)
     series = [(0.0, a0)] + [(float(t), float(a)) for t, a in zip(grid, amps)]
     metrics = {"amp_t0": a0, "amp_t": a_t, "grid_max": float(amps.max())}
@@ -477,12 +480,10 @@ def _exp_local_prepare(p, seed):
         chan = channels.local_prepare_channel(split, xi)
         kraus_same &= bool(np.array_equal(chan.kraus, ref_kraus))
         out = channels.kraus_apply(rho, chan)
-        outer_in = channels.partial_trace(rho, (p["d1"], p["d2"]), 1)
+        outer_in = split.outer_marginal(rho)
         devs.append((
-            lattice.local_difference(
-                channels.partial_trace(out, (p["d1"], p["d2"]), 0), target),
-            lattice.local_difference(
-                channels.partial_trace(out, (p["d1"], p["d2"]), 1), outer_in),
+            lattice.local_difference(split.inner_marginal(out), target),
+            lattice.local_difference(split.outer_marginal(out), outer_in),
             lattice.local_difference(out, np.kron(target, outer_in))))
     inner_max, outer_max, prod_max = np.max(devs, axis=0)
     metrics = {"inner_marginal_deviation": inner_max,

@@ -8,11 +8,12 @@ budget, then writes that basis once, row by row.  Ladders are one index map
 cached on first read: for each mode, the basis index that a creator sends
 each of the first `sector_dim(n_max - 1)` states to, and the weight
 sqrt(occ + 1); `apply_ladders` applies any number of ladder sums from it at
-once, and no dense ladder matrix is formed.  The field operator Phi(psi) =
-(a(psi) + a*(psi))/sqrt(2) (with a conjugate-linear in psi) reproduces the
-commutator i Im<psi, phi> exactly away from the cutoff, so the
-canonical-commutation and locality checks are made on the safe sectors
-<= n_max - 2, where truncation cannot reach.
+once (`cyclicity_rank` moves its `numkit.krylov` span by every field of K
+in one call a degree), and no dense ladder matrix is formed.  The field
+operator Phi(psi) = (a(psi) + a*(psi))/sqrt(2) (with a conjugate-linear in
+psi) reproduces the commutator i Im<psi, phi> exactly away from the cutoff,
+so the canonical-commutation and locality checks are made on the safe
+sectors <= n_max - 2, where truncation cannot reach.
 
 Those checks follow the particle-number structure.  A field moves the
 number by one, so C = [Phi(psi), Phi(phi)] couples sector k only to k and
@@ -34,7 +35,7 @@ from math import comb
 
 import numpy as np
 
-from .numkit import dagger, norm2, read_only, require_budget, row_space
+from .numkit import dagger, krylov, norm2, read_only, require_budget
 from .locwedge import RealSubspace
 
 
@@ -299,13 +300,12 @@ def cyclicity_bytes(fields: int, d: int, n_max: int) -> int:
 
 def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> list[int]:
     """Rank of span{Phi(psi_1)...Phi(psi_j) vacuum : j <= dd, psi in K} at
-    every degree dd = 0, 1, ..., degree, from one Krylov pass: the rows of
-    `span` are an orthonormal basis of the degrees <= j, and `block` is the
-    part degree j added.  Phi(psi) maps the degrees <= j - 1 into the
-    degrees <= j, so one `apply_ladders` call moves `block` by every field
-    (without the 1/sqrt(2)); the images, projected off `span` twice, have
-    the next block as row space.  Refused before any vector is built when
-    `cyclicity_bytes` is over the budget."""
+    every degree dd = 0, 1, ..., degree: the span's size after each pass of
+    `numkit.krylov` from the vacuum.  Phi(psi) maps the degrees <= j - 1
+    into the degrees <= j, so a pass moves the rows the last one added by
+    every field in one `apply_ladders` call (without the 1/sqrt(2)).  A span
+    that stops growing keeps its rank at the higher degrees.  Refused before
+    any vector is built when `cyclicity_bytes` is over the budget."""
     if degree > f.n_max:
         raise ValueError("degree exceeds the particle cutoff")
     if k.ambient_dim != f.one_particle_dim:
@@ -313,18 +313,12 @@ def cyclicity_rank(f: FockSpace, k: RealSubspace, degree: int) -> list[int]:
     require_budget(cyclicity_bytes(k.real_dim, f.one_particle_dim, f.n_max),
                    f"cyclicity_rank with {k.real_dim} fields of dimension "
                    f"{f.total_dim}")
-    span = block = f.vacuum()[None, :]
-    ranks = [1]
-    for _ in range(degree):
-        if len(block) and k.real_dim:
-            # the roundoff left along `span` shrinks by about eps^2 a degree
-            # and underflows on long chains: ignored, as in numpy.linalg
-            with np.errstate(under="ignore"):
-                images = apply_ladders(f, k.basis, k.basis.conj(), block.T)
-                images = images.transpose(0, 2, 1).reshape(-1, f.total_dim)
-                for _ in range(2):
-                    images -= (images @ dagger(span)) @ span
-            block = row_space(images)
-            span = np.concatenate([span, block])
-        ranks.append(len(span))
-    return ranks
+
+    def step(block):
+        images = apply_ladders(f, k.basis, k.basis.conj(), block.T)
+        return images.transpose(0, 2, 1).reshape(-1, f.total_dim)
+    # the roundoff left along the span shrinks by about eps^2 a degree and
+    # underflows on long chains: ignored, as in numpy.linalg
+    with np.errstate(under="ignore"):
+        _, ranks = krylov(f.vacuum()[None, :], step, degree)
+    return ranks + ranks[-1:] * (degree + 1 - len(ranks))

@@ -6,9 +6,10 @@ connected correlation functions, their mass-gap decay rate, reduced
 entanglement entropies via symplectic eigenvalues, and trace-norm local
 differences of region states.  A one-particle evolution probe exhibits the
 nonvanishing of out-of-region amplitudes at every nonzero time (the
-analyticity mechanism that rules out causal position-operator localization),
-and a RegionFockRep, fixed by its ChainSpec and region, demonstrates that
-operations strictly outside a region leave its reduced state untouched.
+analyticity mechanism that rules out causal position-operator localization)
+and their first-order slope, from one pair of packet transforms; a
+RegionFockRep, fixed by its ChainSpec and region, shows that operations
+strictly outside a region leave its reduced state untouched.
 Every list of sites, a region or a packet's support, is read by _sites.
 """
 
@@ -255,43 +256,29 @@ def local_difference_bracket(rho1: np.ndarray,
 
 
 def causality_probe_scan(spec: ChainSpec, support_in, support_out,
-                         t_grid) -> np.ndarray:
-    """Overlaps <chi, e^{-iHt} psi> of packets with disjoint supports.
-
-    One-particle evolution with the lattice dispersion, one overlap per t in
-    t_grid; the overlap vanishes exactly at t = 0 and is nonzero for generic
-    t > 0 however far the supports are separated.
+                         t_grid) -> tuple[np.ndarray, complex]:
+    """Overlaps <chi, e^{-iHt} psi>, one per t in t_grid, of packets with
+    disjoint supports, and the first-order overlap <chi, w psi>, w the
+    lattice dispersion.  The overlap vanishes exactly at t = 0, is nonzero
+    for generic t > 0 however far apart the supports are, and is -i t times
+    <chi, w psi> up to t^2 max(w^2) / 2 (|e^{-ix} - 1 + ix| <= x^2 / 2).
 
     At t != 0 the overlap is taken as <chi, (e^{-iwt} - 1) psi>, the same
     number since <chi, psi> = 0, with e^{-iwt} - 1 = -2i sin(wt/2) e^{-iwt/2}:
     its roundoff then shrinks with |t| as the overlap itself does.  At t = 0
     the direct form is kept, so the zero it reads is the computed one.
     """
-    psi_hat, chi_hat, omega = _packet_transforms(spec, support_in, support_out)
+    psi, chi = (_packet(spec.sites, s) for s in (support_in, support_out))
+    if np.any(np.abs(psi) * np.abs(chi) > 0):
+        raise ValueError("packet supports overlap")
+    psi_hat, chi_hat = np.fft.fft(psi), np.fft.fft(chi)
+    omega = spec.dispersion()
     out = np.empty(len(t_grid), dtype=complex)
     for i, t in enumerate(t_grid):
         phase = (np.exp(-1j * omega * t) if t == 0 else
                  -2j * np.sin(omega * t / 2) * np.exp(-0.5j * omega * t))
         out[i] = np.vdot(chi_hat, phase * psi_hat) / spec.sites
-    return out
-
-
-def first_order_overlap(spec: ChainSpec, support_in, support_out) -> complex:
-    """<chi, w psi> for the packets of `causality_probe_scan`: its overlap
-    at t is -i t times this up to t^2 max(w^2) / 2, the bound on
-    |e^{-ix} - 1 + ix| <= x^2 / 2 for unit packets."""
-    psi_hat, chi_hat, omega = _packet_transforms(spec, support_in, support_out)
-    return complex(np.vdot(chi_hat, omega * psi_hat) / spec.sites)
-
-
-def _packet_transforms(spec: ChainSpec, support_in, support_out):
-    """Fourier transforms of the two packets, refused when their supports
-    meet, and the dispersion they are weighted by."""
-    psi = _packet(spec.sites, support_in)
-    chi = _packet(spec.sites, support_out)
-    if np.any(np.abs(psi) * np.abs(chi) > 0):
-        raise ValueError("packet supports overlap")
-    return np.fft.fft(psi), np.fft.fft(chi), spec.dispersion()
+    return out, complex(np.vdot(chi_hat, omega * psi_hat) / spec.sites)
 
 
 def _packet(n: int, support) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Antilinear-operator arithmetic and polar decomposition, the
 real-linearization used to extract fixed-point subspaces of antilinear
-involutions, the one rank rule, the one memory budget, and the random
-samplers shared by the experiments (each draws a whole stack in one call).
+involutions, the one rank rule, Krylov closure and memory budget, and the
+random samplers shared by the experiments (each draws a stack in one call).
 
 Every rank or null-space decision in the package is made here: a singular
 value (or eigenvalue of a positive semidefinite matrix) ``s`` counts as zero
@@ -184,6 +184,26 @@ def null_space(a: np.ndarray) -> np.ndarray:
     zero = np.ones(cols, dtype=bool)
     zero[: s.size] = ~nonzero_mask(s)
     return vh[zero].conj()
+
+
+def krylov(span: np.ndarray, step, steps: int = -1
+           ) -> tuple[np.ndarray, list[int]]:
+    """Grow the orthonormal rows span under the linear map step (a stack of
+    rows to a stack of images) until a pass adds nothing, or for at most
+    `steps` passes (-1: no cap).  Each pass maps only the rows the last one
+    added, the first all of span; the images, projected off the span twice,
+    have the new rows as row space.  Returns the orthonormal span and its
+    row count before the first pass and after each pass."""
+    added, sizes = span, [len(span)]
+    while len(added) and steps:
+        images = step(added)
+        for _ in range(2):
+            images -= (images @ dagger(span)) @ span
+        added = row_space(images)
+        span = np.concatenate([span, added])
+        sizes.append(len(span))
+        steps -= 1
+    return span, sizes
 
 
 def complex_normal(rng: np.random.Generator, shape: tuple,

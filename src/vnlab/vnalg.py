@@ -5,12 +5,12 @@ orthonormal in the Hilbert-Schmidt inner product tr(A* B), a tensor factor
 as its split alone; membership tests are projection residuals with a single
 threshold and J b J a product with the basis (a partial trace on a tensor
 factor, J's column blocks on M_d (x) 1).  Every rank decision is numkit's
-rank rule: the closure grows a span by one letter per pass, multiplying
-only the directions the last pass added; commutants are solved from one
-random element of the algebra on the entries where its Hermitian part's
-commutator vanishes and certified against the whole basis; and the center
-is the null space of a triangular factor that the commutator map's row
-blocks are folded into one QR at a time, so the map is never formed.
+rank rule: the closure is numkit's Krylov closure under the letters, one
+letter per pass; commutants are solved from one random element of the
+algebra on the entries where its Hermitian part's commutator vanishes and
+certified against the whole basis; and the center is the null space of a
+triangular factor that the commutator map's row blocks are folded into one
+QR at a time, so the map is never formed.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkit import (complex_normal, dagger, nonzero_mask, null_space,
-                     read_only, row_space)
+from .numkit import (complex_normal, dagger, krylov, nonzero_mask,
+                     null_space, read_only, row_space)
 
 # an element belongs to a span when its orthogonal residual is below
 # MEMBERSHIP_RTOL times its own norm
@@ -189,27 +189,18 @@ def tensor_factor_algebra(d: int, m: int) -> TensorFactor:
 def vn_closure(generators, dim: int) -> OperatorAlgebra:
     """Smallest unital *-closed product-closed span containing the generators.
 
-    The letters are the generators and their adjoints.  Starting from the
-    span of 1 and the letters, each pass multiplies the letters by the
-    directions the last pass added, so the words it holds grow by one letter
-    per pass; the letters times the older directions already lie in the
-    span.  The words, projected off the span twice, have the new directions
-    as row space (as in `fock.cyclicity_rank`), and the span is the algebra
-    once a pass adds none.
+    The letters are the generators and their adjoints.  `numkit.krylov`
+    grows the span of 1 and the letters under left multiplication by the
+    letters, so the words it holds grow by one letter per pass; the span is
+    the algebra once a pass adds none.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if any(g.shape != (dim, dim) for g in gens):
         raise ValueError("generator dimension mismatch")
     letters = np.array(gens + [dagger(g) for g in gens]).reshape(-1, dim, dim)
-    span = added = orthonormalize_span(
-        np.concatenate([np.eye(dim)[None], letters])).reshape(-1, dim * dim)
-    while len(added):
-        words = (letters[:, None] @ added.reshape(-1, dim, dim)
-                 ).reshape(-1, dim * dim)
-        for _ in range(2):
-            words -= (words @ dagger(span)) @ span
-        added = row_space(words)
-        span = np.concatenate([span, added])
+    start = orthonormalize_span(np.concatenate([np.eye(dim)[None], letters]))
+    span, _ = krylov(start.reshape(-1, dim * dim), lambda added: (
+        letters[:, None] @ added.reshape(-1, dim, dim)).reshape(-1, dim * dim))
     return OperatorAlgebra(span.reshape(-1, dim, dim),
                            generators=np.array(gens) if gens else None)
 

@@ -12,11 +12,16 @@ matrix algebras as test cases, the dense Fock ladders that
 which ``lattice.GaussianState`` refuses, with its divergent k = 0 mode
 dropped, in a form of its own, and the region spectrum gathered through
 index matrices, which ``lattice.symplectic_eigenvalues`` reads from a
-strided view of the circulant.
+strided view of the circulant.  ``run_python`` is the one harness that runs
+a fresh interpreter on the package's sources.
 """
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +34,18 @@ from vnlab.numkit import (VALIDITY_ATOL, AntilinearMap, dagger, nonzero_mask,
 from vnlab.vnalg import OperatorAlgebra, matrix_units, orthonormalize_span
 
 _HERM_FNS = ("exp", "log", "sqrt", "power", "ipower")
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(args, *, cwd=None, timeout) -> subprocess.CompletedProcess:
+    """The running interpreter on args in a fresh process, with src first on
+    PYTHONPATH; its output is captured as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def herm_fn(h: np.ndarray, fn: str, t: float | None = None) -> np.ndarray:

@@ -4,22 +4,18 @@ sys.exit(main()) on the README's examples, its help, one refusal, and the
 in-schema points that once exited 1."""
 
 import json
-import os
 import pathlib
 import re
 import shlex
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from reference import run_python
 
-import vnlab
 from vnlab import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-SRC = str(pathlib.Path(vnlab.__file__).resolve().parents[1])
 # the fenced sh block after "Examples:" in the README, one command a line
 EXAMPLES = [shlex.split(line, comments=True) for line in re.search(
     r"^Examples:\n+```sh\n(.*?)^```", (ROOT / "README.md").read_text(),
@@ -27,12 +23,8 @@ EXAMPLES = [shlex.split(line, comments=True) for line in re.search(
 
 
 def _python(args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return run_python(["-W", "error::RuntimeWarning", *args], cwd=cwd,
+                      timeout=120)
 
 
 def test_demos_found():

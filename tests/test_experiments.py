@@ -5,22 +5,18 @@ import inspect
 import io
 import itertools
 import json
-import os
-import pathlib
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import run_python
 
-from vnlab import cli, factors, fock, lattice, locwedge, modular, vnalg
+from vnlab import (channels, cli, experiments, factors, fock, lattice,
+                   locwedge, modular, vnalg)
 from vnlab.experiments import (REGISTRY, Assertion, _set_match_error,
                                list_experiments, run, validate_params)
 from vnlab.vnalg import TensorFactor
-
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 REQUIRED = [
     "kms-random", "modular-flow", "modular-spectrum", "powers", "araki-woods",
@@ -230,11 +226,7 @@ def test_experiments_leave_numpy_ma_unimported():
     # np.unique, np.setdiff1d and their kin import numpy.ma on a first call
     # (numpy 2.4), which a fresh process pays inside its first run; every
     # experiment at its defaults and at scale, in a fresh interpreter
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_python(["-c", NUMPY_MA_PROBE], timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["False"]
 
@@ -614,7 +606,14 @@ class TestCli:
         ["reeh-schlieder-rank", "--d", "4095", "--n-max", "1"],
         ["reeh-schlieder-rank", "--d", "1831", "--n-max", "1"],
         ["wedge-localization", "--n", "4096", "--theta-max", "1000",
-         "--cond-cap", "1e18"]])
+         "--cond-cap", "1e18"],
+        # the stacks drawn at once: 3 M pure samples would hold about
+        # 411 MB, and 2000 pairs at dim 44 about 390 MB; the next two are
+        # the first points past each stated edge
+        ["genericity", "--samples", "3000000"],
+        ["genericity", "--samples", "1863225"],
+        ["local-difference", "--dim", "44", "--pairs", "2000"],
+        ["local-difference", "--dim", "44", "--pairs", "1237"]])
     def test_over_budget_point_refused_before_allocating(self, capsys, argv):
         tracemalloc.start()
         try:
@@ -625,6 +624,23 @@ class TestCli:
         assert code == 2
         assert "over the byte budget" in capsys.readouterr().err
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv,module,sampler", [
+        (["genericity", "--samples", "1863224"], channels, "haar_pure_state"),
+        (["local-difference", "--dim", "44", "--pairs", "1236"], experiments,
+         "random_density")])
+    def test_stack_at_the_budget_edge_is_drawn(self, monkeypatch, argv,
+                                               module, sampler):
+        # the last admitted point reaches its draw, stubbed out here
+        class Drawn(Exception):
+            pass
+
+        def draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(module, sampler, draw)
+        with pytest.raises(Drawn):
+            cli.main(argv)
 
     @pytest.mark.parametrize("name,key", [
         (name, key) for name, exp in REGISTRY.items()

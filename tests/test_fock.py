@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from reference import dense_creators
 
-from vnlab import fock
+from vnlab import fock, numkit
 from vnlab.fock import (FockSpace, SectorCommutator, apply_ladders,
                         cyclicity_rank, field_operator, locality_check,
                         sector_commutator, weyl_operator,
@@ -512,10 +512,10 @@ class TestCyclicity:
         def never(*args):
             raise AssertionError("dense work in cyclicity_rank")
 
-        calls, row_space = [], fock.row_space
+        calls, row_space = [], numkit.row_space
         monkeypatch.setattr(fock, "field_operator", never)
         monkeypatch.setattr(fock, "rank", never, raising=False)
-        monkeypatch.setattr(fock, "row_space",
+        monkeypatch.setattr(numkit, "row_space",
                             lambda a: calls.append(a.shape) or row_space(a))
         f = FockSpace(3, 4)
         assert cyclicity_rank(f, real_subspace_from_vectors(np.eye(3)),

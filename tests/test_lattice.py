@@ -15,9 +15,8 @@ from vnlab.fock import FockSpace, weyl_operator
 from vnlab.lattice import (ChainSpec, GaussianState, RegionFockRep,
                            _circulant_block, causality_probe_scan,
                            decay_rate_fit, expected_decay_rate,
-                           first_order_overlap, local_difference,
-                           local_difference_bracket, reduced_entropy,
-                           symplectic_eigenvalues)
+                           local_difference, local_difference_bracket,
+                           reduced_entropy, symplectic_eigenvalues)
 from vnlab.numkit import dagger, haar_unitary, random_density
 
 
@@ -473,13 +472,13 @@ class TestCausalityProbe:
     def test_amplitude_zero_at_t0(self):
         spec = ChainSpec(256, 1.0)
         a0 = causality_probe_scan(spec, np.arange(100, 108),
-                                  np.arange(112, 120), [0.0])[0]
+                                  np.arange(112, 120), [0.0])[0][0]
         assert abs(a0) < 1e-14
 
     def test_amplitude_nonzero_at_half(self):
         spec = ChainSpec(256, 1.0)
         a = causality_probe_scan(spec, np.arange(100, 108),
-                                 np.arange(112, 120), [0.5])[0]
+                                 np.arange(112, 120), [0.5])[0][0]
         assert abs(a) > 1e-8
 
     def test_grid_max_positive_for_all_gaps(self):
@@ -488,7 +487,8 @@ class TestCausalityProbe:
         for gap in (2, 4, 8, 16):
             supp_in = np.arange(40, 48)
             supp_out = np.arange(48 + gap, 56 + gap)
-            amps = np.abs(causality_probe_scan(spec, supp_in, supp_out, grid))
+            amps = np.abs(causality_probe_scan(spec, supp_in, supp_out,
+                                               grid)[0])
             assert amps.max() > 1e-13  # 10x the inner-product roundoff floor
 
     def test_scan_matches_pointwise(self):
@@ -504,7 +504,7 @@ class TestCausalityProbe:
         psi[supp_in], chi[supp_out] = bump, bump
         psi, chi = psi / np.linalg.norm(psi), chi / np.linalg.norm(chi)
         grid = [0.0, 0.3, 0.7]
-        scan = causality_probe_scan(spec, supp_in, supp_out, grid)
+        scan, _ = causality_probe_scan(spec, supp_in, supp_out, grid)
         for t, a in zip(grid, scan):
             evolved = (u * np.exp(-1j * np.sqrt(w) * t)) @ (u.T @ psi)
             assert abs(a - np.vdot(chi, evolved)) < 1e-12
@@ -515,7 +515,7 @@ class TestCausalityProbe:
             causality_probe_scan(spec, np.arange(0, 8), np.arange(7, 12),
                                  [0.1])
 
-    def test_first_order_overlap_matches_dense_and_the_slope(self):
+    def test_first_order_coefficient_matches_dense_and_the_slope(self):
         # <chi, sqrt(m^2 - laplacian) psi> in site space; the scan at small
         # t is -i t times it, up to the Taylor remainder t^2 (m^2 + 4) / 2
         spec = ChainSpec(64, 2.0)
@@ -526,9 +526,9 @@ class TestCausalityProbe:
         bump = np.sin(np.pi * np.arange(1, 5) / 5) / np.sqrt(2.5)
         psi, chi = np.zeros(64), np.zeros(64)
         psi[supp_in], chi[supp_out] = bump, bump
-        c1 = first_order_overlap(spec, supp_in, supp_out)
+        _, c1 = causality_probe_scan(spec, supp_in, supp_out, [])
         assert abs(c1 - chi @ (u * np.sqrt(w)) @ u.T @ psi) < 1e-12
         assert abs(c1) > 1e-4
         for t in (1e-4, -1e-5, 1e-7):
-            a = causality_probe_scan(spec, supp_in, supp_out, [t])[0]
+            (a,), _ = causality_probe_scan(spec, supp_in, supp_out, [t])
             assert abs(a + 1j * t * c1) <= t ** 2 * (spec.mass ** 2 + 4) / 2

@@ -1,5 +1,6 @@
 """Antilinear polar decomposition, realification, the rank rule, the
-samplers, and the reference spectral calculus the modular tests lean on."""
+Krylov closure, the samplers, and the reference spectral calculus the
+modular tests lean on."""
 
 import ast
 import pathlib
@@ -15,9 +16,10 @@ from vnlab.experiments import REGISTRY
 from vnlab.locwedge import real_subspace_from_vectors
 from vnlab.numkit import (BYTE_BUDGET, RANK_RTOL, AntilinearMap,
                           antilinear_polar, complex_normal, dagger,
-                          embed_real, haar_pure_state, nonzero_mask, norm2,
-                          null_space, random_density, rank, real_linearize,
-                          require_budget, row_space, unembed_real)
+                          embed_real, haar_pure_state, krylov, nonzero_mask,
+                          norm2, null_space, random_density, rank,
+                          real_linearize, require_budget, row_space,
+                          unembed_real)
 
 
 def random_hermitian(rng, n):
@@ -360,6 +362,59 @@ class TestRankRule:
     def test_nan_spectrum_keeps_scalar_cut(self):
         w = np.array([np.nan, 0.5, 1e-11])
         assert nonzero_mask(w).tolist() == [False, True, False]
+
+
+class TestKrylov:
+    """The one Krylov closure, which vnalg.vn_closure and fock.cyclicity_rank
+    grow their spans by."""
+
+    def test_steps_caps_the_passes(self):
+        # the cyclic shift on C^8 adds one row a pass from e_0, and the
+        # ninth pass adds none
+        shift = np.roll(np.eye(8), 1, axis=0)
+        calls = []
+
+        def step(rows):
+            calls.append(len(rows))
+            return rows @ shift.T
+
+        for steps in (0, 1, 3, -1):
+            calls.clear()
+            span, sizes = krylov(np.eye(8, dtype=complex)[:1], step, steps)
+            passes = 8 if steps == -1 else steps
+            assert calls == [1] * passes
+            assert sizes == [min(j + 1, 8) for j in range(passes + 1)]
+            assert len(span) == sizes[-1]
+
+    def test_a_pass_that_adds_nothing_stops_the_growth(self):
+        # a diagonal step commutes with the span of e_0 and e_1: the first
+        # pass adds nothing and there is no second
+        calls = []
+
+        def step(rows):
+            calls.append(len(rows))
+            return rows @ np.diag([1.0, 2.0, 3.0, 4.0])
+
+        start = np.eye(4, dtype=complex)[:2]
+        span, sizes = krylov(start, step)
+        assert calls == [2] and sizes == [2, 2]
+        assert np.array_equal(span, start)
+
+    def test_span_is_orthonormal_and_sizes_count_its_rows(self):
+        rng = np.random.default_rng(3)
+        a = complex_normal(rng, (12, 12))
+        start = row_space(complex_normal(rng, (2, 12)))
+
+        def step(rows):
+            return rows @ a.T
+
+        span, sizes = krylov(start, step)
+        assert sizes == [2, 4, 6, 8, 10, 12, 12]
+        assert norm2(span @ dagger(span) - np.eye(12)) <= 1e-12
+        for passes, size in enumerate(sizes):
+            grown, _ = krylov(start, step, passes)
+            assert len(grown) == size
+            assert np.array_equal(grown, span[:size])
 
 
 class TestNorm2:

@@ -16,9 +16,7 @@ Run as a script, this module is the probe: it prints the entered
 
 import ast
 import json
-import os
 import pathlib
-import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -99,11 +97,10 @@ def probe():
 
 
 def test_every_definition_is_reached():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, __file__], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # imported here: the probe, this file run as a script, must import no
+    # vnlab before its profile hook is set
+    from reference import run_python
+    proc = run_python([__file__], cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = first_lines()
     entered = {lines[tuple(pair)]

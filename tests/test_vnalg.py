@@ -11,7 +11,7 @@ import pytest
 
 from reference import (cyclic_separating, full_matrix_algebra, gns,
                        letter_closure, scalar_algebra)
-from vnlab import vnalg
+from vnlab import numkit, vnalg
 from vnlab.modular import tomita
 from vnlab.numkit import (complex_normal, dagger, norm2, null_space,
                           random_density)
@@ -190,14 +190,16 @@ class TestClosure:
     def test_each_pass_multiplies_only_the_new_directions(self, monkeypatch):
         # on M_4 (x) 1: 1 and the four letters, then the letters times the
         # 5 directions of that span, then times the 11 the pass added; the
-        # letters times the whole span took SVDs of 25 and 80 rows
-        shapes, row_space = [], vnalg.row_space
+        # letters times the whole span took SVDs of 25 and 80 rows.  The
+        # first span is vnalg's, the passes are numkit.krylov's
+        shapes, row_space = [], numkit.row_space
 
         def spy(a):
             shapes.append(a.shape)
             return row_space(a)
 
         monkeypatch.setattr(vnalg, "row_space", spy)
+        monkeypatch.setattr(numkit, "row_space", spy)
         rng = np.random.default_rng(1)
         gens = [np.kron(complex_normal(rng, (4, 4)), np.eye(4))
                 for _ in range(2)]
